@@ -50,6 +50,7 @@ from .mdp_sim import (
     action_z_scores,
     always_policy,
     corridor_world,
+    exact_z_table,
     future_state_distribution,
     push_forward,
     render_ascii,

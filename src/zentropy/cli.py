@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -154,9 +155,14 @@ def cmd_gridworld(config: dict, out: Path, chash: str) -> None:
     est = _parse_estimator(config, int(config["seed"]))
     tol = float(config.get("neutral_tol", 0.01))
 
+    if est.backend == "exact":
+        tables = mdp_sim.exact_z_table(g, cells, follow, k, actions)
+    else:
+        tables = [mdp_sim.action_z_scores(g, cell, follow, k, est, actions)
+                  for cell in cells]
     z_rows, attribution = [], []
-    for cell in cells:
-        for action, z in mdp_sim.action_z_scores(g, cell, follow, k, est, actions):
+    for cell, ranked in zip(cells, tables):
+        for action, z in ranked:
             z_rows.append([cell[0], cell[1], action, z.value, z.std_error, z.method])
             attribution.append(_attribution_row(
                 f"{action}@{cell[0]},{cell[1]}",
@@ -297,9 +303,12 @@ def _read_stream(path: str | None) -> list:
         if not line:
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError as e:
             raise ConfigError(f"input line {ln} is not a number: {line!r}") from e
+        if not math.isfinite(value):
+            raise ConfigError(f"input line {ln} is not a finite number: {line!r}")
+        values.append(value)
     return values
 
 

@@ -130,6 +130,11 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.backend not in ("exact", "mc"):
             raise ValueError(f"backend must be 'exact' or 'mc', got {self.backend!r}")
+        if self.n_samples < 100:
+            raise ValueError(f"n_samples must be >= 100, got {self.n_samples}")
+        if self.bootstrap_resamples < 2:
+            raise ValueError(
+                f"bootstrap_resamples must be >= 2, got {self.bootstrap_resamples}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorConfig":
@@ -209,6 +214,8 @@ def mc_entropy_of_branch(model: SystemModel, event: Event | None, horizon: Horiz
     """
     if n < 100:
         raise ValueError(f"Monte Carlo branch needs n >= 100, got {n}")
+    if bootstrap_resamples < 2:
+        raise ValueError(f"bootstrap SE needs >= 2 resamples, got {bootstrap_resamples}")
     rng = _as_rng(seed)
     outcomes = model.sample_future_outcomes(event, horizon, n, rng)
     index: dict = {}
@@ -260,14 +267,21 @@ def _z_vs_null(model, event, horizon, estimator, seed_prefix=()):
     return value, se
 
 
-def z_pre_post(model: SystemModel, event: Event, horizon: Horizon,
-               estimator: EstimatorConfig = EstimatorConfig(),
-               _seed_prefix: tuple = ()) -> ZEstimate:
-    """Pre/post form: entropy at T after applying the event at t0, minus
-    entropy at T when nothing is applied and the model runs its default
-    dynamics."""
-    _check_admissible(model, event)
-    value, se = _z_vs_null(model, event, horizon, estimator, _seed_prefix)
+def _z_vs_alternatives(branch, alternatives) -> tuple[float, float]:
+    """(Z, se) of one branch's (entropy, se) against the baseline average of
+    the alternatives' branches, given as (weight, entropy, se) in baseline
+    order."""
+    h_event, se_event = branch
+    h_base = 0.0
+    var_base = 0.0
+    for w, h_i, se_i in alternatives:
+        h_base += w * h_i
+        var_base += (w * se_i) ** 2
+    return h_event - h_base, math.sqrt(se_event ** 2 + var_base)
+
+
+def _estimate(value: float, se: float, horizon: Horizon, event: Event,
+              baseline: str, estimator: EstimatorConfig) -> ZEstimate:
     exact = estimator.backend == "exact"
     return ZEstimate(
         value=value,
@@ -276,8 +290,19 @@ def z_pre_post(model: SystemModel, event: Event, horizon: Horizon,
         n_samples=0 if exact else estimator.n_samples,
         horizon=horizon,
         event=event.id,
-        baseline="null-event",
+        baseline=baseline,
     )
+
+
+def z_pre_post(model: SystemModel, event: Event, horizon: Horizon,
+               estimator: EstimatorConfig = EstimatorConfig(),
+               _seed_prefix: tuple = ()) -> ZEstimate:
+    """Pre/post form: entropy at T after applying the event at t0, minus
+    entropy at T when nothing is applied and the model runs its default
+    dynamics."""
+    _check_admissible(model, event)
+    value, se = _z_vs_null(model, event, horizon, estimator, _seed_prefix)
+    return _estimate(value, se, horizon, event, "null-event", estimator)
 
 
 def z_counterfactual(model: SystemModel, event: Event, baseline: Baseline,
@@ -295,26 +320,14 @@ def z_counterfactual(model: SystemModel, event: Event, baseline: Baseline,
             raise EventInBaselineError(f"event {event.id!r} is among its own alternatives")
         for alt in baseline.alternatives:
             _check_admissible(model, alt)
-        h_event, se_event = _branch_entropy(model, event, horizon, estimator, _seed_prefix + (0,))
-        weights = baseline.normalized_weights()
-        h_base = 0.0
-        var_base = 0.0
-        for i, (alt, w) in enumerate(zip(baseline.alternatives, weights)):
-            h_i, se_i = _branch_entropy(model, alt, horizon, estimator, _seed_prefix + (i + 1,))
-            h_base += w * h_i
-            var_base += (w * se_i) ** 2
-        value = h_event - h_base
-        se = math.sqrt(se_event ** 2 + var_base)
-    exact = estimator.backend == "exact"
-    return ZEstimate(
-        value=value,
-        std_error=0.0 if exact else se,
-        method="exact" if exact else "monte-carlo",
-        n_samples=0 if exact else estimator.n_samples,
-        horizon=horizon,
-        event=event.id,
-        baseline=baseline.summary(),
-    )
+        branch = _branch_entropy(model, event, horizon, estimator, _seed_prefix + (0,))
+        alternatives = [
+            (w, *_branch_entropy(model, alt, horizon, estimator, _seed_prefix + (i + 1,)))
+            for i, (alt, w) in enumerate(zip(baseline.alternatives,
+                                             baseline.normalized_weights()))
+        ]
+        value, se = _z_vs_alternatives(branch, alternatives)
+    return _estimate(value, se, horizon, event, baseline.summary(), estimator)
 
 
 def classify_event(z: ZEstimate, tol: float = DEFAULT_NEUTRAL_TOL) -> EventClass:
@@ -328,6 +341,38 @@ def classify_event(z: ZEstimate, tol: float = DEFAULT_NEUTRAL_TOL) -> EventClass
     return EventClass(NEUTRAL)
 
 
+def _ranked(scored: list) -> list[tuple[Event, ZEstimate]]:
+    """Most-beneficial (lowest Z) first, ties broken on event id."""
+    return sorted(scored, key=lambda t: (t[1].value, t[0].id))
+
+
+def _check_vs_rest(events: Sequence[Event]) -> None:
+    if not events:
+        raise ValueError("rank_events needs at least one event")
+    if len({e.id for e in events}) < 2:
+        raise EmptyBaselineError("vs-rest baseline needs >= 2 events")
+
+
+def rank_vs_rest(events: Sequence[Event], branches: Sequence[tuple],
+                 horizon: Horizon, estimator: EstimatorConfig,
+                 ) -> list[tuple[Event, ZEstimate]]:
+    """Score each event against a uniform baseline over the others and sort
+    most-beneficial (lowest Z) first, ties broken on event id.
+
+    `branches[i]` is the (entropy, se) of event i's branch, evaluated once
+    and shared by every Z that needs it.
+    """
+    _check_vs_rest(events)
+    scored = []
+    for i, ev in enumerate(events):
+        others = [j for j, e in enumerate(events) if e.id != ev.id]
+        baseline = Baseline.uniform(events[j] for j in others)
+        value, se = _z_vs_alternatives(branches[i], [
+            (w, *branches[j]) for w, j in zip(baseline.normalized_weights(), others)])
+        scored.append((ev, _estimate(value, se, horizon, ev, baseline.summary(), estimator)))
+    return _ranked(scored)
+
+
 def rank_events(model: SystemModel, events: Sequence[Event], baseline,
                 horizon: Horizon, estimator: EstimatorConfig = EstimatorConfig(),
                 ) -> list[tuple[Event, ZEstimate]]:
@@ -335,23 +380,21 @@ def rank_events(model: SystemModel, events: Sequence[Event], baseline,
 
     `baseline` is either the string "vs-rest" (each event against a uniform
     baseline over the other candidates) or a fixed Baseline applied to every
-    event. Ties break lexicographically on event id. Each event gets its own
-    derived seed stream, so Monte Carlo rankings are reproducible even if
-    events are evaluated in parallel.
+    event. Ties break lexicographically on event id. With "vs-rest" each
+    event's branch is evaluated once and shared by every Z that needs it.
+    Each event gets its own derived seed stream, keyed by its index, so Monte
+    Carlo rankings are reproducible even if events are evaluated in parallel.
     """
     events = list(events)
+    if baseline == "vs-rest":
+        _check_vs_rest(events)
+        for ev in events:
+            _check_admissible(model, ev)
+        branches = [_branch_entropy(model, ev, horizon, estimator, (i,))
+                    for i, ev in enumerate(events)]
+        return rank_vs_rest(events, branches, horizon, estimator)
     if not events:
         raise ValueError("rank_events needs at least one event")
-    scored = []
-    for i, ev in enumerate(events):
-        if baseline == "vs-rest":
-            others = [e for e in events if e.id != ev.id]
-            if not others:
-                raise EmptyBaselineError("vs-rest baseline needs >= 2 events")
-            b = Baseline.uniform(others)
-        else:
-            b = baseline
-        z = z_counterfactual(model, ev, b, horizon, estimator, _seed_prefix=(i,))
-        scored.append((ev, z))
-    scored.sort(key=lambda t: (t[1].value, t[0].id))
-    return scored
+    return _ranked([(ev, z_counterfactual(model, ev, baseline, horizon, estimator,
+                                          _seed_prefix=(i,)))
+                    for i, ev in enumerate(events)])

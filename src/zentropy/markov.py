@@ -22,6 +22,8 @@ def _validate_stochastic(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDistributionError(f"{what} must be a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise InvalidDistributionError(f"{what} has non-finite entries")
     if np.any(m < 0.0):
         raise InvalidDistributionError(f"{what} has negative entries")
     sums = m.sum(axis=1)

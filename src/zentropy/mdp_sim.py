@@ -22,8 +22,9 @@ from .entropic_potential import (
     SystemModel,
     ZEstimate,
     rank_events,
+    rank_vs_rest,
 )
-from .entropy_core import Distribution
+from .entropy_core import Distribution, shannon_entropy
 from .errors import CellIsWallError, InvalidDistributionError
 
 ACTIONS = ("up", "down", "left", "right")
@@ -32,6 +33,11 @@ _DELTAS = {"up": (0, -1), "down": (0, 1), "left": (-1, 0), "right": (1, 0)}
 Cell = tuple  # (x, y)
 
 MAX_CELLS = 4096  # exact push-forward stays the universal oracle below this
+
+# Byte budget of one (rows, n_cells) float64 block when exact_z_table pushes
+# its rows forward. A step holds a few such blocks at once, so a table over
+# every cell of a MAX_CELLS grid never holds all of its dense rows.
+TABLE_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -132,35 +138,94 @@ def _policy_matrix(g: GridWorld, policy: dict) -> np.ndarray:
     return m
 
 
+def _wall_mask(g: GridWorld) -> np.ndarray:
+    mask = np.zeros(g.n_cells, dtype=bool)
+    mask[np.array([g.index_of(c) for c in g.walls], dtype=np.int64)] = True
+    return mask
+
+
+def _free_index(g: GridWorld) -> np.ndarray:
+    """Flat indices of the free cells, in free_cells() order."""
+    return np.flatnonzero(~_wall_mask(g))
+
+
 def _target_table(g: GridWorld) -> np.ndarray:
-    """(4, n_cells) flat indices of the successful-move destination."""
+    """(4, n_cells) flat indices of the successful-move destination; a move
+    off the grid or into a wall, and any move from a wall, stays put."""
+    idx = np.arange(g.n_cells)
+    x, y = idx % g.width, idx // g.width
+    wall = _wall_mask(g)
     t = np.empty((4, g.n_cells), dtype=np.int64)
     for a, action in enumerate(ACTIONS):
-        for i in range(g.n_cells):
-            c = g.cell_of(i)
-            t[a, i] = i if c in g.walls else g.index_of(g.move_target(c, action))
+        dx, dy = _DELTAS[action]
+        nx, ny = x + dx, y + dy
+        inside = (nx >= 0) & (nx < g.width) & (ny >= 0) & (ny < g.height)
+        dest = np.where(inside, ny * g.width + nx, idx)
+        t[a] = np.where(wall | wall[dest], idx, dest)
     return t
 
 
 def _step_flat(g: GridWorld, targets: np.ndarray, d: np.ndarray,
                pol: np.ndarray) -> np.ndarray:
-    """One exact push-forward step of a flat cell distribution under pol."""
-    out = np.zeros_like(d)
+    """One exact push-forward step of the (m, n_cells) rows d.
+
+    pol broadcasts to (m, n_cells, 4): a (n_cells, 4) policy matrix shared
+    by every row, a (1, 4) one-hot action, or a one-hot (m, 1, 4) first
+    action per row. Each row gets the same operations in the same order
+    whatever m is (goal mass copied, then per action the successful moves
+    added in source-index order and the slip term), so a row's result does
+    not depend on the batch it is in.
+    """
+    m, n = d.shape
+    out = np.zeros((m, n))
     gi = g.index_of(g.goal)
-    out[gi] = d[gi]  # absorbing, kept exact
+    out[:, gi] = d[:, gi]  # absorbing, kept exact
     active = d.copy()
-    active[gi] = 0.0
+    active[:, gi] = 0.0
+    # add.at over the flattened rows: unbuffered, in row-major source order
+    flat_out = out.reshape(-1)
+    row_offsets = np.arange(0, m * n, n)[:, None]
     for a in range(4):
-        w = active * pol[:, a]
-        np.add.at(out, targets[a], w * (1.0 - g.slip))
+        w = active * pol[..., a]
+        np.add.at(flat_out, (targets[a] + row_offsets).ravel(),
+                  (w * (1.0 - g.slip)).ravel())
         out += w * g.slip
     return out
+
+
+def _propagate(g: GridWorld, targets: np.ndarray, d: np.ndarray, first_pol,
+               follow_pol: np.ndarray, k: int) -> np.ndarray:
+    """k exact steps of the rows d: first_pol (if not None) for the first
+    step, follow_pol for the rest."""
+    if first_pol is not None:
+        d = _step_flat(g, targets, d, first_pol)
+        k -= 1
+    for _ in range(k):
+        d = _step_flat(g, targets, d, follow_pol)
+    return d
 
 
 def _action_matrix(action: str) -> np.ndarray:
     m = np.zeros((1, 4))
     m[0, ACTIONS.index(action)] = 1.0
     return m
+
+
+def _checked_cell(g: GridWorld, cell) -> Cell:
+    cell = tuple(cell)
+    if cell in g.walls:
+        raise CellIsWallError(f"cell {cell} is a wall")
+    if not g._in_bounds(cell):
+        raise ValueError(f"cell {cell} out of bounds")
+    return cell
+
+
+def _admissible_actions(actions) -> tuple:
+    """The requested actions in ACTIONS order; unknown names are rejected."""
+    bad = [a for a in actions if a not in ACTIONS]
+    if bad:
+        raise ValueError(f"unknown actions {bad}")
+    return tuple(a for a in ACTIONS if a in actions)
 
 
 def _dist_to_flat(g: GridWorld, d: Distribution) -> np.ndarray:
@@ -176,22 +241,18 @@ def _dist_to_flat(g: GridWorld, d: Distribution) -> np.ndarray:
 
 
 def _flat_to_dist(g: GridWorld, flat: np.ndarray) -> Distribution:
-    free = g.free_cells()
-    return Distribution(free, [flat[g.index_of(c)] for c in free])
+    return Distribution(g.free_cells(), flat[_free_index(g)])
 
 
 def transition_kernel(g: GridWorld, cell: Cell, action: str) -> Distribution:
     """One-step law of the next cell for a single (cell, action) pair."""
-    cell = tuple(cell)
-    if cell in g.walls:
-        raise CellIsWallError(f"cell {cell} is a wall")
+    cell = _checked_cell(g, cell)
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}")
-    d = np.zeros(g.n_cells)
-    d[g.index_of(cell)] = 1.0
-    pol = np.broadcast_to(_action_matrix(action), (g.n_cells, 4))
-    out = _step_flat(g, _target_table(g), d, pol)
-    return _flat_to_dist(g, out)
+    d = np.zeros((1, g.n_cells))
+    d[0, g.index_of(cell)] = 1.0
+    out = _step_flat(g, _target_table(g), d, _action_matrix(action))
+    return _flat_to_dist(g, out[0])
 
 
 def push_forward(g: GridWorld, d: Distribution, policy_or_action) -> Distribution:
@@ -199,12 +260,12 @@ def push_forward(g: GridWorld, d: Distribution, policy_or_action) -> Distributio
 
     policy_or_action is an action name (applied everywhere) or a policy dict.
     """
-    flat = _dist_to_flat(g, d)
+    flat = _dist_to_flat(g, d)[None, :]
     if isinstance(policy_or_action, str):
-        pol = np.broadcast_to(_action_matrix(policy_or_action), (g.n_cells, 4))
+        pol = _action_matrix(policy_or_action)
     else:
         pol = _policy_matrix(g, policy_or_action)
-    return _flat_to_dist(g, _step_flat(g, _target_table(g), flat, pol))
+    return _flat_to_dist(g, _step_flat(g, _target_table(g), flat, pol)[0])
 
 
 def future_state_distribution(g: GridWorld, start: Distribution,
@@ -213,17 +274,10 @@ def future_state_distribution(g: GridWorld, start: Distribution,
     follow-on policy for the remaining k-1 steps."""
     if k < 1:
         raise ValueError("horizon must be >= 1 step")
-    targets = _target_table(g)
-    flat = _dist_to_flat(g, start)
-    pol_follow = _policy_matrix(g, follow)
-    remaining = k
-    if first is not None:
-        flat = _step_flat(g, targets, flat,
-                          np.broadcast_to(_action_matrix(first), (g.n_cells, 4)))
-        remaining -= 1
-    for _ in range(remaining):
-        flat = _step_flat(g, targets, flat, pol_follow)
-    return _flat_to_dist(g, flat)
+    first_pol = None if first is None else _action_matrix(first)
+    flat = _propagate(g, _target_table(g), _dist_to_flat(g, start)[None, :],
+                      first_pol, _policy_matrix(g, follow), k)
+    return _flat_to_dist(g, flat[0])
 
 
 class GridWorldModel(SystemModel):
@@ -238,10 +292,7 @@ class GridWorldModel(SystemModel):
         else:
             self.start = Distribution.point(tuple(start), grid.free_cells())
         self.follow = follow
-        bad = [a for a in actions if a not in ACTIONS]
-        if bad:
-            raise ValueError(f"unknown actions {bad}")
-        self.actions = tuple(a for a in ACTIONS if a in actions)
+        self.actions = _admissible_actions(actions)
         self._dense: dict = {}
 
     def event_space(self) -> list[Event]:
@@ -304,14 +355,52 @@ def sample_trajectory(g: GridWorld, start: Cell, first: str | None,
     return model.sample_future_outcomes(event, Horizon(0, k), 1, rng)[0]
 
 
+def exact_z_table(g: GridWorld, cells, follow: dict, k: int,
+                  actions: tuple = ACTIONS) -> list[list[tuple[str, ZEstimate]]]:
+    """Exact entropic potential of each admissible action at every cell of
+    `cells`, each action scored against a uniform baseline over the others.
+
+    Returns one list per cell, most beneficial first, equal to what
+    action_z_scores gives for that cell on the exact back-end. The move
+    targets and the follow-on policy matrix are built once, and every
+    (cell, action) branch is pushed forward once, all of them together as
+    rows of one batch, processed in chunks of at most TABLE_CHUNK_BYTES per
+    (rows, n_cells) block.
+    """
+    horizon = Horizon(0, k)
+    events = [Event(a) for a in _admissible_actions(actions)]
+    cells = [_checked_cell(g, c) for c in cells]
+    targets = _target_table(g)
+    follow_pol = _policy_matrix(g, follow)
+    free = _free_index(g)
+    labels = tuple(g.free_cells())
+    starts = np.repeat(np.array([g.index_of(c) for c in cells], dtype=np.int64), len(events))
+    first_ids = np.array([ACTIONS.index(e.id) for e in events], dtype=np.int64)
+    firsts = np.eye(4)[np.tile(first_ids, len(cells))][:, None, :]
+    chunk = max(1, TABLE_CHUNK_BYTES // (8 * g.n_cells))
+    branches = []
+    for lo in range(0, len(starts), chunk):
+        rows = starts[lo:lo + chunk]
+        d = np.zeros((len(rows), g.n_cells))
+        d[np.arange(len(rows)), rows] = 1.0
+        d = _propagate(g, targets, d, firsts[lo:lo + chunk], follow_pol, k)
+        branches.extend((float(shannon_entropy(Distribution(labels, row))), 0.0)
+                        for row in d[:, free])
+    m = len(events)
+    exact = EstimatorConfig(backend="exact")
+    return [[(ev.id, z) for ev, z in
+             rank_vs_rest(events, branches[i * m:(i + 1) * m], horizon, exact)]
+            for i in range(len(cells))]
+
+
 def action_z_scores(g: GridWorld, cell: Cell, follow: dict, k: int,
                     estimator: EstimatorConfig = EstimatorConfig(),
                     actions: tuple = ACTIONS) -> list[tuple[str, ZEstimate]]:
     """Entropic potential of each admissible action at `cell`, most beneficial
     first. Each action is scored against a uniform baseline over the others."""
-    cell = tuple(cell)
-    if cell in g.walls:
-        raise CellIsWallError(f"cell {cell} is a wall")
+    if estimator.backend == "exact":
+        return exact_z_table(g, [cell], follow, k, actions)[0]
+    cell = _checked_cell(g, cell)
     model = GridWorldModel(g, cell, follow, actions=actions)
     ranked = rank_events(model, model.event_space(), "vs-rest", Horizon(0, k), estimator)
     return [(ev.id, z) for ev, z in ranked]

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropic_potential import EstimatorConfig
 from .entropy_core import Distribution
-from .mdp_sim import ACTIONS, GridWorld, action_z_scores, uniform_policy
+from .mdp_sim import ACTIONS, GridWorld, _target_table, exact_z_table, uniform_policy
 
 Z_POLICIES = ("current-greedy", "fixed-uniform")
 
@@ -94,16 +93,9 @@ def _z_table(g: GridWorld, q: np.ndarray, shaping: ShapingConfig) -> dict:
         follow = greedy_policy_from_q(g, q)
     else:
         follow = uniform_policy(g)
-    table = {}
-    est = EstimatorConfig(backend="exact")
-    for c in g.free_cells():
-        if c == g.goal:
-            for a in ACTIONS:
-                table[(c, a)] = 0.0
-            continue
-        for a, z in action_z_scores(g, c, follow, shaping.horizon_k, est):
-            table[(c, a)] = z.value
-    return table
+    cells = g.free_cells()
+    ranked = exact_z_table(g, cells, follow, shaping.horizon_k)
+    return {(c, a): z.value for c, scores in zip(cells, ranked) for a, z in scores}
 
 
 def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
@@ -131,9 +123,7 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
     goal = g.index_of(g.goal)
     q[goal] = 0.0  # terminal: no future value beyond the arrival reward
     start = g.index_of(g.start)
-    targets = {a: [g.index_of(g.move_target(g.cell_of(i), a))
-                   if g.cell_of(i) not in g.walls else i
-                   for i in range(n)] for a in ACTIONS}
+    targets = _target_table(g).tolist()
 
     use_z = shaping.beta > 0.0
     z_cache: dict = {}
@@ -156,7 +146,7 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
                 a = int(rng.integers(0, 4))
             else:
                 a = int(np.argmax(q[s]))
-            nxt = targets[ACTIONS[a]][s] if rng.random() < 1.0 - g.slip else s
+            nxt = targets[a][s] if rng.random() < 1.0 - g.slip else s
             r_env = 1.0 if nxt == goal else 0.0
             if use_z:
                 intrinsic = -shaping.beta * z_cache[(g.cell_of(s), ACTIONS[a])]

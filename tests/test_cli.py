@@ -2,6 +2,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from zentropy import cli
 
 from oracles import make_regime_shift_stream
@@ -80,6 +82,16 @@ class TestGridworld:
     def test_missing_block_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 1})
         assert run(["gridworld", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+    def test_degenerate_estimator_exits_2(self, tmp_path, capsys):
+        cfg = json.loads(read(CONFIGS / "corridor.json"))
+        for key, value in (("n_samples", -5), ("bootstrap_resamples", 0),
+                           ("bootstrap_resamples", 1)):
+            cfg["estimator"] = {"backend": "mc", key: value}
+            assert run(["gridworld", "--config", write_config(tmp_path, cfg),
+                        "--out", tmp_path / "o"]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and key in err
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -205,6 +217,15 @@ class TestAnomaly:
         stream.write_text("1.0\nbanana\n", encoding="utf-8")
         assert run(["anomaly", "--config", CONFIGS / "anomaly.json",
                     "--input", stream, "--out", tmp_path / "o"]) == 2
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_input_exits_2_naming_the_line(self, tmp_path, capsys, bad):
+        stream = tmp_path / "bad.txt"
+        stream.write_text(f"1.0\n2.0\n{bad}\n", encoding="utf-8")
+        assert run(["anomaly", "--config", CONFIGS / "anomaly.json",
+                    "--input", stream, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "line 3" in err
 
     def test_stdin_input(self, tmp_path, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1.0\n2.0\n3.0\n"))

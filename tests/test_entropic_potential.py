@@ -66,6 +66,22 @@ class TestDomainTypes:
             ZEstimate(0.1, 0.0, "exact", 10, Horizon(0, 1), "e", "null-event")
 
 
+class TestEstimatorConfig:
+    @pytest.mark.parametrize("kw", [{"n_samples": -5}, {"n_samples": 99},
+                                    {"bootstrap_resamples": 0},
+                                    {"bootstrap_resamples": 1}])
+    def test_degenerate_settings_rejected(self, kw):
+        with pytest.raises(ValueError):
+            EstimatorConfig(backend="mc", **kw)
+        with pytest.raises(ValueError):
+            EstimatorConfig.from_dict({"backend": "mc", **kw})
+
+    def test_smallest_valid_settings_accepted(self):
+        est = EstimatorConfig(backend="mc", n_samples=100, bootstrap_resamples=2)
+        z = z_pre_post(two_state_flip_chain(), Event("clamp0"), Horizon(0, 1), est)
+        assert math.isfinite(z.std_error)
+
+
 class TestClassify:
     def test_sign_convention(self):
         def z(v):
@@ -240,6 +256,38 @@ class TestRankEvents:
             [e.id for e, _ in ranked]
         for (_, z2), v in zip(ranked2, values):
             assert z2.value == pytest.approx(v, abs=1e-12)
+
+    @pytest.mark.parametrize("est", [EXACT, EstimatorConfig(backend="mc", n_samples=500,
+                                                            seed=5)])
+    def test_vs_rest_evaluates_each_branch_once(self, est):
+        class CountingChain(MarkovChainModel):
+            calls = 0
+
+            def exact_future_distribution(self, event, horizon):
+                self.calls += 1
+                return super().exact_future_distribution(event, horizon)
+
+            def sample_future_outcomes(self, event, horizon, n, rng):
+                self.calls += 1
+                return super().sample_future_outcomes(event, horizon, n, rng)
+
+        base = random_chain_model(6, 5, np.random.default_rng(31))
+        model = CountingChain(base.transition, base.event_kernels, base.start.probs)
+        events = model.event_space()
+        ranked = rank_events(model, events, "vs-rest", Horizon(0, 3), est)
+        assert model.calls == len(events)
+        # shared branches: the vs-rest values of one ranking cancel out
+        assert sum(z.value for _, z in ranked) == pytest.approx(0.0, abs=1e-12)
+        assert ranked == rank_events(model, events, "vs-rest", Horizon(0, 3), est)
+
+    def test_vs_rest_matches_counterfactual_per_event(self):
+        model = random_chain_model(7, 4, np.random.default_rng(37))
+        events = model.event_space()
+        ranked = dict(rank_events(model, events, "vs-rest", Horizon(0, 2), EXACT))
+        for ev in events:
+            z = z_counterfactual(model, ev, Baseline.uniform(e for e in events if e != ev),
+                                 Horizon(0, 2), EXACT)
+            assert ranked[ev] == z
 
     def test_weighted_baseline_averages_branch_entropies(self):
         rng = np.random.default_rng(29)

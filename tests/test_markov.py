@@ -19,6 +19,13 @@ class TestValidation:
         with pytest.raises(InvalidDistributionError):
             MarkovChainModel([[1.2, -0.2], [0.5, 0.5]], {}, (1.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(InvalidDistributionError):
+            MarkovChainModel([[bad, 0.5], [0.5, 0.5]], {}, (1.0, 0.0))
+        with pytest.raises(InvalidDistributionError):
+            MarkovChainModel(np.eye(2), {"e": [[0.5, 0.5], [bad, bad]]}, (1.0, 0.0))
+
     def test_kernel_size_must_match(self):
         with pytest.raises(InvalidDistributionError):
             MarkovChainModel(np.eye(2), {"e": np.eye(3)}, (1.0, 0.0))

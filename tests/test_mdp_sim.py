@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from zentropy.entropic_potential import EstimatorConfig, Event, Horizon
+from zentropy import mdp_sim
+from zentropy.entropic_potential import (
+    Baseline,
+    EstimatorConfig,
+    Event,
+    Horizon,
+    z_counterfactual,
+)
 from zentropy.entropy_core import Distribution
-from zentropy.errors import CellIsWallError, InvalidDistributionError
+from zentropy.errors import CellIsWallError, EmptyBaselineError, InvalidDistributionError
 from zentropy.mdp_sim import (
     ACTIONS,
     GridWorld,
@@ -11,6 +20,7 @@ from zentropy.mdp_sim import (
     action_z_scores,
     always_policy,
     corridor_world,
+    exact_z_table,
     future_state_distribution,
     push_forward,
     render_ascii,
@@ -228,6 +238,107 @@ class TestActionZScores:
         g = GridWorld(3, 3, goal=(2, 2), start=(0, 0), walls={(1, 1)})
         with pytest.raises(CellIsWallError):
             action_z_scores(g, (1, 1), uniform_policy(g), 2, EXACT)
+
+
+@st.composite
+def small_worlds(draw):
+    """A small grid with walls, a follow-on policy, an action set and k."""
+    width = draw(st.integers(1, 4))
+    height = draw(st.integers(1, 3))
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    goal = draw(st.sampled_from(cells))
+    walls = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1))
+    walls.discard(goal)
+    g = GridWorld(width, height, goal=goal, start=goal,
+                  slip=draw(st.sampled_from([0.0, 0.1, 0.25, 0.5])), walls=walls)
+    follow = draw(st.sampled_from(("uniform",) + ACTIONS))
+    policy = uniform_policy(g) if follow == "uniform" else always_policy(g, follow)
+    actions = draw(st.sets(st.sampled_from(ACTIONS), min_size=2))
+    return g, policy, tuple(sorted(actions)), draw(st.integers(1, 6))
+
+
+def z_by_counterfactual(g, cell, policy, k, actions) -> dict:
+    """Reference: every action's Z through z_counterfactual on a one-cell model."""
+    model = GridWorldModel(g, cell, policy, actions=actions)
+    events = model.event_space()
+    return {ev.id: z_counterfactual(model, ev,
+                                    Baseline.uniform(e for e in events if e != ev),
+                                    Horizon(0, k), EXACT)
+            for ev in events}
+
+
+def loop_step(g, d, pol):
+    """One push-forward step of a single flat distribution, as a 1-D loop
+    with targets from move_target: the reference the batched step matches
+    bitwise."""
+    targets = [[i if g.cell_of(i) in g.walls else g.index_of(g.move_target(g.cell_of(i), a))
+                for i in range(g.n_cells)] for a in ACTIONS]
+    out = np.zeros_like(d)
+    gi = g.index_of(g.goal)
+    out[gi] = d[gi]
+    active = d.copy()
+    active[gi] = 0.0
+    for a in range(4):
+        w = active * pol[:, a]
+        np.add.at(out, targets[a], w * (1.0 - g.slip))
+        out += w * g.slip
+    return out
+
+
+class TestExactZTable:
+    @given(small_worlds())
+    def test_branches_match_the_per_branch_loop(self, world):
+        g, policy, actions, k = world
+        free = g.free_cells()
+        follow = np.array([[policy[c].prob_of(a) if c in policy else 0.0 for a in ACTIONS]
+                           for c in map(g.cell_of, range(g.n_cells))])
+        for cell in free:
+            for first in actions:
+                d = np.zeros(g.n_cells)
+                d[g.index_of(cell)] = 1.0
+                d = loop_step(g, d, np.tile(np.eye(4)[ACTIONS.index(first)], (g.n_cells, 1)))
+                for _ in range(k - 1):
+                    d = loop_step(g, d, follow)
+                want = Distribution(free, [d[g.index_of(c)] for c in free])
+                got = future_state_distribution(g, Distribution.point(cell, free),
+                                                first, policy, k)
+                assert np.array_equal(got.probs, want.probs)
+
+    @given(small_worlds())
+    def test_equals_counterfactual_per_cell(self, world):
+        g, policy, actions, k = world
+        cells = g.free_cells()
+        table = exact_z_table(g, cells, policy, k, actions)
+        assert len(table) == len(cells)
+        for cell, ranked in zip(cells, table):
+            assert [z.value for _, z in ranked] == sorted(z.value for _, z in ranked)
+            assert dict(ranked) == z_by_counterfactual(g, cell, policy, k, actions)
+
+    def test_chunked_equals_unchunked(self, monkeypatch):
+        g = GridWorld(5, 4, goal=(4, 3), start=(0, 0), slip=0.2,
+                      walls={(1, 1), (2, 1), (3, 2)})
+        policy = uniform_policy(g)
+        cells = g.free_cells()
+        whole = exact_z_table(g, cells, policy, 7)
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(mdp_sim, "TABLE_CHUNK_BYTES", rows * 8 * g.n_cells)
+            assert exact_z_table(g, cells, policy, 7) == whole
+
+    def test_rejects_bad_cells_and_actions(self):
+        g = GridWorld(3, 3, goal=(2, 2), start=(0, 0), walls={(1, 1)})
+        pol = uniform_policy(g)
+        with pytest.raises(CellIsWallError):
+            exact_z_table(g, [(0, 0), (1, 1)], pol, 2)
+        with pytest.raises(ValueError):
+            exact_z_table(g, [(3, 0)], pol, 2)
+        with pytest.raises(ValueError):
+            exact_z_table(g, [(0, 0)], pol, 2, ("left", "jump"))
+        with pytest.raises(ValueError):
+            exact_z_table(g, [(0, 0)], pol, 0)
+        with pytest.raises(EmptyBaselineError):
+            exact_z_table(g, [(0, 0)], pol, 2, ("left",))
+        with pytest.raises(ValueError):
+            exact_z_table(g, [(0, 0)], pol, 2, ())
 
 
 class TestGridWorldModel:
