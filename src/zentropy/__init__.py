@@ -7,7 +7,7 @@ streaming anomaly detection (anomaly_detect). `zentropy --help` for the CLI.
 """
 
 from ._kernels import active_backend
-from .anomaly_detect import DetectorConfig, EventScore, StreamDetector, StreamModel, replay
+from .anomaly_detect import DetectorConfig, EventScore, StreamDetector, replay
 from .bayes_infer import (
     BernoulliFlip,
     GridPosterior,

@@ -1,39 +1,23 @@
-"""Hot numeric kernels with numba acceleration and a pure-numpy fallback.
-
-Set ZENTROPY_NUMBA=0 to force the fallback path (useful for debugging and
-for the benchmark in benchmarks/bench_kernels.py). Selection happens once
-at import time.
+"""Hot numeric kernels in plain numpy.
 
 Determinism notes:
   - walk_outcomes consumes pre-drawn uniforms and only compares floats, so
-    the numba and numpy paths return bit-identical outcome arrays.
-  - stream_scores does real arithmetic; the two paths execute the same
-    statements in the same order, but libm vs LLVM log2 may differ in the
-    last ulp. Within one selected path results are exactly reproducible,
-    which is what the online/offline-equivalence contract requires.
+    its outcome arrays depend on nothing but its inputs.
+  - stream_scores works on whole arrays but performs, for every event, the
+    same float operations in the same order as a per-event loop would
+    (math.log2 terms, additions in bin order and in window order), so its
+    outputs are bitwise independent of how a stream is split into calls.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_flag = os.environ.get("ZENTROPY_NUMBA", "1").strip().lower()
-if _flag in ("0", "false", "off", "no"):
-    _HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-
-
 def active_backend() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the numeric path; plain numpy is the only one."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -42,56 +26,22 @@ def active_backend() -> str:
 # dynamics) and grid-world branches (first action then policy mixture).
 # ---------------------------------------------------------------------------
 
-def _walk_outcomes_loop(cum_start, cum_first, n_first, cum_rest, n_rest, u, out):
-    # cum_* rows are nondecreasing with last entry pinned to 1.0; the sampled
-    # index is the count of entries <= u (searchsorted side='right').
+def walk_outcomes(cum_start, cum_first, n_first, cum_rest, n_rest, u) -> np.ndarray:
+    """Sample final states of n categorical walks from pre-drawn uniforms.
+
+    cum_start: (S,) cumulative initial distribution.
+    cum_first/cum_rest: (S, S) cumulative transition rows, applied n_first
+    then n_rest times. u: (n, 1 + n_first + n_rest) uniforms in [0, 1).
+    Each sampled index is the count of row entries <= u (searchsorted
+    side='right'), clamped to S - 1.
+    """
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    if u.shape[1] != 1 + n_first + n_rest:
+        raise ValueError("uniform array width does not match walk length")
     n = u.shape[0]
     size = cum_start.shape[0]
-    for i in range(n):
-        v = u[i, 0]
-        lo = 0
-        hi = size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cum_start[mid] <= v:
-                lo = mid + 1
-            else:
-                hi = mid
-        s = min(lo, size - 1)
-        col = 1
-        for _ in range(n_first):
-            row = cum_first[s]
-            v = u[i, col]
-            lo = 0
-            hi = size
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if row[mid] <= v:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            s = min(lo, size - 1)
-            col += 1
-        for _ in range(n_rest):
-            row = cum_rest[s]
-            v = u[i, col]
-            lo = 0
-            hi = size
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if row[mid] <= v:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            s = min(lo, size - 1)
-            col += 1
-        out[i] = s
-
-
-def _walk_outcomes_np(cum_start, cum_first, n_first, cum_rest, n_rest, u, out):
-    # Vectorized per step; chunked so the (chunk, size) gather stays small.
-    n = u.shape[0]
-    size = cum_start.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    # vectorized per step; chunked so the (chunk, size) gather stays small
     chunk = max(1, (1 << 22) // size)
     for a in range(0, n, chunk):
         b = min(n, a + chunk)
@@ -107,27 +57,6 @@ def _walk_outcomes_np(cum_start, cum_first, n_first, cum_rest, n_rest, u, out):
             np.minimum(s, size - 1, out=s)
             col += 1
         out[a:b] = s
-
-
-if _HAVE_NUMBA:
-    _walk_outcomes_jit = njit(cache=True)(_walk_outcomes_loop)
-
-
-def walk_outcomes(cum_start, cum_first, n_first, cum_rest, n_rest, u) -> np.ndarray:
-    """Sample final states of n categorical walks from pre-drawn uniforms.
-
-    cum_start: (S,) cumulative initial distribution.
-    cum_first/cum_rest: (S, S) cumulative transition rows, applied n_first
-    then n_rest times. u: (n, 1 + n_first + n_rest) uniforms in [0, 1).
-    """
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    if u.shape[1] != 1 + n_first + n_rest:
-        raise ValueError("uniform array width does not match walk length")
-    out = np.empty(u.shape[0], dtype=np.int64)
-    if _HAVE_NUMBA:
-        _walk_outcomes_jit(cum_start, cum_first, n_first, cum_rest, n_rest, u, out)
-    else:
-        _walk_outcomes_np(cum_start, cum_first, n_first, cum_rest, n_rest, u, out)
     return out
 
 
@@ -144,116 +73,127 @@ def cumulative_vector(probs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(cum)
 
 
+
+
 # ---------------------------------------------------------------------------
 # Streaming anomaly scoring. One function is both the online single-event
 # step and the offline batch replay: state arrays are carried between calls,
-# so folding ingest over a stream and replaying it in one call execute the
-# exact same statement sequence.
+# and each event's outputs come from the same float operations in the same
+# order however the stream is split into calls, so folding ingest over a
+# stream and replaying it in one call give bitwise equal results.
 # ---------------------------------------------------------------------------
 
-def _stream_scores_impl(values, lo, width, n_bins, alpha, kappa, warmup,
-                        window, counts, z_ring, state,
-                        out_bin, out_z, out_mean, out_std, out_flag):
-    # state: int64 [win_len, win_pos, z_len, z_pos, n_seen]
+# Working set per chunk of events: the (events, window) blocks of past
+# scores dominate, so long streams run at a small, flat peak memory.
+STREAM_CHUNK_BYTES = 1 << 17
+
+
+def stream_bins(values, lo, width, n_bins) -> np.ndarray:
+    """Bin index floor((x - lo) / width) of each value, clamped to
+    [0, n_bins - 1], so out-of-range values land in the edge bins."""
+    b = np.floor((values - lo) / width)
+    return np.minimum(np.maximum(b, 0), n_bins - 1).astype(np.int64)
+
+
+def _oldest_first(ring, length, pos):
+    """The live entries of a ring buffer whose next write goes to `pos`."""
+    if length < ring.shape[0]:
+        return ring[:length]
+    return np.concatenate((ring[pos:], ring[:pos]))
+
+
+def _entropy_bits(counts, length, cap, n_bins, alpha):
+    """Entropy of each row's smoothed predictive (count + alpha) /
+    (length + n_bins * alpha), for counts and lengths up to cap. Each
+    distinct (count, length) term is taken once with math.log2, and a row's
+    terms are added in bin order."""
+    stride = cap + 1
+    keys = counts * stride + length[:, None]
+    flat = np.sort(keys, axis=None)
+    uniq = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+    extra = n_bins * alpha
+    terms = np.empty(uniq.shape[0])
+    for i, key in enumerate(uniq.tolist()):
+        c, n = divmod(key, stride)
+        p = (c + alpha) / (n + extra)
+        terms[i] = -(p * math.log2(p))
+    # cumsum adds strictly left to right; a sum reduction may pair terms up
+    return terms[np.searchsorted(uniq, keys)].cumsum(axis=1)[:, -1]
+
+
+def _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
+                  window, counts, z_ring, state):
     cap = window.shape[0]
-    for i in range(values.shape[0]):
-        x = values[i]
-        b = int(math.floor((x - lo) / width))
-        if b < 0:
-            b = 0
-        if b > n_bins - 1:
-            b = n_bins - 1
+    win_len, win_pos, z_len, z_pos, n_seen = state.tolist()
+    n = values.shape[0]
+    steps = np.arange(n)
+    bins = stream_bins(values, lo, width, n_bins)
 
-        win_len = state[0]
-        win_pos = state[1]
-        denom = win_len + n_bins * alpha
-        h_pre = 0.0
-        for j in range(n_bins):
-            p = (counts[j] + alpha) / denom
-            h_pre -= p * math.log2(p)
+    # cum[k] counts each bin among the first k symbols of the carried window
+    # (oldest first) followed by the new bins. Event i sits at win_len + i:
+    # the window before it ends there, the window after it one later.
+    seq = np.concatenate((_oldest_first(window, win_len, win_pos), bins))
+    onehot = np.zeros((seq.shape[0] + 1, n_bins), dtype=np.int64)
+    onehot[np.arange(1, seq.shape[0] + 1), seq] = 1
+    cum = onehot.cumsum(axis=0)
+    ends = np.concatenate((win_len + steps, win_len + 1 + steps))
+    lengths = np.minimum(ends, cap)
+    c = cum[ends] - cum[ends - lengths]
+    h = _entropy_bits(c, lengths, cap, n_bins, alpha)
+    z = h[n:] - h[:n]
 
-        # insert the candidate; a full buffer evicts its oldest symbol first
-        if win_len == cap:
-            counts[window[win_pos]] -= 1
-            new_len = win_len
-        else:
-            new_len = win_len + 1
-        counts[b] += 1
-        denom = new_len + n_bins * alpha
-        h_post = 0.0
-        for j in range(n_bins):
-            p = (counts[j] + alpha) / denom
-            h_post -= p * math.log2(p)
-        z = h_post - h_pre
+    # rolling stats over the last <= cap scores, current one included: row i
+    # holds that window oldest first, behind zeros while fewer than cap exist
+    # (zero squared deviations there too), so each sum adds 0.0 first and
+    # then the live scores in the loop's order
+    zseq = np.concatenate((np.zeros(cap), _oldest_first(z_ring, z_len, z_pos), z))
+    cols = np.arange(cap)
+    z_end = z_len + 1 + steps
+    block = zseq[z_end[:, None] + cols]
+    z_count = np.minimum(z_end, cap)
+    mean = block.cumsum(axis=1)[:, -1] / z_count
+    block -= mean[:, None]
+    block *= block
+    block[cols < (cap - z_count)[:, None]] = 0.0
+    std = np.sqrt(block.cumsum(axis=1)[:, -1] / z_count)
+    flag = (steps >= warmup - n_seen) & (z > mean + kappa * std)
 
-        window[win_pos] = b
-        win_pos += 1
-        if win_pos == cap:
-            win_pos = 0
-        state[0] = new_len
-        state[1] = win_pos
-
-        # rolling stats over the last <=cap scores, current one included
-        z_len = state[2]
-        z_pos = state[3]
-        z_ring[z_pos] = z
-        z_pos += 1
-        if z_pos == cap:
-            z_pos = 0
-        if z_len < cap:
-            z_len += 1
-        state[2] = z_len
-        state[3] = z_pos
-
-        first = z_pos - z_len
-        if first < 0:
-            first += cap
-        total = 0.0
-        idx = first
-        for _ in range(z_len):
-            total += z_ring[idx]
-            idx += 1
-            if idx == cap:
-                idx = 0
-        mean = total / z_len
-        sq = 0.0
-        idx = first
-        for _ in range(z_len):
-            d = z_ring[idx] - mean
-            sq += d * d
-            idx += 1
-            if idx == cap:
-                idx = 0
-        std = math.sqrt(sq / z_len)
-
-        n_seen = state[4]
-        out_bin[i] = b
-        out_z[i] = z
-        out_mean[i] = mean
-        out_std[i] = std
-        out_flag[i] = (n_seen >= warmup) and (z > mean + kappa * std)
-        state[4] = n_seen + 1
-
-
-if _HAVE_NUMBA:
-    _stream_scores_jit = njit(cache=True)(_stream_scores_impl)
+    # carried state, written oldest first so the next write goes to len % cap
+    new_len = min(win_len + n, cap)
+    window[:new_len] = seq[seq.shape[0] - new_len:]
+    counts[:] = c[-1]
+    new_zlen = min(z_len + n, cap)
+    z_ring[:new_zlen] = zseq[zseq.shape[0] - new_zlen:]
+    state[:] = (new_len, new_len % cap, new_zlen, new_zlen % cap, n_seen + n)
+    return bins, z, mean, std, flag
 
 
 def stream_scores(values, lo, width, n_bins, alpha, kappa, warmup,
                   window, counts, z_ring, state):
     """Score a batch of sensor values against carried detector state.
 
-    Mutates window/counts/z_ring/state in place and returns per-event
+    Each value's score is the change in entropy (bits) of the smoothed
+    next-symbol predictive when its bin enters the sliding window (a full
+    window evicts its oldest symbol in the same update). Mutates
+    window/counts/z_ring/state in place and returns per-event
     (bin, z, rolling_mean, rolling_std, flagged) arrays.
+    state: int64 [win_len, win_pos, z_len, z_pos, n_seen].
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError("stream values must be a 1-D array")
+    if not np.isfinite(values).all():
+        raise ValueError("stream values must be finite")
     n = values.shape[0]
-    out_bin = np.empty(n, dtype=np.int64)
-    out_z = np.empty(n, dtype=np.float64)
-    out_mean = np.empty(n, dtype=np.float64)
-    out_std = np.empty(n, dtype=np.float64)
-    out_flag = np.empty(n, dtype=np.bool_)
-    fn = _stream_scores_jit if _HAVE_NUMBA else _stream_scores_impl
-    fn(values, lo, width, n_bins, alpha, kappa, warmup,
-       window, counts, z_ring, state, out_bin, out_z, out_mean, out_std, out_flag)
-    return out_bin, out_z, out_mean, out_std, out_flag
+    chunk = max(1, STREAM_CHUNK_BYTES // (8 * (window.shape[0] + n_bins)))
+    if 0 < n <= chunk:  # one chunk, e.g. an online ingest: no output copies
+        return _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
+                             window, counts, z_ring, state)
+    outs = (np.empty(n, dtype=np.int64), np.empty(n), np.empty(n), np.empty(n),
+            np.empty(n, dtype=np.bool_))
+    for a in range(0, n, chunk):
+        got = _stream_chunk(values[a:a + chunk], lo, width, n_bins, alpha, kappa,
+                            warmup, window, counts, z_ring, state)
+        for out, part in zip(outs, got):
+            out[a:a + chunk] = part
+    return outs

@@ -8,9 +8,10 @@ Positive spikes mean the event made the near future less predictable; an
 event is flagged when its score exceeds a rolling mean + kappa * std of the
 last W scores, never during warm-up.
 
-The per-event update lives in _kernels.stream_scores; ingest feeds it one
-value at a time, replay feeds it the whole stream. Both walk the identical
-state machine, which is what makes online and offline output exactly equal.
+The scoring lives in _kernels.stream_scores; ingest feeds it one value at a
+time, replay feeds it the whole stream. Each event's outputs come from the
+same float operations either way, which is what makes online and offline
+output exactly equal.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import stream_scores
+from ._kernels import stream_bins, stream_scores
 from .entropic_potential import Horizon, ZEstimate
 from .entropy_core import Distribution
 
@@ -54,60 +55,24 @@ class DetectorConfig:
     def bin_width(self) -> float:
         return (self.hi - self.lo) / self.bins
 
-    def bin_of(self, x: float) -> int:
-        b = int(np.floor((x - self.lo) / self.bin_width))
-        return min(max(b, 0), self.bins - 1)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventScore:
     index: int
+    bin: int
     z: ZEstimate
     flagged: bool
     rolling_mean: float
     rolling_std: float
 
 
-class StreamModel:
-    """Sliding window of binned symbols with a Laplace-smoothed predictive.
-
-    This is the model surface on its own; StreamDetector layers the rolling
-    threshold on top. Values outside [lo, hi) clamp to the edge bins.
-    """
-
-    def __init__(self, window: int, bins: int, lo: float, hi: float,
-                 smoothing: float = 1.0):
-        self.cfg = DetectorConfig(window=window, bins=bins, lo=lo, hi=hi,
-                                  warmup=window, smoothing=smoothing)
-        self._window = np.zeros(window, dtype=np.int64)
-        self._counts = np.zeros(bins, dtype=np.int64)
-        self._zring = np.zeros(window, dtype=np.float64)
-        self._state = np.zeros(_STATE_FIELDS, dtype=np.int64)
-
-    def bin_of(self, x: float) -> int:
-        return self.cfg.bin_of(x)
-
-    def predictive(self) -> Distribution:
-        """Smoothed categorical over bins: (count_b + a) / (total + B*a)."""
-        a = self.cfg.smoothing
-        weights = self._counts + a
-        return Distribution(tuple(range(self.cfg.bins)), weights / weights.sum())
-
-    def event_potential(self, x: float) -> ZEstimate:
-        """Score x and advance the window (evicting the oldest symbol when full)."""
-        c = self.cfg
-        _, z, _, _, _ = stream_scores(
-            np.array([x], dtype=np.float64), c.lo, c.bin_width, c.bins,
-            c.smoothing, c.kappa, c.warmup,
-            self._window, self._counts, self._zring, self._state)
-        idx = int(self._state[4]) - 1
-        return ZEstimate(value=float(z[0]), std_error=0.0, method="exact",
-                         n_samples=0, horizon=Horizon(idx, idx + 1),
-                         event=f"x[{idx}]", baseline="null-event")
-
-
 class StreamDetector:
-    """Online detector: per-event potential plus the rolling flag rule."""
+    """Online detector over a sliding window of binned symbols.
+
+    Each value is scored by how much it moves the entropy of the window's
+    Laplace-smoothed predictive, then flagged by the rolling threshold rule.
+    Values outside [lo, hi) clamp to the edge bins.
+    """
 
     def __init__(self, config: DetectorConfig):
         self.config = config
@@ -120,46 +85,42 @@ class StreamDetector:
     def events_seen(self) -> int:
         return int(self._state[4])
 
+    def bin_of(self, x: float) -> int:
+        c = self.config
+        return int(stream_bins(x, c.lo, c.bin_width, c.bins))
+
     def predictive(self) -> Distribution:
+        """Smoothed categorical over bins: (count_b + a) / (total + B*a)."""
         a = self.config.smoothing
         weights = self._counts + a
         return Distribution(tuple(range(self.config.bins)), weights / weights.sum())
 
-    def _run(self, values: np.ndarray):
-        c = self.config
-        return stream_scores(values, c.lo, c.bin_width, c.bins,
-                             c.smoothing, c.kappa, c.warmup,
-                             self._window, self._counts, self._zring, self._state)
-
     def ingest(self, x: float) -> EventScore:
-        idx = self.events_seen
-        bins, z, mean, std, flag = self._run(np.array([x], dtype=np.float64))
-        zest = ZEstimate(value=float(z[0]), std_error=0.0, method="exact",
-                         n_samples=0, horizon=Horizon(idx, idx + 1),
-                         event=f"x[{idx}]", baseline="null-event")
-        return EventScore(index=idx, z=zest, flagged=bool(flag[0]),
-                          rolling_mean=float(mean[0]), rolling_std=float(std[0]))
+        return self.ingest_batch([x])[0]
+
+    def event_potential(self, x: float) -> ZEstimate:
+        """Score x and advance the window (evicting the oldest symbol when full)."""
+        return self.ingest(x).z
 
     def ingest_batch(self, values) -> list[EventScore]:
+        c = self.config
         start = self.events_seen
-        values = np.asarray(values, dtype=np.float64)
-        _, z, mean, std, flag = self._run(values)
-        out = []
-        for i in range(values.shape[0]):
-            idx = start + i
-            zest = ZEstimate(value=float(z[i]), std_error=0.0, method="exact",
-                             n_samples=0, horizon=Horizon(idx, idx + 1),
-                             event=f"x[{idx}]", baseline="null-event")
-            out.append(EventScore(index=idx, z=zest, flagged=bool(flag[i]),
-                                  rolling_mean=float(mean[i]), rolling_std=float(std[i])))
-        return out
+        outs = stream_scores(np.asarray(values, dtype=np.float64), c.lo, c.bin_width,
+                             c.bins, c.smoothing, c.kappa, c.warmup,
+                             self._window, self._counts, self._zring, self._state)
+        columns = [a.tolist() for a in outs]
+        del outs  # the lists now hold every value; free the arrays first
+        scores = []
+        for idx, (b, z, mean, std, flagged) in enumerate(zip(*columns), start):
+            zest = ZEstimate(value=z, std_error=0.0, method="exact", n_samples=0,
+                             horizon=Horizon(idx, idx + 1), event=f"x[{idx}]",
+                             baseline="null-event")
+            scores.append(EventScore(index=idx, bin=b, z=zest, flagged=flagged,
+                                     rolling_mean=mean, rolling_std=std))
+        return scores
 
 
 def replay(values, config: DetectorConfig) -> list[EventScore]:
     """Batch-score a whole stream; output is element-wise identical to
     feeding the same values one by one through StreamDetector.ingest."""
-    detector = StreamDetector(config)
-    values = np.asarray(list(values), dtype=np.float64)
-    if values.size == 0:
-        return []
-    return detector.ingest_batch(values)
+    return StreamDetector(config).ingest_batch(values)

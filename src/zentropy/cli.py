@@ -336,7 +336,7 @@ def cmd_anomaly(config: dict, out: Path, chash: str, input_path: str | None) -> 
     attribution = []
     first_flag = None
     for v, s in zip(values, scores):
-        rows.append([s.index, v, cfg.bin_of(v), s.z.value,
+        rows.append([s.index, v, s.bin, s.z.value,
                      s.rolling_mean, s.rolling_std, s.flagged])
         if s.flagged:
             if first_flag is None:

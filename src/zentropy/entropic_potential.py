@@ -36,6 +36,7 @@ DEFAULT_NEUTRAL_TOL = 0.01  # bits
 BENEFICIAL = "beneficial"
 HARMFUL = "harmful"
 NEUTRAL = "neutral"
+UNCERTAIN = "uncertain"
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ class ZEstimate:
 
 @dataclass(frozen=True)
 class EventClass:
-    label: str  # "beneficial" | "harmful" | "neutral"
+    label: str  # "beneficial" | "harmful" | "neutral" | "uncertain"
 
 
 class SystemModel(ABC):
@@ -331,14 +332,19 @@ def z_counterfactual(model: SystemModel, event: Event, baseline: Baseline,
 
 
 def classify_event(z: ZEstimate, tol: float = DEFAULT_NEUTRAL_TOL) -> EventClass:
-    """Sign convention: entropy reduction is beneficial, increase is harmful."""
+    """Sign convention: entropy reduction is beneficial, increase is harmful.
+
+    A sign label needs |Z| > tol + 2 * std_error. Otherwise the event is
+    neutral when |Z| <= tol and uncertain when the standard error cannot
+    tell it from neutral. Exact estimates have std_error 0.
+    """
     if tol < 0:
         raise ValueError("tolerance must be >= 0")
-    if z.value < -tol:
-        return EventClass(BENEFICIAL)
-    if z.value > tol:
-        return EventClass(HARMFUL)
-    return EventClass(NEUTRAL)
+    if abs(z.value) > tol + 2.0 * z.std_error:
+        return EventClass(BENEFICIAL if z.value < 0 else HARMFUL)
+    if abs(z.value) <= tol:
+        return EventClass(NEUTRAL)
+    return EventClass(UNCERTAIN)
 
 
 def _ranked(scored: list) -> list[tuple[Event, ZEstimate]]:

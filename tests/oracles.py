@@ -225,3 +225,146 @@ def stream_replay_reference(values, window, bins, lo, hi, kappa, warmup, alpha):
         flagged = i >= warmup and z > mean + kappa * std
         out.append((b, z, mean, std, flagged))
     return out
+
+
+# -- categorical walk ----------------------------------------------------------
+
+def walk_outcomes_loop(cum_start, cum_first, n_first, cum_rest, n_rest, u, out):
+    """Per-walk binary search reference for zentropy._kernels.walk_outcomes.
+
+    cum_* rows are nondecreasing with last entry pinned to 1.0; the sampled
+    index is the count of entries <= u (searchsorted side='right').
+    """
+    n = u.shape[0]
+    size = cum_start.shape[0]
+    for i in range(n):
+        v = u[i, 0]
+        lo = 0
+        hi = size
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if cum_start[mid] <= v:
+                lo = mid + 1
+            else:
+                hi = mid
+        s = min(lo, size - 1)
+        col = 1
+        for _ in range(n_first):
+            row = cum_first[s]
+            v = u[i, col]
+            lo = 0
+            hi = size
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if row[mid] <= v:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            s = min(lo, size - 1)
+            col += 1
+        for _ in range(n_rest):
+            row = cum_rest[s]
+            v = u[i, col]
+            lo = 0
+            hi = size
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if row[mid] <= v:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            s = min(lo, size - 1)
+            col += 1
+        out[i] = s
+
+
+# -- per-event stream kernel ---------------------------------------------------
+
+def stream_scores_loop(values, lo, width, n_bins, alpha, kappa, warmup,
+                       window, counts, z_ring, state,
+                       out_bin, out_z, out_mean, out_std, out_flag):
+    """The per-event stream kernel: one statement sequence per value.
+
+    Same arguments and state layout as zentropy._kernels.stream_scores, plus
+    the five output arrays it fills; the package's whole-array kernel must
+    match it bit for bit. state: int64 [win_len, win_pos, z_len, z_pos,
+    n_seen]; window and z_ring are ring buffers written at win_pos/z_pos.
+    """
+    cap = window.shape[0]
+    for i in range(values.shape[0]):
+        x = values[i]
+        b = int(math.floor((x - lo) / width))
+        if b < 0:
+            b = 0
+        if b > n_bins - 1:
+            b = n_bins - 1
+
+        win_len = state[0]
+        win_pos = state[1]
+        denom = win_len + n_bins * alpha
+        h_pre = 0.0
+        for j in range(n_bins):
+            p = (counts[j] + alpha) / denom
+            h_pre -= p * math.log2(p)
+
+        # insert the candidate; a full buffer evicts its oldest symbol first
+        if win_len == cap:
+            counts[window[win_pos]] -= 1
+            new_len = win_len
+        else:
+            new_len = win_len + 1
+        counts[b] += 1
+        denom = new_len + n_bins * alpha
+        h_post = 0.0
+        for j in range(n_bins):
+            p = (counts[j] + alpha) / denom
+            h_post -= p * math.log2(p)
+        z = h_post - h_pre
+
+        window[win_pos] = b
+        win_pos += 1
+        if win_pos == cap:
+            win_pos = 0
+        state[0] = new_len
+        state[1] = win_pos
+
+        # rolling stats over the last <=cap scores, current one included
+        z_len = state[2]
+        z_pos = state[3]
+        z_ring[z_pos] = z
+        z_pos += 1
+        if z_pos == cap:
+            z_pos = 0
+        if z_len < cap:
+            z_len += 1
+        state[2] = z_len
+        state[3] = z_pos
+
+        first = z_pos - z_len
+        if first < 0:
+            first += cap
+        total = 0.0
+        idx = first
+        for _ in range(z_len):
+            total += z_ring[idx]
+            idx += 1
+            if idx == cap:
+                idx = 0
+        mean = total / z_len
+        sq = 0.0
+        idx = first
+        for _ in range(z_len):
+            d = z_ring[idx] - mean
+            sq += d * d
+            idx += 1
+            if idx == cap:
+                idx = 0
+        std = math.sqrt(sq / z_len)
+
+        n_seen = state[4]
+        out_bin[i] = b
+        out_z[i] = z
+        out_mean[i] = mean
+        out_std[i] = std
+        out_flag[i] = (n_seen >= warmup) and (z > mean + kappa * std)
+        state[4] = n_seen + 1

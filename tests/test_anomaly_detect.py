@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zentropy.anomaly_detect import (
-    DetectorConfig,
-    StreamDetector,
-    StreamModel,
-    replay,
-)
+from zentropy.anomaly_detect import DetectorConfig, StreamDetector, replay
 
 from oracles import entropy_bits, make_regime_shift_stream, stream_replay_reference
 
@@ -32,19 +27,20 @@ class TestConfig:
             DetectorConfig(bins=1)
 
     def test_bin_clamping(self):
-        assert CFG.bin_of(-100.0) == 0
-        assert CFG.bin_of(0.5) == 0
-        assert CFG.bin_of(3.99) == 3
-        assert CFG.bin_of(100.0) == 3
+        det = StreamDetector(CFG)
+        assert det.bin_of(-100.0) == 0
+        assert det.bin_of(0.5) == 0
+        assert det.bin_of(3.99) == 3
+        assert det.bin_of(100.0) == 3
 
 
 class TestPredictive:
     def test_empty_window_is_uniform(self):
-        m = StreamModel(window=16, bins=4, lo=0.0, hi=4.0, smoothing=1.0)
+        m = StreamDetector(CFG)
         assert m.predictive().probs.tolist() == [0.25] * 4
 
     def test_loaded_window_counts(self):
-        m = StreamModel(window=16, bins=4, lo=0.0, hi=4.0, smoothing=1.0)
+        m = StreamDetector(CFG)
         for _ in range(16):
             m.event_potential(0.5)  # all in bin 0
         probs = m.predictive().as_dict()
@@ -53,7 +49,7 @@ class TestPredictive:
             assert probs[b] == pytest.approx(1 / 20)
 
     def test_balanced_window_near_uniform(self):
-        m = StreamModel(window=16, bins=4, lo=0.0, hi=4.0, smoothing=1.0)
+        m = StreamDetector(CFG)
         for i in range(16):
             m.event_potential(i % 4 + 0.5)
         assert np.allclose(m.predictive().probs, 0.25)
@@ -61,7 +57,7 @@ class TestPredictive:
 
 class TestEventPotential:
     def test_spike_after_constant_stream(self):
-        m = StreamModel(window=16, bins=4, lo=0.0, hi=4.0, smoothing=1.0)
+        m = StreamDetector(CFG)
         for _ in range(16):
             m.event_potential(0.5)
         z = m.event_potential(3.5)  # lands in bin 3, evicting a bin-0 symbol
@@ -72,7 +68,7 @@ class TestEventPotential:
         assert z.value > 0.0
 
     def test_full_buffer_identity_is_exact_zero(self):
-        m = StreamModel(window=16, bins=4, lo=0.0, hi=4.0, smoothing=1.0)
+        m = StreamDetector(CFG)
         for _ in range(16):
             m.event_potential(1.5)
         z = m.event_potential(1.5)  # inserts the same bin it evicts
@@ -80,18 +76,19 @@ class TestEventPotential:
 
     def test_score_bound(self):
         rng = np.random.default_rng(8)
-        m = StreamModel(window=16, bins=4, lo=0.0, hi=4.0, smoothing=1.0)
+        m = StreamDetector(CFG)
         for x in rng.random(200) * 4.0:
             z = m.event_potential(float(x))
             assert abs(z.value) <= math.log2(4) + 1e-12
 
-    def test_model_and_detector_score_identically(self):
+    def test_event_potential_is_the_ingested_score(self):
         rng = np.random.default_rng(9)
         values = (rng.random(80) * 4.0).tolist()
-        m = StreamModel(window=16, bins=4, lo=0.0, hi=4.0, smoothing=1.0)
+        m = StreamDetector(CFG)
         det = StreamDetector(CFG)
         for x in values:
-            assert m.event_potential(x).value == det.ingest(x).z.value
+            assert m.event_potential(x) == det.ingest(x).z
+        assert m.events_seen == det.events_seen == 80
 
 
 class TestIngestAndReplay:
@@ -126,6 +123,7 @@ class TestIngestAndReplay:
                                       CFG.hi, CFG.kappa, CFG.warmup,
                                       CFG.smoothing)
         for s, (b, zz, mean, std, flag) in zip(got, ref):
+            assert s.bin == b
             assert s.z.value == pytest.approx(zz, abs=1e-12)
             assert s.rolling_mean == pytest.approx(mean, abs=1e-12)
             assert s.rolling_std == pytest.approx(std, abs=1e-12)

@@ -1,7 +1,9 @@
+import hashlib
 import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zentropy import cli
@@ -233,6 +235,26 @@ class TestAnomaly:
         assert run(["anomaly", "--config", CONFIGS / "anomaly.json",
                     "--out", out]) == 0
         assert len(read(out / "scores.csv").splitlines()) == 5
+
+
+    def test_preset_outputs_match_golden_hashes(self, tmp_path):
+        # sha256 of the preset's outputs as written by the per-event loop
+        # kernel; the vectorised kernel must reproduce every byte
+        rng = np.random.default_rng(2024)
+        values = np.concatenate((rng.random(700) * 2.0, rng.random(300) * 2.0 + 2.0,
+                                 rng.normal(2.0, 3.0, 200))).tolist()
+        stream = tmp_path / "stream.txt"
+        stream.write_text("\n".join(repr(v) for v in values), encoding="utf-8")
+        out = tmp_path / "run"
+        assert run(["anomaly", "--config", CONFIGS / "anomaly.json",
+                    "--input", stream, "--out", out]) == 0
+        golden = {
+            "scores.csv": "c33c53c7d649ae2c337bd559aeca3831453b459c3b06df176e2f89bfff390142",
+            "attribution.csv": "9dadd60f6fe2e38d0e2f9c4817ef2f313eaf208fb133f4c0e2a49f82d3ddf2e5",
+            "summary.json": "aece87f2ae9a129ead8987a3b113b3d185930926940ab41d7d947519922f65dd",
+        }
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestReport:

@@ -93,6 +93,16 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_event(z(0.0), -1.0)
 
+    def test_sign_needs_two_standard_errors_beyond_tol(self):
+        def z(v, se):
+            return ZEstimate(v, se, "monte-carlo", 1000, Horizon(0, 1), "e", "null-event")
+        assert classify_event(z(-0.02, 0.05), 0.01).label == "uncertain"
+        assert classify_event(z(0.02, 0.05), 0.01).label == "uncertain"
+        assert classify_event(z(-0.005, 0.05), 0.01).label == "neutral"
+        assert classify_event(z(-0.2, 0.05), 0.01).label == "beneficial"
+        assert classify_event(z(0.2, 0.05), 0.01).label == "harmful"
+        assert classify_event(z(0.1, 0.05), 0.01).label == "uncertain"
+
 
 class TestChainGoldens:
     def test_clamp_is_beneficial(self):

@@ -1,24 +1,24 @@
-"""Cross-backend checks for the jitted kernels.
+"""The numpy kernels against their per-element loop references.
 
-The walk kernel only compares pre-drawn floats, so every path (numba loop,
-python loop, vectorized numpy) must agree bit for bit. The stream kernel does
-real arithmetic; numba and CPython may round log2 differently in the last
-ulp, so agreement there is asserted to 1e-12 while within-path determinism
-stays exact.
+The walk kernel only compares pre-drawn floats, and the stream kernel does
+each event's float operations in the loop's order, so both must agree with
+their references in tests/oracles.py bit for bit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zentropy import _kernels
 from zentropy._kernels import (
-    _stream_scores_impl,
-    _walk_outcomes_loop,
-    _walk_outcomes_np,
     cumulative_rows,
     cumulative_vector,
+    stream_scores,
     walk_outcomes,
 )
+
+from oracles import stream_scores_loop, walk_outcomes_loop
 
 
 def random_cum(rng, size):
@@ -36,28 +36,9 @@ def test_walk_paths_agree_bitwise(size, n, k):
     u = rng.random((n, 1 + 1 + k))
 
     out_loop = np.empty(n, dtype=np.int64)
-    _walk_outcomes_loop(cum_start, cum_first, 1, cum_rest, k, u, out_loop)
-    out_np = np.empty(n, dtype=np.int64)
-    _walk_outcomes_np(cum_start, cum_first, 1, cum_rest, k, u, out_np)
-    assert np.array_equal(out_loop, out_np)
-
-    dispatched = walk_outcomes(cum_start, cum_first, 1, cum_rest, k, u)
-    assert np.array_equal(dispatched, out_loop)
-
-
-@pytest.mark.skipif(not _kernels._HAVE_NUMBA, reason="numba backend disabled")
-def test_walk_jit_matches_python_loop():
-    rng = np.random.default_rng(7)
-    size = 25
-    cum_start = cumulative_vector(rng.dirichlet(np.ones(size)))
-    cum_first = random_cum(rng, size)
-    cum_rest = random_cum(rng, size)
-    u = rng.random((2000, 4))
-    out_jit = np.empty(2000, dtype=np.int64)
-    _kernels._walk_outcomes_jit(cum_start, cum_first, 1, cum_rest, 2, u, out_jit)
-    out_py = np.empty(2000, dtype=np.int64)
-    _walk_outcomes_loop(cum_start, cum_first, 1, cum_rest, 2, u, out_py)
-    assert np.array_equal(out_jit, out_py)
+    walk_outcomes_loop(cum_start, cum_first, 1, cum_rest, k, u, out_loop)
+    assert np.array_equal(walk_outcomes(cum_start, cum_first, 1, cum_rest, k, u),
+                          out_loop)
 
 
 def test_walk_uniform_width_must_match():
@@ -74,34 +55,108 @@ def test_cumulative_rows_pin_last_column():
     assert np.all(np.diff(cum, axis=1) >= 0)
 
 
-def _run_stream(fn, values, window=8, bins=4, alpha=1.0, kappa=3.0, warmup=8):
+def fresh_state(window, bins):
+    return (np.zeros(window, dtype=np.int64), np.zeros(bins, dtype=np.int64),
+            np.zeros(window, dtype=np.float64), np.zeros(5, dtype=np.int64))
+
+
+def reference_stream(values, window=8, bins=4, alpha=1.0, kappa=3.0, warmup=8,
+                     lo=0.0, width=1.0):
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
-    win = np.zeros(window, dtype=np.int64)
-    counts = np.zeros(bins, dtype=np.int64)
-    zring = np.zeros(window, dtype=np.float64)
-    state = np.zeros(5, dtype=np.int64)
     outs = (np.empty(n, dtype=np.int64), np.empty(n), np.empty(n), np.empty(n),
             np.empty(n, dtype=np.bool_))
-    fn(values, 0.0, 1.0, bins, alpha, kappa, warmup, win, counts, zring, state, *outs)
+    stream_scores_loop(values, lo, width, bins, alpha, kappa, warmup,
+                       *fresh_state(window, bins), *outs)
     return outs
+
+
+def kernel_stream(values, cuts=(), window=8, bins=4, alpha=1.0, kappa=3.0,
+                  warmup=8, lo=0.0, width=1.0):
+    """stream_scores over the pieces of `values` split at `cuts`, with the
+    state carried from one call to the next."""
+    values = np.asarray(values, dtype=np.float64)
+    state = fresh_state(window, bins)
+    pieces = np.split(values, sorted(cuts))
+    parts = [stream_scores(p, lo, width, bins, alpha, kappa, warmup, *state)
+             for p in pieces]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def assert_bitwise(got, want):
+    for name, g, w in zip(("bin", "z", "mean", "std", "flag"), got, want):
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
 
 
 def test_stream_python_path_is_deterministic():
     rng = np.random.default_rng(3)
     values = rng.random(300) * 4.0
-    a = _run_stream(_stream_scores_impl, values)
-    b = _run_stream(_stream_scores_impl, values)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+    assert_bitwise(kernel_stream(values), kernel_stream(values))
 
 
-@pytest.mark.skipif(not _kernels._HAVE_NUMBA, reason="numba backend disabled")
-def test_stream_jit_agrees_with_python_to_1e12():
-    rng = np.random.default_rng(5)
-    values = rng.random(500) * 4.0
-    py = _run_stream(_stream_scores_impl, values)
-    nb = _run_stream(_kernels._stream_scores_jit, values)
-    assert np.array_equal(py[0], nb[0])                      # bins are exact
-    for i in (1, 2, 3):
-        assert np.max(np.abs(py[i] - nb[i])) <= 1e-12
+@given(
+    window=st.integers(8, 24),
+    bins=st.integers(2, 9),
+    alpha=st.floats(0.05, 4.0),
+    kappa=st.floats(0.05, 4.0),
+    extra_warmup=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 400),
+    cuts=st.lists(st.integers(0, 400), max_size=6),
+)
+def test_stream_kernel_matches_loop_bitwise(window, bins, alpha, kappa,
+                                            extra_warmup, seed, n, cuts):
+    # values spill past [lo, hi) on both sides, so the edge bins clamp
+    rng = np.random.default_rng(seed)
+    values = rng.random(n) * 6.0 - 1.0
+    edge = rng.random(n) < 0.3
+    values[edge] = rng.choice([0.0, 1.0, 4.0, -50.0, 1e6], int(edge.sum()))
+    kw = dict(window=window, bins=bins, alpha=alpha, kappa=kappa,
+              warmup=window + extra_warmup, width=4.0 / bins)
+    want = reference_stream(values, **kw)
+    got = kernel_stream(values, [c for c in cuts if c <= n], **kw)
+    assert_bitwise(got, want)
+
+
+def test_stream_chunks_equal_one_pass(monkeypatch):
+    rng = np.random.default_rng(21)
+    values = rng.random(3000) * 4.0
+    values[1500:] = rng.integers(2, 4, 1500) + 0.5   # a regime shift
+    kw = dict(window=64, bins=4, warmup=64)
+    monkeypatch.setattr(_kernels, "STREAM_CHUNK_BYTES", 1 << 40)
+    whole = kernel_stream(values, **kw)
+    # 8 * (window + bins) bytes per event: 36-event chunks
+    monkeypatch.setattr(_kernels, "STREAM_CHUNK_BYTES", 20_000)
+    chunked = kernel_stream(values, **kw)
+    assert_bitwise(chunked, whole)
+    assert_bitwise(whole, reference_stream(values, **kw))
+    assert whole[4].any()
+
+
+def test_stream_reads_ring_state_left_by_the_loop():
+    # the loop leaves full rings with their oldest entry at win_pos/z_pos != 0
+    rng = np.random.default_rng(22)
+    values = rng.random(200) * 4.0
+    state = fresh_state(8, 4)
+    got = []
+    for piece, use_loop in zip(np.split(values, [13, 50, 91, 140]), [1, 0, 1, 0, 1]):
+        if use_loop:
+            outs = (np.empty(len(piece), dtype=np.int64), np.empty(len(piece)),
+                    np.empty(len(piece)), np.empty(len(piece)),
+                    np.empty(len(piece), dtype=np.bool_))
+            stream_scores_loop(piece, 0.0, 1.0, 4, 1.0, 3.0, 8, *state, *outs)
+            assert state[3][1] != 0
+        else:
+            outs = stream_scores(piece, 0.0, 1.0, 4, 1.0, 3.0, 8, *state)
+        got.append(outs)
+    assert_bitwise(tuple(np.concatenate(col) for col in zip(*got)),
+                   reference_stream(values))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stream_rejects_non_finite_values(bad):
+    state = fresh_state(8, 4)
+    with pytest.raises(ValueError):
+        stream_scores(np.array([1.0, bad]), 0.0, 1.0, 4, 1.0, 3.0, 8, *state)
+    assert state[3][4] == 0
