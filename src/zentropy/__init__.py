@@ -54,7 +54,6 @@ from .mdp_sim import (
     future_state_distribution,
     push_forward,
     render_ascii,
-    sample_trajectory,
     transition_kernel,
     uniform_policy,
 )
@@ -63,8 +62,6 @@ from .rl_agent import (
     TrainResult,
     evaluate_policy,
     greedy_policy_from_q,
-    init_qtable,
-    q_update,
     shaped_reward,
     train,
 )

@@ -21,58 +21,48 @@ def active_backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Categorical walk: start draw, optional first-step kernel, k repeats of a
-# second kernel. Covers Markov-chain branches (event kernel then base
+# Categorical walk: start draw, optional first-step table, k repeats of a
+# second table. Covers Markov-chain branches (event kernel then base
 # dynamics) and grid-world branches (first action then policy mixture).
+# A sampling table is a (succ, cum) pair of shape (S, K): row s lists the K
+# successor indices of state s and their cumulative probabilities.
 # ---------------------------------------------------------------------------
 
-def walk_outcomes(cum_start, cum_first, n_first, cum_rest, n_rest, u) -> np.ndarray:
+def walk_outcomes(cum_start, first, n_first, rest, n_rest, u) -> np.ndarray:
     """Sample final states of n categorical walks from pre-drawn uniforms.
 
-    cum_start: (S,) cumulative initial distribution.
-    cum_first/cum_rest: (S, S) cumulative transition rows, applied n_first
-    then n_rest times. u: (n, 1 + n_first + n_rest) uniforms in [0, 1).
-    Each sampled index is the count of row entries <= u (searchsorted
-    side='right'), clamped to S - 1.
+    cum_start: (S,) cumulative initial distribution. first/rest: (succ, cum)
+    sampling tables, applied n_first then n_rest times. u: (n, 1 + n_first +
+    n_rest) uniforms in [0, 1). Each step picks the successor in column j,
+    the count of row entries <= u (searchsorted side='right').
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
     if u.shape[1] != 1 + n_first + n_rest:
         raise ValueError("uniform array width does not match walk length")
     n = u.shape[0]
-    size = cum_start.shape[0]
+    steps = [first] * n_first + [rest] * n_rest
     out = np.empty(n, dtype=np.int64)
-    # vectorized per step; chunked so the (chunk, size) gather stays small
-    chunk = max(1, (1 << 22) // size)
+    # vectorized per step; chunked so the (chunk, K) gather stays small
+    chunk = max(1, (1 << 22) // max(first[1].shape[1], rest[1].shape[1]))
     for a in range(0, n, chunk):
         b = min(n, a + chunk)
         s = np.searchsorted(cum_start, u[a:b, 0], side="right")
-        np.minimum(s, size - 1, out=s)
-        col = 1
-        for _ in range(n_first):
-            s = (cum_first[s] <= u[a:b, col, None]).sum(axis=1)
-            np.minimum(s, size - 1, out=s)
-            col += 1
-        for _ in range(n_rest):
-            s = (cum_rest[s] <= u[a:b, col, None]).sum(axis=1)
-            np.minimum(s, size - 1, out=s)
-            col += 1
+        for col, (succ, cum) in enumerate(steps, start=1):
+            j = (cum[s] <= u[a:b, col, None]).sum(axis=1)
+            s = succ[s, j]
         out[a:b] = s
     return out
 
 
-def cumulative_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise cumulative sums with the last column pinned to exactly 1.0."""
-    cum = np.cumsum(np.asarray(matrix, dtype=np.float64), axis=1)
-    cum[:, -1] = 1.0
-    return np.ascontiguousarray(cum)
-
-
-def cumulative_vector(probs: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(np.asarray(probs, dtype=np.float64))
-    cum[-1] = 1.0
-    return np.ascontiguousarray(cum)
-
-
+def cumulative(probs) -> np.ndarray:
+    """Cumulative sums along the last axis, with every entry from the last
+    nonzero probability onward set to exactly 1.0: a uniform in [0, 1) then
+    never counts past that entry, so no zero-probability outcome is drawn."""
+    p = np.asarray(probs, dtype=np.float64)
+    cum = np.cumsum(p, axis=-1)
+    last = p.shape[-1] - 1 - np.argmax(p[..., ::-1] > 0.0, axis=-1)
+    cum[np.arange(p.shape[-1]) >= np.asarray(last)[..., None]] = 1.0
+    return cum
 
 
 # ---------------------------------------------------------------------------

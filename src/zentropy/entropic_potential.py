@@ -27,6 +27,7 @@ from .errors import (
     EmptyBaselineError,
     EventInBaselineError,
     EventNotAdmissibleError,
+    InvalidDistributionError,
     SamplingUnsupportedError,
     UnsupportedBackendError,
 )
@@ -186,12 +187,10 @@ class SystemModel(ABC):
         raise UnsupportedBackendError(f"{type(self).__name__} cannot enumerate exactly")
 
     def sample_future_outcomes(self, event: Event | None, horizon: Horizon,
-                               n: int, rng: np.random.Generator) -> list:
+                               n: int, rng: np.random.Generator) -> np.ndarray:
+        """n sampled outcomes of X_T as non-negative integer indices into
+        the outcome order of exact_future_distribution."""
         raise SamplingUnsupportedError(f"{type(self).__name__} cannot sample outcomes")
-
-    def sample_future_outcome(self, event: Event | None, horizon: Horizon,
-                              rng: np.random.Generator):
-        return self.sample_future_outcomes(event, horizon, 1, rng)[0]
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -210,19 +209,22 @@ def mc_entropy_of_branch(model: SystemModel, event: Event | None, horizon: Horiz
                          n: int, seed, bootstrap_resamples: int = 200) -> tuple[EntropyBits, float]:
     """Plug-in entropy of n sampled outcomes of X_T plus a bootstrap SE.
 
-    The standard error is the sample std of the plug-in entropy over
-    multinomial resamples of the observed count vector.
+    The sampled outcome indices are counted with np.bincount, zero counts
+    dropped. The standard error is the sample std of the plug-in entropy
+    over multinomial resamples of the observed count vector.
     """
     if n < 100:
         raise ValueError(f"Monte Carlo branch needs n >= 100, got {n}")
     if bootstrap_resamples < 2:
         raise ValueError(f"bootstrap SE needs >= 2 resamples, got {bootstrap_resamples}")
     rng = _as_rng(seed)
-    outcomes = model.sample_future_outcomes(event, horizon, n, rng)
-    index: dict = {}
-    for o in outcomes:
-        index[o] = index.get(o, 0) + 1
-    counts = np.fromiter(index.values(), dtype=np.float64, count=len(index))
+    outcomes = np.asarray(model.sample_future_outcomes(event, horizon, n, rng))
+    if outcomes.shape != (n,) or outcomes.dtype.kind not in "iu" or outcomes.min() < 0:
+        raise InvalidDistributionError(
+            f"sample_future_outcomes must return {n} non-negative integer outcome "
+            f"indices; got shape {outcomes.shape}, dtype {outcomes.dtype}")
+    counts = np.bincount(outcomes.astype(np.int64, copy=False)).astype(np.float64)
+    counts = counts[counts > 0.0]
     h = _plugin_bits(counts, n)
     bs = rng.multinomial(n, counts / n, size=bootstrap_resamples).astype(np.float64)
     hs = _plugin_bits_rows(bs, n)
@@ -231,7 +233,7 @@ def mc_entropy_of_branch(model: SystemModel, event: Event | None, horizon: Horiz
 
 
 def _plugin_bits(counts: np.ndarray, total: int) -> float:
-    p = counts[counts > 0.0] / total
+    p = counts / total
     return float(-(p * np.log2(p)).sum() + 0.0)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import cumulative_rows, cumulative_vector, walk_outcomes
+from ._kernels import cumulative, walk_outcomes
 from .entropic_potential import Event, Horizon, SystemModel
 from .entropy_core import Distribution
 from .errors import InvalidDistributionError
@@ -47,7 +47,12 @@ class MarkovChainModel(SystemModel):
                 raise InvalidDistributionError(f"event kernel {key!r} has wrong size")
         self.labels = tuple(labels) if labels is not None else tuple(range(s))
         self.start = Distribution(self.labels, start)
-        self._cum_cache: dict = {}
+        # sampling tables over the dense rows: every state is a successor
+        succ = np.broadcast_to(np.arange(s), (s, s))
+        self._cum_start = cumulative(self.start.probs)
+        self._base_table = (succ, cumulative(self.transition))
+        self._event_tables = {key: (succ, cumulative(k))
+                              for key, k in self.event_kernels.items()}
 
     def event_space(self) -> list[Event]:
         return [Event(key) for key in sorted(self.event_kernels)]
@@ -60,29 +65,14 @@ class MarkovChainModel(SystemModel):
             d = d @ self.transition
         return Distribution(self.labels, d)
 
-    def _cum(self, key):
-        if key not in self._cum_cache:
-            if key is None:
-                self._cum_cache[key] = cumulative_rows(self.transition)
-            elif key == "__start__":
-                self._cum_cache[key] = cumulative_vector(self.start.probs)
-            else:
-                self._cum_cache[key] = cumulative_rows(self.event_kernels[key])
-        return self._cum_cache[key]
-
     def sample_future_outcomes(self, event, horizon: Horizon, n: int,
-                               rng: np.random.Generator) -> list:
-        cum_rest = self._cum(None)
-        if event is None:
-            n_first = 0
-            cum_first = cum_rest
-        else:
-            n_first = 1
-            cum_first = self._cum(event.id)
+                               rng: np.random.Generator) -> np.ndarray:
+        """State indices of n sampled X_T (labels are self.labels[i])."""
+        first = self._base_table if event is None else self._event_tables[event.id]
+        n_first = 0 if event is None else 1
         u = rng.random((n, 1 + n_first + horizon.steps))
-        idx = walk_outcomes(self._cum("__start__"), cum_first, n_first,
-                            cum_rest, horizon.steps, u)
-        return [self.labels[i] for i in idx]
+        return walk_outcomes(self._cum_start, first, n_first, self._base_table,
+                             horizon.steps, u)
 
 
 def two_state_flip_chain(flip: float = 0.1, start=(0.5, 0.5)) -> MarkovChainModel:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import cumulative_rows, cumulative_vector, walk_outcomes
+from ._kernels import cumulative, walk_outcomes
 from .entropic_potential import (
     EstimatorConfig,
     Event,
@@ -165,6 +165,22 @@ def _target_table(g: GridWorld) -> np.ndarray:
     return t
 
 
+def _sampling_table(g: GridWorld, pol: np.ndarray) -> tuple:
+    """(succ, cum) sampling table of one step under pol, a (n_cells, 4)
+    policy matrix or a (1, 4) one-hot action: columns are the four move
+    targets, then "stay" with the slip mass. Goal and wall rows stay put."""
+    n = g.n_cells
+    idx = np.arange(n)
+    succ = np.concatenate((_target_table(g).T, idx[:, None]), axis=1)
+    probs = np.empty((n, 5))
+    probs[:, :4] = pol * (1.0 - g.slip)
+    probs[:, 4] = g.slip
+    still = _wall_mask(g)
+    still[g.index_of(g.goal)] = True
+    probs[still] = (0.0, 0.0, 0.0, 0.0, 1.0)
+    return succ, cumulative(probs)
+
+
 def _step_flat(g: GridWorld, targets: np.ndarray, d: np.ndarray,
                pol: np.ndarray) -> np.ndarray:
     """One exact push-forward step of the (m, n_cells) rows d.
@@ -293,7 +309,10 @@ class GridWorldModel(SystemModel):
             self.start = Distribution.point(tuple(start), grid.free_cells())
         self.follow = follow
         self.actions = _admissible_actions(actions)
-        self._dense: dict = {}
+        self._cum_start = cumulative(_dist_to_flat(grid, self.start))
+        self._follow_table = _sampling_table(grid, _policy_matrix(grid, follow))
+        # flat cell index -> position in free_cells(), the outcome order
+        self._outcome_of = np.cumsum(~_wall_mask(grid)) - 1
 
     def event_space(self) -> list[Event]:
         return [Event(a, f"take action {a} at t0") for a in self.actions]
@@ -303,56 +322,18 @@ class GridWorldModel(SystemModel):
         return future_state_distribution(self.grid, self.start, first,
                                          self.follow, horizon.steps)
 
-    # dense cumulative matrices, built lazily for the sampling path
-    def _cum_matrix(self, key) -> np.ndarray:
-        if key not in self._dense:
-            g = self.grid
-            n = g.n_cells
-            targets = _target_table(g)
-            if key == "__policy__":
-                pol = _policy_matrix(g, self.follow)
-            else:
-                pol = np.broadcast_to(_action_matrix(key), (n, 4))
-            m = np.zeros((n, n))
-            gi = g.index_of(g.goal)
-            idx = np.arange(n)
-            for a in range(4):
-                w = pol[:, a].copy()
-                w[gi] = 0.0
-                np.add.at(m, (idx, targets[a]), w * (1.0 - g.slip))
-                m[idx, idx] += w * g.slip
-            m[gi, gi] = 1.0
-            wall_idx = [g.index_of(c) for c in g.walls]
-            for wi in wall_idx:
-                m[wi] = 0.0
-                m[wi, wi] = 1.0
-            self._dense[key] = cumulative_rows(m)
-        return self._dense[key]
-
     def sample_future_outcomes(self, event, horizon: Horizon, n: int,
-                               rng: np.random.Generator) -> list:
-        g = self.grid
-        start_flat = _dist_to_flat(g, self.start)
-        cum_start = cumulative_vector(start_flat)
-        cum_rest = self._cum_matrix("__policy__")
+                               rng: np.random.Generator) -> np.ndarray:
+        """Free-cell indices (positions in grid.free_cells()) of n sampled X_T."""
+        rest = self._follow_table
         if event is None:
-            n_first, cum_first, n_rest = 0, cum_rest, horizon.steps
+            first, n_first = rest, 0
         else:
-            n_first, cum_first, n_rest = 1, self._cum_matrix(event.id), horizon.steps - 1
-        u = rng.random((n, 1 + n_first + n_rest))
-        idx = walk_outcomes(cum_start, cum_first, n_first, cum_rest, n_rest, u)
-        return [g.cell_of(i) for i in idx]
-
-
-def sample_trajectory(g: GridWorld, start: Cell, first: str | None,
-                      follow: dict, k: int, seed) -> Cell:
-    """One sampled terminal cell at horizon k; fully determined by the seed."""
-    if k < 1:
-        raise ValueError("horizon must be >= 1 step")
-    model = GridWorldModel(g, start, follow)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    event = Event(first) if first is not None else None
-    return model.sample_future_outcomes(event, Horizon(0, k), 1, rng)[0]
+            first, n_first = _sampling_table(self.grid, _action_matrix(event.id)), 1
+        n_rest = horizon.steps - n_first
+        u = rng.random((n, 1 + horizon.steps))
+        idx = walk_outcomes(self._cum_start, first, n_first, rest, n_rest, u)
+        return self._outcome_of[idx]
 
 
 def exact_z_table(g: GridWorld, cells, follow: dict, k: int,

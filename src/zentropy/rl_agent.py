@@ -63,22 +63,6 @@ def shaped_reward(r_env: float, z_value: float, beta: float) -> float:
     return r_env - beta * z_value
 
 
-def init_qtable(g: GridWorld) -> dict:
-    return {(c, a): 0.0 for c in g.free_cells() for a in ACTIONS}
-
-
-def q_update(q: dict, s, a: str, r: float, s_next, alpha: float, gamma: float) -> dict:
-    """One Q-learning backup; returns a new table, everything else unchanged."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must be in (0, 1]")
-    if not (0.0 <= gamma <= 1.0):
-        raise ValueError("gamma must be in [0, 1]")
-    out = dict(q)
-    best_next = max(q[(s_next, b)] for b in ACTIONS)
-    out[(s, a)] = (1.0 - alpha) * q[(s, a)] + alpha * (r + gamma * best_next)
-    return out
-
-
 def greedy_policy_from_q(g: GridWorld, q: np.ndarray) -> dict:
     """Point-mass policy on the argmax action per cell (first max wins)."""
     pol = {}
@@ -126,7 +110,7 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
     targets = _target_table(g).tolist()
 
     use_z = shaping.beta > 0.0
-    z_cache: dict = {}
+    zt: list = []  # zt[s][a]: Z of action a at flat cell s, 0.0 on walls
     returns, steps_list, intr_list, reached_list, snapshots = [], [], [], [], []
 
     for ep in range(episodes):
@@ -135,7 +119,8 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
         if use_z and ep % shaping.recompute_every == 0 and (
                 ep == 0 or shaping.z_policy == "current-greedy"):
             z_cache = _z_table(g, q, shaping)
-            snapshots.append((ep, dict(z_cache)))
+            snapshots.append((ep, z_cache))
+            zt = [[z_cache.get((g.cell_of(i), a), 0.0) for a in ACTIONS] for i in range(n)]
         s = start
         ep_return = 0.0
         intr_sum = 0.0
@@ -149,7 +134,7 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
             nxt = targets[a][s] if rng.random() < 1.0 - g.slip else s
             r_env = 1.0 if nxt == goal else 0.0
             if use_z:
-                intrinsic = -shaping.beta * z_cache[(g.cell_of(s), ACTIONS[a])]
+                intrinsic = -shaping.beta * zt[s][a]
             else:
                 intrinsic = 0.0
             r = r_env + intrinsic

@@ -229,51 +229,32 @@ def stream_replay_reference(values, window, bins, lo, hi, kappa, warmup, alpha):
 
 # -- categorical walk ----------------------------------------------------------
 
-def walk_outcomes_loop(cum_start, cum_first, n_first, cum_rest, n_rest, u, out):
+def _count_le(row, v):
+    """Binary search: the number of entries of the nondecreasing row <= v."""
+    lo = 0
+    hi = len(row)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if row[mid] <= v:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def walk_outcomes_loop(cum_start, first, n_first, rest, n_rest, u, out):
     """Per-walk binary search reference for zentropy._kernels.walk_outcomes.
 
-    cum_* rows are nondecreasing with last entry pinned to 1.0; the sampled
-    index is the count of entries <= u (searchsorted side='right').
+    first/rest are (succ, cum) sampling tables: row s lists the successors
+    of state s and their cumulative probabilities, pinned to 1.0 from the
+    last nonzero probability onward. Each step moves to the successor in
+    the column given by the count of row entries <= u.
     """
-    n = u.shape[0]
-    size = cum_start.shape[0]
-    for i in range(n):
-        v = u[i, 0]
-        lo = 0
-        hi = size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cum_start[mid] <= v:
-                lo = mid + 1
-            else:
-                hi = mid
-        s = min(lo, size - 1)
+    for i in range(u.shape[0]):
+        s = _count_le(cum_start, u[i, 0])
         col = 1
-        for _ in range(n_first):
-            row = cum_first[s]
-            v = u[i, col]
-            lo = 0
-            hi = size
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if row[mid] <= v:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            s = min(lo, size - 1)
-            col += 1
-        for _ in range(n_rest):
-            row = cum_rest[s]
-            v = u[i, col]
-            lo = 0
-            hi = size
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if row[mid] <= v:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            s = min(lo, size - 1)
+        for succ, cum in [first] * n_first + [rest] * n_rest:
+            s = succ[s][_count_le(cum[s], u[i, col])]
             col += 1
         out[i] = s
 

@@ -21,6 +21,7 @@ from zentropy.errors import (
     EmptyBaselineError,
     EventInBaselineError,
     EventNotAdmissibleError,
+    InvalidDistributionError,
     SamplingUnsupportedError,
     UnsupportedBackendError,
 )
@@ -194,6 +195,35 @@ class TestMonteCarlo:
         model = two_state_flip_chain()
         with pytest.raises(ValueError):
             mc_entropy_of_branch(model, None, Horizon(0, 1), 99, 0)
+
+    @pytest.mark.parametrize("outcomes", [
+        lambda n: [("calm",)] * n,                # labels, not indices
+        lambda n: ["calm"] * n,
+        lambda n: np.zeros(n - 1, dtype=np.int64),  # too few
+        lambda n: np.full(n, -1),                 # negative index
+        lambda n: np.zeros(n),                    # floats
+    ])
+    def test_plug_in_sampler_must_return_outcome_indices(self, outcomes):
+        class LabelSampler(SystemModel):
+            def event_space(self):
+                return [Event("e")]
+
+            def sample_future_outcomes(self, event, horizon, n, rng):
+                return outcomes(n)
+
+        with pytest.raises(InvalidDistributionError, match="non-negative integer outcome"):
+            mc_entropy_of_branch(LabelSampler(), Event("e"), Horizon(0, 1), 100, 0)
+
+    def test_plug_in_sampler_may_return_an_int_list(self):
+        class ListSampler(SystemModel):
+            def event_space(self):
+                return [Event("e")]
+
+            def sample_future_outcomes(self, event, horizon, n, rng):
+                return [i % 4 for i in range(n)]
+
+        h, _ = mc_entropy_of_branch(ListSampler(), Event("e"), Horizon(0, 1), 100, 0)
+        assert h.value == 2.0
 
     def test_mc_z_within_three_se(self):
         model = two_state_flip_chain(0.1, (0.5, 0.5))

@@ -11,48 +11,94 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zentropy import _kernels
-from zentropy._kernels import (
-    cumulative_rows,
-    cumulative_vector,
-    stream_scores,
-    walk_outcomes,
+from zentropy._kernels import cumulative, stream_scores, walk_outcomes
+from zentropy.markov import MarkovChainModel
+from zentropy.mdp_sim import (
+    GridWorld,
+    _action_matrix,
+    _policy_matrix,
+    _sampling_table,
+    uniform_policy,
 )
 
 from oracles import stream_scores_loop, walk_outcomes_loop
 
 
-def random_cum(rng, size):
+def dense_table(rng, size):
+    """A K = size table over random dense rows: every state is a successor."""
     m = rng.random((size, size)) + 1e-3
     m /= m.sum(axis=1, keepdims=True)
-    return cumulative_rows(m)
+    return np.broadcast_to(np.arange(size), (size, size)), cumulative(m)
+
+
+def grid_tables(size):
+    """K = 5 tables of a size x size grid with walls (a first action, then
+    the uniform policy) and a start spread over its free cells."""
+    g = GridWorld(size, size, goal=(0, size - 1), start=(0, 0), slip=0.2,
+                  walls={(1, 0), (size // 2, size // 2)})
+    first = _sampling_table(g, _action_matrix("right"))
+    rest = _sampling_table(g, _policy_matrix(g, uniform_policy(g)))
+    start = np.zeros(g.n_cells)
+    start[[g.index_of(c) for c in g.free_cells()]] = 1.0 / len(g.free_cells())
+    return cumulative(start), first, rest
 
 
 @pytest.mark.parametrize("size,n,k", [(2, 500, 1), (17, 400, 3), (64, 300, 5)])
 def test_walk_paths_agree_bitwise(size, n, k):
+    """On a dense K = S table and on a K = 5 grid table of size x size cells."""
     rng = np.random.default_rng(99)
-    cum_start = cumulative_vector(np.full(size, 1.0 / size))
-    cum_first = random_cum(rng, size)
-    cum_rest = random_cum(rng, size)
-    u = rng.random((n, 1 + 1 + k))
-
-    out_loop = np.empty(n, dtype=np.int64)
-    walk_outcomes_loop(cum_start, cum_first, 1, cum_rest, k, u, out_loop)
-    assert np.array_equal(walk_outcomes(cum_start, cum_first, 1, cum_rest, k, u),
-                          out_loop)
+    dense = (cumulative(np.full(size, 1.0 / size)), dense_table(rng, size),
+             dense_table(rng, size))
+    for cum_start, first, rest in (dense, grid_tables(size)):
+        u = rng.random((n, 1 + 1 + k))
+        out_loop = np.empty(n, dtype=np.int64)
+        walk_outcomes_loop(cum_start, first, 1, rest, k, u, out_loop)
+        assert np.array_equal(walk_outcomes(cum_start, first, 1, rest, k, u), out_loop)
 
 
 def test_walk_uniform_width_must_match():
-    cum = cumulative_rows(np.eye(3))
+    table = (np.broadcast_to(np.arange(3), (3, 3)), cumulative(np.eye(3)))
     with pytest.raises(ValueError):
-        walk_outcomes(cumulative_vector(np.ones(3) / 3), cum, 1, cum, 2,
-                      np.zeros((5, 2)))
+        walk_outcomes(cumulative(np.ones(3) / 3), table, 1, table, 2, np.zeros((5, 2)))
 
 
 def test_cumulative_rows_pin_last_column():
     m = np.full((4, 4), 0.25)
-    cum = cumulative_rows(m)
+    cum = cumulative(m)
     assert np.all(cum[:, -1] == 1.0)
     assert np.all(np.diff(cum, axis=1) >= 0)
+
+
+def test_cumulative_pins_from_the_last_nonzero_probability():
+    cum = cumulative([[0.0, 0.5, 0.0, 0.5, 0.0], [0.25, 0.25, 0.25, 0.25, 0.0]])
+    assert cum.tolist() == [[0.0, 0.5, 0.5, 1.0, 1.0], [0.25, 0.5, 0.75, 1.0, 1.0]]
+    assert cumulative([0.0, 1.0, 0.0]).tolist() == [0.0, 1.0, 1.0]
+
+
+def test_zero_probability_outcome_never_sampled():
+    # the cumsum of this validated row ends one ulp below 1.0 at its last
+    # nonzero entry, so pinning only the last column let u = 1 - 2**-53
+    # draw state 3, which has probability 0
+    row = [0.364335, 0.5794683, 0.0561967, 0.0]
+    model = MarkovChainModel([row] * 4, {}, row)
+    assert model.start.probs.cumsum()[2] < 1.0
+    assert model.transition[0].cumsum()[2] < 1.0
+    table = (np.broadcast_to(np.arange(4), (4, 4)), cumulative(model.transition))
+    u = np.full((1, 2), np.nextafter(1.0, 0.0))
+    # start vector
+    assert walk_outcomes(cumulative(model.start.probs), table, 0, table, 0, u[:, :1])[0] == 2
+    # transition row, from a start pinned to state 0
+    assert walk_outcomes(cumulative([1.0, 0.0, 0.0, 0.0]), table, 0, table, 1, u)[0] == 2
+
+
+def test_leading_zero_probability_outcome_never_sampled():
+    # u = 0.0 ties with the cumulative 0.0 of a leading zero-probability
+    # entry; counting entries <= u moves past it
+    succ = np.broadcast_to(np.arange(3), (3, 3))
+    table = (succ, cumulative([[0.0, 0.0, 1.0]] * 3))
+    u = np.zeros((1, 2))
+    assert walk_outcomes(cumulative([0.0, 0.5, 0.5]), table, 0, table, 0, u[:, :1])[0] == 1
+    assert walk_outcomes(cumulative([0.0, 0.5, 0.5]), table, 0, table, 1, u)[0] == 2
 
 
 def fresh_state(window, bins):

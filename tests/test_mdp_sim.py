@@ -24,7 +24,6 @@ from zentropy.mdp_sim import (
     future_state_distribution,
     push_forward,
     render_ascii,
-    sample_trajectory,
     transition_kernel,
     uniform_policy,
 )
@@ -178,29 +177,41 @@ class TestFutureStateDistribution:
 class TestSampleTrajectory:
     def test_slip_free_terminal(self):
         g = corridor_world(5, 0.0)
-        cell = sample_trajectory(g, (0, 0), "right", always_policy(g, "right"), 4, 0)
-        assert cell == (4, 0)
+        model = GridWorldModel(g, (0, 0), always_policy(g, "right"))
+        idx = model.sample_future_outcomes(Event("right"), Horizon(0, 4), 100,
+                                           np.random.default_rng(0))
+        assert idx.dtype == np.int64
+        assert np.all(idx == g.free_cells().index((4, 0)))
 
     def test_seed_reproducibility(self):
         g = corridor_world(5, 0.3)
-        pol = always_policy(g, "right")
-        a = sample_trajectory(g, (0, 0), "right", pol, 3, 99)
-        b = sample_trajectory(g, (0, 0), "right", pol, 3, 99)
-        assert a == b
+        model = GridWorldModel(g, (0, 0), always_policy(g, "right"))
+        a, b = (model.sample_future_outcomes(Event("right"), Horizon(0, 3), 200,
+                                             np.random.default_rng(99))
+                for _ in range(2))
+        assert np.array_equal(a, b)
 
     def test_empirical_matches_exact(self):
         g = corridor_world(5, 0.2)
         model = GridWorldModel(g, (3, 0), always_policy(g, "right"))
         rng = np.random.default_rng(2024)
-        cells = model.sample_future_outcomes(Event("right"), Horizon(0, 2),
-                                             100_000, rng)
-        p_goal = cells.count((4, 0)) / 100_000
-        assert abs(p_goal - 0.96) <= 0.005
-        # total variation against the exact push-forward
+        idx = model.sample_future_outcomes(Event("right"), Horizon(0, 2),
+                                           100_000, rng)
+        freq = np.bincount(idx, minlength=len(g.free_cells())) / 100_000
+        assert abs(freq[g.free_cells().index((4, 0))] - 0.96) <= 0.005
+        # total variation against the exact push-forward, in the same order
         exact = model.exact_future_distribution(Event("right"), Horizon(0, 2))
-        tv = 0.5 * sum(abs(cells.count(c) / 100_000 - exact.prob_of(c))
-                       for c in exact.outcomes)
-        assert tv <= 0.01
+        assert 0.5 * np.abs(freq - exact.probs).sum() <= 0.01
+
+    def test_walls_are_never_sampled(self):
+        g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.3,
+                      walls={(1, 0), (1, 1), (3, 0)})
+        model = GridWorldModel(g, (0, 0), uniform_policy(g))
+        idx = model.sample_future_outcomes(None, Horizon(0, 6), 2000,
+                                           np.random.default_rng(5))
+        assert idx.min() >= 0 and idx.max() < len(g.free_cells())
+        exact = model.exact_future_distribution(None, Horizon(0, 6))
+        assert np.all(exact.probs[np.unique(idx)] > 0.0)
 
 
 class TestActionZScores:
@@ -339,6 +350,39 @@ class TestExactZTable:
             exact_z_table(g, [(0, 0)], pol, 2, ("left",))
         with pytest.raises(ValueError):
             exact_z_table(g, [(0, 0)], pol, 2, ())
+
+
+def table_law(g, succ, cum, s):
+    """Row s of a sampling table as a dense one-step law over flat cells."""
+    law = np.zeros(g.n_cells)
+    np.add.at(law, succ[s], np.diff(cum[s], prepend=0.0))
+    return law
+
+
+class TestSamplingTable:
+    @given(small_worlds())
+    def test_rows_are_the_one_step_law(self, world):
+        g, _, _, _ = world
+        free = g.free_cells()
+        laws = {a: lambda c, a=a: transition_kernel(g, c, a) for a in ACTIONS}
+        laws["uniform"] = lambda c: push_forward(g, Distribution.point(c, free),
+                                                 uniform_policy(g))
+        pols = {a: mdp_sim._action_matrix(a) for a in ACTIONS}
+        pols["uniform"] = mdp_sim._policy_matrix(g, uniform_policy(g))
+        for name, law in laws.items():
+            succ, cum = mdp_sim._sampling_table(g, pols[name])
+            assert succ.shape == cum.shape == (g.n_cells, 5)
+            assert np.all(cum[:, -1] == 1.0)
+            for i in range(g.n_cells):
+                c = g.cell_of(i)
+                got = table_law(g, succ, cum, i)
+                if c in g.walls:  # never entered; a wall row stays put
+                    assert got[i] == 1.0
+                    continue
+                want = law(c)
+                assert got[[g.index_of(f) for f in free]] == pytest.approx(
+                    want.probs, abs=1e-12)
+                assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGridWorldModel:

@@ -16,8 +16,6 @@ from zentropy.rl_agent import (
     ShapingConfig,
     evaluate_policy,
     greedy_policy_from_q,
-    init_qtable,
-    q_update,
     shaped_reward,
     train,
 )
@@ -39,36 +37,6 @@ class TestShapedReward:
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
             shaped_reward(0.0, 0.0, -0.1)
-
-
-class TestQUpdate:
-    def test_full_overwrite(self):
-        g = corridor_world(3, 0.0)
-        q = init_qtable(g)
-        q2 = q_update(q, (0, 0), "right", 1.0, (1, 0), alpha=1.0, gamma=0.0)
-        assert q2[((0, 0), "right")] == 1.0
-        assert q[((0, 0), "right")] == 0.0  # original untouched
-
-    def test_zero_reward_keeps_zeros(self):
-        g = corridor_world(3, 0.0)
-        q = init_qtable(g)
-        q2 = q_update(q, (0, 0), "up", 0.0, (0, 0), alpha=0.5, gamma=0.9)
-        assert all(v == 0.0 for v in q2.values())
-
-    def test_arithmetic(self):
-        g = corridor_world(3, 0.0)
-        q = init_qtable(g)
-        q[((1, 0), "right")] = 2.0
-        out = q_update(q, (0, 0), "right", 1.0, (1, 0), alpha=0.5, gamma=0.9)
-        assert out[((0, 0), "right")] == pytest.approx(0.5 * (1.0 + 0.9 * 2.0))
-
-    def test_hyperparameter_ranges(self):
-        g = corridor_world(3, 0.0)
-        q = init_qtable(g)
-        with pytest.raises(ValueError):
-            q_update(q, (0, 0), "up", 0.0, (0, 0), alpha=0.0, gamma=0.5)
-        with pytest.raises(ValueError):
-            q_update(q, (0, 0), "up", 0.0, (0, 0), alpha=0.5, gamma=1.5)
 
 
 class TestShapingConfig:
@@ -96,6 +64,9 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(g, cfg, episodes=1, max_steps=10, epsilon=0.1, alpha=0.0,
                   gamma=0.9, seed=0)
+        with pytest.raises(ValueError):
+            train(g, cfg, episodes=1, max_steps=10, epsilon=0.1, alpha=0.5,
+                  gamma=1.5, seed=0)
 
     def test_zero_episodes_gives_empty_record(self):
         g = corridor_world(3, 0.0)
