@@ -17,6 +17,7 @@ following the same protocol reproduces the run byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,7 @@ class ShapingConfig:
     z_policy: str = "current-greedy"
 
     def __post_init__(self) -> None:
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        _check_beta(self.beta)
         if self.horizon_k < 1:
             raise ValueError("horizon_k must be >= 1")
         if self.recompute_every < 1:
@@ -56,10 +56,17 @@ class TrainResult:
     z_snapshots: list   # (episode, {(cell, action name): z_bits})
 
 
-def shaped_reward(r_env: float, z_value: float, beta: float) -> float:
-    """r_env - beta * Z: negative Z (entropy reduction) becomes a bonus."""
+def _check_beta(beta: float) -> None:
+    # NaN would switch shaping off (nan > 0 is False); inf makes NaN rewards
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
     if beta < 0:
         raise ValueError("beta must be >= 0")
+
+
+def shaped_reward(r_env: float, z_value: float, beta: float) -> float:
+    """r_env - beta * Z: negative Z (entropy reduction) becomes a bonus."""
+    _check_beta(beta)
     return r_env - beta * z_value
 
 
@@ -72,14 +79,22 @@ def greedy_policy_from_q(g: GridWorld, q: np.ndarray) -> dict:
     return pol
 
 
-def _z_table(g: GridWorld, q: np.ndarray, shaping: ShapingConfig) -> dict:
+def _z_table(g: GridWorld, q: list, shaping: ShapingConfig) -> tuple[dict, list]:
+    """Z of every (free cell, action) under the configured follow-on policy,
+    as the snapshot dict keyed by (cell, action name) and as zt[s][a] by flat
+    cell index and action index (0.0 on walls)."""
     if shaping.z_policy == "current-greedy":
-        follow = greedy_policy_from_q(g, q)
+        follow = greedy_policy_from_q(g, np.array(q))
     else:
         follow = uniform_policy(g)
     cells = g.free_cells()
-    ranked = exact_z_table(g, cells, follow, shaping.horizon_k)
-    return {(c, a): z.value for c, scores in zip(cells, ranked) for a, z in scores}
+    snapshot = {}
+    zt = [[0.0] * 4 for _ in range(g.n_cells)]
+    for c, scores in zip(cells, exact_z_table(g, cells, follow, shaping.horizon_k)):
+        row = zt[g.index_of(c)]
+        for a, z in scores:
+            snapshot[(c, a)] = row[ACTIONS.index(a)] = z.value
+    return snapshot, zt
 
 
 def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
@@ -91,6 +106,11 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
     Q starts optimistic (q_init=1.0, the maximum undiscounted return) so the
     sparse goal gets found without cranking epsilon; pass q_init=0.0 for the
     pessimistic variant.
+
+    The Q table is a list of 4-float rows: each step reads one short row, a
+    job plain Python floats do faster than numpy calls. The greedy action is
+    the first maximum (np.argmax's tie-break) and every update is the same
+    double-precision expression, so results equal those of an array table.
     """
     if episodes < 0 or max_steps < 1:
         raise ValueError("episodes must be >= 0 and max_steps >= 1")
@@ -102,12 +122,14 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
         raise ValueError("gamma must be in [0, 1]")
 
     rng = np.random.default_rng(seed)
-    n = g.n_cells
-    q = np.full((n, 4), float(q_init))
     goal = g.index_of(g.goal)
-    q[goal] = 0.0  # terminal: no future value beyond the arrival reward
+    q = [[float(q_init)] * 4 for _ in range(g.n_cells)]
+    q[goal] = [0.0] * 4  # terminal: no future value beyond the arrival reward
     start = g.index_of(g.start)
     targets = _target_table(g).tolist()
+    move_p = 1.0 - g.slip
+    keep = 1.0 - alpha
+    neg_beta = -shaping.beta
 
     use_z = shaping.beta > 0.0
     zt: list = []  # zt[s][a]: Z of action a at flat cell s, 0.0 on walls
@@ -118,27 +140,27 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
         # periodic refresh only applies to the current-greedy variant
         if use_z and ep % shaping.recompute_every == 0 and (
                 ep == 0 or shaping.z_policy == "current-greedy"):
-            z_cache = _z_table(g, q, shaping)
-            snapshots.append((ep, z_cache))
-            zt = [[z_cache.get((g.cell_of(i), a), 0.0) for a in ACTIONS] for i in range(n)]
+            snapshot, zt = _z_table(g, q, shaping)
+            snapshots.append((ep, snapshot))
         s = start
         ep_return = 0.0
         intr_sum = 0.0
         steps = 0
         reached = s == goal
         while steps < max_steps and not reached:
+            qs = q[s]
             if rng.random() < epsilon:
                 a = int(rng.integers(0, 4))
             else:
-                a = int(np.argmax(q[s]))
-            nxt = targets[a][s] if rng.random() < 1.0 - g.slip else s
+                a = qs.index(max(qs))
+            nxt = targets[a][s] if rng.random() < move_p else s
             r_env = 1.0 if nxt == goal else 0.0
             if use_z:
-                intrinsic = -shaping.beta * zt[s][a]
+                intrinsic = neg_beta * zt[s][a]
             else:
                 intrinsic = 0.0
             r = r_env + intrinsic
-            q[s, a] = (1.0 - alpha) * q[s, a] + alpha * (r + gamma * q[nxt].max())
+            qs[a] = keep * qs[a] + alpha * (r + gamma * max(q[nxt]))
             ep_return += r_env
             intr_sum += intrinsic
             steps += 1
@@ -149,9 +171,12 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
         intr_list.append(intr_sum / steps if steps else 0.0)
         reached_list.append(reached)
 
-    final_policy = {c: ACTIONS[int(np.argmax(q[g.index_of(c)]))] for c in g.free_cells()}
-    final_q = {(c, a): float(q[g.index_of(c), i])
-               for c in g.free_cells() for i, a in enumerate(ACTIONS)}
+    final_policy = {}
+    final_q = {}
+    for c in g.free_cells():
+        qs = q[g.index_of(c)]
+        final_policy[c] = ACTIONS[qs.index(max(qs))]
+        final_q.update(((c, a), v) for a, v in zip(ACTIONS, qs))
     return TrainResult(returns, steps_list, intr_list, reached_list,
                        final_policy, final_q, snapshots)
 

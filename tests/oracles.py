@@ -134,11 +134,18 @@ def value_iteration_actions(width, height, walls, start, goal, slip,
 
 # -- reference learners -------------------------------------------------------
 
-def vanilla_q_learning(width, height, walls, start, goal, slip, episodes,
-                       max_steps, epsilon, alpha, gamma, seed, q_init=1.0):
-    """Plain epsilon-greedy Q-learning following the documented RNG protocol:
-    per step one uniform (explore?), one integer draw iff exploring, one
-    uniform (slip). Returns (returns, steps, final_q ndarray)."""
+def shaped_q_learning(width, height, walls, start, goal, slip, episodes,
+                      max_steps, epsilon, alpha, gamma, seed, q_init=1.0,
+                      beta=0.0, z_table=None, recompute_every=None):
+    """Epsilon-greedy Q-learning on a numpy (cells, 4) table with the shaped
+    reward r - beta * Z, following the documented RNG protocol: per step one
+    uniform (explore?), one integer draw iff exploring, one uniform (slip).
+
+    z_table(q) returns {((x, y), action): Z} for the current table q. It is
+    called before episode 0 and then before every `recompute_every`-th
+    episode (never again if None); with beta=0 it is never called. Returns
+    (returns, steps, mean_intrinsic, final_q ndarray, [(episode, table)]).
+    """
     import numpy as np
 
     walls = set(tuple(w) for w in walls)
@@ -161,10 +168,18 @@ def vanilla_q_learning(width, height, walls, start, goal, slip, episodes,
     gi = idx(tuple(goal))
     q[gi] = 0.0
     si = idx(tuple(start))
-    returns, steps_out = [], []
-    for _ in range(episodes):
+    z = np.zeros((n, 4))
+    returns, steps_out, intr_out, snapshots = [], [], [], []
+    for ep in range(episodes):
+        if beta > 0 and (ep == 0 or (recompute_every and ep % recompute_every == 0)):
+            table = z_table(q)
+            snapshots.append((ep, table))
+            z[:] = 0.0
+            for (c, a), v in table.items():
+                z[idx(c), actions.index(a)] = v
         s = si
         ep_ret = 0.0
+        intr_sum = 0.0
         steps = 0
         while steps < max_steps and s != gi:
             if rng.random() < epsilon:
@@ -172,14 +187,28 @@ def vanilla_q_learning(width, height, walls, start, goal, slip, episodes,
             else:
                 a = int(np.argmax(q[s]))
             nxt = move_idx(s, actions[a]) if rng.random() < 1.0 - slip else s
-            r = 1.0 if nxt == gi else 0.0
+            r_env = 1.0 if nxt == gi else 0.0
+            intrinsic = -beta * z[s, a] if beta > 0 else 0.0
+            r = r_env + intrinsic
             q[s, a] = (1.0 - alpha) * q[s, a] + alpha * (r + gamma * q[nxt].max())
-            ep_ret += r
+            ep_ret += r_env
+            intr_sum += intrinsic
             steps += 1
             s = nxt
         returns.append(ep_ret)
         steps_out.append(steps)
-    return returns, steps_out, q
+        intr_out.append(intr_sum / steps if steps else 0.0)
+    return returns, steps_out, intr_out, q, snapshots
+
+
+def vanilla_q_learning(width, height, walls, start, goal, slip, episodes,
+                       max_steps, epsilon, alpha, gamma, seed, q_init=1.0):
+    """shaped_q_learning with beta=0: plain epsilon-greedy Q-learning.
+    Returns (returns, steps, final_q ndarray)."""
+    returns, steps, _, q, _ = shaped_q_learning(
+        width, height, walls, start, goal, slip, episodes, max_steps,
+        epsilon, alpha, gamma, seed, q_init)
+    return returns, steps, q
 
 
 def make_regime_shift_stream(seed, n_pre=500, n_post=100):

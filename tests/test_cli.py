@@ -151,6 +151,42 @@ class TestTrain:
         assert run(["train", "--config", write_config(tmp_path, cfg),
                     "--out", tmp_path / "o"]) == 2
 
+    @pytest.mark.parametrize("preset, golden", [
+        ("train_5x5.json", {
+            "train_result.csv": "d43bfbc178414807486adbb9ec6d28ac2a986365c5359c00303dcf7e2f844bee",
+            "train_result.json": "34933cee8456ab3882977c4b8894fa3c8aa4caffb819043ec769cb1c22fdd94b",
+            "attribution.csv": "52cc3088c1f85341c31b42c636342c1d627a44484eeb0e981a7410759450c412",
+        }),
+        ("train_corridor.json", {
+            "train_result.csv": "ff0618e429dadf1d74cc1b5eb3dc6e87cf97289d6ffa4f8addf39465cea4ab6c",
+            "train_result.json": "0addf10757b08eee847f72b8d1f15228a75bb38a47f5a761f72880a00615eff9",
+            "attribution.csv": "851d712dc01d97ae5c48e97b981d55109b76303ecbfab9d308d7765ce0921937",
+        }),
+    ])
+    def test_preset_outputs_match_golden_hashes(self, tmp_path, preset, golden):
+        # sha256 of the preset's outputs as written by the learner with a
+        # numpy Q table; the list-of-floats table must reproduce every byte
+        out = tmp_path / "run"
+        assert run(["train", "--config", CONFIGS / preset, "--out", out]) == 0
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_non_finite_beta_exits_2(self, tmp_path, capsys, beta):
+        # json writes and reads these as NaN/Infinity; shaping must refuse
+        # them rather than switch itself off (NaN) or write NaN rewards (inf)
+        cfg = {
+            "seed": 2,
+            "shaping": {"grid": {"width": 3, "height": 1, "walls": [],
+                                 "goal": [2, 0], "start": [0, 0], "slip": 0.2},
+                        "episodes": 5, "beta": beta},
+        }
+        out = tmp_path / "o"
+        assert run(["train", "--config", write_config(tmp_path, cfg),
+                    "--out", out]) == 2
+        assert "beta must be finite" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestBayes:
     def test_golden_query_ranking(self, tmp_path):

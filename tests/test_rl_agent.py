@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zentropy.entropic_potential import EstimatorConfig
+from zentropy.entropy_core import Distribution
 from zentropy.mdp_sim import (
     ACTIONS,
     GridWorld,
     action_z_scores,
     always_policy,
     corridor_world,
+    exact_z_table,
     uniform_policy,
 )
 from zentropy.rl_agent import (
+    Z_POLICIES,
     ShapingConfig,
     evaluate_policy,
     greedy_policy_from_q,
@@ -20,7 +25,7 @@ from zentropy.rl_agent import (
     train,
 )
 
-from oracles import value_iteration_actions, vanilla_q_learning
+from oracles import shaped_q_learning, value_iteration_actions, vanilla_q_learning
 
 
 class TestShapedReward:
@@ -38,6 +43,11 @@ class TestShapedReward:
         with pytest.raises(ValueError):
             shaped_reward(0.0, 0.0, -0.1)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="finite"):
+            shaped_reward(1.0, 0.0, beta)
+
 
 class TestShapingConfig:
     def test_validation(self):
@@ -49,6 +59,11 @@ class TestShapingConfig:
             ShapingConfig(recompute_every=0)
         with pytest.raises(ValueError):
             ShapingConfig(z_policy="whatever")
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="finite"):
+            ShapingConfig(beta=beta)
 
 
 class TestTrain:
@@ -143,6 +158,59 @@ class TestTrain:
         assert all(abs(v) <= bound for _, t in res.z_snapshots
                    for v in (beta * x for x in t.values()))
         assert all(abs(m) <= bound for m in res.mean_intrinsic)
+
+
+@st.composite
+def shaped_runs(draw):
+    """A small world with walls and slip, shaping with beta > 0 and training
+    settings; a flat initial Q table (0.0 or 1.0) makes argmax ties common."""
+    width = draw(st.integers(1, 4))
+    height = draw(st.integers(1, 3))
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    goal = draw(st.sampled_from(cells))
+    start = draw(st.sampled_from(cells))
+    walls = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1)) - {goal, start}
+    g = GridWorld(width, height, goal=goal, start=start, walls=walls,
+                  slip=draw(st.sampled_from([0.0, 0.1, 0.25, 0.5])))
+    shaping = ShapingConfig(beta=draw(st.floats(1e-3, 4.0)),
+                            horizon_k=draw(st.integers(1, 4)),
+                            recompute_every=draw(st.integers(1, 4)),
+                            z_policy=draw(st.sampled_from(Z_POLICIES)))
+    kw = dict(episodes=draw(st.integers(1, 12)), max_steps=draw(st.integers(1, 30)),
+              epsilon=draw(st.sampled_from([0.0, 0.1, 0.5])),
+              alpha=draw(st.sampled_from([0.2, 0.5, 1.0])),
+              gamma=draw(st.sampled_from([0.0, 0.9, 1.0])),
+              seed=draw(st.integers(0, 2**32 - 1)),
+              q_init=draw(st.sampled_from([0.0, 1.0])))
+    return g, shaping, kw
+
+
+@given(shaped_runs())
+def test_shaped_training_matches_array_reference(run):
+    g, shaping, kw = run
+
+    def z_table(q):
+        if shaping.z_policy == "current-greedy":
+            follow = {c: Distribution.point(ACTIONS[int(np.argmax(q[g.index_of(c)]))], ACTIONS)
+                      for c in g.free_cells()}
+        else:
+            follow = uniform_policy(g)
+        cells = g.free_cells()
+        ranked = exact_z_table(g, cells, follow, shaping.horizon_k)
+        return {(c, a): z.value for c, scores in zip(cells, ranked) for a, z in scores}
+
+    # fixed-uniform tables do not depend on Q: train builds one, up front
+    every = shaping.recompute_every if shaping.z_policy == "current-greedy" else None
+    ref_ret, ref_steps, ref_intr, ref_q, ref_snaps = shaped_q_learning(
+        g.width, g.height, g.walls, g.start, g.goal, g.slip, beta=shaping.beta,
+        z_table=z_table, recompute_every=every, **kw)
+    res = train(g, shaping, **kw)
+    assert res.episode_returns == ref_ret
+    assert res.steps_to_goal == ref_steps
+    assert res.mean_intrinsic == ref_intr
+    assert res.final_q == {(c, a): ref_q[g.index_of(c), i]
+                           for c in g.free_cells() for i, a in enumerate(ACTIONS)}
+    assert res.z_snapshots == ref_snaps
 
 
 class TestEvaluatePolicy:
