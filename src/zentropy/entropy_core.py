@@ -51,13 +51,7 @@ class Distribution:
             raise InvalidDistributionError("empty outcome set")
         if len(set(outcomes)) != len(outcomes):
             raise InvalidDistributionError("outcome labels must be unique")
-        if np.any(p < 0.0) or not np.all(np.isfinite(p)):
-            raise InvalidDistributionError("probabilities must be finite and >= 0")
-        total = float(p.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
-        if total != 1.0:
-            p = p / total
+        p = normalized_probs(p)
         p.flags.writeable = False
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "probs", p)
@@ -113,6 +107,20 @@ class SampleCounts:
         for s in samples:
             counts[s] = counts.get(s, 0) + 1
         return cls(counts)
+
+
+def normalized_probs(probs) -> np.ndarray:
+    """probs as float64, each vector along the last axis finite, >= 0 and
+    summing to 1 within NORMALIZATION_TOL (else InvalidDistributionError),
+    divided once by its sum if that is not exactly 1."""
+    p = np.asarray(probs, dtype=np.float64)
+    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
+        raise InvalidDistributionError("probabilities must be finite and >= 0")
+    total = p.sum(axis=-1, keepdims=True)
+    off = np.abs(total - 1.0) > NORMALIZATION_TOL
+    if off.any():
+        raise InvalidDistributionError(f"probabilities sum to {float(total[off][0])!r}, not 1")
+    return np.where(total == 1.0, p, p / total)
 
 
 def _entropy_of_probs(p: np.ndarray) -> float:

@@ -24,7 +24,7 @@ from .entropic_potential import (
     rank_events,
     rank_vs_rest,
 )
-from .entropy_core import Distribution, shannon_entropy
+from .entropy_core import Distribution, _entropy_of_probs, normalized_probs
 from .errors import CellIsWallError, InvalidDistributionError
 
 ACTIONS = ("up", "down", "left", "right")
@@ -113,29 +113,28 @@ def render_ascii(g: GridWorld) -> str:
 
 
 # -- policies ---------------------------------------------------------------
+# A policy is an (n_cells, 4) array: row s holds the action probabilities at
+# flat cell s, in ACTIONS order. Wall rows are ignored.
 
-def always_policy(g: GridWorld, action: str) -> dict:
-    """Point-mass policy: the same action in every free cell."""
-    d = Distribution.point(action, ACTIONS)
-    return {c: d for c in g.free_cells()}
+def always_policy(g: GridWorld, action: str) -> np.ndarray:
+    """Point-mass policy: the same action in every cell."""
+    return np.tile(_action_matrix(action), (g.n_cells, 1))
 
-def uniform_policy(g: GridWorld) -> dict:
-    d = Distribution.uniform(ACTIONS)
-    return {c: d for c in g.free_cells()}
+def uniform_policy(g: GridWorld) -> np.ndarray:
+    return np.full((g.n_cells, 4), 0.25)
 
 
-def _policy_matrix(g: GridWorld, policy: dict) -> np.ndarray:
-    """Validated (n_cells, 4) action-probability matrix, zero rows on walls."""
-    m = np.zeros((g.n_cells, 4))
-    for c in g.free_cells():
-        if c not in policy:
-            raise InvalidDistributionError(f"policy does not cover cell {c}")
-        dist = policy[c]
-        row = np.zeros(4)
-        for label, p in zip(dist.outcomes, dist.probs):
-            row[ACTIONS.index(label)] = p
-        m[g.index_of(c)] = row
-    return m
+def _checked_policy(g: GridWorld, policy) -> np.ndarray:
+    """policy as a validated (n_cells, 4) float array: every free-cell row a
+    probability vector (see normalized_probs), every wall row zero."""
+    pol = np.asarray(policy)
+    if pol.shape != (g.n_cells, 4):
+        raise InvalidDistributionError(
+            f"policy must have shape ({g.n_cells}, 4), got {pol.shape}")
+    free = ~_wall_mask(g)
+    out = np.zeros((g.n_cells, 4))
+    out[free] = normalized_probs(pol[free])
+    return out
 
 
 def _wall_mask(g: GridWorld) -> np.ndarray:
@@ -274,25 +273,25 @@ def transition_kernel(g: GridWorld, cell: Cell, action: str) -> Distribution:
 def push_forward(g: GridWorld, d: Distribution, policy_or_action) -> Distribution:
     """Exact one-step evolution of a state distribution.
 
-    policy_or_action is an action name (applied everywhere) or a policy dict.
+    policy_or_action is an action name (applied everywhere) or a policy array.
     """
     flat = _dist_to_flat(g, d)[None, :]
     if isinstance(policy_or_action, str):
         pol = _action_matrix(policy_or_action)
     else:
-        pol = _policy_matrix(g, policy_or_action)
+        pol = _checked_policy(g, policy_or_action)
     return _flat_to_dist(g, _step_flat(g, _target_table(g), flat, pol)[0])
 
 
 def future_state_distribution(g: GridWorld, start: Distribution,
-                              first: str | None, follow: dict, k: int) -> Distribution:
+                              first: str | None, follow: np.ndarray, k: int) -> Distribution:
     """Exact law of the cell k steps ahead: optional first action, then the
     follow-on policy for the remaining k-1 steps."""
     if k < 1:
         raise ValueError("horizon must be >= 1 step")
     first_pol = None if first is None else _action_matrix(first)
     flat = _propagate(g, _target_table(g), _dist_to_flat(g, start)[None, :],
-                      first_pol, _policy_matrix(g, follow), k)
+                      first_pol, _checked_policy(g, follow), k)
     return _flat_to_dist(g, flat[0])
 
 
@@ -300,17 +299,17 @@ class GridWorldModel(SystemModel):
     """SystemModel adapter: events are actions taken at t0 from a start cell,
     the follow-on policy owns everything between t0 and T."""
 
-    def __init__(self, grid: GridWorld, start, follow: dict,
+    def __init__(self, grid: GridWorld, start, follow: np.ndarray,
                  actions: tuple = ACTIONS):
         self.grid = grid
         if isinstance(start, Distribution):
             self.start = start
         else:
             self.start = Distribution.point(tuple(start), grid.free_cells())
-        self.follow = follow
+        self.follow = _checked_policy(grid, follow)
         self.actions = _admissible_actions(actions)
         self._cum_start = cumulative(_dist_to_flat(grid, self.start))
-        self._follow_table = _sampling_table(grid, _policy_matrix(grid, follow))
+        self._follow_table = _sampling_table(grid, self.follow)
         # flat cell index -> position in free_cells(), the outcome order
         self._outcome_of = np.cumsum(~_wall_mask(grid)) - 1
 
@@ -336,7 +335,7 @@ class GridWorldModel(SystemModel):
         return self._outcome_of[idx]
 
 
-def exact_z_table(g: GridWorld, cells, follow: dict, k: int,
+def exact_z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
                   actions: tuple = ACTIONS) -> list[list[tuple[str, ZEstimate]]]:
     """Exact entropic potential of each admissible action at every cell of
     `cells`, each action scored against a uniform baseline over the others.
@@ -352,9 +351,8 @@ def exact_z_table(g: GridWorld, cells, follow: dict, k: int,
     events = [Event(a) for a in _admissible_actions(actions)]
     cells = [_checked_cell(g, c) for c in cells]
     targets = _target_table(g)
-    follow_pol = _policy_matrix(g, follow)
+    follow_pol = _checked_policy(g, follow)
     free = _free_index(g)
-    labels = tuple(g.free_cells())
     starts = np.repeat(np.array([g.index_of(c) for c in cells], dtype=np.int64), len(events))
     first_ids = np.array([ACTIONS.index(e.id) for e in events], dtype=np.int64)
     firsts = np.eye(4)[np.tile(first_ids, len(cells))][:, None, :]
@@ -365,7 +363,7 @@ def exact_z_table(g: GridWorld, cells, follow: dict, k: int,
         d = np.zeros((len(rows), g.n_cells))
         d[np.arange(len(rows)), rows] = 1.0
         d = _propagate(g, targets, d, firsts[lo:lo + chunk], follow_pol, k)
-        branches.extend((float(shannon_entropy(Distribution(labels, row))), 0.0)
+        branches.extend((_entropy_of_probs(normalized_probs(row)), 0.0)
                         for row in d[:, free])
     m = len(events)
     exact = EstimatorConfig(backend="exact")
@@ -374,7 +372,7 @@ def exact_z_table(g: GridWorld, cells, follow: dict, k: int,
             for i in range(len(cells))]
 
 
-def action_z_scores(g: GridWorld, cell: Cell, follow: dict, k: int,
+def action_z_scores(g: GridWorld, cell: Cell, follow: np.ndarray, k: int,
                     estimator: EstimatorConfig = EstimatorConfig(),
                     actions: tuple = ACTIONS) -> list[tuple[str, ZEstimate]]:
     """Entropic potential of each admissible action at `cell`, most beneficial

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy_core import Distribution
-from .mdp_sim import ACTIONS, GridWorld, _target_table, exact_z_table, uniform_policy
+from .mdp_sim import (ACTIONS, GridWorld, _checked_policy, _target_table, exact_z_table,
+                      uniform_policy)
 
 Z_POLICIES = ("current-greedy", "fixed-uniform")
 
@@ -70,13 +70,9 @@ def shaped_reward(r_env: float, z_value: float, beta: float) -> float:
     return r_env - beta * z_value
 
 
-def greedy_policy_from_q(g: GridWorld, q: np.ndarray) -> dict:
-    """Point-mass policy on the argmax action per cell (first max wins)."""
-    pol = {}
-    for c in g.free_cells():
-        a = int(np.argmax(q[g.index_of(c)]))
-        pol[c] = Distribution.point(ACTIONS[a], ACTIONS)
-    return pol
+def greedy_policy_from_q(q: np.ndarray) -> np.ndarray:
+    """Point-mass policy on the argmax action of each Q row (first max wins)."""
+    return np.eye(4)[np.argmax(q, axis=1)]
 
 
 def _z_table(g: GridWorld, q: list, shaping: ShapingConfig) -> tuple[dict, list]:
@@ -84,7 +80,7 @@ def _z_table(g: GridWorld, q: list, shaping: ShapingConfig) -> tuple[dict, list]
     as the snapshot dict keyed by (cell, action name) and as zt[s][a] by flat
     cell index and action index (0.0 on walls)."""
     if shaping.z_policy == "current-greedy":
-        follow = greedy_policy_from_q(g, np.array(q))
+        follow = greedy_policy_from_q(np.array(q))
     else:
         follow = uniform_policy(g)
     cells = g.free_cells()
@@ -181,13 +177,14 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
                        final_policy, final_q, snapshots)
 
 
-def evaluate_policy(g: GridWorld, policy: dict, n_episodes: int, max_steps: int,
+def evaluate_policy(g: GridWorld, policy: np.ndarray, n_episodes: int, max_steps: int,
                     seed: int) -> tuple[float, float]:
     """Seeded rollout statistics (mean return, mean steps) for a fixed policy.
 
     Episodes use independent child streams keyed by episode index, so the
     statistics do not depend on evaluation order.
     """
+    cum = np.cumsum(_checked_policy(g, policy), axis=1)
     goal = g.goal
     total_return = 0.0
     total_steps = 0
@@ -196,16 +193,9 @@ def evaluate_policy(g: GridWorld, policy: dict, n_episodes: int, max_steps: int,
         c = g.start
         steps = 0
         while steps < max_steps and c != goal:
-            dist = policy[c]
-            u = rng.random()
-            acc = 0.0
-            action = dist.outcomes[-1]
-            for label, p in zip(dist.outcomes, dist.probs):
-                acc += p
-                if u < acc:
-                    action = label
-                    break
-            c = g.move_target(c, action) if rng.random() < 1.0 - g.slip else c
+            # the first action whose cumulative probability exceeds u, else the last
+            a = min(int(np.searchsorted(cum[g.index_of(c)], rng.random(), side="right")), 3)
+            c = g.move_target(c, ACTIONS[a]) if rng.random() < 1.0 - g.slip else c
             steps += 1
         total_return += 1.0 if c == goal else 0.0
         total_steps += steps

@@ -211,6 +211,39 @@ def vanilla_q_learning(width, height, walls, start, goal, slip, episodes,
     return returns, steps, q
 
 
+def evaluate_policy_loop(g, policy, n_episodes, max_steps, seed):
+    """Seeded rollout statistics (mean return, mean steps) of a dict policy
+    {cell: [(action, p), ...]}: the action is found by a running sum over the
+    pairs, the last one if u reaches every partial sum. Each episode draws
+    from its own child stream."""
+    import numpy as np
+
+    goal = g.goal
+    total_return = 0.0
+    total_steps = 0
+    for ep in range(n_episodes):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ep,)))
+        c = g.start
+        steps = 0
+        while steps < max_steps and c != goal:
+            pairs = policy[c]
+            u = rng.random()
+            acc = 0.0
+            action = pairs[-1][0]
+            for label, p in pairs:
+                acc += p
+                if u < acc:
+                    action = label
+                    break
+            c = g.move_target(c, action) if rng.random() < 1.0 - g.slip else c
+            steps += 1
+        total_return += 1.0 if c == goal else 0.0
+        total_steps += steps
+    if n_episodes == 0:
+        return 0.0, 0.0
+    return total_return / n_episodes, total_steps / n_episodes
+
+
 def make_regime_shift_stream(seed, n_pre=500, n_post=100):
     """Values uniform over bins {0,1} (of a 4-bin unit-width layout), then
     shifting to bins {2,3} at index n_pre."""

@@ -16,7 +16,6 @@ from zentropy.markov import MarkovChainModel
 from zentropy.mdp_sim import (
     GridWorld,
     _action_matrix,
-    _policy_matrix,
     _sampling_table,
     uniform_policy,
 )
@@ -37,7 +36,7 @@ def grid_tables(size):
     g = GridWorld(size, size, goal=(0, size - 1), start=(0, 0), slip=0.2,
                   walls={(1, 0), (size // 2, size // 2)})
     first = _sampling_table(g, _action_matrix("right"))
-    rest = _sampling_table(g, _policy_matrix(g, uniform_policy(g)))
+    rest = _sampling_table(g, uniform_policy(g))
     start = np.zeros(g.n_cells)
     start[[g.index_of(c) for c in g.free_cells()]] = 1.0 / len(g.free_cells())
     return cumulative(start), first, rest

@@ -125,10 +125,37 @@ class TestPushForward:
 
     def test_policy_must_cover_cells(self):
         g = corridor_world(3, 0.0)
-        partial = {(0, 0): Distribution.point("right", ACTIONS)}
         d = Distribution.point((0, 0), g.free_cells())
-        with pytest.raises(InvalidDistributionError):
-            push_forward(g, d, partial)
+        for partial in (uniform_policy(g)[:2], uniform_policy(g)[:, :3],
+                        {(0, 0): Distribution.point("right", ACTIONS)}):
+            with pytest.raises(InvalidDistributionError, match="shape"):
+                push_forward(g, d, partial)
+
+    @pytest.mark.parametrize("row, message", [
+        ([np.nan, 0.0, 0.0, 1.0], "finite"),
+        ([np.inf, 0.0, 0.0, 0.0], "finite"),
+        ([-0.25, 0.25, 0.5, 0.5], ">= 0"),
+        ([0.25, 0.25, 0.25, 0.2], "sum to"),
+    ])
+    def test_policy_rows_must_be_distributions(self, row, message):
+        g = GridWorld(3, 2, goal=(2, 1), start=(0, 0), walls={(1, 1)})
+        start = Distribution.point((0, 0), g.free_cells())
+        pol = uniform_policy(g)
+        pol[g.index_of((2, 0))] = row
+        for use in (lambda: push_forward(g, start, pol),
+                    lambda: future_state_distribution(g, start, "up", pol, 2),
+                    lambda: GridWorldModel(g, (0, 0), pol),
+                    lambda: exact_z_table(g, [(0, 0)], pol, 2),
+                    lambda: action_z_scores(g, (0, 0), pol, 2, EXACT)):
+            with pytest.raises(InvalidDistributionError, match=message):
+                use()
+
+    def test_policy_wall_rows_are_ignored(self):
+        g = GridWorld(3, 2, goal=(2, 1), start=(0, 0), slip=0.2, walls={(1, 1)})
+        pol = uniform_policy(g)
+        pol[g.index_of((1, 1))] = (np.nan, -1.0, 7.0, 0.0)
+        assert exact_z_table(g, g.free_cells(), pol, 3) == \
+            exact_z_table(g, g.free_cells(), uniform_policy(g), 3)
 
 
 class TestFutureStateDistribution:
@@ -301,15 +328,13 @@ class TestExactZTable:
     def test_branches_match_the_per_branch_loop(self, world):
         g, policy, actions, k = world
         free = g.free_cells()
-        follow = np.array([[policy[c].prob_of(a) if c in policy else 0.0 for a in ACTIONS]
-                           for c in map(g.cell_of, range(g.n_cells))])
         for cell in free:
             for first in actions:
                 d = np.zeros(g.n_cells)
                 d[g.index_of(cell)] = 1.0
                 d = loop_step(g, d, np.tile(np.eye(4)[ACTIONS.index(first)], (g.n_cells, 1)))
                 for _ in range(k - 1):
-                    d = loop_step(g, d, follow)
+                    d = loop_step(g, d, policy)
                 want = Distribution(free, [d[g.index_of(c)] for c in free])
                 got = future_state_distribution(g, Distribution.point(cell, free),
                                                 first, policy, k)
@@ -368,7 +393,7 @@ class TestSamplingTable:
         laws["uniform"] = lambda c: push_forward(g, Distribution.point(c, free),
                                                  uniform_policy(g))
         pols = {a: mdp_sim._action_matrix(a) for a in ACTIONS}
-        pols["uniform"] = mdp_sim._policy_matrix(g, uniform_policy(g))
+        pols["uniform"] = uniform_policy(g)
         for name, law in laws.items():
             succ, cum = mdp_sim._sampling_table(g, pols[name])
             assert succ.shape == cum.shape == (g.n_cells, 5)

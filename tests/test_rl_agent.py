@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zentropy.entropic_potential import EstimatorConfig
-from zentropy.entropy_core import Distribution
+from zentropy.entropy_core import normalized_probs
 from zentropy.mdp_sim import (
     ACTIONS,
     GridWorld,
@@ -25,7 +25,12 @@ from zentropy.rl_agent import (
     train,
 )
 
-from oracles import shaped_q_learning, value_iteration_actions, vanilla_q_learning
+from oracles import (
+    evaluate_policy_loop,
+    shaped_q_learning,
+    value_iteration_actions,
+    vanilla_q_learning,
+)
 
 
 class TestShapedReward:
@@ -191,8 +196,7 @@ def test_shaped_training_matches_array_reference(run):
 
     def z_table(q):
         if shaping.z_policy == "current-greedy":
-            follow = {c: Distribution.point(ACTIONS[int(np.argmax(q[g.index_of(c)]))], ACTIONS)
-                      for c in g.free_cells()}
+            follow = np.array([np.eye(4)[int(np.argmax(row))] for row in q])
         else:
             follow = uniform_policy(g)
         cells = g.free_cells()
@@ -237,12 +241,31 @@ class TestEvaluatePolicy:
         g = corridor_world(3, 0.0)
         assert evaluate_policy(g, uniform_policy(g), 0, 10, seed=0) == (0.0, 0.0)
 
+    @given(st.data())
+    def test_equals_the_running_sum_loop(self, data):
+        width, height = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        cells = [(x, y) for y in range(height) for x in range(width)]
+        goal, start = data.draw(st.sampled_from(cells)), data.draw(st.sampled_from(cells))
+        walls = data.draw(st.sets(st.sampled_from(cells))) - {goal, start}
+        g = GridWorld(width, height, goal=goal, start=start, walls=walls,
+                      slip=data.draw(st.sampled_from([0.0, 0.1, 0.5])))
+        # zeros, ties, and rows whose float sum misses 1 (renormalised once)
+        weights = st.sampled_from([0.0, 0.0, 0.1, 1.0 / 3.0, 0.5, 0.7, 1.0])
+        raw = np.array([data.draw(st.lists(weights, min_size=4, max_size=4)
+                                  .filter(lambda r: sum(r) > 0)) for _ in cells])
+        pol = raw / raw.sum(axis=1, keepdims=True)
+        rows = normalized_probs(pol)
+        pairs = {c: list(zip(ACTIONS, rows[g.index_of(c)].tolist())) for c in cells}
+        args = (data.draw(st.integers(0, 12)), data.draw(st.integers(1, 30)),
+                data.draw(st.integers(0, 2**32 - 1)))
+        assert evaluate_policy(g, pol, *args) == evaluate_policy_loop(g, pairs, *args)
+
 
 def test_greedy_policy_from_q_breaks_ties_by_action_order():
-    g = corridor_world(3, 0.0)
-    q = np.zeros((g.n_cells, 4))
-    pol = greedy_policy_from_q(g, q)
-    assert pol[(0, 0)].prob_of("up") == 1.0  # first action in canonical order
-    q[g.index_of((0, 0)), ACTIONS.index("right")] = 1.0
-    pol = greedy_policy_from_q(g, q)
-    assert pol[(0, 0)].prob_of("right") == 1.0
+    q = np.zeros((3, 4))
+    q[1, ACTIONS.index("right")] = 1.0
+    q[2, [ACTIONS.index("left"), ACTIONS.index("right")]] = 2.0
+    # one point mass per row, on the first maximum in ACTIONS order
+    assert np.array_equal(greedy_policy_from_q(q), [[1.0, 0.0, 0.0, 0.0],   # all tied: up
+                                                    [0.0, 0.0, 0.0, 1.0],   # right
+                                                    [0.0, 0.0, 1.0, 0.0]])  # left ties right
