@@ -27,7 +27,7 @@ import numpy as np
 
 from . import anomaly_detect, bayes_infer, mdp_sim, rl_agent
 from .entropic_potential import EstimatorConfig, Horizon, ZEstimate, classify_event
-from .errors import ConfigError, MissingRunError, ZentropyError
+from .errors import CellIsWallError, ConfigError, MissingRunError, ZentropyError
 
 META_NAME = "run_meta.json"
 
@@ -67,9 +67,13 @@ def write_csv(path: Path, header: list, rows: list, config_hash: str) -> None:
 def write_json(path: Path, obj: dict, config_hash: str) -> None:
     obj = dict(obj)
     obj["config_hash"] = config_hash
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(_round_floats(obj), f, sort_keys=True, indent=2)
-        f.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(_round_floats(obj), f, sort_keys=True, indent=2, allow_nan=False)
+            f.write("\n")
+    except ValueError as e:  # a non-finite float; no partial file is left behind
+        path.unlink()
+        raise ZentropyError(f"non-finite number in {path.name}: {e}") from e
 
 
 def config_hash_of(config: dict) -> str:
@@ -79,10 +83,35 @@ def config_hash_of(config: dict) -> str:
 
 # -- config parsing -----------------------------------------------------------
 
+class _NonFinite(str):
+    """A NaN/Infinity/-Infinity token, or a literal such as 1e999 that
+    overflows a float, held until its key is known."""
+
+
+def _finite_float(token: str):
+    x = float(token)
+    return x if math.isfinite(x) else _NonFinite(token)
+
+
+def _non_finite_in(value):
+    if isinstance(value, list):
+        return next((t for t in map(_non_finite_in, value) if t is not None), None)
+    return value if isinstance(value, _NonFinite) else None
+
+
+def _finite_object(pairs: list) -> dict:
+    for key, value in pairs:
+        token = _non_finite_in(value)
+        if token is not None:
+            raise ConfigError(f"{key} must be finite, got {token!r}")
+    return dict(pairs)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            return json.load(f, parse_constant=_NonFinite, parse_float=_finite_float,
+                             object_pairs_hook=_finite_object)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
@@ -95,22 +124,40 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int(block: dict, key: str, where: str, default=None) -> int:
+    """An integer field, written as a JSON integer (5.0 or true is refused)."""
+    value = _require(block, key, where) if default is None else block.get(key, default)
+    if not _is_int(value):
+        raise ConfigError(f"{key} in {where} block must be an integer, got {value!r}")
+    return value
+
+
+def _cell(value, what: str) -> tuple:
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))):
+        raise ConfigError(f"{what} must be a pair of integers, got {value!r}")
+    return tuple(value)
+
+
 def _parse_grid(block: dict) -> mdp_sim.GridWorld:
+    width, height = _int(block, "width", "grid"), _int(block, "height", "grid")
+    goal = _cell(_require(block, "goal", "grid"), "grid goal")
+    start = _cell(_require(block, "start", "grid"), "grid start")
+    walls = frozenset(_cell(w, "grid wall") for w in block.get("walls", []))
     try:
-        return mdp_sim.GridWorld(
-            width=int(_require(block, "width", "grid")),
-            height=int(_require(block, "height", "grid")),
-            goal=tuple(_require(block, "goal", "grid")),
-            start=tuple(_require(block, "start", "grid")),
-            slip=float(block.get("slip", 0.0)),
-            walls=frozenset(tuple(w) for w in block.get("walls", [])),
-        )
+        return mdp_sim.GridWorld(width=width, height=height, goal=goal, start=start,
+                                 slip=float(block.get("slip", 0.0)), walls=walls)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"bad grid block: {e}") from e
 
 
-def _parse_policy(g: mdp_sim.GridWorld, spec) -> dict:
+def _parse_policy(g: mdp_sim.GridWorld, spec) -> np.ndarray:
     spec = spec or {"kind": "uniform"}
+    if not isinstance(spec, dict):
+        raise ConfigError(f"follow_policy must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "uniform":
         return mdp_sim.uniform_policy(g)
@@ -131,29 +178,47 @@ def _parse_estimator(config: dict, seed: int) -> EstimatorConfig:
         raise ConfigError(f"bad estimator block: {e}") from e
 
 
+def _parse_cells(g: mdp_sim.GridWorld, spec) -> list:
+    if spec == "all":
+        return g.free_cells()
+    try:
+        return [mdp_sim._checked_cell(g, _cell(c, "grid cells entry")) for c in spec]
+    except (CellIsWallError, ValueError) as e:
+        raise ConfigError(f"bad grid cells entry: {e}") from e
+
+
+def _parse_actions(spec) -> tuple:
+    """Unknown names are left to mdp_sim, which rejects them."""
+    if not isinstance(spec, list) or len(set(spec)) != len(spec) or len(spec) < 2:
+        raise ConfigError(f"grid actions must be a list of at least two distinct actions, "
+                          f"got {spec!r}")
+    return tuple(spec)
+
+
 def _attribution_row(event: str, description: str, z, tol: float) -> list:
     label = classify_event(z, tol).label
     return [event, description, z.horizon.t0, z.horizon.t,
             z.value, z.std_error, z.method, label]
 
 
+def _write_attribution(out: Path, rows: list, chash: str) -> None:
+    """attribution.csv, most beneficial (lowest Z) first, ties by event."""
+    rows = sorted(rows, key=lambda r: (r[4], r[0]))
+    write_csv(out / "attribution.csv", ATTRIBUTION_HEADER, rows, chash)
+
+
 # -- subcommands --------------------------------------------------------------
 
-def cmd_gridworld(config: dict, out: Path, chash: str) -> None:
+def cmd_gridworld(config: dict, out: Path, chash: str, tol: float) -> None:
     block = config.get("grid")
     if block is None:
         raise ConfigError("gridworld needs a 'grid' block")
     g = _parse_grid(block)
     follow = _parse_policy(g, block.get("follow_policy"))
-    actions = tuple(block.get("actions", mdp_sim.ACTIONS))
-    k = int(block.get("horizon_k", 2))
-    cells = block.get("cells", "all")
-    if cells == "all":
-        cells = g.free_cells()
-    else:
-        cells = [tuple(c) for c in cells]
-    est = _parse_estimator(config, int(config["seed"]))
-    tol = float(config.get("neutral_tol", 0.01))
+    actions = _parse_actions(block.get("actions", list(mdp_sim.ACTIONS)))
+    k = _int(block, "horizon_k", "grid", 2)
+    cells = _parse_cells(g, block.get("cells", "all"))
+    est = _parse_estimator(config, config["seed"])
 
     if est.backend == "exact":
         tables = mdp_sim.exact_z_table(g, cells, follow, k, actions)
@@ -167,16 +232,15 @@ def cmd_gridworld(config: dict, out: Path, chash: str) -> None:
             attribution.append(_attribution_row(
                 f"{action}@{cell[0]},{cell[1]}",
                 f"action {action} at cell ({cell[0]}, {cell[1]})", z, tol))
-    attribution.sort(key=lambda r: (r[4], r[0]))
     write_csv(out / "z_table.csv",
               ["cell_x", "cell_y", "action", "z_bits", "std_error", "method"],
               z_rows, chash)
-    write_csv(out / "attribution.csv", ATTRIBUTION_HEADER, attribution, chash)
+    _write_attribution(out, attribution, chash)
     _write_meta(out, "gridworld", config, chash,
                 ["z_table.csv", "attribution.csv"])
 
 
-def cmd_train(config: dict, out: Path, chash: str) -> None:
+def cmd_train(config: dict, out: Path, chash: str, tol: float) -> None:
     block = config.get("shaping")
     if block is None:
         raise ConfigError("train needs a 'shaping' block")
@@ -184,20 +248,20 @@ def cmd_train(config: dict, out: Path, chash: str) -> None:
     try:
         shaping = rl_agent.ShapingConfig(
             beta=float(block.get("beta", 0.0)),
-            horizon_k=int(block.get("horizon_k", 8)),
-            recompute_every=int(block.get("recompute_every", 100)),
+            horizon_k=_int(block, "horizon_k", "shaping", 8),
+            recompute_every=_int(block, "recompute_every", "shaping", 100),
             z_policy=block.get("z_policy", "current-greedy"),
         )
     except ValueError as e:
         raise ConfigError(f"bad shaping block: {e}") from e
     result = rl_agent.train(
         g, shaping,
-        episodes=int(_require(block, "episodes", "shaping")),
-        max_steps=int(block.get("max_steps", 200)),
+        episodes=_int(block, "episodes", "shaping"),
+        max_steps=_int(block, "max_steps", "shaping", 200),
         epsilon=float(block.get("epsilon", 0.1)),
         alpha=float(block.get("alpha", 0.2)),
         gamma=float(block.get("gamma", 0.95)),
-        seed=int(config["seed"]),
+        seed=config["seed"],
     )
     rows = [[ep, r, s, m] for ep, (r, s, m) in enumerate(
         zip(result.episode_returns, result.steps_to_goal, result.mean_intrinsic))]
@@ -217,11 +281,10 @@ def cmd_train(config: dict, out: Path, chash: str) -> None:
         "final_q": {key(c, a): v for (c, a), v in sorted(result.final_q.items())},
         "z_snapshots": [{"episode": ep, "table": {key(c, a): v for (c, a), v in sorted(t.items())}}
                         for ep, t in result.z_snapshots],
-        "seed": int(config["seed"]),
+        "seed": config["seed"],
     }
     write_json(out / "train_result.json", record, chash)
 
-    tol = float(config.get("neutral_tol", 0.01))
     attribution = []
     if result.z_snapshots:
         ep, table = result.z_snapshots[-1]
@@ -231,13 +294,12 @@ def cmd_train(config: dict, out: Path, chash: str) -> None:
                           event=f"{action}@{key(cell)}", baseline="vs-rest")
             attribution.append(_attribution_row(
                 z.event, f"action {action} at cell ({cell[0]}, {cell[1]})", z, tol))
-        attribution.sort(key=lambda r: (r[4], r[0]))
-    write_csv(out / "attribution.csv", ATTRIBUTION_HEADER, attribution, chash)
+    _write_attribution(out, attribution, chash)
     _write_meta(out, "train", config, chash,
                 ["train_result.csv", "train_result.json", "attribution.csv"])
 
 
-def cmd_bayes(config: dict, out: Path, chash: str) -> None:
+def cmd_bayes(config: dict, out: Path, chash: str, tol: float) -> None:
     block = config.get("bayes")
     if block is None:
         raise ConfigError("bayes needs a 'bayes' block")
@@ -261,7 +323,6 @@ def cmd_bayes(config: dict, out: Path, chash: str) -> None:
         queries.append(bayes_infer.QueryCandidate(
             id=str(_require(qspec, "id", "query")),
             model=bayes_infer.BernoulliFlip(noise=float(qspec.get("noise", 1.0)))))
-    tol = float(config.get("neutral_tol", 0.01))
 
     q_rows = []
     if queries:
@@ -283,8 +344,7 @@ def cmd_bayes(config: dict, out: Path, chash: str) -> None:
         attribution.append(_attribution_row(
             z.event, f"observed {outcome} (update {i})", z, tol))
         current = bayes_infer.posterior_update(current, data_model, outcome)
-    attribution.sort(key=lambda r: (r[4], r[0]))
-    write_csv(out / "attribution.csv", ATTRIBUTION_HEADER, attribution, chash)
+    _write_attribution(out, attribution, chash)
     _write_meta(out, "bayes", config, chash, ["queries.csv", "attribution.csv"])
 
 
@@ -312,7 +372,8 @@ def _read_stream(path: str | None) -> list:
     return values
 
 
-def cmd_anomaly(config: dict, out: Path, chash: str, input_path: str | None) -> None:
+def cmd_anomaly(config: dict, out: Path, chash: str, tol: float,
+                input_path: str | None) -> None:
     block = config.get("anomaly")
     if block is None:
         raise ConfigError("anomaly needs an 'anomaly' block")
@@ -330,7 +391,6 @@ def cmd_anomaly(config: dict, out: Path, chash: str, input_path: str | None) -> 
         raise ConfigError(f"bad anomaly block: {e}") from e
     values = _read_stream(input_path)
     scores = anomaly_detect.replay(values, cfg)
-    tol = float(config.get("neutral_tol", 0.01))
 
     rows = []
     attribution = []
@@ -343,11 +403,10 @@ def cmd_anomaly(config: dict, out: Path, chash: str, input_path: str | None) -> 
                 first_flag = s.index
             attribution.append(_attribution_row(
                 s.z.event, f"flagged value {fmt(v)}", s.z, tol))
-    attribution.sort(key=lambda r: (r[4], r[0]))
     write_csv(out / "scores.csv",
               ["index", "value", "bin", "z_bits", "rolling_mean", "rolling_std", "flagged"],
               rows, chash)
-    write_csv(out / "attribution.csv", ATTRIBUTION_HEADER, attribution, chash)
+    _write_attribution(out, attribution, chash)
     write_json(out / "summary.json", {
         "n_events": len(values),
         "flag_count": sum(1 for s in scores if s.flagged),
@@ -398,7 +457,7 @@ def _write_meta(out: Path, subcommand: str, config: dict, chash: str,
                 outputs: list) -> None:
     write_json(out / META_NAME, {
         "subcommand": subcommand,
-        "seed": int(config["seed"]),
+        "seed": config["seed"],
         "outputs": outputs,
         "config": config,
     }, chash)
@@ -437,23 +496,27 @@ def main(argv=None) -> int:
             config["seed"] = int(args.seed)
         if "seed" not in config:
             raise ConfigError("config must carry a seed (or pass --seed)")
+        if not _is_int(config["seed"]):
+            raise ConfigError(f"seed must be an integer: {config['seed']!r}")
         try:
-            config["seed"] = int(config["seed"])
+            tol = float(config.get("neutral_tol", 0.01))
         except (ValueError, TypeError) as e:
-            raise ConfigError(f"seed must be an integer: {config['seed']!r}") from e
+            raise ConfigError(f"neutral_tol must be a number: {e}") from e
+        if tol < 0:
+            raise ConfigError(f"neutral_tol must be >= 0, got {tol!r}")
         out = os.environ.get("ZENTROPY_OUT") or args.out or config.get("out") \
             or f"runs/{args.subcommand}"
         out_path = Path(out)
         out_path.mkdir(parents=True, exist_ok=True)
         chash = config_hash_of(config)
         if args.subcommand == "gridworld":
-            cmd_gridworld(config, out_path, chash)
+            cmd_gridworld(config, out_path, chash, tol)
         elif args.subcommand == "train":
-            cmd_train(config, out_path, chash)
+            cmd_train(config, out_path, chash, tol)
         elif args.subcommand == "bayes":
-            cmd_bayes(config, out_path, chash)
+            cmd_bayes(config, out_path, chash, tol)
         elif args.subcommand == "anomaly":
-            cmd_anomaly(config, out_path, chash, args.input)
+            cmd_anomaly(config, out_path, chash, tol, args.input)
         return 0
     except ConfigError as e:
         print(f"zentropy: config error: {e}", file=sys.stderr)

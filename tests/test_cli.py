@@ -1,12 +1,14 @@
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zentropy import cli
+from zentropy import cli, rl_agent
+from zentropy.errors import ZentropyError
 
 from oracles import make_regime_shift_stream
 
@@ -102,6 +104,140 @@ class TestGridworld:
                         "--out", out]) == 0
         for name in ("z_table.csv", "attribution.csv", "run_meta.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    WALLED = {"seed": 5, "neutral_tol": 0.01, "estimator": {"backend": "exact"},
+              "grid": {"width": 6, "height": 5, "goal": [5, 4], "start": [0, 0],
+                       "walls": [[2, 1], [2, 2], [2, 3], [4, 0], [4, 4]], "slip": 0.15,
+                       "follow_policy": {"kind": "uniform"}, "horizon_k": 6,
+                       "cells": "all"}}
+    WALLED_MC = dict(WALLED, estimator={"backend": "mc", "n_samples": 2000,
+                                        "bootstrap_resamples": 50},
+                     grid=dict(WALLED["grid"], cells=[[0, 0], [3, 2], [1, 4]]))
+
+    @pytest.mark.parametrize("config, golden", [
+        ("corridor.json", {
+            "z_table.csv": "42bd030349ba5684ce67452375ae78bacb8604f8576442f3d2babfa2361601d8",
+            "attribution.csv": "3e4ab27ff92638ff73a1327f1077bbf973634483b3e7dd52944dbaada571092e",
+            "run_meta.json": "d54732494e09527a21c620ba3d60ea58d52028af9bed8a7279b76815f08ef712",
+        }),
+        (WALLED, {
+            "z_table.csv": "85f831a14ab73ac48c85b3bca2c378da7dffb9015429667b6454e8f2c010a1fb",
+            "attribution.csv": "cf1c0bdd14ee67ca921a68e6f5bc7edd67d0747b7da19d7075bce45e00bc658d",
+            "run_meta.json": "531850eadfe3b12c73b851132e85443acd2fff05de92eff65e9f5c21a3c08821",
+        }),
+        (WALLED_MC, {
+            "z_table.csv": "8f101e5d180af18b245cfb119410873230df94b32ca03fcc4fb710b6b9d15b8c",
+            "attribution.csv": "5ba3cfde118dddeede11dac9e349f220de538d08724875e353dc80863706ba08",
+            "run_meta.json": "c5440b3a7451ba0e21bb1bf09df2e276dae9a3a917800d5de53ceb317991e256",
+        }),
+    ], ids=["corridor", "walled-exact", "walled-mc"])
+    def test_outputs_match_golden_hashes(self, tmp_path, config, golden):
+        # sha256 of the outputs as written when policies were dicts of
+        # Distributions; the (n_cells, 4) array policies must keep every byte
+        path = CONFIGS / config if isinstance(config, str) else write_config(tmp_path, config)
+        out = tmp_path / "run"
+        assert run(["gridworld", "--config", path, "--out", out]) == 0
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def config_text(preset, path, token):
+    """A preset's JSON with the value at `path` replaced by a raw token."""
+    cfg = json.loads(read(CONFIGS / preset))
+    block = cfg
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = "@TOKEN@"
+    return json.dumps(cfg).replace('"@TOKEN@"', token)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("preset, path, token, named", [
+        ("anomaly.json", ("anomaly", "kappa"), "NaN", "NaN"),
+        ("anomaly.json", ("anomaly", "smoothing"), "Infinity", "Infinity"),
+        ("anomaly.json", ("anomaly", "range"), "[0, Infinity]", "Infinity"),
+        ("corridor.json", ("neutral_tol",), "NaN", "NaN"),
+        ("corridor.json", ("grid", "slip"), "-Infinity", "-Infinity"),
+        ("corridor.json", ("grid", "slip"), "1e999", "1e999"),
+    ])
+    def test_non_finite_number_exits_2_naming_the_token(self, tmp_path, capsys,
+                                                        preset, path, token, named):
+        # json reads these as nan/inf, which used to run to exit 0 and put
+        # NaN into run_meta.json (and, for smoothing, into scores.csv)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(config_text(preset, path, token), encoding="utf-8")
+        stream = tmp_path / "stream.txt"
+        stream.write_text("1.0\n2.0\n", encoding="utf-8")
+        sub = "anomaly" if preset == "anomaly.json" else "gridworld"
+        out = tmp_path / "o"
+        assert run([sub, "--config", cfg, "--input", stream, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(named) in err
+        assert not out.exists()
+
+    def test_write_json_refuses_non_finite_numbers(self, tmp_path):
+        path = tmp_path / "x.json"
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ZentropyError, match="non-finite"):
+                cli.write_json(path, {"v": [1.0, bad]}, "abc")
+            assert not path.exists()
+
+    def test_non_finite_result_exits_1(self, tmp_path, monkeypatch, capsys):
+        def nan_train(*args, **kwargs):
+            return rl_agent.TrainResult([], [], [], [], {}, {((0, 0), "up"): math.nan}, [])
+        monkeypatch.setattr(rl_agent, "train", nan_train)
+        out = tmp_path / "o"
+        assert run(["train", "--config", CONFIGS / "train_corridor.json", "--out", out]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "train_result.json").exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        ({"width": 5.7}, "width"),
+        ({"horizon_k": 2.0}, "horizon_k"),
+        ({"goal": [4.0, 0]}, "goal"),
+        ({"walls": [[2, 0]], "cells": [[2, 0]]}, "wall"),
+        ({"cells": [[3, 0], [5, 0]]}, "(5, 0)"),
+        ({"cells": [[3, True]]}, "cells"),
+        ({"actions": ["left", "left"]}, "actions"),
+        ({"actions": ["right"]}, "actions"),
+        ({"actions": ["left", "jump"]}, "jump"),
+        ({"follow_policy": "uniform"}, "follow_policy"),
+    ])
+    def test_malformed_grid_exits_2(self, tmp_path, capsys, edit, named):
+        cfg = json.loads(read(CONFIGS / "corridor.json"))
+        cfg["grid"].update(edit)
+        assert run(["gridworld", "--config", write_config(tmp_path, cfg),
+                    "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("episodes", 5.5), ("max_steps", 20.0), ("recompute_every", 1.5),
+        ("horizon_k", True)])
+    def test_non_integer_shaping_field_exits_2(self, tmp_path, capsys, key, value):
+        cfg = json.loads(read(CONFIGS / "train_corridor.json"))
+        cfg["shaping"][key] = value
+        assert run(["train", "--config", write_config(tmp_path, cfg),
+                    "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
+    @pytest.mark.parametrize("tol", ["abc", -0.5])
+    def test_neutral_tol_must_be_a_non_negative_number(self, tmp_path, capsys, tol):
+        cfg = json.loads(read(CONFIGS / "bayes11.json"))
+        cfg["neutral_tol"] = tol
+        out = tmp_path / "o"
+        assert run(["bayes", "--config", write_config(tmp_path, cfg), "--out", out]) == 2
+        assert "neutral_tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [1.9, "7", True])
+    def test_seed_must_be_an_integer(self, tmp_path, capsys, seed):
+        cfg = json.loads(read(CONFIGS / "corridor.json"))
+        cfg["seed"] = seed
+        assert run(["gridworld", "--config", write_config(tmp_path, cfg),
+                    "--out", tmp_path / "o"]) == 2
+        assert "seed" in capsys.readouterr().err
 
 
 class TestTrain:
