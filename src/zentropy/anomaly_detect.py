@@ -26,6 +26,10 @@ from .entropy_core import Distribution
 
 _STATE_FIELDS = 5  # win_len, win_pos, z_len, z_pos, n_seen
 
+# size caps: the stream kernel's work per event grows with window * bins
+MAX_WINDOW = 1024
+MAX_BINS = 256
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -38,10 +42,10 @@ class DetectorConfig:
     smoothing: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.window < 8:
-            raise ValueError("window must be >= 8")
-        if self.bins < 2:
-            raise ValueError("need at least 2 bins")
+        if not 8 <= self.window <= MAX_WINDOW:
+            raise ValueError(f"window must be in 8..{MAX_WINDOW}, got {self.window}")
+        if not 2 <= self.bins <= MAX_BINS:
+            raise ValueError(f"bins must be in 2..{MAX_BINS}, got {self.bins}")
         if not self.hi > self.lo:
             raise ValueError("range must satisfy hi > lo")
         if self.kappa <= 0:

@@ -25,6 +25,19 @@ from .errors import InvalidDistributionError, ZeroEvidenceError
 HEADS = "heads"
 TAILS = "tails"
 
+MAX_GRID_POINTS = 10_000  # every update and mutual_information walks each point
+
+
+def _check_grid_size(n_points: int) -> None:
+    if not 1 <= n_points <= MAX_GRID_POINTS:
+        raise ValueError(f"grid_points must be in 1..{MAX_GRID_POINTS}, got {n_points}")
+
+
+def even_grid(n_points: int) -> np.ndarray:
+    """n_points evenly spaced parameter values on [0, 1], size checked first."""
+    _check_grid_size(n_points)
+    return np.linspace(0.0, 1.0, n_points)
+
 
 @dataclass(frozen=True)
 class GridPosterior:
@@ -45,12 +58,15 @@ class GridPosterior:
 
     @classmethod
     def uniform(cls, n_points: int = 101) -> "GridPosterior":
-        grid = np.linspace(0.0, 1.0, n_points)
-        return cls(tuple(grid), Distribution.uniform(tuple(grid)))
+        return cls.with_weights(even_grid(n_points))
 
     @classmethod
-    def with_weights(cls, grid, weights) -> "GridPosterior":
+    def with_weights(cls, grid, weights=None) -> "GridPosterior":
+        """Belief `weights` over `grid`, uniform when weights is None."""
+        _check_grid_size(len(grid))
         grid = tuple(float(t) for t in grid)
+        if weights is None:
+            weights = np.full(len(grid), 1.0 / len(grid))
         return cls(grid, Distribution(grid, weights))
 
     def entropy(self) -> EntropyBits:

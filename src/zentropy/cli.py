@@ -10,6 +10,8 @@ significant digits, and no timestamps are written: identical config + seed
 gives identical bytes.
 
 Exit codes: 0 success, 1 runtime invariant violation, 2 config/input error.
+Each subcommand parses its whole block and computes before it writes, and
+the writers create the output directory, so a config error writes nothing.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import anomaly_detect, bayes_infer, mdp_sim, rl_agent
 from .entropic_potential import EstimatorConfig, Horizon, ZEstimate, classify_event
-from .errors import CellIsWallError, ConfigError, MissingRunError, ZentropyError
+from .errors import (CellIsWallError, ConfigError, InvalidDistributionError, MissingRunError,
+                     ZentropyError)
 
 META_NAME = "run_meta.json"
 
@@ -56,6 +57,7 @@ def _round_floats(obj):
 
 
 def write_csv(path: Path, header: list, rows: list, config_hash: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(f"# config_hash={config_hash}\n")
         w = csv.writer(f, lineterminator="\n")
@@ -67,6 +69,7 @@ def write_csv(path: Path, header: list, rows: list, config_hash: str) -> None:
 def write_json(path: Path, obj: dict, config_hash: str) -> None:
     obj = dict(obj)
     obj["config_hash"] = config_hash
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(path, "w", encoding="utf-8") as f:
             json.dump(_round_floats(obj), f, sort_keys=True, indent=2, allow_nan=False)
@@ -88,9 +91,10 @@ class _NonFinite(str):
     overflows a float, held until its key is known."""
 
 
-def _finite_float(token: str):
-    x = float(token)
-    return x if math.isfinite(x) else _NonFinite(token)
+def _finite_number(token: str):
+    """A JSON integer or float token's value, or a _NonFinite if it overflows a float."""
+    x = int(token) if token.lstrip("-").isdigit() else float(token)
+    return x if abs(x) <= sys.float_info.max else _NonFinite(token)
 
 
 def _non_finite_in(value):
@@ -110,89 +114,80 @@ def _finite_object(pairs: list) -> dict:
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f, parse_constant=_NonFinite, parse_float=_finite_float,
-                             object_pairs_hook=_finite_object)
+            return json.load(f, parse_constant=_NonFinite, parse_float=_finite_number,
+                             parse_int=_finite_number, object_pairs_hook=_finite_object)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed JSON in {path}: {e}") from e
 
 
-def _require(block: dict, key: str, where: str):
-    if key not in block:
-        raise ConfigError(f"missing {key!r} in {where} block")
-    return block[key]
+_REQUIRED = object()
+_KIND_NAMES = {int: "integer", float: "number", dict: "object", list: "array", str: "string"}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int(block: dict, key: str, where: str, default=None) -> int:
-    """An integer field, written as a JSON integer (5.0 or true is refused)."""
-    value = _require(block, key, where) if default is None else block.get(key, default)
-    if not _is_int(value):
-        raise ConfigError(f"{key} in {where} block must be an integer, got {value!r}")
+def _checked(value, path: str, kind):
+    """value if it is of JSON `kind`: int an integer (not 5.0), float any number, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{path} must be a JSON {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 
-def _cell(value, what: str) -> tuple:
-    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))):
-        raise ConfigError(f"{what} must be a pair of integers, got {value!r}")
-    return tuple(value)
+def _get(block: dict, key: str, where: str, kind, default=_REQUIRED):
+    """block[key] checked by _checked; `default` if absent, a ConfigError if there is none."""
+    path = f"{where}.{key}" if where else key
+    if key not in block:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing {path!r}")
+        return default
+    return _checked(block[key], path, kind)
 
 
-def _parse_grid(block: dict) -> mdp_sim.GridWorld:
-    width, height = _int(block, "width", "grid"), _int(block, "height", "grid")
-    goal = _cell(_require(block, "goal", "grid"), "grid goal")
-    start = _cell(_require(block, "start", "grid"), "grid start")
-    walls = frozenset(_cell(w, "grid wall") for w in block.get("walls", []))
-    try:
-        return mdp_sim.GridWorld(width=width, height=height, goal=goal, start=start,
-                                 slip=float(block.get("slip", 0.0)), walls=walls)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"bad grid block: {e}") from e
+def _pair(value, path: str, kind) -> tuple:
+    if len(_checked(value, path, list)) != 2:
+        raise ConfigError(f"{path} must hold two values, got {value!r}")
+    return tuple(_checked(v, f"{path}[{i}]", kind) for i, v in enumerate(value))
 
 
-def _parse_policy(g: mdp_sim.GridWorld, spec) -> np.ndarray:
-    spec = spec or {"kind": "uniform"}
-    if not isinstance(spec, dict):
-        raise ConfigError(f"follow_policy must be an object, got {spec!r}")
-    kind = spec.get("kind")
+def _parse_grid(block: dict, where: str) -> mdp_sim.GridWorld:
+    walls = _get(block, "walls", where, list, [])
+    return mdp_sim.GridWorld(
+        width=_get(block, "width", where, int), height=_get(block, "height", where, int),
+        goal=_pair(_get(block, "goal", where, list), f"{where}.goal", int),
+        start=_pair(_get(block, "start", where, list), f"{where}.start", int),
+        slip=_get(block, "slip", where, float, 0.0),
+        walls=frozenset(_pair(w, f"{where}.walls[{i}]", int) for i, w in enumerate(walls)))
+
+
+def _parse_policy(g: mdp_sim.GridWorld, block: dict):
+    spec = _get(block, "follow_policy", "grid", dict, {})
+    kind = _get(spec, "kind", "grid.follow_policy", str, "uniform")
     if kind == "uniform":
         return mdp_sim.uniform_policy(g)
     if kind == "fixed":
-        action = _require(spec, "action", "follow_policy")
+        action = _get(spec, "action", "grid.follow_policy", str)
         if action not in mdp_sim.ACTIONS:
-            raise ConfigError(f"unknown action {action!r} in follow_policy")
+            raise ConfigError(f"unknown action {action!r} in grid.follow_policy")
         return mdp_sim.always_policy(g, action)
-    raise ConfigError(f"follow_policy kind must be 'uniform' or 'fixed', got {kind!r}")
+    raise ConfigError(f"grid.follow_policy.kind must be 'uniform' or 'fixed', got {kind!r}")
 
 
-def _parse_estimator(config: dict, seed: int) -> EstimatorConfig:
-    block = dict(config.get("estimator", {}))
-    block.setdefault("seed", seed)
-    try:
-        return EstimatorConfig.from_dict(block)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"bad estimator block: {e}") from e
+def _parse_actions(block: dict) -> tuple:
+    spec = [_checked(a, f"grid.actions[{i}]", str)
+            for i, a in enumerate(_get(block, "actions", "grid", list, list(mdp_sim.ACTIONS)))]
+    if not len(set(spec)) == len(spec) >= 2:
+        raise ConfigError(f"grid.actions must name two or more distinct actions, got {spec!r}")
+    return mdp_sim._admissible_actions(spec)
 
 
-def _parse_cells(g: mdp_sim.GridWorld, spec) -> list:
-    if spec == "all":
+def _parse_cells(g: mdp_sim.GridWorld, block: dict) -> list:
+    if block.get("cells", "all") == "all":
         return g.free_cells()
     try:
-        return [mdp_sim._checked_cell(g, _cell(c, "grid cells entry")) for c in spec]
-    except (CellIsWallError, ValueError) as e:
-        raise ConfigError(f"bad grid cells entry: {e}") from e
-
-
-def _parse_actions(spec) -> tuple:
-    """Unknown names are left to mdp_sim, which rejects them."""
-    if not isinstance(spec, list) or len(set(spec)) != len(spec) or len(spec) < 2:
-        raise ConfigError(f"grid actions must be a list of at least two distinct actions, "
-                          f"got {spec!r}")
-    return tuple(spec)
+        return [mdp_sim._checked_cell(g, _pair(c, f"grid.cells[{i}]", int))
+                for i, c in enumerate(_get(block, "cells", "grid", list))]
+    except CellIsWallError as e:
+        raise ConfigError(f"bad grid.cells entry: {e}") from e
 
 
 def _attribution_row(event: str, description: str, z, tol: float) -> list:
@@ -210,15 +205,20 @@ def _write_attribution(out: Path, rows: list, chash: str) -> None:
 # -- subcommands --------------------------------------------------------------
 
 def cmd_gridworld(config: dict, out: Path, chash: str, tol: float) -> None:
-    block = config.get("grid")
-    if block is None:
-        raise ConfigError("gridworld needs a 'grid' block")
-    g = _parse_grid(block)
-    follow = _parse_policy(g, block.get("follow_policy"))
-    actions = _parse_actions(block.get("actions", list(mdp_sim.ACTIONS)))
-    k = _int(block, "horizon_k", "grid", 2)
-    cells = _parse_cells(g, block.get("cells", "all"))
-    est = _parse_estimator(config, config["seed"])
+    block = _get(config, "grid", "", dict)
+    g = _parse_grid(block, "grid")
+    follow = _parse_policy(g, block)
+    actions = _parse_actions(block)
+    k = _get(block, "horizon_k", "grid", int, 2)
+    if k < 1:
+        raise ConfigError(f"grid.horizon_k must be >= 1, got {k}")
+    cells = _parse_cells(g, block)
+    est_block = _get(config, "estimator", "", dict, {})
+    est = EstimatorConfig(
+        backend=_get(est_block, "backend", "estimator", str, "exact"),
+        n_samples=_get(est_block, "n_samples", "estimator", int, 10_000),
+        seed=_get(est_block, "seed", "estimator", int, config["seed"]),
+        bootstrap_resamples=_get(est_block, "bootstrap_resamples", "estimator", int, 200))
 
     if est.backend == "exact":
         tables = mdp_sim.exact_z_table(g, cells, follow, k, actions)
@@ -241,26 +241,21 @@ def cmd_gridworld(config: dict, out: Path, chash: str, tol: float) -> None:
 
 
 def cmd_train(config: dict, out: Path, chash: str, tol: float) -> None:
-    block = config.get("shaping")
-    if block is None:
-        raise ConfigError("train needs a 'shaping' block")
-    g = _parse_grid(_require(block, "grid", "shaping"))
-    try:
-        shaping = rl_agent.ShapingConfig(
-            beta=float(block.get("beta", 0.0)),
-            horizon_k=_int(block, "horizon_k", "shaping", 8),
-            recompute_every=_int(block, "recompute_every", "shaping", 100),
-            z_policy=block.get("z_policy", "current-greedy"),
-        )
-    except ValueError as e:
-        raise ConfigError(f"bad shaping block: {e}") from e
+    block = _get(config, "shaping", "", dict)
+    g = _parse_grid(_get(block, "grid", "shaping", dict), "shaping.grid")
+    shaping = rl_agent.ShapingConfig(
+        beta=_get(block, "beta", "shaping", float, 0.0),
+        horizon_k=_get(block, "horizon_k", "shaping", int, 8),
+        recompute_every=_get(block, "recompute_every", "shaping", int, 100),
+        z_policy=_get(block, "z_policy", "shaping", str, "current-greedy"),
+    )
     result = rl_agent.train(
         g, shaping,
-        episodes=_int(block, "episodes", "shaping"),
-        max_steps=_int(block, "max_steps", "shaping", 200),
-        epsilon=float(block.get("epsilon", 0.1)),
-        alpha=float(block.get("alpha", 0.2)),
-        gamma=float(block.get("gamma", 0.95)),
+        episodes=_get(block, "episodes", "shaping", int),
+        max_steps=_get(block, "max_steps", "shaping", int, 200),
+        epsilon=_get(block, "epsilon", "shaping", float, 0.1),
+        alpha=_get(block, "alpha", "shaping", float, 0.2),
+        gamma=_get(block, "gamma", "shaping", float, 0.95),
         seed=config["seed"],
     )
     rows = [[ep, r, s, m] for ep, (r, s, m) in enumerate(
@@ -300,29 +295,32 @@ def cmd_train(config: dict, out: Path, chash: str, tol: float) -> None:
 
 
 def cmd_bayes(config: dict, out: Path, chash: str, tol: float) -> None:
-    block = config.get("bayes")
-    if block is None:
-        raise ConfigError("bayes needs a 'bayes' block")
-    n_points = int(block.get("grid_points", 101))
-    prior_spec = block.get("prior", "uniform")
+    block = _get(config, "bayes", "", dict)
+    prior = block.get("prior", "uniform")
+    weights = None if prior == "uniform" else [
+        _checked(w, f"bayes.prior[{i}]", float)
+        for i, w in enumerate(_get(block, "prior", "bayes", list))]
+    grid = _get(block, "grid", "bayes", list, None)
+    if grid is None:
+        n_points = _get(block, "grid_points", "bayes", int, 101)
+        grid = bayes_infer.even_grid(n_points if weights is None else len(weights))
+    else:
+        grid = [_checked(t, f"bayes.grid[{i}]", float) for i, t in enumerate(grid)]
     try:
-        if "grid" in block:
-            grid = [float(t) for t in block["grid"]]
-            weights = np.full(len(grid), 1.0 / len(grid)) \
-                if prior_spec == "uniform" else prior_spec
-            posterior = bayes_infer.GridPosterior.with_weights(grid, weights)
-        elif prior_spec == "uniform":
-            posterior = bayes_infer.GridPosterior.uniform(n_points)
-        else:
-            grid = np.linspace(0.0, 1.0, len(prior_spec))
-            posterior = bayes_infer.GridPosterior.with_weights(grid, prior_spec)
-    except (ZentropyError, ValueError, TypeError) as e:
-        raise ConfigError(f"bad prior: {e}") from e
+        posterior = bayes_infer.GridPosterior.with_weights(grid, weights)
+    except InvalidDistributionError as e:
+        raise ConfigError(f"bad bayes prior: {e}") from e
     queries = []
-    for qspec in block.get("queries", []):
+    for i, qspec in enumerate(_get(block, "queries", "bayes", list, [])):
+        where = f"bayes.queries[{i}]"
         queries.append(bayes_infer.QueryCandidate(
-            id=str(_require(qspec, "id", "query")),
-            model=bayes_infer.BernoulliFlip(noise=float(qspec.get("noise", 1.0)))))
+            id=_get(_checked(qspec, where, dict), "id", where, str),
+            model=bayes_infer.BernoulliFlip(noise=_get(qspec, "noise", where, float, 1.0))))
+    data_model = bayes_infer.BernoulliFlip(noise=_get(
+        _get(block, "data_model", "bayes", dict, {}), "noise", "bayes.data_model", float, 1.0))
+    data = _get(block, "data", "bayes", list, [])
+    if any(outcome not in data_model.outcomes for outcome in data):
+        raise ConfigError(f"bayes.data may hold only {data_model.outcomes}, got {data!r}")
 
     q_rows = []
     if queries:
@@ -330,20 +328,17 @@ def cmd_bayes(config: dict, out: Path, chash: str, tol: float) -> None:
         for rank, (q, z) in enumerate(ranked, start=1):
             mi = bayes_infer.mutual_information(posterior, q)
             q_rows.append([q.id, z.value, float(mi), rank])
-    write_csv(out / "queries.csv",
-              ["query", "expected_z_bits", "mutual_information_bits", "rank"],
-              q_rows, chash)
-
-    data_model = bayes_infer.BernoulliFlip(
-        noise=float(block.get("data_model", {}).get("noise", 1.0)))
     attribution = []
     current = posterior
-    for i, outcome in enumerate(block.get("data", [])):
+    for i, outcome in enumerate(data):
         z = bayes_infer.realized_event_potential(
             current, data_model, outcome, event_id=f"data[{i}]:{outcome}", t0=i)
         attribution.append(_attribution_row(
             z.event, f"observed {outcome} (update {i})", z, tol))
         current = bayes_infer.posterior_update(current, data_model, outcome)
+    write_csv(out / "queries.csv",
+              ["query", "expected_z_bits", "mutual_information_bits", "rank"],
+              q_rows, chash)
     _write_attribution(out, attribution, chash)
     _write_meta(out, "bayes", config, chash, ["queries.csv", "attribution.csv"])
 
@@ -374,21 +369,17 @@ def _read_stream(path: str | None) -> list:
 
 def cmd_anomaly(config: dict, out: Path, chash: str, tol: float,
                 input_path: str | None) -> None:
-    block = config.get("anomaly")
-    if block is None:
-        raise ConfigError("anomaly needs an 'anomaly' block")
-    try:
-        lo, hi = block.get("range", [0.0, 1.0])
-        cfg = anomaly_detect.DetectorConfig(
-            window=int(block.get("window", 64)),
-            bins=int(block.get("bins", 4)),
-            lo=float(lo), hi=float(hi),
-            kappa=float(block.get("kappa", 3.0)),
-            warmup=int(block.get("warmup", block.get("window", 64))),
-            smoothing=float(block.get("smoothing", 1.0)),
-        )
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"bad anomaly block: {e}") from e
+    block = _get(config, "anomaly", "", dict)
+    lo, hi = _pair(_get(block, "range", "anomaly", list, [0.0, 1.0]), "anomaly.range", float)
+    window = _get(block, "window", "anomaly", int, 64)
+    cfg = anomaly_detect.DetectorConfig(
+        window=window,
+        bins=_get(block, "bins", "anomaly", int, 4),
+        lo=lo, hi=hi,
+        kappa=_get(block, "kappa", "anomaly", float, 3.0),
+        warmup=_get(block, "warmup", "anomaly", int, window),
+        smoothing=_get(block, "smoothing", "anomaly", float, 1.0),
+    )
     values = _read_stream(input_path)
     scores = anomaly_detect.replay(values, cfg)
 
@@ -416,18 +407,26 @@ def cmd_anomaly(config: dict, out: Path, chash: str, tol: float,
                 ["scores.csv", "attribution.csv", "summary.json"])
 
 
+def _read_run_json(path: Path):
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as e:  # malformed JSON or text that is not UTF-8
+        raise MissingRunError(f"unusable {path.name} in {path.parent}: {e}") from e
+
+
 def cmd_report(run_dir: Path) -> None:
     meta_path = run_dir / META_NAME
     if not meta_path.is_file():
         raise MissingRunError(f"no {META_NAME} in {run_dir}")
+    meta = _read_run_json(meta_path)
     try:
-        with open(meta_path, "r", encoding="utf-8") as f:
-            meta = json.load(f)
         chash = meta["config_hash"]
         subcommand, seed = meta["subcommand"], meta["seed"]
-    except (json.JSONDecodeError, KeyError, UnicodeDecodeError) as e:
+        outputs = [str(name) for name in meta.get("outputs", [])]
+    except (KeyError, TypeError) as e:  # TypeError: meta or outputs is not a container
         raise MissingRunError(f"unusable {META_NAME} in {run_dir}: {e}") from e
-    for name in meta.get("outputs", []):
+    for name in outputs:
         p = run_dir / name
         if not p.is_file():
             raise MissingRunError(f"run output {name} missing from {run_dir}")
@@ -437,9 +436,9 @@ def cmd_report(run_dir: Path) -> None:
             if head != f"# config_hash={chash}":
                 raise MissingRunError(f"mixed config hashes in {run_dir} ({name})")
         elif name.endswith(".json"):
-            with open(p, "r", encoding="utf-8") as f:
-                if json.load(f).get("config_hash") != chash:
-                    raise MissingRunError(f"mixed config hashes in {run_dir} ({name})")
+            record = _read_run_json(p)
+            if not isinstance(record, dict) or record.get("config_hash") != chash:
+                raise MissingRunError(f"mixed config hashes in {run_dir} ({name})")
     attr_path = run_dir / "attribution.csv"
     if not attr_path.is_file():
         raise MissingRunError(f"no attribution.csv in {run_dir}")
@@ -491,23 +490,17 @@ def main(argv=None) -> int:
             return 0
         if args.config is None:
             raise ConfigError(f"{args.subcommand} needs --config")
-        config = _load_config(args.config)
+        config = _checked(_load_config(args.config), "config", dict)
         if args.seed is not None:
-            config["seed"] = int(args.seed)
-        if "seed" not in config:
-            raise ConfigError("config must carry a seed (or pass --seed)")
-        if not _is_int(config["seed"]):
-            raise ConfigError(f"seed must be an integer: {config['seed']!r}")
-        try:
-            tol = float(config.get("neutral_tol", 0.01))
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"neutral_tol must be a number: {e}") from e
+            config["seed"] = args.seed
+        if _get(config, "seed", "", int) < 0:
+            raise ConfigError(f"seed must be >= 0, got {config['seed']}")
+        tol = _get(config, "neutral_tol", "", float, 0.01)
         if tol < 0:
             raise ConfigError(f"neutral_tol must be >= 0, got {tol!r}")
-        out = os.environ.get("ZENTROPY_OUT") or args.out or config.get("out") \
-            or f"runs/{args.subcommand}"
-        out_path = Path(out)
-        out_path.mkdir(parents=True, exist_ok=True)
+        config_out = _get(config, "out", "", str, "")
+        out_path = Path(os.environ.get("ZENTROPY_OUT") or args.out or config_out
+                        or f"runs/{args.subcommand}")
         chash = config_hash_of(config)
         if args.subcommand == "gridworld":
             cmd_gridworld(config, out_path, chash, tol)
@@ -518,16 +511,13 @@ def main(argv=None) -> int:
         elif args.subcommand == "anomaly":
             cmd_anomaly(config, out_path, chash, tol, args.input)
         return 0
-    except ConfigError as e:
+    except (ConfigError, ValueError) as e:
+        # ValueError: a range check of a library class on a parsed config value
         print(f"zentropy: config error: {e}", file=sys.stderr)
         return 2
     except ZentropyError as e:
         print(f"zentropy: {e}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError) as e:
-        # malformed config values that slipped past explicit checks
-        print(f"zentropy: config error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .entropy_core import Distribution, EntropyBits, shannon_entropy
+from .entropy_core import Distribution, EntropyBits, _entropy_of_probs, shannon_entropy
 from .errors import (
     EmptyBaselineError,
     EventInBaselineError,
@@ -33,6 +33,10 @@ from .errors import (
 )
 
 DEFAULT_NEUTRAL_TOL = 0.01  # bits
+
+# size caps: an MC branch holds n_samples * (1 + k) uniforms in memory
+MAX_SAMPLES = 10**6
+MAX_BOOTSTRAP = 10**4
 
 BENEFICIAL = "beneficial"
 HARMFUL = "harmful"
@@ -132,20 +136,11 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.backend not in ("exact", "mc"):
             raise ValueError(f"backend must be 'exact' or 'mc', got {self.backend!r}")
-        if self.n_samples < 100:
-            raise ValueError(f"n_samples must be >= 100, got {self.n_samples}")
-        if self.bootstrap_resamples < 2:
-            raise ValueError(
-                f"bootstrap_resamples must be >= 2, got {self.bootstrap_resamples}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EstimatorConfig":
-        return cls(
-            backend=d.get("backend", "exact"),
-            n_samples=int(d.get("n_samples", 10_000)),
-            seed=int(d.get("seed", 0)),
-            bootstrap_resamples=int(d.get("bootstrap_resamples", 200)),
-        )
+        if not 100 <= self.n_samples <= MAX_SAMPLES:
+            raise ValueError(f"n_samples must be in 100..{MAX_SAMPLES}, got {self.n_samples}")
+        if not 2 <= self.bootstrap_resamples <= MAX_BOOTSTRAP:
+            raise ValueError(f"bootstrap_resamples must be in 2..{MAX_BOOTSTRAP}, "
+                             f"got {self.bootstrap_resamples}")
 
 
 @dataclass(frozen=True)
@@ -225,16 +220,11 @@ def mc_entropy_of_branch(model: SystemModel, event: Event | None, horizon: Horiz
             f"indices; got shape {outcomes.shape}, dtype {outcomes.dtype}")
     counts = np.bincount(outcomes.astype(np.int64, copy=False)).astype(np.float64)
     counts = counts[counts > 0.0]
-    h = _plugin_bits(counts, n)
+    h = _entropy_of_probs(counts / n)
     bs = rng.multinomial(n, counts / n, size=bootstrap_resamples).astype(np.float64)
     hs = _plugin_bits_rows(bs, n)
     se = float(hs.std(ddof=1))
     return EntropyBits(h), se
-
-
-def _plugin_bits(counts: np.ndarray, total: int) -> float:
-    p = counts / total
-    return float(-(p * np.log2(p)).sum() + 0.0)
 
 
 def _plugin_bits_rows(counts: np.ndarray, total: int) -> np.ndarray:

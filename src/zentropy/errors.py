@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps ZentropyError (and subclasses) to exit code 1 and
-configuration/input problems (ConfigError, bad JSON, unreadable files)
-to exit code 2.
+The CLI maps ZentropyError (and subclasses) to exit code 1, and
+configuration/input problems (ConfigError, or the ValueError of a range
+check on a config value) to exit code 2.
 """
 
 

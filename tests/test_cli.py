@@ -2,10 +2,13 @@ import hashlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zentropy import cli, rl_agent
 from zentropy.errors import ZentropyError
@@ -159,6 +162,8 @@ class TestConfigValidation:
         ("corridor.json", ("neutral_tol",), "NaN", "NaN"),
         ("corridor.json", ("grid", "slip"), "-Infinity", "-Infinity"),
         ("corridor.json", ("grid", "slip"), "1e999", "1e999"),
+        pytest.param("anomaly.json", ("anomaly", "kappa"), "1" + "0" * 400, "1" + "0" * 400,
+                     id="integer-too-large-for-a-float"),
     ])
     def test_non_finite_number_exits_2_naming_the_token(self, tmp_path, capsys,
                                                         preset, path, token, named):
@@ -238,6 +243,149 @@ class TestConfigValidation:
         assert run(["gridworld", "--config", write_config(tmp_path, cfg),
                     "--out", tmp_path / "o"]) == 2
         assert "seed" in capsys.readouterr().err
+
+
+SUBCOMMAND = {"corridor.json": "gridworld", "bayes11.json": "bayes",
+              "anomaly.json": "anomaly", "train_corridor.json": "train"}
+
+
+def edited(preset, *edits):
+    """A preset's config with each (path, value) edit applied."""
+    cfg = json.loads(read(CONFIGS / preset))
+    for path, value in edits:
+        block = cfg
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+    return cfg
+
+
+def run_config(tmp_path, preset, cfg, monkeypatch):
+    """Run the preset's subcommand on cfg from inside tmp_path, on a short
+    stream for anomaly; returns (exit code, output directory)."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ZENTROPY_OUT", raising=False)
+    stream = tmp_path / "stream.txt"
+    stream.write_text("\n".join(str((i // 40) % 2 * 2 + (i % 7) / 7) for i in range(200)),
+                      encoding="utf-8")
+    out = tmp_path / "o"
+    argv = [SUBCOMMAND[preset], "--config", write_config(tmp_path, cfg), "--out", out]
+    if preset == "anomaly.json":
+        argv += ["--input", stream]
+    return run(argv), out
+
+
+class TestConfigParsing:
+    @pytest.mark.parametrize("preset, edits, named", [
+        ("anomaly.json", [(("anomaly",), 5)], "anomaly"),
+        ("bayes11.json", [(("bayes",), [1])], "bayes"),
+        ("bayes11.json", [(("bayes", "data_model"), 5)], "data_model"),
+        ("corridor.json", [(("estimator",), 5)], "estimator"),
+        ("anomaly.json", [(("anomaly", "bins"), 4.7)], "bins"),
+        ("anomaly.json", [(("anomaly", "window"), 64.9)], "window"),
+        ("anomaly.json", [(("anomaly", "warmup"), 64.0)], "warmup"),
+        ("bayes11.json", [(("bayes", "grid_points"), 11.5)], "grid_points"),
+        ("corridor.json", [(("estimator", "n_samples"), 150.7)], "n_samples"),
+        ("corridor.json", [(("estimator", "bootstrap_resamples"), 200.0)],
+         "bootstrap_resamples"),
+        ("anomaly.json", [(("anomaly", "kappa"), "3")], "kappa"),
+        ("anomaly.json", [(("anomaly", "smoothing"), True)], "smoothing"),
+        ("anomaly.json", [(("anomaly", "range"), [0, "4"])], "range"),
+        ("corridor.json", [(("grid", "slip"), "0.2")], "slip"),
+        ("corridor.json", [(("neutral_tol",), True)], "neutral_tol"),
+        ("train_corridor.json", [(("shaping", "beta"), True)], "beta"),
+        ("bayes11.json", [(("bayes", "queries", 1, "noise"), "0.5")], "noise"),
+        ("bayes11.json", [(("bayes", "data"), "heads")], "data"),
+        ("bayes11.json", [(("bayes", "queries"), [5])], "queries"),
+        ("corridor.json", [(("seed",), -3)], "seed"),
+        ("corridor.json", [(("out",), 5)], "out"),
+        ("anomaly.json", [(("anomaly", "bins"), 257)], "bins"),
+        ("anomaly.json", [(("anomaly", "window"), 1025), (("anomaly", "warmup"), 1025)],
+         "window"),
+        ("bayes11.json", [(("bayes", "grid_points"), 10_001)], "grid_points"),
+        ("corridor.json", [(("estimator", "n_samples"), 1_000_001)], "n_samples"),
+        ("corridor.json", [(("estimator", "bootstrap_resamples"), 10_001)],
+         "bootstrap_resamples"),
+        # these two used to write part of a run, or an empty directory, first
+        ("bayes11.json", [(("bayes", "data"), ["heads", "sideways"])], "data"),
+        ("anomaly.json", [(("anomaly", "kappa"), -1.0)], "kappa"),
+    ])
+    def test_bad_config_exits_2_naming_the_key_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, preset, edits, named):
+        code, out = run_config(tmp_path, preset, edited(preset, *edits), monkeypatch)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
+        assert not out.exists() and not (tmp_path / "runs").exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["gridworld", "--config", CONFIGS / "corridor.json", "--seed", -1,
+                    "--out", out]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_explicit_grid_with_weighted_prior_matches_golden_hashes(self, tmp_path):
+        # sha256 of the outputs as written when the prior was built by a
+        # three-way branch; one GridPosterior.with_weights call keeps them
+        cfg = {"seed": 4, "bayes": {
+            "grid": [0.1, 0.3, 0.6, 0.9], "prior": [0.1, 0.2, 0.3, 0.4],
+            "queries": [{"id": "flip"}, {"id": "half", "noise": 0.5}],
+            "data_model": {"noise": 0.8}, "data": ["tails", "heads", "heads"]}}
+        out = tmp_path / "run"
+        assert run(["bayes", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
+        golden = {
+            "queries.csv": "ccad117d619511646c340bdf260d68123d22c10e747a1d0da9ca01e3a9ae7b01",
+            "attribution.csv": "f91a48294d476dc7f287d14e32a231fdf1200ba502692f6c127abd8372511d07",
+            "run_meta.json": "eef6433c2d93f5973ca9b19e8effeba9c2c1729e6f471c602759927270dbf50b",
+        }
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+MUTANTS = [None, True, "x", [], {}, -1, 0, 0.5, 2.5]
+PROPERTY_BASES = {
+    "corridor.json": [],
+    "bayes11.json": [],
+    "anomaly.json": [],
+    "train_corridor.json": [(("shaping", "episodes"), 20)],
+}
+
+
+def node_paths(value, path=()):
+    """Paths of every node below the root of a JSON value."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_mutated_preset_runs_cleanly_or_exits_2_writing_nothing(tmp_path_factory, data):
+    preset = data.draw(st.sampled_from(sorted(PROPERTY_BASES)), label="preset")
+    cfg = edited(preset, *PROPERTY_BASES[preset])
+    path = data.draw(st.sampled_from(list(node_paths(cfg))), label="path")
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans(), label="drop"):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(MUTANTS), label="value")
+    tmp_path = tmp_path_factory.mktemp("mutant")
+    with pytest.MonkeyPatch.context() as mp:
+        err = io.StringIO()
+        mp.setattr("sys.stderr", err)
+        code, out = run_config(tmp_path, preset, cfg, mp)
+    if code == 0:
+        for f in out.iterdir():
+            assert not re.search(r"(?i)\b(nan|inf|infinity)\b", read(f)), f.name
+    else:
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith("zentropy: config error: ")
+        assert not out.exists()
 
 
 class TestTrain:
@@ -465,6 +613,22 @@ class TestReport:
              "--out", other])
         (out / "attribution.csv").write_bytes((other / "attribution.csv").read_bytes())
         assert run(["report", "--input", out]) == 1
+
+    @pytest.mark.parametrize("files", [
+        {"run_meta.json": "[1, 2]"},
+        {"run_meta.json": '{"config_hash": "h", "subcommand": "gridworld", "seed": 7, '
+                          '"outputs": 5}'},
+        {"run_meta.json": "{not json"},
+        {"run_meta.json": '{"config_hash": "h", "subcommand": "gridworld", "seed": 7, '
+                          '"outputs": ["extra.json"]}', "extra.json": "[1]"},
+    ], ids=["meta-list", "outputs-int", "meta-not-json", "output-json-list"])
+    def test_malformed_run_directory_exits_1(self, tmp_path, capsys, files):
+        out = tmp_path / "run"
+        run(["gridworld", "--config", CONFIGS / "corridor.json", "--out", out])
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8")
+        assert run(["report", "--input", out]) == 1
+        assert "config error" not in capsys.readouterr().err
 
     def test_report_needs_directory(self):
         assert run(["report"]) == 2

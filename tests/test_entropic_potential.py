@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from zentropy.entropic_potential import (
+    MAX_BOOTSTRAP,
+    MAX_SAMPLES,
     Baseline,
     EstimatorConfig,
     Event,
@@ -70,12 +72,15 @@ class TestDomainTypes:
 class TestEstimatorConfig:
     @pytest.mark.parametrize("kw", [{"n_samples": -5}, {"n_samples": 99},
                                     {"bootstrap_resamples": 0},
-                                    {"bootstrap_resamples": 1}])
+                                    {"bootstrap_resamples": 1},
+                                    {"n_samples": MAX_SAMPLES + 1},
+                                    {"bootstrap_resamples": MAX_BOOTSTRAP + 1}])
     def test_degenerate_settings_rejected(self, kw):
         with pytest.raises(ValueError):
             EstimatorConfig(backend="mc", **kw)
-        with pytest.raises(ValueError):
-            EstimatorConfig.from_dict({"backend": "mc", **kw})
+
+    def test_largest_valid_settings_accepted(self):
+        EstimatorConfig(backend="mc", n_samples=MAX_SAMPLES, bootstrap_resamples=MAX_BOOTSTRAP)
 
     def test_smallest_valid_settings_accepted(self):
         est = EstimatorConfig(backend="mc", n_samples=100, bootstrap_resamples=2)
