@@ -85,13 +85,6 @@ def stream_bins(values, lo, width, n_bins) -> np.ndarray:
     return np.minimum(np.maximum(b, 0), n_bins - 1).astype(np.int64)
 
 
-def _oldest_first(ring, length, pos):
-    """The live entries of a ring buffer whose next write goes to `pos`."""
-    if length < ring.shape[0]:
-        return ring[:length]
-    return np.concatenate((ring[pos:], ring[:pos]))
-
-
 def _entropy_bits(counts, length, cap, n_bins, alpha):
     """Entropy of each row's smoothed predictive (count + alpha) /
     (length + n_bins * alpha), for counts and lengths up to cap. Each
@@ -112,9 +105,9 @@ def _entropy_bits(counts, length, cap, n_bins, alpha):
 
 
 def _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
-                  window, counts, z_ring, state):
+                  window, z_past, state):
     cap = window.shape[0]
-    win_len, win_pos, z_len, z_pos, n_seen = state.tolist()
+    win_len, z_len, n_seen = state.tolist()
     n = values.shape[0]
     steps = np.arange(n)
     bins = stream_bins(values, lo, width, n_bins)
@@ -122,7 +115,7 @@ def _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
     # cum[k] counts each bin among the first k symbols of the carried window
     # (oldest first) followed by the new bins. Event i sits at win_len + i:
     # the window before it ends there, the window after it one later.
-    seq = np.concatenate((_oldest_first(window, win_len, win_pos), bins))
+    seq = np.concatenate((window[:win_len], bins))
     onehot = np.zeros((seq.shape[0] + 1, n_bins), dtype=np.int64)
     onehot[np.arange(1, seq.shape[0] + 1), seq] = 1
     cum = onehot.cumsum(axis=0)
@@ -136,7 +129,7 @@ def _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
     # holds that window oldest first, behind zeros while fewer than cap exist
     # (zero squared deviations there too), so each sum adds 0.0 first and
     # then the live scores in the loop's order
-    zseq = np.concatenate((np.zeros(cap), _oldest_first(z_ring, z_len, z_pos), z))
+    zseq = np.concatenate((np.zeros(cap), z_past[:z_len], z))
     cols = np.arange(cap)
     z_end = z_len + 1 + steps
     block = zseq[z_end[:, None] + cols]
@@ -148,26 +141,31 @@ def _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
     std = np.sqrt(block.cumsum(axis=1)[:, -1] / z_count)
     flag = (steps >= warmup - n_seen) & (z > mean + kappa * std)
 
-    # carried state, written oldest first so the next write goes to len % cap
+    # carried state: the last <= cap bins and scores, oldest first
     new_len = min(win_len + n, cap)
     window[:new_len] = seq[seq.shape[0] - new_len:]
-    counts[:] = c[-1]
     new_zlen = min(z_len + n, cap)
-    z_ring[:new_zlen] = zseq[zseq.shape[0] - new_zlen:]
-    state[:] = (new_len, new_len % cap, new_zlen, new_zlen % cap, n_seen + n)
+    z_past[:new_zlen] = zseq[zseq.shape[0] - new_zlen:]
+    state[:] = (new_len, new_zlen, n_seen + n)
     return bins, z, mean, std, flag
 
 
+def stream_state(cap):
+    """stream_scores's (window, z_past, state) before any event, window size cap."""
+    return (np.zeros(cap, dtype=np.int64), np.zeros(cap, dtype=np.float64),
+            np.zeros(3, dtype=np.int64))
+
+
 def stream_scores(values, lo, width, n_bins, alpha, kappa, warmup,
-                  window, counts, z_ring, state):
+                  window, z_past, state):
     """Score a batch of sensor values against carried detector state.
 
     Each value's score is the change in entropy (bits) of the smoothed
     next-symbol predictive when its bin enters the sliding window (a full
-    window evicts its oldest symbol in the same update). Mutates
-    window/counts/z_ring/state in place and returns per-event
-    (bin, z, rolling_mean, rolling_std, flagged) arrays.
-    state: int64 [win_len, win_pos, z_len, z_pos, n_seen].
+    window evicts its oldest symbol in the same update). Returns per-event
+    (bin, z, rolling_mean, rolling_std, flagged) arrays and advances the
+    state in place: window and z_past hold the last win_len bins and z_len
+    scores, oldest first; state is int64 [win_len, z_len, n_seen].
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 1:
@@ -178,12 +176,12 @@ def stream_scores(values, lo, width, n_bins, alpha, kappa, warmup,
     chunk = max(1, STREAM_CHUNK_BYTES // (8 * (window.shape[0] + n_bins)))
     if 0 < n <= chunk:  # one chunk, e.g. an online ingest: no output copies
         return _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
-                             window, counts, z_ring, state)
+                             window, z_past, state)
     outs = (np.empty(n, dtype=np.int64), np.empty(n), np.empty(n), np.empty(n),
             np.empty(n, dtype=np.bool_))
     for a in range(0, n, chunk):
         got = _stream_chunk(values[a:a + chunk], lo, width, n_bins, alpha, kappa,
-                            warmup, window, counts, z_ring, state)
+                            warmup, window, z_past, state)
         for out, part in zip(outs, got):
             out[a:a + chunk] = part
     return outs

@@ -11,7 +11,8 @@ last W scores, never during warm-up.
 The scoring lives in _kernels.stream_scores; ingest feeds it one value at a
 time, replay feeds it the whole stream. Each event's outputs come from the
 same float operations either way, which is what makes online and offline
-output exactly equal.
+output exactly equal. score_columns returns the kernel's columns as they
+are; only ingest, ingest_batch and replay build EventScore objects.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import stream_bins, stream_scores
+from ._kernels import stream_bins, stream_scores, stream_state
 from .entropic_potential import Horizon, ZEstimate
 from .entropy_core import Distribution
-
-_STATE_FIELDS = 5  # win_len, win_pos, z_len, z_pos, n_seen
 
 # size caps: the stream kernel's work per event grows with window * bins
 MAX_WINDOW = 1024
@@ -70,6 +69,13 @@ class EventScore:
     rolling_std: float
 
 
+def event_estimate(index: int, z: float) -> ZEstimate:
+    """Event `index`'s score as an exact ZEstimate over (index, index + 1)."""
+    return ZEstimate(value=z, std_error=0.0, method="exact", n_samples=0,
+                     horizon=Horizon(index, index + 1), event=f"x[{index}]",
+                     baseline="null-event")
+
+
 class StreamDetector:
     """Online detector over a sliding window of binned symbols.
 
@@ -80,14 +86,11 @@ class StreamDetector:
 
     def __init__(self, config: DetectorConfig):
         self.config = config
-        self._window = np.zeros(config.window, dtype=np.int64)
-        self._counts = np.zeros(config.bins, dtype=np.int64)
-        self._zring = np.zeros(config.window, dtype=np.float64)
-        self._state = np.zeros(_STATE_FIELDS, dtype=np.int64)
+        self._window, self._z_past, self._state = stream_state(config.window)
 
     @property
     def events_seen(self) -> int:
-        return int(self._state[4])
+        return int(self._state[2])
 
     def bin_of(self, x: float) -> int:
         c = self.config
@@ -96,7 +99,7 @@ class StreamDetector:
     def predictive(self) -> Distribution:
         """Smoothed categorical over bins: (count_b + a) / (total + B*a)."""
         a = self.config.smoothing
-        weights = self._counts + a
+        weights = np.bincount(self._window[:self._state[0]], minlength=self.config.bins) + a
         return Distribution(tuple(range(self.config.bins)), weights / weights.sum())
 
     def ingest(self, x: float) -> EventScore:
@@ -106,22 +109,19 @@ class StreamDetector:
         """Score x and advance the window (evicting the oldest symbol when full)."""
         return self.ingest(x).z
 
-    def ingest_batch(self, values) -> list[EventScore]:
+    def score_columns(self, values) -> tuple:
+        """Score values and advance the window: the kernel's per-event
+        (bin, z, rolling_mean, rolling_std, flagged) arrays."""
         c = self.config
+        return stream_scores(values, c.lo, c.bin_width, c.bins, c.smoothing, c.kappa,
+                             c.warmup, self._window, self._z_past, self._state)
+
+    def ingest_batch(self, values) -> list[EventScore]:
         start = self.events_seen
-        outs = stream_scores(np.asarray(values, dtype=np.float64), c.lo, c.bin_width,
-                             c.bins, c.smoothing, c.kappa, c.warmup,
-                             self._window, self._counts, self._zring, self._state)
-        columns = [a.tolist() for a in outs]
-        del outs  # the lists now hold every value; free the arrays first
-        scores = []
-        for idx, (b, z, mean, std, flagged) in enumerate(zip(*columns), start):
-            zest = ZEstimate(value=z, std_error=0.0, method="exact", n_samples=0,
-                             horizon=Horizon(idx, idx + 1), event=f"x[{idx}]",
-                             baseline="null-event")
-            scores.append(EventScore(index=idx, bin=b, z=zest, flagged=flagged,
-                                     rolling_mean=mean, rolling_std=std))
-        return scores
+        columns = [a.tolist() for a in self.score_columns(values)]
+        return [EventScore(index=i, bin=b, z=event_estimate(i, z), flagged=flagged,
+                           rolling_mean=mean, rolling_std=std)
+                for i, (b, z, mean, std, flagged) in enumerate(zip(*columns), start)]
 
 
 def replay(values, config: DetectorConfig) -> list[EventScore]:

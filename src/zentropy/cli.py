@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -56,7 +57,7 @@ def _round_floats(obj):
     return obj
 
 
-def write_csv(path: Path, header: list, rows: list, config_hash: str) -> None:
+def write_csv(path: Path, header: list, rows, config_hash: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(f"# config_hash={config_hash}\n")
@@ -381,45 +382,50 @@ def cmd_anomaly(config: dict, out: Path, chash: str, tol: float,
         smoothing=_get(block, "smoothing", "anomaly", float, 1.0),
     )
     values = _read_stream(input_path)
-    scores = anomaly_detect.replay(values, cfg)
+    # bin, z, rolling_mean, rolling_std, flagged: one list per column
+    cols = [a.tolist() for a in anomaly_detect.StreamDetector(cfg).score_columns(values)]
+    flagged = [i for i, f in enumerate(cols[4]) if f]
 
-    rows = []
     attribution = []
-    first_flag = None
-    for v, s in zip(values, scores):
-        rows.append([s.index, v, s.bin, s.z.value,
-                     s.rolling_mean, s.rolling_std, s.flagged])
-        if s.flagged:
-            if first_flag is None:
-                first_flag = s.index
-            attribution.append(_attribution_row(
-                s.z.event, f"flagged value {fmt(v)}", s.z, tol))
+    for i in flagged:
+        z = anomaly_detect.event_estimate(i, cols[1][i])
+        attribution.append(_attribution_row(z.event, f"flagged value {fmt(values[i])}", z, tol))
     write_csv(out / "scores.csv",
               ["index", "value", "bin", "z_bits", "rolling_mean", "rolling_std", "flagged"],
-              rows, chash)
+              zip(range(len(values)), values, *cols), chash)
     _write_attribution(out, attribution, chash)
     write_json(out / "summary.json", {
         "n_events": len(values),
-        "flag_count": sum(1 for s in scores if s.flagged),
-        "first_flag_index": first_flag,
+        "flag_count": len(flagged),
+        "first_flag_index": flagged[0] if flagged else None,
     }, chash)
     _write_meta(out, "anomaly", config, chash,
                 ["scores.csv", "attribution.csv", "summary.json"])
 
 
-def _read_run_json(path: Path):
+def _read_run_file(path: Path, parse):
+    """parse(text) of a run file; MissingRunError if that fails."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except ValueError as e:  # malformed JSON or text that is not UTF-8
+        return parse(path.read_text(encoding="utf-8"))
+    except (ValueError, csv.Error) as e:  # ValueError: also text that is not UTF-8
         raise MissingRunError(f"unusable {path.name} in {path.parent}: {e}") from e
+
+
+def _attribution_rows(text: str) -> list:
+    """The rows of an attribution.csv that has every column report prints."""
+    reader = csv.DictReader(io.StringIO(text.partition("\n")[2]))  # after the hash comment
+    missing = {"event", "z_bits", "horizon_t0", "horizon_t", "classification"}.difference(
+        reader.fieldnames or ())
+    if missing:
+        raise ValueError(f"no {', '.join(sorted(missing))} column")
+    return list(reader)
 
 
 def cmd_report(run_dir: Path) -> None:
     meta_path = run_dir / META_NAME
     if not meta_path.is_file():
         raise MissingRunError(f"no {META_NAME} in {run_dir}")
-    meta = _read_run_json(meta_path)
+    meta = _read_run_file(meta_path, json.loads)
     try:
         chash = meta["config_hash"]
         subcommand, seed = meta["subcommand"], meta["seed"]
@@ -431,20 +437,17 @@ def cmd_report(run_dir: Path) -> None:
         if not p.is_file():
             raise MissingRunError(f"run output {name} missing from {run_dir}")
         if name.endswith(".csv"):
-            with open(p, "r", encoding="utf-8") as f:
-                head = f.readline().strip()
+            head = _read_run_file(p, lambda text: text.partition("\n")[0].strip())
             if head != f"# config_hash={chash}":
                 raise MissingRunError(f"mixed config hashes in {run_dir} ({name})")
         elif name.endswith(".json"):
-            record = _read_run_json(p)
+            record = _read_run_file(p, json.loads)
             if not isinstance(record, dict) or record.get("config_hash") != chash:
                 raise MissingRunError(f"mixed config hashes in {run_dir} ({name})")
     attr_path = run_dir / "attribution.csv"
     if not attr_path.is_file():
         raise MissingRunError(f"no attribution.csv in {run_dir}")
-    with open(attr_path, "r", encoding="utf-8") as f:
-        f.readline()  # hash comment
-        rows = list(csv.DictReader(f))
+    rows = _read_run_file(attr_path, _attribution_rows)
     print(f"run: {subcommand}  config_hash: {chash}  seed: {seed}")
     print(f"events scored: {len(rows)}")
     for r in rows:
@@ -501,6 +504,9 @@ def main(argv=None) -> int:
         config_out = _get(config, "out", "", str, "")
         out_path = Path(os.environ.get("ZENTROPY_OUT") or args.out or config_out
                         or f"runs/{args.subcommand}")
+        # the writers make the directory; a file on its path fails now, before the run
+        if any(p.exists() and not p.is_dir() for p in (out_path, *out_path.parents)):
+            raise ConfigError(f"output path {out_path} is a file or lies under one")
         chash = config_hash_of(config)
         if args.subcommand == "gridworld":
             cmd_gridworld(config, out_path, chash, tol)

@@ -12,24 +12,19 @@ import numpy as np
 
 from ._kernels import cumulative, walk_outcomes
 from .entropic_potential import Event, Horizon, SystemModel
-from .entropy_core import Distribution
+from .entropy_core import Distribution, normalized_probs
 from .errors import InvalidDistributionError
-
-_ROW_TOL = 1e-9
 
 
 def _validate_stochastic(m: np.ndarray, what: str) -> np.ndarray:
+    """m as a square float64 matrix whose rows are probability vectors."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDistributionError(f"{what} must be a square matrix")
-    if not np.all(np.isfinite(m)):
-        raise InvalidDistributionError(f"{what} has non-finite entries")
-    if np.any(m < 0.0):
-        raise InvalidDistributionError(f"{what} has negative entries")
-    sums = m.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > _ROW_TOL):
-        raise InvalidDistributionError(f"{what} rows must sum to 1")
-    return m / sums[:, None]
+    try:
+        return normalized_probs(m)
+    except InvalidDistributionError as e:
+        raise InvalidDistributionError(f"{what} rows: {e}") from e
 
 
 class MarkovChainModel(SystemModel):

@@ -324,16 +324,19 @@ def walk_outcomes_loop(cum_start, first, n_first, rest, n_rest, u, out):
 # -- per-event stream kernel ---------------------------------------------------
 
 def stream_scores_loop(values, lo, width, n_bins, alpha, kappa, warmup,
-                       window, counts, z_ring, state,
+                       window, z_past, state,
                        out_bin, out_z, out_mean, out_std, out_flag):
     """The per-event stream kernel: one statement sequence per value.
 
     Same arguments and state layout as zentropy._kernels.stream_scores, plus
     the five output arrays it fills; the package's whole-array kernel must
-    match it bit for bit. state: int64 [win_len, win_pos, z_len, z_pos,
-    n_seen]; window and z_ring are ring buffers written at win_pos/z_pos.
+    match it bit for bit. state: int64 [win_len, z_len, n_seen]; window and
+    z_past hold the last win_len bins and z_len scores, oldest first.
     """
     cap = window.shape[0]
+    counts = [0] * n_bins
+    for j in range(state[0]):
+        counts[window[j]] += 1
     for i in range(values.shape[0]):
         x = values[i]
         b = int(math.floor((x - lo) / width))
@@ -343,71 +346,53 @@ def stream_scores_loop(values, lo, width, n_bins, alpha, kappa, warmup,
             b = n_bins - 1
 
         win_len = state[0]
-        win_pos = state[1]
         denom = win_len + n_bins * alpha
         h_pre = 0.0
         for j in range(n_bins):
             p = (counts[j] + alpha) / denom
             h_pre -= p * math.log2(p)
 
-        # insert the candidate; a full buffer evicts its oldest symbol first
+        # insert the candidate; a full window evicts its oldest symbol first
         if win_len == cap:
-            counts[window[win_pos]] -= 1
-            new_len = win_len
-        else:
-            new_len = win_len + 1
+            counts[window[0]] -= 1
+            for j in range(cap - 1):
+                window[j] = window[j + 1]
+            win_len -= 1
+        window[win_len] = b
         counts[b] += 1
-        denom = new_len + n_bins * alpha
+        win_len += 1
+        state[0] = win_len
+        denom = win_len + n_bins * alpha
         h_post = 0.0
         for j in range(n_bins):
             p = (counts[j] + alpha) / denom
             h_post -= p * math.log2(p)
         z = h_post - h_pre
 
-        window[win_pos] = b
-        win_pos += 1
-        if win_pos == cap:
-            win_pos = 0
-        state[0] = new_len
-        state[1] = win_pos
-
         # rolling stats over the last <=cap scores, current one included
-        z_len = state[2]
-        z_pos = state[3]
-        z_ring[z_pos] = z
-        z_pos += 1
-        if z_pos == cap:
-            z_pos = 0
-        if z_len < cap:
-            z_len += 1
-        state[2] = z_len
-        state[3] = z_pos
+        z_len = state[1]
+        if z_len == cap:
+            for j in range(cap - 1):
+                z_past[j] = z_past[j + 1]
+            z_len -= 1
+        z_past[z_len] = z
+        z_len += 1
+        state[1] = z_len
 
-        first = z_pos - z_len
-        if first < 0:
-            first += cap
         total = 0.0
-        idx = first
-        for _ in range(z_len):
-            total += z_ring[idx]
-            idx += 1
-            if idx == cap:
-                idx = 0
+        for j in range(z_len):
+            total += z_past[j]
         mean = total / z_len
         sq = 0.0
-        idx = first
-        for _ in range(z_len):
-            d = z_ring[idx] - mean
+        for j in range(z_len):
+            d = z_past[j] - mean
             sq += d * d
-            idx += 1
-            if idx == cap:
-                idx = 0
         std = math.sqrt(sq / z_len)
 
-        n_seen = state[4]
+        n_seen = state[2]
         out_bin[i] = b
         out_z[i] = z
         out_mean[i] = mean
         out_std[i] = std
         out_flag[i] = (n_seen >= warmup) and (z > mean + kappa * std)
-        state[4] = n_seen + 1
+        state[2] = n_seen + 1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zentropy import cli, rl_agent
+from zentropy import anomaly_detect, cli, rl_agent
 from zentropy.errors import ZentropyError
 
 from oracles import make_regime_shift_stream
@@ -556,6 +556,49 @@ class TestAnomaly:
                     "--out", out]) == 0
         assert len(read(out / "scores.csv").splitlines()) == 5
 
+    @pytest.mark.parametrize("seed, kind", [(31, "shifts"), (32, "uniform"),
+                                            (33, "one-bin"), (34, "empty")])
+    def test_columns_write_what_event_scores_wrote(self, tmp_path, seed, kind):
+        # the run's files as they were written row by row from replay's
+        # EventScores, before cmd_anomaly wrote the kernel's columns directly
+        rng = np.random.default_rng(seed)
+        values = {
+            "shifts": lambda: np.concatenate((rng.random(400) * 2.0, rng.random(300) * 2.0 + 2.0,
+                                              rng.normal(2.0, 3.0, 150))),
+            "uniform": lambda: rng.random(900) * 4.0,
+            "one-bin": lambda: rng.random(500) * 0.9,
+            "empty": lambda: np.empty(0),
+        }[kind]().tolist()
+        stream = tmp_path / "stream.txt"
+        stream.write_text("".join(f"{v!r}\n" for v in values), encoding="utf-8")
+        out = tmp_path / "run"
+        assert run(["anomaly", "--config", CONFIGS / "anomaly.json",
+                    "--input", stream, "--out", out]) == 0
+
+        config = json.loads(read(CONFIGS / "anomaly.json"))
+        chash, block = cli.config_hash_of(config), config["anomaly"]
+        scores = anomaly_detect.replay(values, anomaly_detect.DetectorConfig(
+            window=block["window"], bins=block["bins"], lo=block["range"][0],
+            hi=block["range"][1], kappa=block["kappa"], warmup=block["warmup"],
+            smoothing=block["smoothing"]))
+        rows, attribution = [], []
+        for v, sc in zip(values, scores):
+            rows.append([sc.index, v, sc.bin, sc.z.value, sc.rolling_mean, sc.rolling_std,
+                         sc.flagged])
+            if sc.flagged:
+                attribution.append(cli._attribution_row(
+                    sc.z.event, f"flagged value {cli.fmt(v)}", sc.z, 0.01))
+        flagged = [sc.index for sc in scores if sc.flagged]
+        assert (len(flagged) > 0) == (kind in ("shifts", "uniform"))
+        ref = tmp_path / "ref"
+        cli.write_csv(ref / "scores.csv", ["index", "value", "bin", "z_bits", "rolling_mean",
+                                           "rolling_std", "flagged"], rows, chash)
+        cli._write_attribution(ref, attribution, chash)
+        cli.write_json(ref / "summary.json", {
+            "n_events": len(values), "flag_count": len(flagged),
+            "first_flag_index": flagged[0] if flagged else None}, chash)
+        for name in ("scores.csv", "attribution.csv", "summary.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
     def test_preset_outputs_match_golden_hashes(self, tmp_path):
         # sha256 of the preset's outputs as written by the per-event loop
@@ -621,12 +664,20 @@ class TestReport:
         {"run_meta.json": "{not json"},
         {"run_meta.json": '{"config_hash": "h", "subcommand": "gridworld", "seed": 7, '
                           '"outputs": ["extra.json"]}', "extra.json": "[1]"},
-    ], ids=["meta-list", "outputs-int", "meta-not-json", "output-json-list"])
+        # {hash} stands for the run's own config hash, so only the named fault remains
+        {"attribution.csv": "# config_hash={hash}\nevents,z_bits,horizon_t0,horizon_t,"
+                            "classification\nright@3,0,-1,0,2,beneficial\n"},
+        {"z_table.csv": b"# config_hash={hash}\ncell_x,cell_y\n3,\xff\n"},
+    ], ids=["meta-list", "outputs-int", "meta-not-json", "output-json-list",
+            "attribution-lacks-event", "csv-not-utf8"])
     def test_malformed_run_directory_exits_1(self, tmp_path, capsys, files):
         out = tmp_path / "run"
         run(["gridworld", "--config", CONFIGS / "corridor.json", "--out", out])
-        for name, text in files.items():
-            (out / name).write_text(text, encoding="utf-8")
+        chash = json.loads(read(out / "run_meta.json"))["config_hash"]
+        for name, content in files.items():
+            if isinstance(content, str):
+                content = content.encode("utf-8")
+            (out / name).write_bytes(content.replace(b"{hash}", chash.encode("ascii")))
         assert run(["report", "--input", out]) == 1
         assert "config error" not in capsys.readouterr().err
 
@@ -650,6 +701,18 @@ class TestSeedAndEnv:
              "--out", tmp_path / "ignored"])
         assert (env_dir / "z_table.csv").is_file()
         assert not (tmp_path / "ignored").exists()
+
+    @pytest.mark.parametrize("sub", [None, "sub"], ids=["file", "under-a-file"])
+    def test_output_path_through_a_file_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                               sub):
+        blocker = tmp_path / "afile"
+        blocker.write_text("keep me\n", encoding="utf-8")
+        out = blocker if sub is None else blocker / sub
+        assert run(["gridworld", "--config", CONFIGS / "corridor.json", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out) in err
+        assert read(blocker) == "keep me\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
     def test_config_without_seed_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"grid": {}})

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zentropy import _kernels
-from zentropy._kernels import cumulative, stream_scores, walk_outcomes
+from zentropy._kernels import cumulative, stream_scores, stream_state, walk_outcomes
 from zentropy.markov import MarkovChainModel
 from zentropy.mdp_sim import (
     GridWorld,
@@ -100,9 +100,9 @@ def test_leading_zero_probability_outcome_never_sampled():
     assert walk_outcomes(cumulative([0.0, 0.5, 0.5]), table, 0, table, 1, u)[0] == 2
 
 
-def fresh_state(window, bins):
-    return (np.zeros(window, dtype=np.int64), np.zeros(bins, dtype=np.int64),
-            np.zeros(window, dtype=np.float64), np.zeros(5, dtype=np.int64))
+def fresh_state(window):
+    """(window, z_past, state) of an empty stream, as StreamDetector holds it."""
+    return stream_state(window)
 
 
 def reference_stream(values, window=8, bins=4, alpha=1.0, kappa=3.0, warmup=8,
@@ -112,7 +112,7 @@ def reference_stream(values, window=8, bins=4, alpha=1.0, kappa=3.0, warmup=8,
     outs = (np.empty(n, dtype=np.int64), np.empty(n), np.empty(n), np.empty(n),
             np.empty(n, dtype=np.bool_))
     stream_scores_loop(values, lo, width, bins, alpha, kappa, warmup,
-                       *fresh_state(window, bins), *outs)
+                       *fresh_state(window), *outs)
     return outs
 
 
@@ -121,7 +121,7 @@ def kernel_stream(values, cuts=(), window=8, bins=4, alpha=1.0, kappa=3.0,
     """stream_scores over the pieces of `values` split at `cuts`, with the
     state carried from one call to the next."""
     values = np.asarray(values, dtype=np.float64)
-    state = fresh_state(window, bins)
+    state = fresh_state(window)
     pieces = np.split(values, sorted(cuts))
     parts = [stream_scores(p, lo, width, bins, alpha, kappa, warmup, *state)
              for p in pieces]
@@ -180,10 +180,11 @@ def test_stream_chunks_equal_one_pass(monkeypatch):
 
 
 def test_stream_reads_ring_state_left_by_the_loop():
-    # the loop leaves full rings with their oldest entry at win_pos/z_pos != 0
+    # loop and kernel take turns on one state; each piece but the first
+    # starts from full windows that the other one left
     rng = np.random.default_rng(22)
     values = rng.random(200) * 4.0
-    state = fresh_state(8, 4)
+    state = fresh_state(8)
     got = []
     for piece, use_loop in zip(np.split(values, [13, 50, 91, 140]), [1, 0, 1, 0, 1]):
         if use_loop:
@@ -191,17 +192,17 @@ def test_stream_reads_ring_state_left_by_the_loop():
                     np.empty(len(piece)), np.empty(len(piece)),
                     np.empty(len(piece), dtype=np.bool_))
             stream_scores_loop(piece, 0.0, 1.0, 4, 1.0, 3.0, 8, *state, *outs)
-            assert state[3][1] != 0
         else:
             outs = stream_scores(piece, 0.0, 1.0, 4, 1.0, 3.0, 8, *state)
         got.append(outs)
+        assert state[2].tolist() == [8, 8, sum(len(o[0]) for o in got)]
     assert_bitwise(tuple(np.concatenate(col) for col in zip(*got)),
                    reference_stream(values))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_stream_rejects_non_finite_values(bad):
-    state = fresh_state(8, 4)
+    state = fresh_state(8)
     with pytest.raises(ValueError):
         stream_scores(np.array([1.0, bad]), 0.0, 1.0, 4, 1.0, 3.0, 8, *state)
-    assert state[3][4] == 0
+    assert state[2][2] == 0
