@@ -50,12 +50,13 @@ from .mdp_sim import (
     action_z_scores,
     always_policy,
     corridor_world,
-    exact_z_table,
     future_state_distribution,
     push_forward,
+    ranked_row,
     render_ascii,
     transition_kernel,
     uniform_policy,
+    z_table,
 )
 from .rl_agent import (
     ShapingConfig,

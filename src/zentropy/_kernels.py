@@ -107,19 +107,20 @@ def _entropy_bits(counts, length, cap, n_bins, alpha):
 def _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
                   window, z_past, state):
     cap = window.shape[0]
-    win_len, z_len, n_seen = state.tolist()
+    n_seen = int(state[0])
+    live = min(n_seen, cap)  # bins in the window, and scores in z_past
     n = values.shape[0]
     steps = np.arange(n)
     bins = stream_bins(values, lo, width, n_bins)
 
     # cum[k] counts each bin among the first k symbols of the carried window
-    # (oldest first) followed by the new bins. Event i sits at win_len + i:
+    # (oldest first) followed by the new bins. Event i sits at live + i:
     # the window before it ends there, the window after it one later.
-    seq = np.concatenate((window[:win_len], bins))
+    seq = np.concatenate((window[:live], bins))
     onehot = np.zeros((seq.shape[0] + 1, n_bins), dtype=np.int64)
     onehot[np.arange(1, seq.shape[0] + 1), seq] = 1
     cum = onehot.cumsum(axis=0)
-    ends = np.concatenate((win_len + steps, win_len + 1 + steps))
+    ends = np.concatenate((live + steps, live + 1 + steps))
     lengths = np.minimum(ends, cap)
     c = cum[ends] - cum[ends - lengths]
     h = _entropy_bits(c, lengths, cap, n_bins, alpha)
@@ -129,9 +130,9 @@ def _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
     # holds that window oldest first, behind zeros while fewer than cap exist
     # (zero squared deviations there too), so each sum adds 0.0 first and
     # then the live scores in the loop's order
-    zseq = np.concatenate((np.zeros(cap), z_past[:z_len], z))
+    zseq = np.concatenate((np.zeros(cap), z_past[:live], z))
     cols = np.arange(cap)
-    z_end = z_len + 1 + steps
+    z_end = live + 1 + steps
     block = zseq[z_end[:, None] + cols]
     z_count = np.minimum(z_end, cap)
     mean = block.cumsum(axis=1)[:, -1] / z_count
@@ -142,18 +143,17 @@ def _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
     flag = (steps >= warmup - n_seen) & (z > mean + kappa * std)
 
     # carried state: the last <= cap bins and scores, oldest first
-    new_len = min(win_len + n, cap)
-    window[:new_len] = seq[seq.shape[0] - new_len:]
-    new_zlen = min(z_len + n, cap)
-    z_past[:new_zlen] = zseq[zseq.shape[0] - new_zlen:]
-    state[:] = (new_len, new_zlen, n_seen + n)
+    new_live = min(live + n, cap)
+    window[:new_live] = seq[seq.shape[0] - new_live:]
+    z_past[:new_live] = zseq[zseq.shape[0] - new_live:]
+    state[0] = n_seen + n
     return bins, z, mean, std, flag
 
 
 def stream_state(cap):
     """stream_scores's (window, z_past, state) before any event, window size cap."""
     return (np.zeros(cap, dtype=np.int64), np.zeros(cap, dtype=np.float64),
-            np.zeros(3, dtype=np.int64))
+            np.zeros(1, dtype=np.int64))
 
 
 def stream_scores(values, lo, width, n_bins, alpha, kappa, warmup,
@@ -164,8 +164,8 @@ def stream_scores(values, lo, width, n_bins, alpha, kappa, warmup,
     next-symbol predictive when its bin enters the sliding window (a full
     window evicts its oldest symbol in the same update). Returns per-event
     (bin, z, rolling_mean, rolling_std, flagged) arrays and advances the
-    state in place: window and z_past hold the last win_len bins and z_len
-    scores, oldest first; state is int64 [win_len, z_len, n_seen].
+    state in place: state is int64 [n_seen]; window and z_past hold the
+    last min(n_seen, cap) bins and scores, oldest first.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 1:

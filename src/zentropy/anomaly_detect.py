@@ -90,7 +90,7 @@ class StreamDetector:
 
     @property
     def events_seen(self) -> int:
-        return int(self._state[2])
+        return int(self._state[0])
 
     def bin_of(self, x: float) -> int:
         c = self.config
@@ -99,7 +99,8 @@ class StreamDetector:
     def predictive(self) -> Distribution:
         """Smoothed categorical over bins: (count_b + a) / (total + B*a)."""
         a = self.config.smoothing
-        weights = np.bincount(self._window[:self._state[0]], minlength=self.config.bins) + a
+        live = self._window[:min(self.events_seen, self.config.window)]
+        weights = np.bincount(live, minlength=self.config.bins) + a
         return Distribution(tuple(range(self.config.bins)), weights / weights.sum())
 
     def ingest(self, x: float) -> EventScore:

@@ -221,14 +221,10 @@ def cmd_gridworld(config: dict, out: Path, chash: str, tol: float) -> None:
         seed=_get(est_block, "seed", "estimator", int, config["seed"]),
         bootstrap_resamples=_get(est_block, "bootstrap_resamples", "estimator", int, 200))
 
-    if est.backend == "exact":
-        tables = mdp_sim.exact_z_table(g, cells, follow, k, actions)
-    else:
-        tables = [mdp_sim.action_z_scores(g, cell, follow, k, est, actions)
-                  for cell in cells]
+    z_values, std_errors = mdp_sim.z_table(g, cells, follow, k, est, actions)
     z_rows, attribution = [], []
-    for cell, ranked in zip(cells, tables):
-        for action, z in ranked:
+    for cell, z_row, se_row in zip(cells, z_values, std_errors):
+        for action, z in mdp_sim.ranked_row(z_row, se_row, k, est, actions):
             z_rows.append([cell[0], cell[1], action, z.value, z.std_error, z.method])
             attribution.append(_attribution_row(
                 f"{action}@{cell[0]},{cell[1]}",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -88,8 +89,10 @@ class Baseline:
         elif self.kind == "weighted-alternatives":
             if not self.alternatives:
                 raise EmptyBaselineError("weighted baseline needs >= 1 alternative")
-            # weights must form a valid distribution over the alternatives
-            Distribution([e.id for e in self.alternatives], self.weights)
+            # weights must form a valid distribution over the alternatives;
+            # keep its probabilities, renormalised if the sum was off within tolerance
+            d = Distribution([e.id for e in self.alternatives], self.weights)
+            object.__setattr__(self, "weights", tuple(d.probs.tolist()))
         else:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
         ids = [e.id for e in self.alternatives]
@@ -234,93 +237,113 @@ def _plugin_bits_rows(counts: np.ndarray, total: int) -> np.ndarray:
     return -(p * logs).sum(axis=1)
 
 
-def _check_admissible(model: SystemModel, event: Event) -> None:
+def _check_admissible(model: SystemModel, events: Sequence[Event], baseline) -> None:
+    """Every event and fixed-baseline alternative is in the model's event
+    space, and no event is among its own alternatives."""
     ids = {e.id for e in model.event_space()}
-    if event.id not in ids:
-        raise EventNotAdmissibleError(f"event {event.id!r} not in model event space")
+    alternatives = () if baseline == "vs-rest" else baseline.alternatives
+    for ev in (*events, *alternatives):
+        if ev.id not in ids:
+            raise EventNotAdmissibleError(f"event {ev.id!r} not in model event space")
+    alt_ids = {a.id for a in alternatives}
+    for ev in events:
+        if ev.id in alt_ids:
+            raise EventInBaselineError(f"event {ev.id!r} is among its own alternatives")
 
 
-def _branch_entropy(model, event, horizon, estimator, key):
-    """(entropy, se) of one conditional branch under the configured back-end."""
+def _branch_entropy(model, horizon, estimator, event, j):
+    """(entropy, se) of one conditional branch under the configured back-end;
+    an MC branch draws from the child stream keyed (j,)."""
     if estimator.backend == "exact":
         d = model.exact_future_distribution(event, horizon)
         return float(shannon_entropy(d)), 0.0
     h, se = mc_entropy_of_branch(
         model, event, horizon, estimator.n_samples,
-        _branch_seed(estimator.seed, key), estimator.bootstrap_resamples,
+        _branch_seed(estimator.seed, (j,)), estimator.bootstrap_resamples,
     )
     return float(h), se
 
 
-def _z_vs_null(model, event, horizon, estimator, seed_prefix=()):
-    h_event, se_event = _branch_entropy(model, event, horizon, estimator, seed_prefix + (0,))
-    h_null, se_null = _branch_entropy(model, None, horizon, estimator, seed_prefix + (1,))
-    value = h_event - h_null
-    se = math.hypot(se_event, se_null)
-    return value, se
+def _z_values(events: Sequence[Event], baseline, entropy) -> list[tuple[float, float]]:
+    """(Z, se) of each event against `baseline`: "vs-rest" (uniform over the
+    other events) or one Baseline for all, a null baseline being the single
+    alternative None with weight 1.0.
+
+    Each distinct branch is evaluated once, after the events are checked, as
+    entropy(branch, j) with j its position in the events followed by the
+    baseline's alternatives (never among the events, see _check_admissible)
+    or None. Z is the event's entropy minus its alternatives' weighted
+    entropies summed in baseline order; se is the root of the event's se
+    squared plus each (weight * se) squared.
+    """
+    if not events:
+        raise ValueError("ranking needs at least one event")
+    seen = set()
+    for e in events:
+        if e.id in seen:
+            raise ValueError(f"duplicate event id {e.id!r}")
+        seen.add(e.id)
+    n = len(events)
+    if baseline == "vs-rest":
+        if n < 2:
+            raise EmptyBaselineError("vs-rest baseline needs >= 2 events")
+        alternatives = []
+        plans = [[(1.0 / (n - 1), j) for j in range(n) if j != i] for i in range(n)]
+    else:
+        alternatives = list(baseline.alternatives) or [None]
+        weights = baseline.normalized_weights() or (1.0,)
+        plans = [list(zip(weights, range(n, n + len(alternatives))))] * n
+    values = [entropy(branch, j) for j, branch in enumerate([*events, *alternatives])]
+    out = []
+    for (h_event, se_event), plan in zip(values, plans):
+        h_base = 0.0
+        var_base = 0.0
+        for w, j in plan:
+            h_j, se_j = values[j]
+            h_base += w * h_j
+            var_base += (w * se_j) ** 2
+        out.append((h_event - h_base, math.sqrt(se_event ** 2 + var_base)))
+    return out
 
 
-def _z_vs_alternatives(branch, alternatives) -> tuple[float, float]:
-    """(Z, se) of one branch's (entropy, se) against the baseline average of
-    the alternatives' branches, given as (weight, entropy, se) in baseline
-    order."""
-    h_event, se_event = branch
-    h_base = 0.0
-    var_base = 0.0
-    for w, h_i, se_i in alternatives:
-        h_base += w * h_i
-        var_base += (w * se_i) ** 2
-    return h_event - h_base, math.sqrt(se_event ** 2 + var_base)
-
-
-def _estimate(value: float, se: float, horizon: Horizon, event: Event,
-              baseline: str, estimator: EstimatorConfig) -> ZEstimate:
+def _ranked(events: Sequence[Event], zs, baseline, horizon: Horizon,
+            estimator: EstimatorConfig) -> list[tuple[Event, ZEstimate]]:
+    """(event, ZEstimate) of each event's (Z, se) in zs, most beneficial
+    (lowest Z) first, ties broken on event id."""
     exact = estimator.backend == "exact"
-    return ZEstimate(
-        value=value,
-        std_error=0.0 if exact else se,
-        method="exact" if exact else "monte-carlo",
-        n_samples=0 if exact else estimator.n_samples,
-        horizon=horizon,
-        event=event.id,
-        baseline=baseline,
-    )
+    if baseline == "vs-rest":
+        labels = [Baseline.uniform(e for e in events if e.id != ev.id).summary()
+                  for ev in events]
+    else:
+        labels = [baseline.summary()] * len(events)
+    scored = [(ev, ZEstimate(value=value,
+                             std_error=0.0 if exact else se,
+                             method="exact" if exact else "monte-carlo",
+                             n_samples=0 if exact else estimator.n_samples,
+                             horizon=horizon,
+                             event=ev.id,
+                             baseline=label))
+              for ev, (value, se), label in zip(events, zs, labels)]
+    return sorted(scored, key=lambda t: (t[1].value, t[0].id))
 
 
 def z_pre_post(model: SystemModel, event: Event, horizon: Horizon,
-               estimator: EstimatorConfig = EstimatorConfig(),
-               _seed_prefix: tuple = ()) -> ZEstimate:
+               estimator: EstimatorConfig = EstimatorConfig()) -> ZEstimate:
     """Pre/post form: entropy at T after applying the event at t0, minus
     entropy at T when nothing is applied and the model runs its default
     dynamics."""
-    _check_admissible(model, event)
-    value, se = _z_vs_null(model, event, horizon, estimator, _seed_prefix)
-    return _estimate(value, se, horizon, event, "null-event", estimator)
+    return z_counterfactual(model, event, Baseline.null(), horizon, estimator)
 
 
 def z_counterfactual(model: SystemModel, event: Event, baseline: Baseline,
                      horizon: Horizon, estimator: EstimatorConfig = EstimatorConfig(),
-                     _seed_prefix: tuple = ()) -> ZEstimate:
+                     ) -> ZEstimate:
     """Counterfactual form: H(X_T | A) minus the baseline-weighted average of
     the per-alternative conditional entropies. A null-event baseline reduces
     to the pre/post form."""
-    _check_admissible(model, event)
-    if baseline.kind == "null-event":
-        value, se = _z_vs_null(model, event, horizon, estimator, _seed_prefix)
-    else:
-        alt_ids = {a.id for a in baseline.alternatives}
-        if event.id in alt_ids:
-            raise EventInBaselineError(f"event {event.id!r} is among its own alternatives")
-        for alt in baseline.alternatives:
-            _check_admissible(model, alt)
-        branch = _branch_entropy(model, event, horizon, estimator, _seed_prefix + (0,))
-        alternatives = [
-            (w, *_branch_entropy(model, alt, horizon, estimator, _seed_prefix + (i + 1,)))
-            for i, (alt, w) in enumerate(zip(baseline.alternatives,
-                                             baseline.normalized_weights()))
-        ]
-        value, se = _z_vs_alternatives(branch, alternatives)
-    return _estimate(value, se, horizon, event, baseline.summary(), estimator)
+    _check_admissible(model, [event], baseline)
+    zs = _z_values([event], baseline, partial(_branch_entropy, model, horizon, estimator))
+    return _ranked([event], zs, baseline, horizon, estimator)[0][1]
 
 
 def classify_event(z: ZEstimate, tol: float = DEFAULT_NEUTRAL_TOL) -> EventClass:
@@ -339,38 +362,6 @@ def classify_event(z: ZEstimate, tol: float = DEFAULT_NEUTRAL_TOL) -> EventClass
     return EventClass(UNCERTAIN)
 
 
-def _ranked(scored: list) -> list[tuple[Event, ZEstimate]]:
-    """Most-beneficial (lowest Z) first, ties broken on event id."""
-    return sorted(scored, key=lambda t: (t[1].value, t[0].id))
-
-
-def _check_vs_rest(events: Sequence[Event]) -> None:
-    if not events:
-        raise ValueError("rank_events needs at least one event")
-    if len({e.id for e in events}) < 2:
-        raise EmptyBaselineError("vs-rest baseline needs >= 2 events")
-
-
-def rank_vs_rest(events: Sequence[Event], branches: Sequence[tuple],
-                 horizon: Horizon, estimator: EstimatorConfig,
-                 ) -> list[tuple[Event, ZEstimate]]:
-    """Score each event against a uniform baseline over the others and sort
-    most-beneficial (lowest Z) first, ties broken on event id.
-
-    `branches[i]` is the (entropy, se) of event i's branch, evaluated once
-    and shared by every Z that needs it.
-    """
-    _check_vs_rest(events)
-    scored = []
-    for i, ev in enumerate(events):
-        others = [j for j, e in enumerate(events) if e.id != ev.id]
-        baseline = Baseline.uniform(events[j] for j in others)
-        value, se = _z_vs_alternatives(branches[i], [
-            (w, *branches[j]) for w, j in zip(baseline.normalized_weights(), others)])
-        scored.append((ev, _estimate(value, se, horizon, ev, baseline.summary(), estimator)))
-    return _ranked(scored)
-
-
 def rank_events(model: SystemModel, events: Sequence[Event], baseline,
                 horizon: Horizon, estimator: EstimatorConfig = EstimatorConfig(),
                 ) -> list[tuple[Event, ZEstimate]]:
@@ -378,21 +369,13 @@ def rank_events(model: SystemModel, events: Sequence[Event], baseline,
 
     `baseline` is either the string "vs-rest" (each event against a uniform
     baseline over the other candidates) or a fixed Baseline applied to every
-    event. Ties break lexicographically on event id. With "vs-rest" each
-    event's branch is evaluated once and shared by every Z that needs it.
-    Each event gets its own derived seed stream, keyed by its index, so Monte
-    Carlo rankings are reproducible even if events are evaluated in parallel.
+    event. Ties break lexicographically on event id, and duplicate ids are
+    rejected. Each distinct branch (the events, the baseline alternatives,
+    the null event) is evaluated once and shared by every Z that needs it;
+    on the Monte Carlo back-end it is seeded by its position in that list,
+    so rankings are reproducible whatever order branches are evaluated in.
     """
     events = list(events)
-    if baseline == "vs-rest":
-        _check_vs_rest(events)
-        for ev in events:
-            _check_admissible(model, ev)
-        branches = [_branch_entropy(model, ev, horizon, estimator, (i,))
-                    for i, ev in enumerate(events)]
-        return rank_vs_rest(events, branches, horizon, estimator)
-    if not events:
-        raise ValueError("rank_events needs at least one event")
-    return _ranked([(ev, z_counterfactual(model, ev, baseline, horizon, estimator,
-                                          _seed_prefix=(i,)))
-                    for i, ev in enumerate(events)])
+    _check_admissible(model, events, baseline)
+    zs = _z_values(events, baseline, partial(_branch_entropy, model, horizon, estimator))
+    return _ranked(events, zs, baseline, horizon, estimator)

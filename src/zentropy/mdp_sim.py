@@ -11,6 +11,7 @@ Cells are (x, y) tuples with (0, 0) top-left; the flat index is y*width+x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -21,8 +22,9 @@ from .entropic_potential import (
     Horizon,
     SystemModel,
     ZEstimate,
-    rank_events,
-    rank_vs_rest,
+    _branch_entropy,
+    _ranked,
+    _z_values,
 )
 from .entropy_core import Distribution, _entropy_of_probs, normalized_probs
 from .errors import CellIsWallError, InvalidDistributionError
@@ -34,7 +36,7 @@ Cell = tuple  # (x, y)
 
 MAX_CELLS = 4096  # exact push-forward stays the universal oracle below this
 
-# Byte budget of one (rows, n_cells) float64 block when exact_z_table pushes
+# Byte budget of one (rows, n_cells) float64 block when z_table pushes
 # its rows forward. A step holds a few such blocks at once, so a table over
 # every cell of a MAX_CELLS grid never holds all of its dense rows.
 TABLE_CHUNK_BYTES = 1 << 20
@@ -335,51 +337,63 @@ class GridWorldModel(SystemModel):
         return self._outcome_of[idx]
 
 
-def exact_z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
-                  actions: tuple = ACTIONS) -> list[list[tuple[str, ZEstimate]]]:
-    """Exact entropic potential of each admissible action at every cell of
-    `cells`, each action scored against a uniform baseline over the others.
+def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
+            estimator: EstimatorConfig = EstimatorConfig(),
+            actions: tuple = ACTIONS) -> tuple[np.ndarray, np.ndarray]:
+    """Entropic potential of each admissible action at every cell of `cells`,
+    each action scored against a uniform baseline over the others.
 
-    Returns one list per cell, most beneficial first, equal to what
-    action_z_scores gives for that cell on the exact back-end. The move
-    targets and the follow-on policy matrix are built once, and every
-    (cell, action) branch is pushed forward once, all of them together as
-    rows of one batch, processed in chunks of at most TABLE_CHUNK_BYTES per
-    (rows, n_cells) block.
+    Returns (z, se), float arrays of shape (len(cells), m) whose column j is
+    the j-th admissible action in ACTIONS order. The exact back-end (se 0.0)
+    pushes every (cell, action) branch forward once, as rows of one batch
+    in chunks of at most TABLE_CHUNK_BYTES per (rows, n_cells) block. The
+    Monte Carlo back-end samples each cell's branches from its own
+    GridWorldModel, action j's branch keyed (j,).
     """
     horizon = Horizon(0, k)
     events = [Event(a) for a in _admissible_actions(actions)]
     cells = [_checked_cell(g, c) for c in cells]
-    targets = _target_table(g)
-    follow_pol = _checked_policy(g, follow)
-    free = _free_index(g)
-    starts = np.repeat(np.array([g.index_of(c) for c in cells], dtype=np.int64), len(events))
-    first_ids = np.array([ACTIONS.index(e.id) for e in events], dtype=np.int64)
-    firsts = np.eye(4)[np.tile(first_ids, len(cells))][:, None, :]
-    chunk = max(1, TABLE_CHUNK_BYTES // (8 * g.n_cells))
-    branches = []
-    for lo in range(0, len(starts), chunk):
-        rows = starts[lo:lo + chunk]
-        d = np.zeros((len(rows), g.n_cells))
-        d[np.arange(len(rows)), rows] = 1.0
-        d = _propagate(g, targets, d, firsts[lo:lo + chunk], follow_pol, k)
-        branches.extend((_entropy_of_probs(normalized_probs(row)), 0.0)
-                        for row in d[:, free])
     m = len(events)
-    exact = EstimatorConfig(backend="exact")
-    return [[(ev.id, z) for ev, z in
-             rank_vs_rest(events, branches[i * m:(i + 1) * m], horizon, exact)]
-            for i in range(len(cells))]
+    out = np.empty((len(cells), m, 2))
+    if estimator.backend == "exact":
+        targets = _target_table(g)
+        follow_pol = _checked_policy(g, follow)
+        free = _free_index(g)
+        starts = np.repeat(np.array([g.index_of(c) for c in cells], dtype=np.int64), m)
+        first_ids = np.array([ACTIONS.index(e.id) for e in events], dtype=np.int64)
+        firsts = np.eye(4)[np.tile(first_ids, len(cells))][:, None, :]
+        chunk = max(1, TABLE_CHUNK_BYTES // (8 * g.n_cells))
+        h = []
+        for lo in range(0, len(starts), chunk):
+            rows = starts[lo:lo + chunk]
+            d = np.zeros((len(rows), g.n_cells))
+            d[np.arange(len(rows)), rows] = 1.0
+            d = _propagate(g, targets, d, firsts[lo:lo + chunk], follow_pol, k)
+            h.extend(_entropy_of_probs(normalized_probs(row)) for row in d[:, free])
+        for i in range(len(cells)):
+            out[i] = _z_values(events, "vs-rest", lambda _, j: (h[i * m + j], 0.0))
+    else:
+        for i, cell in enumerate(cells):
+            model = GridWorldModel(g, cell, follow, actions=actions)
+            out[i] = _z_values(events, "vs-rest",
+                               partial(_branch_entropy, model, horizon, estimator))
+    return out[..., 0], out[..., 1]
+
+
+def ranked_row(z_row, se_row, k: int, estimator: EstimatorConfig = EstimatorConfig(),
+               actions: tuple = ACTIONS) -> list[tuple[str, ZEstimate]]:
+    """One row of z_table as (action, ZEstimate) pairs, most beneficial
+    first, ties broken on action name."""
+    events = [Event(a) for a in _admissible_actions(actions)]
+    zs = zip(z_row.tolist(), se_row.tolist())
+    return [(ev.id, z) for ev, z in _ranked(events, zs, "vs-rest", Horizon(0, k), estimator)]
 
 
 def action_z_scores(g: GridWorld, cell: Cell, follow: np.ndarray, k: int,
                     estimator: EstimatorConfig = EstimatorConfig(),
                     actions: tuple = ACTIONS) -> list[tuple[str, ZEstimate]]:
     """Entropic potential of each admissible action at `cell`, most beneficial
-    first. Each action is scored against a uniform baseline over the others."""
-    if estimator.backend == "exact":
-        return exact_z_table(g, [cell], follow, k, actions)[0]
-    cell = _checked_cell(g, cell)
-    model = GridWorldModel(g, cell, follow, actions=actions)
-    ranked = rank_events(model, model.event_space(), "vs-rest", Horizon(0, k), estimator)
-    return [(ev.id, z) for ev, z in ranked]
+    first: the ranked view of z_table's row for that cell. Each action is
+    scored against a uniform baseline over the others."""
+    z, se = z_table(g, [cell], follow, k, estimator, actions)
+    return ranked_row(z[0], se[0], k, estimator, actions)

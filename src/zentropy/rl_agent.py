@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp_sim import (ACTIONS, GridWorld, _checked_policy, _target_table, exact_z_table,
-                      uniform_policy)
+from .mdp_sim import ACTIONS, GridWorld, _checked_policy, _target_table, uniform_policy, z_table
 
 Z_POLICIES = ("current-greedy", "fixed-uniform")
 
@@ -84,12 +83,12 @@ def _z_table(g: GridWorld, q: list, shaping: ShapingConfig) -> tuple[dict, list]
     else:
         follow = uniform_policy(g)
     cells = g.free_cells()
+    z, _ = z_table(g, cells, follow, shaping.horizon_k)
     snapshot = {}
     zt = [[0.0] * 4 for _ in range(g.n_cells)]
-    for c, scores in zip(cells, exact_z_table(g, cells, follow, shaping.horizon_k)):
-        row = zt[g.index_of(c)]
-        for a, z in scores:
-            snapshot[(c, a)] = row[ACTIONS.index(a)] = z.value
+    for c, row in zip(cells, z.tolist()):
+        zt[g.index_of(c)] = row
+        snapshot.update(((c, a), v) for a, v in zip(ACTIONS, row))
     return snapshot, zt
 
 
@@ -184,6 +183,8 @@ def evaluate_policy(g: GridWorld, policy: np.ndarray, n_episodes: int, max_steps
     Episodes use independent child streams keyed by episode index, so the
     statistics do not depend on evaluation order.
     """
+    if n_episodes < 0 or max_steps < 1:
+        raise ValueError("n_episodes must be >= 0 and max_steps >= 1")
     cum = np.cumsum(_checked_policy(g, policy), axis=1)
     goal = g.goal
     total_return = 0.0

@@ -330,12 +330,14 @@ def stream_scores_loop(values, lo, width, n_bins, alpha, kappa, warmup,
 
     Same arguments and state layout as zentropy._kernels.stream_scores, plus
     the five output arrays it fills; the package's whole-array kernel must
-    match it bit for bit. state: int64 [win_len, z_len, n_seen]; window and
-    z_past hold the last win_len bins and z_len scores, oldest first.
+    match it bit for bit. state: int64 [n_seen]; window and z_past hold the
+    last min(n_seen, cap) bins and scores, oldest first.
     """
     cap = window.shape[0]
+    n_seen = int(state[0])
+    win_len = z_len = min(n_seen, cap)
     counts = [0] * n_bins
-    for j in range(state[0]):
+    for j in range(win_len):
         counts[window[j]] += 1
     for i in range(values.shape[0]):
         x = values[i]
@@ -345,7 +347,6 @@ def stream_scores_loop(values, lo, width, n_bins, alpha, kappa, warmup,
         if b > n_bins - 1:
             b = n_bins - 1
 
-        win_len = state[0]
         denom = win_len + n_bins * alpha
         h_pre = 0.0
         for j in range(n_bins):
@@ -361,7 +362,6 @@ def stream_scores_loop(values, lo, width, n_bins, alpha, kappa, warmup,
         window[win_len] = b
         counts[b] += 1
         win_len += 1
-        state[0] = win_len
         denom = win_len + n_bins * alpha
         h_post = 0.0
         for j in range(n_bins):
@@ -370,14 +370,12 @@ def stream_scores_loop(values, lo, width, n_bins, alpha, kappa, warmup,
         z = h_post - h_pre
 
         # rolling stats over the last <=cap scores, current one included
-        z_len = state[1]
         if z_len == cap:
             for j in range(cap - 1):
                 z_past[j] = z_past[j + 1]
             z_len -= 1
         z_past[z_len] = z
         z_len += 1
-        state[1] = z_len
 
         total = 0.0
         for j in range(z_len):
@@ -389,10 +387,10 @@ def stream_scores_loop(values, lo, width, n_bins, alpha, kappa, warmup,
             sq += d * d
         std = math.sqrt(sq / z_len)
 
-        n_seen = state[2]
         out_bin[i] = b
         out_z[i] = z
         out_mean[i] = mean
         out_std[i] = std
         out_flag[i] = (n_seen >= warmup) and (z > mean + kappa * std)
-        state[2] = n_seen + 1
+        n_seen += 1
+        state[0] = n_seen

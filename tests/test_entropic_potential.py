@@ -18,7 +18,7 @@ from zentropy.entropic_potential import (
     z_counterfactual,
     z_pre_post,
 )
-from zentropy.entropy_core import shannon_entropy
+from zentropy.entropy_core import Distribution, shannon_entropy
 from zentropy.errors import (
     EmptyBaselineError,
     EventInBaselineError,
@@ -33,10 +33,31 @@ from zentropy.mdp_sim import action_z_scores, always_policy, corridor_world
 from oracles import chain_future, entropy_bits
 
 EXACT = EstimatorConfig(backend="exact")
+MC = EstimatorConfig(backend="mc", n_samples=500, seed=5)
 
 # frozen oracle values (see oracles.chain_future / corridor enumeration)
 H_FLIP = entropy_bits([0.9, 0.1])              # 0.4689955935892812
 CORRIDOR_Z_RIGHT = -0.9820892686420791
+
+
+class CountingChain(MarkovChainModel):
+    """A chain that counts its branch evaluations on either back-end."""
+
+    calls = 0
+
+    def exact_future_distribution(self, event, horizon):
+        self.calls += 1
+        return super().exact_future_distribution(event, horizon)
+
+    def sample_future_outcomes(self, event, horizon, n, rng):
+        self.calls += 1
+        return super().sample_future_outcomes(event, horizon, n, rng)
+
+
+def counting_chain() -> CountingChain:
+    """A random 6-state chain with events e0..e4."""
+    base = random_chain_model(6, 5, np.random.default_rng(31))
+    return CountingChain(base.transition, base.event_kernels, base.start.probs)
 
 
 class TestDomainTypes:
@@ -61,6 +82,13 @@ class TestDomainTypes:
         w = Baseline.weighted([a, b], [0.25, 0.75])
         assert w.normalized_weights() == (0.25, 0.75)
         assert Baseline.uniform([a, b]).normalized_weights() == (0.5, 0.5)
+
+    def test_weighted_baseline_weights_are_normalized(self):
+        # inside NORMALIZATION_TOL, but off by 4e-10: accepted and renormalised
+        raw = [0.25, 0.75 + 4e-10]
+        w = Baseline.weighted([Event("a"), Event("b")], raw)
+        assert w.normalized_weights() == tuple(Distribution(["a", "b"], raw).probs.tolist())
+        assert sum(w.normalized_weights()) == pytest.approx(1.0, abs=1e-15)
 
     def test_zestimate_exact_carries_no_error(self):
         with pytest.raises(ValueError):
@@ -302,28 +330,46 @@ class TestRankEvents:
         for (_, z2), v in zip(ranked2, values):
             assert z2.value == pytest.approx(v, abs=1e-12)
 
-    @pytest.mark.parametrize("est", [EXACT, EstimatorConfig(backend="mc", n_samples=500,
-                                                            seed=5)])
-    def test_vs_rest_evaluates_each_branch_once(self, est):
-        class CountingChain(MarkovChainModel):
-            calls = 0
+    @pytest.mark.parametrize("est", [EXACT, MC], ids=["exact", "mc"])
+    @pytest.mark.parametrize("kind", ["vs-rest", "null", "uniform", "weighted"])
+    def test_ranking_evaluates_each_distinct_branch_once(self, kind, est):
+        model = counting_chain()
+        events, rest = model.event_space(), model.event_space()[3:]
+        if kind != "vs-rest":
+            events = events[:3]
+        baseline = {"vs-rest": "vs-rest", "null": Baseline.null(),
+                    "uniform": Baseline.uniform(rest),
+                    "weighted": Baseline.weighted(rest, [0.3, 0.7])}[kind]
+        # the events, then the alternatives not among them, then the null event
+        distinct = len(events) + {"vs-rest": 0, "null": 1}.get(kind, len(rest))
+        ranked = rank_events(model, events, baseline, Horizon(0, 3), est)
+        assert model.calls == distinct
+        if kind == "vs-rest":
+            # shared branches: the vs-rest values of one ranking cancel out
+            assert sum(z.value for _, z in ranked) == pytest.approx(0.0, abs=1e-12)
+        assert ranked == rank_events(model, events, baseline, Horizon(0, 3), est)
 
-            def exact_future_distribution(self, event, horizon):
-                self.calls += 1
-                return super().exact_future_distribution(event, horizon)
+    @pytest.mark.parametrize("baseline", [
+        Baseline.null(),
+        Baseline.uniform([Event("e3"), Event("e4")]),
+        Baseline.weighted([Event("e3"), Event("e4")], [0.3, 0.7]),
+    ], ids=["null", "uniform", "weighted"])
+    def test_fixed_baseline_matches_counterfactual_per_event(self, baseline):
+        model = counting_chain()
+        events = model.event_space()[:3]
+        ranked = dict(rank_events(model, events, baseline, Horizon(0, 2), EXACT))
+        for ev in events:
+            assert ranked[ev] == z_counterfactual(model, ev, baseline, Horizon(0, 2), EXACT)
 
-            def sample_future_outcomes(self, event, horizon, n, rng):
-                self.calls += 1
-                return super().sample_future_outcomes(event, horizon, n, rng)
-
-        base = random_chain_model(6, 5, np.random.default_rng(31))
-        model = CountingChain(base.transition, base.event_kernels, base.start.probs)
-        events = model.event_space()
-        ranked = rank_events(model, events, "vs-rest", Horizon(0, 3), est)
-        assert model.calls == len(events)
-        # shared branches: the vs-rest values of one ranking cancel out
-        assert sum(z.value for _, z in ranked) == pytest.approx(0.0, abs=1e-12)
-        assert ranked == rank_events(model, events, "vs-rest", Horizon(0, 3), est)
+    @pytest.mark.parametrize("baseline", ["vs-rest", Baseline.null(),
+                                          Baseline.uniform([Event("e3")])],
+                             ids=["vs-rest", "null", "uniform"])
+    def test_duplicate_event_ids_rejected_before_any_branch(self, baseline):
+        model = counting_chain()
+        a, b = model.event_space()[:2]
+        with pytest.raises(ValueError, match="duplicate event id 'e0'"):
+            rank_events(model, [a, b, a], baseline, Horizon(0, 1), EXACT)
+        assert model.calls == 0
 
     def test_vs_rest_matches_counterfactual_per_event(self):
         model = random_chain_model(7, 4, np.random.default_rng(37))

@@ -9,6 +9,7 @@ from zentropy.entropic_potential import (
     EstimatorConfig,
     Event,
     Horizon,
+    rank_events,
     z_counterfactual,
 )
 from zentropy.entropy_core import Distribution
@@ -20,12 +21,13 @@ from zentropy.mdp_sim import (
     action_z_scores,
     always_policy,
     corridor_world,
-    exact_z_table,
     future_state_distribution,
     push_forward,
+    ranked_row,
     render_ascii,
     transition_kernel,
     uniform_policy,
+    z_table,
 )
 
 from oracles import corridor_future, entropy_bits
@@ -145,7 +147,7 @@ class TestPushForward:
         for use in (lambda: push_forward(g, start, pol),
                     lambda: future_state_distribution(g, start, "up", pol, 2),
                     lambda: GridWorldModel(g, (0, 0), pol),
-                    lambda: exact_z_table(g, [(0, 0)], pol, 2),
+                    lambda: z_table(g, [(0, 0)], pol, 2),
                     lambda: action_z_scores(g, (0, 0), pol, 2, EXACT)):
             with pytest.raises(InvalidDistributionError, match=message):
                 use()
@@ -154,8 +156,9 @@ class TestPushForward:
         g = GridWorld(3, 2, goal=(2, 1), start=(0, 0), slip=0.2, walls={(1, 1)})
         pol = uniform_policy(g)
         pol[g.index_of((1, 1))] = (np.nan, -1.0, 7.0, 0.0)
-        assert exact_z_table(g, g.free_cells(), pol, 3) == \
-            exact_z_table(g, g.free_cells(), uniform_policy(g), 3)
+        for got, want in zip(z_table(g, g.free_cells(), pol, 3),
+                             z_table(g, g.free_cells(), uniform_policy(g), 3)):
+            assert np.array_equal(got, want)
 
 
 class TestFutureStateDistribution:
@@ -323,7 +326,7 @@ def loop_step(g, d, pol):
     return out
 
 
-class TestExactZTable:
+class TestZTable:
     @given(small_worlds())
     def test_branches_match_the_per_branch_loop(self, world):
         g, policy, actions, k = world
@@ -344,37 +347,57 @@ class TestExactZTable:
     def test_equals_counterfactual_per_cell(self, world):
         g, policy, actions, k = world
         cells = g.free_cells()
-        table = exact_z_table(g, cells, policy, k, actions)
-        assert len(table) == len(cells)
-        for cell, ranked in zip(cells, table):
-            assert [z.value for _, z in ranked] == sorted(z.value for _, z in ranked)
-            assert dict(ranked) == z_by_counterfactual(g, cell, policy, k, actions)
+        z, se = z_table(g, cells, policy, k, EXACT, actions)
+        assert z.shape == se.shape == (len(cells), len(actions))
+        assert not se.any()
+        for cell, z_row, se_row in zip(cells, z, se):
+            want = z_by_counterfactual(g, cell, policy, k, actions)
+            assert z_row.tolist() == [want[a].value for a in ACTIONS if a in actions]
+            ranked = ranked_row(z_row, se_row, k, EXACT, actions)
+            assert [v.value for _, v in ranked] == sorted(z_row.tolist())
+            assert dict(ranked) == want
+
+    def test_mc_rows_equal_rank_events_per_cell(self):
+        # the MC back-end samples each cell's branches once, keyed by action
+        g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.2, walls={(1, 1)})
+        policy = uniform_policy(g)
+        est = EstimatorConfig(backend="mc", n_samples=300, seed=9, bootstrap_resamples=20)
+        cells = [(0, 0), (2, 1), (3, 0)]
+        z, se = z_table(g, cells, policy, 4, est)
+        for cell, z_row, se_row in zip(cells, z, se):
+            model = GridWorldModel(g, cell, policy)
+            want = {ev.id: w for ev, w in rank_events(model, model.event_space(), "vs-rest",
+                                                      Horizon(0, 4), est)}
+            assert z_row.tolist() == [want[a].value for a in ACTIONS]
+            assert se_row.tolist() == [want[a].std_error for a in ACTIONS]
+            assert dict(ranked_row(z_row, se_row, 4, est)) == want
 
     def test_chunked_equals_unchunked(self, monkeypatch):
         g = GridWorld(5, 4, goal=(4, 3), start=(0, 0), slip=0.2,
                       walls={(1, 1), (2, 1), (3, 2)})
         policy = uniform_policy(g)
         cells = g.free_cells()
-        whole = exact_z_table(g, cells, policy, 7)
+        whole = z_table(g, cells, policy, 7)
         for rows in (1, 3, 7):
             monkeypatch.setattr(mdp_sim, "TABLE_CHUNK_BYTES", rows * 8 * g.n_cells)
-            assert exact_z_table(g, cells, policy, 7) == whole
+            for got, want in zip(z_table(g, cells, policy, 7), whole):
+                assert np.array_equal(got, want)
 
     def test_rejects_bad_cells_and_actions(self):
         g = GridWorld(3, 3, goal=(2, 2), start=(0, 0), walls={(1, 1)})
         pol = uniform_policy(g)
         with pytest.raises(CellIsWallError):
-            exact_z_table(g, [(0, 0), (1, 1)], pol, 2)
+            z_table(g, [(0, 0), (1, 1)], pol, 2)
         with pytest.raises(ValueError):
-            exact_z_table(g, [(3, 0)], pol, 2)
+            z_table(g, [(3, 0)], pol, 2)
         with pytest.raises(ValueError):
-            exact_z_table(g, [(0, 0)], pol, 2, ("left", "jump"))
+            z_table(g, [(0, 0)], pol, 2, actions=("left", "jump"))
         with pytest.raises(ValueError):
-            exact_z_table(g, [(0, 0)], pol, 0)
+            z_table(g, [(0, 0)], pol, 0)
         with pytest.raises(EmptyBaselineError):
-            exact_z_table(g, [(0, 0)], pol, 2, ("left",))
+            z_table(g, [(0, 0)], pol, 2, actions=("left",))
         with pytest.raises(ValueError):
-            exact_z_table(g, [(0, 0)], pol, 2, ())
+            z_table(g, [(0, 0)], pol, 2, actions=())
 
 
 def table_law(g, succ, cum, s):

@@ -13,8 +13,8 @@ from zentropy.mdp_sim import (
     action_z_scores,
     always_policy,
     corridor_world,
-    exact_z_table,
     uniform_policy,
+    z_table,
 )
 from zentropy.rl_agent import (
     Z_POLICIES,
@@ -194,20 +194,20 @@ def shaped_runs(draw):
 def test_shaped_training_matches_array_reference(run):
     g, shaping, kw = run
 
-    def z_table(q):
+    def z_of(q):
         if shaping.z_policy == "current-greedy":
             follow = np.array([np.eye(4)[int(np.argmax(row))] for row in q])
         else:
             follow = uniform_policy(g)
         cells = g.free_cells()
-        ranked = exact_z_table(g, cells, follow, shaping.horizon_k)
-        return {(c, a): z.value for c, scores in zip(cells, ranked) for a, z in scores}
+        z, _ = z_table(g, cells, follow, shaping.horizon_k)
+        return {(c, a): v for c, row in zip(cells, z.tolist()) for a, v in zip(ACTIONS, row)}
 
     # fixed-uniform tables do not depend on Q: train builds one, up front
     every = shaping.recompute_every if shaping.z_policy == "current-greedy" else None
     ref_ret, ref_steps, ref_intr, ref_q, ref_snaps = shaped_q_learning(
         g.width, g.height, g.walls, g.start, g.goal, g.slip, beta=shaping.beta,
-        z_table=z_table, recompute_every=every, **kw)
+        z_table=z_of, recompute_every=every, **kw)
     res = train(g, shaping, **kw)
     assert res.episode_returns == ref_ret
     assert res.steps_to_goal == ref_steps
@@ -240,6 +240,12 @@ class TestEvaluatePolicy:
     def test_zero_episodes(self):
         g = corridor_world(3, 0.0)
         assert evaluate_policy(g, uniform_policy(g), 0, 10, seed=0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("n_episodes, max_steps", [(-3, 10), (5, 0), (5, -1)])
+    def test_bad_counts_rejected(self, n_episodes, max_steps):
+        g = corridor_world(3, 0.0)
+        with pytest.raises(ValueError):
+            evaluate_policy(g, uniform_policy(g), n_episodes, max_steps, seed=0)
 
     @given(st.data())
     def test_equals_the_running_sum_loop(self, data):
