@@ -23,8 +23,11 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import anomaly_detect, bayes_infer, mdp_sim, rl_agent
 from .entropic_potential import EstimatorConfig, Horizon, ZEstimate, classify_event
@@ -35,6 +38,9 @@ META_NAME = "run_meta.json"
 
 ATTRIBUTION_HEADER = ["event", "description", "horizon_t0", "horizon_t",
                       "z_bits", "std_error", "method", "classification"]
+
+# rows formatted and written at a time; bounds the text a CSV holds in memory
+CSV_BLOCK_ROWS = 1024
 
 
 # -- deterministic formatting -------------------------------------------------
@@ -57,14 +63,62 @@ def _round_floats(obj):
     return obj
 
 
-def write_csv(path: Path, header: list, rows, config_hash: str) -> None:
+def _csv_quotes(char: str) -> bool:
+    """Whether csv.writer quotes a field holding `char`."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([char, ""])
+    return buf.getvalue().startswith('"')
+
+
+# the characters that make csv.writer quote a field; it decides for a lone "\r"
+# (Python 3.11's writes it bare)
+_CSV_QUOTED = re.compile("[%s]" % "".join(filter(_csv_quotes, ',"\r\n')))
+
+
+def _quoted(field: str) -> str:
+    """A text field as csv.writer writes it in a row of several fields."""
+    if _CSV_QUOTED.search(field) is None:
+        return field
+    return '"' + field.replace('"', '""') + '"'
+
+
+def _fields(column) -> list:
+    """One block of a column as CSV fields. A float64, integer or bool array
+    is formatted whole; a sequence of Python values field by field, through
+    fmt and csv quoting."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            # one %-format call, split on the spaces (a formatted float holds none);
+            # + 0.0 turns -0.0 into 0.0, which fmt writes as "0"
+            return (("%.9g " * len(column)) % tuple((column + 0.0).tolist())).split()
+        if column.dtype == np.bool_:
+            return [("false", "true")[b] for b in column.tolist()]
+        if column.dtype.kind in "iu":
+            return list(map(str, column.tolist()))
+    return [_quoted(fmt(v)) for v in column]
+
+
+def _lines(columns: list) -> str:
+    """Equal-length column blocks as CSV text, one line per row."""
+    rows = list(map(",".join, zip(*map(_fields, columns))))
+    if len(columns) == 1:  # csv writes a lone empty field as "", not as a blank line
+        rows = [row or '""' for row in rows]
+    return "\n".join(rows) + "\n" if rows else ""
+
+
+def write_csv(path: Path, header: list, columns: list, config_hash: str) -> None:
+    """A config-hash comment, the header and one row per index of `columns`,
+    one sequence per header field, CSV_BLOCK_ROWS rows at a time."""
+    n = len(columns[0]) if columns else 0
+    if not header or len(columns) != len(header) or any(len(c) != n for c in columns):
+        raise ZentropyError(f"{path.name}: {len(header)} header fields but columns "
+                            f"{sorted({len(c) for c in columns})} long")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(f"# config_hash={config_hash}\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([fmt(v) for v in row])
+        f.write(_lines([[name] for name in header]))
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            f.write(_lines([c[lo:lo + CSV_BLOCK_ROWS] for c in columns]))
 
 
 def write_json(path: Path, obj: dict, config_hash: str) -> None:
@@ -197,10 +251,16 @@ def _attribution_row(event: str, description: str, z, tol: float) -> list:
             z.value, z.std_error, z.method, label]
 
 
+def _columns(rows: list, width: int) -> list:
+    """A table built row by row as `width` columns."""
+    return list(zip(*rows)) if rows else [()] * width
+
+
 def _write_attribution(out: Path, rows: list, chash: str) -> None:
     """attribution.csv, most beneficial (lowest Z) first, ties by event."""
     rows = sorted(rows, key=lambda r: (r[4], r[0]))
-    write_csv(out / "attribution.csv", ATTRIBUTION_HEADER, rows, chash)
+    write_csv(out / "attribution.csv", ATTRIBUTION_HEADER,
+              _columns(rows, len(ATTRIBUTION_HEADER)), chash)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -229,9 +289,8 @@ def cmd_gridworld(config: dict, out: Path, chash: str, tol: float) -> None:
             attribution.append(_attribution_row(
                 f"{action}@{cell[0]},{cell[1]}",
                 f"action {action} at cell ({cell[0]}, {cell[1]})", z, tol))
-    write_csv(out / "z_table.csv",
-              ["cell_x", "cell_y", "action", "z_bits", "std_error", "method"],
-              z_rows, chash)
+    header = ["cell_x", "cell_y", "action", "z_bits", "std_error", "method"]
+    write_csv(out / "z_table.csv", header, _columns(z_rows, len(header)), chash)
     _write_attribution(out, attribution, chash)
     _write_meta(out, "gridworld", config, chash,
                 ["z_table.csv", "attribution.csv"])
@@ -255,10 +314,9 @@ def cmd_train(config: dict, out: Path, chash: str, tol: float) -> None:
         gamma=_get(block, "gamma", "shaping", float, 0.95),
         seed=config["seed"],
     )
-    rows = [[ep, r, s, m] for ep, (r, s, m) in enumerate(
-        zip(result.episode_returns, result.steps_to_goal, result.mean_intrinsic))]
-    write_csv(out / "train_result.csv",
-              ["episode", "return", "steps", "mean_intrinsic"], rows, chash)
+    write_csv(out / "train_result.csv", ["episode", "return", "steps", "mean_intrinsic"],
+              [np.arange(len(result.episode_returns)), np.array(result.episode_returns),
+               np.array(result.steps_to_goal), np.array(result.mean_intrinsic)], chash)
 
     def key(cell, action=None):
         base = f"{cell[0]},{cell[1]}"
@@ -333,14 +391,14 @@ def cmd_bayes(config: dict, out: Path, chash: str, tol: float) -> None:
         attribution.append(_attribution_row(
             z.event, f"observed {outcome} (update {i})", z, tol))
         current = bayes_infer.posterior_update(current, data_model, outcome)
-    write_csv(out / "queries.csv",
-              ["query", "expected_z_bits", "mutual_information_bits", "rank"],
-              q_rows, chash)
+    header = ["query", "expected_z_bits", "mutual_information_bits", "rank"]
+    write_csv(out / "queries.csv", header, _columns(q_rows, len(header)), chash)
     _write_attribution(out, attribution, chash)
     _write_meta(out, "bayes", config, chash, ["queries.csv", "attribution.csv"])
 
 
-def _read_stream(path: str | None) -> list:
+def _read_stream(path: str | None) -> np.ndarray:
+    """The non-blank lines of the input stream as one float64 array."""
     try:
         if path is None or path == "-":
             text = sys.stdin.read()
@@ -349,19 +407,25 @@ def _read_stream(path: str | None) -> list:
                 text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read input stream: {e}") from e
-    values = []
+    try:
+        values = np.array(list(map(float, filter(None, map(str.strip, text.splitlines())))))
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    raise _bad_line(text)
+
+
+def _bad_line(text: str) -> ConfigError:
+    """The error naming the first non-blank line that is not a finite number."""
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line:
-            continue
         try:
-            value = float(line)
-        except ValueError as e:
-            raise ConfigError(f"input line {ln} is not a number: {line!r}") from e
-        if not math.isfinite(value):
-            raise ConfigError(f"input line {ln} is not a finite number: {line!r}")
-        values.append(value)
-    return values
+            if line and not math.isfinite(float(line)):
+                return ConfigError(f"input line {ln} is not a finite number: {line!r}")
+        except ValueError:
+            return ConfigError(f"input line {ln} is not a number: {line!r}")
+    raise AssertionError("a stream that failed to parse has no bad line")
 
 
 def cmd_anomaly(config: dict, out: Path, chash: str, tol: float,
@@ -378,17 +442,18 @@ def cmd_anomaly(config: dict, out: Path, chash: str, tol: float,
         smoothing=_get(block, "smoothing", "anomaly", float, 1.0),
     )
     values = _read_stream(input_path)
-    # bin, z, rolling_mean, rolling_std, flagged: one list per column
-    cols = [a.tolist() for a in anomaly_detect.StreamDetector(cfg).score_columns(values)]
-    flagged = [i for i, f in enumerate(cols[4]) if f]
+    # bin, z, rolling_mean, rolling_std, flagged: one array per column
+    cols = anomaly_detect.StreamDetector(cfg).score_columns(values)
+    flagged = np.flatnonzero(cols[4]).tolist()
 
     attribution = []
     for i in flagged:
-        z = anomaly_detect.event_estimate(i, cols[1][i])
-        attribution.append(_attribution_row(z.event, f"flagged value {fmt(values[i])}", z, tol))
+        z = anomaly_detect.event_estimate(i, float(cols[1][i]))
+        attribution.append(_attribution_row(z.event, f"flagged value {fmt(float(values[i]))}",
+                                            z, tol))
     write_csv(out / "scores.csv",
               ["index", "value", "bin", "z_bits", "rolling_mean", "rolling_std", "flagged"],
-              zip(range(len(values)), values, *cols), chash)
+              [np.arange(len(values)), values, *cols], chash)
     _write_attribution(out, attribution, chash)
     write_json(out / "summary.json", {
         "n_events": len(values),

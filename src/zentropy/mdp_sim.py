@@ -27,7 +27,7 @@ from .entropic_potential import (
     _z_values,
 )
 from .entropy_core import Distribution, _entropy_of_probs, normalized_probs
-from .errors import CellIsWallError, InvalidDistributionError
+from .errors import CellIsWallError, EmptyBaselineError, InvalidDistributionError
 
 ACTIONS = ("up", "down", "left", "right")
 _DELTAS = {"up": (0, -1), "down": (0, 1), "left": (-1, 0), "right": (1, 0)}
@@ -352,8 +352,13 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
     """
     horizon = Horizon(0, k)
     events = [Event(a) for a in _admissible_actions(actions)]
-    cells = [_checked_cell(g, c) for c in cells]
     m = len(events)
+    # checked before any branch is pushed forward or sampled, as _z_values checks
+    if m == 0:
+        raise ValueError("ranking needs at least one action")
+    if m == 1:
+        raise EmptyBaselineError(f"vs-rest baseline needs >= 2 actions, got {events[0].id!r}")
+    cells = [_checked_cell(g, c) for c in cells]
     out = np.empty((len(cells), m, 2))
     if estimator.backend == "exact":
         targets = _target_table(g)

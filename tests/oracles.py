@@ -5,8 +5,11 @@ not against the package's numpy paths, so the two sides of every check stay
 independent.
 """
 
+import csv
 import math
 from collections import deque
+
+from zentropy.cli import fmt
 
 
 def entropy_bits(probs) -> float:
@@ -394,3 +397,17 @@ def stream_scores_loop(values, lo, width, n_bins, alpha, kappa, warmup,
         out_flag[i] = (n_seen >= warmup) and (z > mean + kappa * std)
         n_seen += 1
         state[0] = n_seen
+
+
+# -- CSV output -----------------------------------------------------------------
+
+def write_csv_rows(path, header, rows, config_hash) -> None:
+    """The CLI's CSV written one row at a time: csv.writer over fmt of each
+    value, the reference for the columnar cli.write_csv."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(f"# config_hash={config_hash}\n")
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([fmt(v) for v in row])

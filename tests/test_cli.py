@@ -7,13 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zentropy import anomaly_detect, cli, rl_agent
 from zentropy.errors import ZentropyError
 
-from oracles import make_regime_shift_stream
+from oracles import make_regime_shift_stream, write_csv_rows
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -45,6 +45,58 @@ def test_fmt_is_nine_significant_digits():
     assert cli.fmt(0.0) == "0"
     assert cli.fmt(True) == "true"
     assert cli.fmt(12) == "12"
+
+
+BLOCK = cli.CSV_BLOCK_ROWS
+# (values, array dtype); a text column is always a list of str
+CSV_KINDS = {
+    "float": (st.floats(allow_subnormal=True) | st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+        -1.7976931348623157e308, math.nan, math.inf, -math.inf]), np.float64),
+    "int": (st.integers(-2**63, 2**63 - 1)
+            | st.sampled_from([10**9, -10**9, 999_999_999, 12_345_678_901]), np.int64),
+    "bool": (st.booleans(), np.bool_),
+    "text": (st.text(st.sampled_from('ab 1.,"\r\n\té')), None),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, columns, rows): columns for write_csv, the same values as
+    Python rows for the row writer. Long columns repeat a few drawn values."""
+    n_rows = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1]) | st.integers(0, 6))
+    kinds = draw(st.lists(st.sampled_from(sorted(CSV_KINDS)), min_size=1, max_size=5))
+    header = draw(st.lists(CSV_KINDS["text"][0], min_size=len(kinds), max_size=len(kinds)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns, values = [], []
+    for kind in kinds:
+        elements, dtype = CSV_KINDS[kind]
+        pool = draw(st.lists(elements, min_size=1, max_size=6))
+        column = [pool[i] for i in rng.integers(0, len(pool), n_rows)]
+        values.append(column)
+        as_array = dtype is not None and draw(st.booleans())
+        columns.append(np.array(column, dtype=dtype) if as_array else column)
+    return header, columns, list(zip(*values))
+
+
+class TestCsvWriter:
+    @given(csv_tables())
+    @example(table=(["z"], [np.array([-0.0, 0.0, -1.5])], [(-0.0,), (0.0,), (-1.5,)]))
+    @example(table=([""], [["", "a\r", 'b"', "c,d\n"]], [("",), ("a\r",), ('b"',), ("c,d\n",)]))
+    @settings(max_examples=200, deadline=None)
+    def test_columns_write_what_the_row_writer_writes(self, tmp_path_factory, table):
+        header, columns, rows = table
+        d = tmp_path_factory.mktemp("csv")
+        cli.write_csv(d / "columns.csv", header, columns, "abc")
+        write_csv_rows(d / "rows.csv", header, rows, "abc")
+        assert (d / "columns.csv").read_bytes() == (d / "rows.csv").read_bytes()
+
+    def test_columns_of_unequal_length_are_an_invariant_error(self, tmp_path):
+        with pytest.raises(ZentropyError):
+            cli.write_csv(tmp_path / "x.csv", ["a", "b"], [[1, 2], [3]], "abc")
+        with pytest.raises(ZentropyError):
+            cli.write_csv(tmp_path / "x.csv", ["a", "b"], [[1, 2]], "abc")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestGridworld:
@@ -549,6 +601,30 @@ class TestAnomaly:
         err = capsys.readouterr().err
         assert "config error" in err and "line 3" in err
 
+    @pytest.mark.parametrize("bad, why", [("banana", "not a number"), ("nan", "not a finite"),
+                                          ("-Infinity", "not a finite"), ("1e999", "not a finite")])
+    def test_bad_line_number_counts_blank_lines(self, tmp_path, capsys, bad, why):
+        stream = tmp_path / "bad.txt"
+        stream.write_text(f"\n  \n\t\n1.0\n\n{bad}\n2.0\n", encoding="utf-8")
+        assert run(["anomaly", "--config", CONFIGS / "anomaly.json",
+                    "--input", stream, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert f"input line 6 is {why}" in err and repr(bad) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_lines_parse_as_python_float_does(self, tmp_path):
+        lines = ["1_000", " +.5\t", "1E3", "-0.0", "\u0661\u0662", "7"]
+        stream = tmp_path / "stream.txt"
+        stream.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
+        values = cli._read_stream(str(stream))
+        assert values.dtype == np.float64
+        assert values.tolist() == [float(line) for line in lines]
+        out = tmp_path / "run"
+        assert run(["anomaly", "--config", CONFIGS / "anomaly.json",
+                    "--input", stream, "--out", out]) == 0
+        assert [r["value"] for r in read_csv_rows(out / "scores.csv")] == [
+            "1000", "0.5", "1000", "0", "12", "7"]
+
     def test_stdin_input(self, tmp_path, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1.0\n2.0\n3.0\n"))
         out = tmp_path / "run"
@@ -559,7 +635,7 @@ class TestAnomaly:
     @pytest.mark.parametrize("seed, kind", [(31, "shifts"), (32, "uniform"),
                                             (33, "one-bin"), (34, "empty")])
     def test_columns_write_what_event_scores_wrote(self, tmp_path, seed, kind):
-        # the run's files as they were written row by row from replay's
+        # the run's files as the row writer writes them from replay's
         # EventScores, before cmd_anomaly wrote the kernel's columns directly
         rng = np.random.default_rng(seed)
         values = {
@@ -591,9 +667,10 @@ class TestAnomaly:
         flagged = [sc.index for sc in scores if sc.flagged]
         assert (len(flagged) > 0) == (kind in ("shifts", "uniform"))
         ref = tmp_path / "ref"
-        cli.write_csv(ref / "scores.csv", ["index", "value", "bin", "z_bits", "rolling_mean",
-                                           "rolling_std", "flagged"], rows, chash)
-        cli._write_attribution(ref, attribution, chash)
+        write_csv_rows(ref / "scores.csv", ["index", "value", "bin", "z_bits", "rolling_mean",
+                                            "rolling_std", "flagged"], rows, chash)
+        write_csv_rows(ref / "attribution.csv", cli.ATTRIBUTION_HEADER,
+                       sorted(attribution, key=lambda r: (r[4], r[0])), chash)
         cli.write_json(ref / "summary.json", {
             "n_events": len(values), "flag_count": len(flagged),
             "first_flag_index": flagged[0] if flagged else None}, chash)

@@ -399,6 +399,21 @@ class TestZTable:
         with pytest.raises(ValueError):
             z_table(g, [(0, 0)], pol, 2, actions=())
 
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    @pytest.mark.parametrize("cells", ["all", "none"])
+    def test_one_action_fails_before_any_branch(self, monkeypatch, backend, cells):
+        g = GridWorld(20, 20, goal=(19, 19), start=(0, 0), slip=0.1)
+
+        def no_branch(*args, **kwargs):
+            raise AssertionError("a branch was evaluated before the action check")
+
+        monkeypatch.setattr(mdp_sim, "_propagate", no_branch)
+        monkeypatch.setattr(mdp_sim, "walk_outcomes", no_branch)
+        est = EstimatorConfig(backend=backend, n_samples=100, bootstrap_resamples=2)
+        with pytest.raises(EmptyBaselineError):
+            z_table(g, g.free_cells() if cells == "all" else [], uniform_policy(g), 15, est,
+                    actions=("up",))
+
 
 def table_law(g, succ, cum, s):
     """Row s of a sampling table as a dense one-step law over flat cells."""
