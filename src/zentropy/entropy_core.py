@@ -128,6 +128,27 @@ def _entropy_of_probs(p: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum() + 0.0)  # + 0.0 normalizes -0.0
 
 
+def _row_entropies(p) -> np.ndarray:
+    """_entropy_of_probs(normalized_probs(row)) of every row of the 2-D p,
+    bitwise, from whole-block operations: each row's total is its own 1-D
+    .sum() (sum(axis=-1) adds in another order), the division and the log2
+    run once over the block, and each row's positive terms are summed as
+    one contiguous run. An invalid block raises what normalized_probs
+    raises for its first offending row."""
+    p = np.ascontiguousarray(p, dtype=np.float64)
+    valid = bool(np.isfinite(p).all()) and not (p < 0.0).any()
+    total = np.array([row.sum() for row in p])[:, None] if valid else None
+    if not valid or (np.abs(total - 1.0) > NORMALIZATION_TOL).any():
+        for row in p:
+            normalized_probs(row)
+    q = np.where(total == 1.0, p, p / total)
+    positive = q > 0.0
+    nz = q[positive]
+    terms = nz * np.log2(nz)
+    ends = np.cumsum(np.count_nonzero(positive, axis=1)).tolist()
+    return np.array([-terms[lo:hi].sum() + 0.0 for lo, hi in zip([0] + ends, ends)])
+
+
 def shannon_entropy(d: Distribution) -> EntropyBits:
     """H(d) = -sum p_i log2 p_i, with 0 log 0 := 0."""
     return EntropyBits(_entropy_of_probs(d.probs))

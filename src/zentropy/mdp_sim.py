@@ -26,7 +26,7 @@ from .entropic_potential import (
     _ranked,
     _z_values,
 )
-from .entropy_core import Distribution, _entropy_of_probs, normalized_probs
+from .entropy_core import Distribution, _row_entropies, normalized_probs
 from .errors import CellIsWallError, EmptyBaselineError, InvalidDistributionError
 
 ACTIONS = ("up", "down", "left", "right")
@@ -36,9 +36,10 @@ Cell = tuple  # (x, y)
 
 MAX_CELLS = 4096  # exact push-forward stays the universal oracle below this
 
-# Byte budget of one (rows, n_cells) float64 block when z_table pushes
-# its rows forward. A step holds a few such blocks at once, so a table over
-# every cell of a MAX_CELLS grid never holds all of its dense rows.
+# Byte budget of one (n_cells, branches) float64 block when z_table pushes
+# its branches forward. _propagate holds five such blocks at once (the two
+# step buffers used in turn, w, c and the set-aside stay rows), so a table
+# over every cell of a MAX_CELLS grid never holds all of its dense laws.
 TABLE_CHUNK_BYTES = 1 << 20
 
 
@@ -182,43 +183,68 @@ def _sampling_table(g: GridWorld, pol: np.ndarray) -> tuple:
     return succ, cumulative(probs)
 
 
-def _step_flat(g: GridWorld, targets: np.ndarray, d: np.ndarray,
-               pol: np.ndarray) -> np.ndarray:
-    """One exact push-forward step of the (m, n_cells) rows d.
+def _propagate(g: GridWorld, d: np.ndarray, first, follow: np.ndarray,
+               k: int) -> np.ndarray:
+    """k exact push-forward steps of the branches d, an (n_cells, m) block
+    whose column b is branch b's law; d may be overwritten. Returns the
+    (n_cells, m) block after k steps.
 
-    pol broadcasts to (m, n_cells, 4): a (n_cells, 4) policy matrix shared
-    by every row, a (1, 4) one-hot action, or a one-hot (m, 1, 4) first
-    action per row. Each row gets the same operations in the same order
-    whatever m is (goal mass copied, then per action the successful moves
-    added in source-index order and the slip term), so a row's result does
-    not depend on the batch it is in.
+    follow, the policy of every step after the first, is an (n_cells, 4)
+    matrix or a (1, 4) one-hot action, shared by every branch. first, the
+    policy of the first step, is None (follow then), a (1, 4) one-hot
+    action, or an (m, 4) array whose row b is branch b's one-hot action.
+
+    Each element gets the float operations of a one-branch loop over source
+    cells (``loop_step`` in the tests) in the same order, so a branch's
+    result does not depend on m or on the chunking. Per step the goal's mass
+    is copied and leaves the active mass w. Then per action, in ACTIONS
+    order, with c = w * (1 - slip): a cell's own c, if its move is blocked,
+    and the c moving in from the neighbour one flat delta back are added,
+    the moved-in term first when the delta is positive (right, down) and
+    the stay term first when it is negative (left, up), which is
+    source-index order; the slip term w * slip comes last.
+
+    A successful move by flat delta takes block row i to row i + delta, so
+    it is one shifted add over the flattened block. The stay rows are set
+    aside and c there set to -0.0 first, so the shift adds nothing from them
+    (x + -0.0 == x for every x); they are added back as whole rows.
     """
-    m, n = d.shape
-    out = np.zeros((m, n))
+    d = np.ascontiguousarray(d)
+    n, m = d.shape
     gi = g.index_of(g.goal)
-    out[:, gi] = d[:, gi]  # absorbing, kept exact
-    active = d.copy()
-    active[:, gi] = 0.0
-    # add.at over the flattened rows: unbuffered, in row-major source order
-    flat_out = out.reshape(-1)
-    row_offsets = np.arange(0, m * n, n)[:, None]
-    for a in range(4):
-        w = active * pol[..., a]
-        np.add.at(flat_out, (targets[a] + row_offsets).ravel(),
-                  (w * (1.0 - g.slip)).ravel())
-        out += w * g.slip
-    return out
-
-
-def _propagate(g: GridWorld, targets: np.ndarray, d: np.ndarray, first_pol,
-               follow_pol: np.ndarray, k: int) -> np.ndarray:
-    """k exact steps of the rows d: first_pol (if not None) for the first
-    step, follow_pol for the rest."""
-    if first_pol is not None:
-        d = _step_flat(g, targets, d, first_pol)
-        k -= 1
-    for _ in range(k):
-        d = _step_flat(g, targets, d, follow_pol)
+    idx = np.arange(n)
+    targets = _target_table(g)
+    moves = []
+    for a, action in enumerate(ACTIONS):
+        dx, dy = _DELTAS[action]
+        moves.append(((dx + dy * g.width) * m, np.flatnonzero(targets[a] == idx)))
+    # per action a column shared by every branch, (n_cells or 1, 1), or a
+    # row of one value per branch, (m or 1,)
+    follow_cols = np.ascontiguousarray(follow.T)[..., None]
+    first_cols = follow_cols if first is None else np.ascontiguousarray(first.T)
+    out, w, c = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))
+    saved = np.empty((max(len(stay) for _, stay in moves), m))
+    flat_c = c.reshape(-1)
+    for step in range(k):
+        flat_out = out.reshape(-1)
+        out.fill(0.0)
+        out[gi] = d[gi]  # absorbing, kept exact
+        d[gi] = 0.0      # d is now the active mass
+        for (shift, stay), col in zip(moves, first_cols if step == 0 else follow_cols):
+            np.multiply(d, col, out=w)
+            np.multiply(w, 1.0 - g.slip, out=c)
+            kept = saved[:len(stay)]
+            np.take(c, stay, axis=0, out=kept)
+            c[stay] = -0.0
+            if shift > 0:
+                flat_out[shift:] += flat_c[:-shift]
+                out[stay] += kept
+            else:
+                out[stay] += kept
+                flat_out[:shift] += flat_c[-shift:]
+            np.multiply(w, g.slip, out=c)
+            out += c
+        d, out = out, d
     return d
 
 
@@ -266,10 +292,7 @@ def transition_kernel(g: GridWorld, cell: Cell, action: str) -> Distribution:
     cell = _checked_cell(g, cell)
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}")
-    d = np.zeros((1, g.n_cells))
-    d[0, g.index_of(cell)] = 1.0
-    out = _step_flat(g, _target_table(g), d, _action_matrix(action))
-    return _flat_to_dist(g, out[0])
+    return push_forward(g, Distribution.point(cell, g.free_cells()), action)
 
 
 def push_forward(g: GridWorld, d: Distribution, policy_or_action) -> Distribution:
@@ -277,12 +300,12 @@ def push_forward(g: GridWorld, d: Distribution, policy_or_action) -> Distributio
 
     policy_or_action is an action name (applied everywhere) or a policy array.
     """
-    flat = _dist_to_flat(g, d)[None, :]
+    flat = _dist_to_flat(g, d)[:, None]
     if isinstance(policy_or_action, str):
         pol = _action_matrix(policy_or_action)
     else:
         pol = _checked_policy(g, policy_or_action)
-    return _flat_to_dist(g, _step_flat(g, _target_table(g), flat, pol)[0])
+    return _flat_to_dist(g, _propagate(g, flat, None, pol, 1)[:, 0])
 
 
 def future_state_distribution(g: GridWorld, start: Distribution,
@@ -292,9 +315,9 @@ def future_state_distribution(g: GridWorld, start: Distribution,
     if k < 1:
         raise ValueError("horizon must be >= 1 step")
     first_pol = None if first is None else _action_matrix(first)
-    flat = _propagate(g, _target_table(g), _dist_to_flat(g, start)[None, :],
-                      first_pol, _checked_policy(g, follow), k)
-    return _flat_to_dist(g, flat[0])
+    flat = _propagate(g, _dist_to_flat(g, start)[:, None], first_pol,
+                      _checked_policy(g, follow), k)
+    return _flat_to_dist(g, flat[:, 0])
 
 
 class GridWorldModel(SystemModel):
@@ -345,10 +368,11 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
 
     Returns (z, se), float arrays of shape (len(cells), m) whose column j is
     the j-th admissible action in ACTIONS order. The exact back-end (se 0.0)
-    pushes every (cell, action) branch forward once, as rows of one batch
-    in chunks of at most TABLE_CHUNK_BYTES per (rows, n_cells) block. The
-    Monte Carlo back-end samples each cell's branches from its own
-    GridWorldModel, action j's branch keyed (j,).
+    pushes every (cell, action) branch forward once, as columns of one
+    (n_cells, branches) block per chunk of at most TABLE_CHUNK_BYTES, and
+    takes the chunk's entropies in one _row_entropies call. The Monte Carlo
+    back-end samples each cell's branches from its own GridWorldModel,
+    action j's branch keyed (j,).
     """
     horizon = Horizon(0, k)
     events = [Event(a) for a in _admissible_actions(actions)]
@@ -361,20 +385,19 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
     cells = [_checked_cell(g, c) for c in cells]
     out = np.empty((len(cells), m, 2))
     if estimator.backend == "exact":
-        targets = _target_table(g)
         follow_pol = _checked_policy(g, follow)
         free = _free_index(g)
         starts = np.repeat(np.array([g.index_of(c) for c in cells], dtype=np.int64), m)
         first_ids = np.array([ACTIONS.index(e.id) for e in events], dtype=np.int64)
-        firsts = np.eye(4)[np.tile(first_ids, len(cells))][:, None, :]
+        firsts = np.eye(4)[np.tile(first_ids, len(cells))]
         chunk = max(1, TABLE_CHUNK_BYTES // (8 * g.n_cells))
         h = []
         for lo in range(0, len(starts), chunk):
-            rows = starts[lo:lo + chunk]
-            d = np.zeros((len(rows), g.n_cells))
-            d[np.arange(len(rows)), rows] = 1.0
-            d = _propagate(g, targets, d, firsts[lo:lo + chunk], follow_pol, k)
-            h.extend(_entropy_of_probs(normalized_probs(row)) for row in d[:, free])
+            origin = starts[lo:lo + chunk]
+            d = np.zeros((g.n_cells, len(origin)))
+            d[origin, np.arange(len(origin))] = 1.0
+            d = _propagate(g, d, firsts[lo:lo + chunk], follow_pol, k)
+            h.extend(_row_entropies(d[free].T).tolist())
         for i in range(len(cells)):
             out[i] = _z_values(events, "vs-rest", lambda _, j: (h[i * m + j], 0.0))
     else:

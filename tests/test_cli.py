@@ -168,6 +168,14 @@ class TestGridworld:
     WALLED_MC = dict(WALLED, estimator={"backend": "mc", "n_samples": 2000,
                                         "bootstrap_resamples": 50},
                      grid=dict(WALLED["grid"], cells=[[0, 0], [3, 2], [1, 4]]))
+    # 40 walls on diagonals of a 20x20 grid: the vertical and horizontal
+    # moves of the exact stepper meet walls, borders and the goal
+    WALLED20 = {"seed": 3, "neutral_tol": 0.01, "estimator": {"backend": "exact"},
+                "grid": {"width": 20, "height": 20, "goal": [17, 16], "start": [2, 1],
+                         "walls": [[x, y] for y in range(20) for x in range(20)
+                                   if (7 * x + 3 * y) % 10 == 0],
+                         "slip": 0.2, "follow_policy": {"kind": "fixed", "action": "right"},
+                         "horizon_k": 15, "cells": "all"}}
 
     @pytest.mark.parametrize("config, golden", [
         ("corridor.json", {
@@ -185,7 +193,12 @@ class TestGridworld:
             "attribution.csv": "5ba3cfde118dddeede11dac9e349f220de538d08724875e353dc80863706ba08",
             "run_meta.json": "c5440b3a7451ba0e21bb1bf09df2e276dae9a3a917800d5de53ceb317991e256",
         }),
-    ], ids=["corridor", "walled-exact", "walled-mc"])
+        (WALLED20, {
+            "z_table.csv": "0b45c3328b2e1fa793cc1217dbfeefab43f94bd91c6dbd49ac942557da139e60",
+            "attribution.csv": "44cce5afda80956f7f38959e16203d1cd1cfc26559c38957e6f923da21bb8b9a",
+            "run_meta.json": "538b827a7419ddc5e78081a3fea15868c948cb49c046a16ee5803159f12cd084",
+        }),
+    ], ids=["corridor", "walled-exact", "walled-mc", "walled20-exact"])
     def test_outputs_match_golden_hashes(self, tmp_path, config, golden):
         # sha256 of the outputs as written when policies were dicts of
         # Distributions; the (n_cells, 4) array policies must keep every byte

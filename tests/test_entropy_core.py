@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from zentropy.entropy_core import (
     Distribution,
     SampleCounts,
+    _entropy_of_probs,
+    _row_entropies,
+    normalized_probs,
     joint_product,
     miller_madow_entropy,
     plugin_entropy,
@@ -193,3 +196,51 @@ class TestJointProduct:
     def test_arithmetic(self):
         j = joint_product(dist(0.9, 0.1), dist(0.5, 0.5))
         assert j.probs.tolist() == pytest.approx([0.45, 0.45, 0.05, 0.05])
+
+
+def per_row_entropies(p) -> np.ndarray:
+    return np.array([_entropy_of_probs(normalized_probs(row)) for row in p])
+
+
+def per_row_error(p) -> str:
+    with pytest.raises(InvalidDistributionError) as e:
+        per_row_entropies(p)
+    return str(e.value)
+
+
+class TestRowEntropies:
+    @pytest.mark.parametrize("width", range(1, 31))
+    def test_bitwise_equal_to_the_per_row_form(self, width):
+        rng = np.random.default_rng(width)
+        w = rng.random((60, width)) ** 3
+        w[rng.random(w.shape) < 0.3] = 0.0
+        w[:, 0] += 1e-3
+        p = w / w.sum(axis=1, keepdims=True)
+        p[1] *= 1.0 + 1e-12                        # off 1, inside the tolerance
+        p[2] = np.eye(width)[width // 2]           # a point mass
+        p[3] = np.where(p[3] == 0.0, -0.0, p[3])   # signed zeros
+        p[4] = 1.0 / width                         # uniform, rarely summing to 1
+        got = _row_entropies(p)
+        assert got.tobytes() == per_row_entropies(p).tobytes()
+        assert got.tobytes() == _row_entropies(np.asfortranarray(p)).tobytes()
+
+    def test_no_rows(self):
+        assert _row_entropies(np.zeros((0, 3))).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [
+        {2: (0, -0.25)},
+        {1: (3, np.nan)},
+        {4: (0, np.inf)},
+        {2: (1, 0.3)},                 # row 2 sums to 1.3
+        {1: (1, 0.3), 3: (0, -1.0)},   # the off-sum row comes first
+        {3: (1, 0.3), 1: (0, -1.0)},   # the negative row comes first
+        {0: (2, 1e-6), 2: (2, np.nan)},
+    ])
+    def test_invalid_rows_raise_the_per_row_error(self, bad):
+        p = np.full((5, 4), 0.25)
+        for row, (col, value) in bad.items():
+            p[row, col] += value
+        want = per_row_error(p)
+        with pytest.raises(InvalidDistributionError) as e:
+            _row_entropies(p)
+        assert str(e.value) == want

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +14,7 @@ from zentropy.entropic_potential import (
     rank_events,
     z_counterfactual,
 )
-from zentropy.entropy_core import Distribution
+from zentropy.entropy_core import Distribution, _entropy_of_probs, normalized_probs
 from zentropy.errors import CellIsWallError, EmptyBaselineError, InvalidDistributionError
 from zentropy.mdp_sim import (
     ACTIONS,
@@ -326,7 +328,97 @@ def loop_step(g, d, pol):
     return out
 
 
+@st.composite
+def mixed_worlds(draw):
+    """A grid (also 1xN or Nx1) with walls, a follow-on policy mixing
+    non-dyadic, greedy one-hot, uniform and signed-zero rows, a non-point
+    start law over the free cells, an action set and k."""
+    shape = draw(st.sampled_from(("grid", "row", "column")))
+    if shape == "grid":
+        width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    else:
+        n = draw(st.integers(1, 7))
+        width, height = (n, 1) if shape == "row" else (1, n)
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    goal = draw(st.sampled_from(cells))
+    walls = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1))
+    walls.discard(goal)
+    g = GridWorld(width, height, goal=goal, start=goal,
+                  slip=draw(st.sampled_from([0.0, 0.1, 0.25, 0.37])), walls=walls)
+    policy = np.zeros((g.n_cells, 4))
+    for row in policy:
+        kind = draw(st.sampled_from(("weights", "greedy", "uniform", "signed-zero")))
+        if kind == "weights":
+            w = np.array(draw(st.lists(st.integers(0, 9), min_size=4, max_size=4)), float)
+            w[draw(st.integers(0, 3))] += 1.0
+            row[:] = w / w.sum()
+        elif kind == "greedy":
+            row[draw(st.integers(0, 3))] = 1.0
+        elif kind == "uniform":
+            row[:] = 0.25
+        else:
+            row[:] = -0.0
+            row[sorted(draw(st.sets(st.integers(0, 3), min_size=1)))] = 1.0
+            row /= row.sum()
+    free = g.free_cells()
+    w = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 0.3, 1.0, 7.0]),
+                               min_size=len(free), max_size=len(free))))
+    w[draw(st.integers(0, len(free) - 1))] = 1.0
+    start = Distribution(free, w / w.sum())
+    actions = draw(st.sets(st.sampled_from(ACTIONS), min_size=2))
+    return g, policy, start, tuple(sorted(actions)), draw(st.integers(1, 6))
+
+
+def loop_future(g, d, first, pol, k):
+    """k loop_step steps of the flat law d: the action first (if any), then pol."""
+    if first is not None:
+        d = loop_step(g, d, np.tile(np.eye(4)[ACTIONS.index(first)], (g.n_cells, 1)))
+        k -= 1
+    for _ in range(k):
+        d = loop_step(g, d, pol)
+    return d
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
 class TestZTable:
+    @given(mixed_worlds())
+    def test_laws_and_tables_equal_the_loop_bitwise(self, world):
+        g, policy, start, actions, k = world
+        pol = mdp_sim._checked_policy(g, policy)
+        free = g.free_cells()
+        at = [g.index_of(c) for c in free]
+        d = np.zeros(g.n_cells)
+        d[at] = start.probs
+        for first in (None, *actions):
+            want = Distribution(free, loop_future(g, d, first, pol, k)[at])
+            got = future_state_distribution(g, start, first, policy, k)
+            assert same_bits(got.probs, want.probs)
+            # one step: push_forward under the policy, or under the action everywhere
+            want = Distribution(free, loop_future(g, d, first, pol, 1)[at])
+            got = push_forward(g, start, policy if first is None else first)
+            assert same_bits(got.probs, want.probs)
+        # Z of each (cell, action) branch from loop laws, summed as _z_values does
+        columns = [a for a in ACTIONS if a in actions]
+        want = []
+        for cell in free:
+            point = np.zeros(g.n_cells)
+            point[g.index_of(cell)] = 1.0
+            h = [_entropy_of_probs(normalized_probs(loop_future(g, point, a, pol, k)[at]))
+                 for a in columns]
+            for i, h_i in enumerate(h):
+                base = 0.0
+                for j, h_j in enumerate(h):
+                    if j != i:
+                        base += 1.0 / (len(h) - 1) * h_j
+                want.append(h_i - base)
+        for rows in (1, 3, len(free) * len(actions)):
+            with mock.patch.object(mdp_sim, "TABLE_CHUNK_BYTES", rows * 8 * g.n_cells):
+                z, _ = z_table(g, free, policy, k, EXACT, actions)
+            assert same_bits(z.ravel(), want)
+
     @given(small_worlds())
     def test_branches_match_the_per_branch_loop(self, world):
         g, policy, actions, k = world
@@ -335,9 +427,7 @@ class TestZTable:
             for first in actions:
                 d = np.zeros(g.n_cells)
                 d[g.index_of(cell)] = 1.0
-                d = loop_step(g, d, np.tile(np.eye(4)[ACTIONS.index(first)], (g.n_cells, 1)))
-                for _ in range(k - 1):
-                    d = loop_step(g, d, policy)
+                d = loop_future(g, d, first, policy, k)
                 want = Distribution(free, [d[g.index_of(c)] for c in free])
                 got = future_state_distribution(g, Distribution.point(cell, free),
                                                 first, policy, k)
