@@ -2,7 +2,10 @@
 
 Determinism notes:
   - walk_outcomes consumes pre-drawn uniforms and only compares floats, so
-    its outcome arrays depend on nothing but its inputs.
+    its outcome arrays depend on nothing but its inputs. Its fixed-length
+    binary search returns the same successor column as counting a row's
+    entries <= u, for any u in [0, 1), and a batch of start states walks
+    each start exactly as a walk from that start alone would.
   - stream_scores works on whole arrays but performs, for every event, the
     same float operations in the same order as a per-event loop would
     (math.log2 terms, additions in bin order and in window order), so its
@@ -25,32 +28,80 @@ def active_backend() -> str:
 # second table. Covers Markov-chain branches (event kernel then base
 # dynamics) and grid-world branches (first action then policy mixture).
 # A sampling table is a (succ, cum) pair of shape (S, K): row s lists the K
-# successor indices of state s and their cumulative probabilities.
+# successor indices of state s and their cumulative probabilities, as
+# cumulative() builds them.
 # ---------------------------------------------------------------------------
 
-def walk_outcomes(cum_start, first, n_first, rest, n_rest, u) -> np.ndarray:
+# Byte budget of one chunk of walks: the chunk's uniforms, transposed, plus
+# the state, position, probe and hit arrays of every walk in it.
+WALK_CHUNK_BYTES = 1 << 20
+
+
+def _search_halves(k: int) -> tuple:
+    """Probe steps of a fixed-length binary search for a count in [0, k - 1]:
+    while more than one candidate is left, probe the half'th of them and
+    keep len - half. Five candidates (a grid row) take 3 probes."""
+    halves = []
+    while k > 1:
+        halves.append(k // 2)
+        k -= k // 2
+    return tuple(halves)
+
+
+def walk_outcomes(cum_start, first, n_first, rest, n_rest, u, starts=None) -> np.ndarray:
     """Sample final states of n categorical walks from pre-drawn uniforms.
 
     cum_start: (S,) cumulative initial distribution. first/rest: (succ, cum)
     sampling tables, applied n_first then n_rest times. u: (n, 1 + n_first +
-    n_rest) uniforms in [0, 1). Each step picks the successor in column j,
-    the count of row entries <= u (searchsorted side='right').
+    n_rest) uniforms in [0, 1). Column 0 draws the start, and each step
+    picks the successor in column j, the count of row entries <= u
+    (searchsorted side='right').
+
+    starts, if given, is a (c,) array of start states: the start draw is
+    skipped (cum_start and column 0 go unused) and each start walks every
+    row of u, so the result is (c, n) instead of (n,).
+
+    The row entries <= u always form a prefix, since cumulative() rows are
+    nondecreasing up to their last nonzero probability and exactly 1.0 > u
+    from there on. So j is found by a branchless binary search over the
+    row's first K - 1 entries of the flattened table, each round one take,
+    one compare and one add over all walks, and the successor is one flat
+    take at s * K + j. Transposed chunks of u give each step contiguous
+    uniforms.
     """
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    if u.shape[1] != 1 + n_first + n_rest:
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 2 or u.shape[1] != 1 + n_first + n_rest:
         raise ValueError("uniform array width does not match walk length")
     n = u.shape[0]
-    steps = [first] * n_first + [rest] * n_rest
-    out = np.empty(n, dtype=np.int64)
-    # vectorized per step; chunked so the (chunk, K) gather stays small
-    chunk = max(1, (1 << 22) // max(first[1].shape[1], rest[1].shape[1]))
+    tables = [(np.ascontiguousarray(succ, dtype=np.int64).reshape(-1),
+               np.ascontiguousarray(cum, dtype=np.float64).reshape(-1),
+               cum.shape[1], _search_halves(cum.shape[1])) for succ, cum in (first, rest)]
+    steps = [tables[0]] * n_first + [tables[1]] * n_rest
+    if starts is not None:
+        starts = np.asarray(starts, dtype=np.int64)[:, None]
+    walks = 1 if starts is None else len(starts)
+    out = np.empty((n,) if starts is None else (walks, n), dtype=np.int64)
+    # bytes per row of u: its uniforms, then per walk an int64 state and
+    # position, a float64 probe and a bool hit
+    chunk = max(1, WALK_CHUNK_BYTES // (8 * u.shape[1] + 25 * walks))
     for a in range(0, n, chunk):
-        b = min(n, a + chunk)
-        s = np.searchsorted(cum_start, u[a:b, 0], side="right")
-        for col, (succ, cum) in enumerate(steps, start=1):
-            j = (cum[s] <= u[a:b, col, None]).sum(axis=1)
-            s = succ[s, j]
-        out[a:b] = s
+        ut = np.ascontiguousarray(u[a:a + chunk].T)
+        if starts is None:
+            s = np.searchsorted(cum_start, ut[0], side="right")
+        else:
+            s = np.repeat(starts, ut.shape[1], axis=1)
+        pos = np.empty_like(s)
+        probe = np.empty(s.shape)
+        hit = np.empty(s.shape, dtype=np.bool_)
+        for x, (succ, cum, k, halves) in zip(ut[1:], steps):
+            np.multiply(s, k, out=pos)
+            for half in halves:
+                # cum[half - 1:] at pos is the row's (j + half - 1)th entry
+                np.take(cum[half - 1:], pos, out=probe, mode="clip")
+                np.less_equal(probe, x, out=hit)
+                np.add(pos, hit if half == 1 else hit * half, out=pos)
+            np.take(succ, pos, out=s, mode="clip")
+        out[..., a:a + chunk] = s
     return out
 
 

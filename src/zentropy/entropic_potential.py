@@ -205,12 +205,8 @@ def _branch_seed(base_seed: int, key: tuple) -> np.random.SeedSequence:
 
 def mc_entropy_of_branch(model: SystemModel, event: Event | None, horizon: Horizon,
                          n: int, seed, bootstrap_resamples: int = 200) -> tuple[EntropyBits, float]:
-    """Plug-in entropy of n sampled outcomes of X_T plus a bootstrap SE.
-
-    The sampled outcome indices are counted with np.bincount, zero counts
-    dropped. The standard error is the sample std of the plug-in entropy
-    over multinomial resamples of the observed count vector.
-    """
+    """Plug-in entropy of n sampled outcomes of X_T plus a bootstrap SE
+    (see _plugin_bits_and_se), both drawn from one generator."""
     if n < 100:
         raise ValueError(f"Monte Carlo branch needs n >= 100, got {n}")
     if bootstrap_resamples < 2:
@@ -221,13 +217,26 @@ def mc_entropy_of_branch(model: SystemModel, event: Event | None, horizon: Horiz
         raise InvalidDistributionError(
             f"sample_future_outcomes must return {n} non-negative integer outcome "
             f"indices; got shape {outcomes.shape}, dtype {outcomes.dtype}")
-    counts = np.bincount(outcomes.astype(np.int64, copy=False)).astype(np.float64)
+    h, se = _plugin_bits_and_se(outcomes.astype(np.int64, copy=False), rng,
+                                bootstrap_resamples)
+    return EntropyBits(h), se
+
+
+def _plugin_bits_and_se(outcomes: np.ndarray, rng: np.random.Generator,
+                        resamples: int) -> tuple[float, float]:
+    """Plug-in entropy (bits) of the integer outcomes and its bootstrap SE.
+
+    The outcomes are counted with np.bincount, zero counts dropped, so any
+    increasing relabelling of the outcomes gives the same result. The
+    standard error is the sample std of the plug-in entropy over
+    `resamples` multinomial resamples of that count vector, drawn from rng.
+    """
+    n = outcomes.shape[0]
+    counts = np.bincount(outcomes).astype(np.float64)
     counts = counts[counts > 0.0]
     h = _entropy_of_probs(counts / n)
-    bs = rng.multinomial(n, counts / n, size=bootstrap_resamples).astype(np.float64)
-    hs = _plugin_bits_rows(bs, n)
-    se = float(hs.std(ddof=1))
-    return EntropyBits(h), se
+    bs = rng.multinomial(n, counts / n, size=resamples).astype(np.float64)
+    return h, float(_plugin_bits_rows(bs, n).std(ddof=1))
 
 
 def _plugin_bits_rows(counts: np.ndarray, total: int) -> np.ndarray:

@@ -11,7 +11,6 @@ Cells are (x, y) tuples with (0, 0) top-left; the flat index is y*width+x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -22,7 +21,8 @@ from .entropic_potential import (
     Horizon,
     SystemModel,
     ZEstimate,
-    _branch_entropy,
+    _branch_seed,
+    _plugin_bits_and_se,
     _ranked,
     _z_values,
 )
@@ -335,6 +335,8 @@ class GridWorldModel(SystemModel):
         self.actions = _admissible_actions(actions)
         self._cum_start = cumulative(_dist_to_flat(grid, self.start))
         self._follow_table = _sampling_table(grid, self.follow)
+        self._first_tables = {a: _sampling_table(grid, _action_matrix(a))
+                              for a in self.actions}
         # flat cell index -> position in free_cells(), the outcome order
         self._outcome_of = np.cumsum(~_wall_mask(grid)) - 1
 
@@ -353,7 +355,7 @@ class GridWorldModel(SystemModel):
         if event is None:
             first, n_first = rest, 0
         else:
-            first, n_first = _sampling_table(self.grid, _action_matrix(event.id)), 1
+            first, n_first = self._first_tables[event.id], 1
         n_rest = horizon.steps - n_first
         u = rng.random((n, 1 + horizon.steps))
         idx = walk_outcomes(self._cum_start, first, n_first, rest, n_rest, u)
@@ -371,10 +373,12 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
     pushes every (cell, action) branch forward once, as columns of one
     (n_cells, branches) block per chunk of at most TABLE_CHUNK_BYTES, and
     takes the chunk's entropies in one _row_entropies call. The Monte Carlo
-    back-end samples each cell's branches from its own GridWorldModel,
-    action j's branch keyed (j,).
+    back-end gives every branch bitwise what rank_events gives on that
+    cell's GridWorldModel, action j's branch keyed (j,), but walks each
+    action's branches at all cells as one batch from one block of uniforms
+    (see _mc_branch_entropies).
     """
-    horizon = Horizon(0, k)
+    Horizon(0, k)  # rejects k < 1
     events = [Event(a) for a in _admissible_actions(actions)]
     m = len(events)
     # checked before any branch is pushed forward or sampled, as _z_values checks
@@ -382,30 +386,60 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
         raise ValueError("ranking needs at least one action")
     if m == 1:
         raise EmptyBaselineError(f"vs-rest baseline needs >= 2 actions, got {events[0].id!r}")
-    cells = [_checked_cell(g, c) for c in cells]
-    out = np.empty((len(cells), m, 2))
+    starts = np.array([g.index_of(_checked_cell(g, c)) for c in cells], dtype=np.int64)
+    follow = _checked_policy(g, follow)
     if estimator.backend == "exact":
-        follow_pol = _checked_policy(g, follow)
         free = _free_index(g)
-        starts = np.repeat(np.array([g.index_of(c) for c in cells], dtype=np.int64), m)
+        origins = np.repeat(starts, m)
         first_ids = np.array([ACTIONS.index(e.id) for e in events], dtype=np.int64)
-        firsts = np.eye(4)[np.tile(first_ids, len(cells))]
+        firsts = np.eye(4)[np.tile(first_ids, len(starts))]
         chunk = max(1, TABLE_CHUNK_BYTES // (8 * g.n_cells))
         h = []
-        for lo in range(0, len(starts), chunk):
-            origin = starts[lo:lo + chunk]
+        for lo in range(0, len(origins), chunk):
+            origin = origins[lo:lo + chunk]
             d = np.zeros((g.n_cells, len(origin)))
             d[origin, np.arange(len(origin))] = 1.0
-            d = _propagate(g, d, firsts[lo:lo + chunk], follow_pol, k)
+            d = _propagate(g, d, firsts[lo:lo + chunk], follow, k)
             h.extend(_row_entropies(d[free].T).tolist())
-        for i in range(len(cells)):
-            out[i] = _z_values(events, "vs-rest", lambda _, j: (h[i * m + j], 0.0))
+        values = [[(x, 0.0) for x in h[i:i + m]] for i in range(0, len(h), m)]
     else:
-        for i, cell in enumerate(cells):
-            model = GridWorldModel(g, cell, follow, actions=actions)
-            out[i] = _z_values(events, "vs-rest",
-                               partial(_branch_entropy, model, horizon, estimator))
+        values = _mc_branch_entropies(g, starts, follow, k, estimator, events)
+    out = np.empty((len(starts), m, 2))
+    for i, row in enumerate(values):
+        out[i] = _z_values(events, "vs-rest", lambda _, j: row[j])
     return out[..., 0], out[..., 1]
+
+
+def _mc_branch_entropies(g: GridWorld, starts: np.ndarray, follow: np.ndarray, k: int,
+                         estimator: EstimatorConfig, events) -> list:
+    """(entropy, se) of every (cell, action) branch, [cell][j], for the flat
+    cell indices `starts` and the checked policy `follow`, each exactly as
+    mc_entropy_of_branch gives it for that cell's GridWorldModel.
+
+    Branch j draws its uniforms from the child stream keyed (j,) at every
+    cell, so one (n, 1 + k) block per action serves all cells: their walks
+    step together from the start cells as one (cells, n) array, at most
+    TABLE_CHUNK_BYTES of outcomes per chunk. Each cell's bootstrap then
+    resumes from the generator state after that block. Flat cell indices
+    count like free-cell positions, the same increasing relabelling.
+    """
+    n = estimator.n_samples
+    rest = _sampling_table(g, follow)
+    chunk = max(1, TABLE_CHUNK_BYTES // (8 * n))
+    values = [[None] * len(events) for _ in starts]
+    for j, ev in enumerate(events):
+        first = _sampling_table(g, _action_matrix(ev.id))
+        rng = np.random.default_rng(_branch_seed(estimator.seed, (j,)))
+        u = rng.random((n, 1 + k))
+        after = rng.bit_generator.state
+        for lo in range(0, len(starts), chunk):
+            walked = walk_outcomes(None, first, 1, rest, k - 1, u, starts[lo:lo + chunk])
+            for i, outcomes in enumerate(walked, start=lo):
+                rng.bit_generator.state = after
+                values[i][j] = _plugin_bits_and_se(outcomes, rng,
+                                                   estimator.bootstrap_resamples)
+        del u  # freed before the next action's block is drawn
+    return values
 
 
 def ranked_row(z_row, se_row, k: int, estimator: EstimatorConfig = EstimatorConfig(),

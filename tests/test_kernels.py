@@ -55,6 +55,66 @@ def test_walk_paths_agree_bitwise(size, n, k):
         assert np.array_equal(walk_outcomes(cum_start, first, 1, rest, k, u), out_loop)
 
 
+def random_table(rng, n_states, k, zeros):
+    """A (succ, cum) table from cumulative(): n_states rows of k random
+    successors, each row with the columns in `zeros` (clipped to the row)
+    at probability 0, kept non-empty, and some rows given a tiny last mass."""
+    succ = rng.integers(0, n_states, (n_states, k))
+    p = rng.random((n_states, k)) + 1e-3
+    p[:, [c for c in zeros if c < k]] = 0.0
+    empty = ~(p > 0.0).any(axis=1)
+    p[empty, rng.integers(0, k, int(empty.sum()))] = 1.0
+    tiny = rng.random(n_states) < 0.3
+    last = k - 1 - np.argmax(p[:, ::-1] > 0.0, axis=1)
+    p[tiny, last[tiny]] = 1e-13
+    return succ, cumulative(p / p.sum(axis=1, keepdims=True))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_states=st.integers(1, 70),
+    kind=st.sampled_from(["point", "grid", "dense"]),
+    zeros=st.sets(st.sampled_from([0, 1, 2, 3, 4, 9, 34, 68, 69]), max_size=3),
+    n_first=st.integers(0, 2),
+    n_rest=st.integers(0, 5),
+    n=st.integers(0, 200),
+    leading_zeros=st.integers(0, 5),
+    chunk_bytes=st.sampled_from([1, 300, 2000, 1 << 20]),
+)
+def test_walk_kernel_matches_loop_bitwise(seed, n_states, kind, zeros, n_first,
+                                          n_rest, n, leading_zeros, chunk_bytes):
+    """The branchless search equals counting a row's entries <= u, on K = 1,
+    K = 5 and dense K = S tables, with ties at table entries and at 0.0,
+    walks from a drawn start law and from a batch of start states, and n
+    split into several chunks."""
+    rng = np.random.default_rng(seed)
+    k = {"point": 1, "grid": 5, "dense": n_states}[kind]
+    first = random_table(rng, n_states, k, zeros)
+    rest = random_table(rng, n_states, k, zeros)
+    start = rng.random(n_states)
+    start[:min(leading_zeros, n_states - 1)] = 0.0
+    cum_start = cumulative(start / start.sum())
+    u = rng.random((n, 1 + n_first + n_rest))
+    # ties: exact table entries below 1.0, and 0.0
+    entries = np.concatenate((cum_start, first[1].ravel(), rest[1].ravel(), [0.0]))
+    entries = entries[entries < 1.0]
+    tie = rng.random(u.shape) < 0.4
+    u[tie] = rng.choice(entries, int(tie.sum()))
+    starts = rng.integers(0, n_states, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "WALK_CHUNK_BYTES", chunk_bytes)
+        got = walk_outcomes(cum_start, first, n_first, rest, n_rest, u)
+        batch = walk_outcomes(None, first, n_first, rest, n_rest, u, starts)
+    want = np.empty(n, dtype=np.int64)
+    walk_outcomes_loop(cum_start, first, n_first, rest, n_rest, u, want)
+    assert np.array_equal(got, want)
+    assert batch.shape == (3, n)
+    for s, row in zip(starts, batch):
+        walk_outcomes_loop(cumulative(np.eye(n_states)[s]), first, n_first, rest,
+                           n_rest, u, want)
+        assert np.array_equal(row, want)
+
+
 def test_walk_uniform_width_must_match():
     table = (np.broadcast_to(np.arange(3), (3, 3)), cumulative(np.eye(3)))
     with pytest.raises(ValueError):

@@ -447,20 +447,41 @@ class TestZTable:
             assert [v.value for _, v in ranked] == sorted(z_row.tolist())
             assert dict(ranked) == want
 
-    def test_mc_rows_equal_rank_events_per_cell(self):
-        # the MC back-end samples each cell's branches once, keyed by action
-        g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.2, walls={(1, 1)})
-        policy = uniform_policy(g)
-        est = EstimatorConfig(backend="mc", n_samples=300, seed=9, bootstrap_resamples=20)
-        cells = [(0, 0), (2, 1), (3, 0)]
-        z, se = z_table(g, cells, policy, 4, est)
+    @pytest.mark.parametrize("size,walls,policy,n,resamples,actions,chunk_cells", [
+        ((4, 3), {(1, 1)}, "uniform", 300, 20, ACTIONS, None),
+        ((5, 4), {(1, 1), (2, 1), (3, 2)}, "uniform", 100, 2, ACTIONS, 2),
+        ((5, 4), {(1, 1), (2, 1), (3, 2)}, "greedy", 1000, 200, ("right", "down", "left"), 3),
+        ((6, 5), {(0, 2), (2, 2), (4, 1), (4, 3)}, "greedy", 1000, 50, ("right", "up"), None),
+        ((6, 5), {(0, 2), (2, 2), (4, 1), (4, 3)}, "uniform", 100, 7, ("left", "up"), 1),
+    ])
+    def test_mc_rows_equal_rank_events_per_cell(self, monkeypatch, size, walls, policy,
+                                                n, resamples, actions, chunk_cells):
+        # the batched MC table gives each cell what rank_events gives on that
+        # cell's own model, whose branch j is keyed by its position j among
+        # the admissible actions; chunk_cells cells per walk chunk
+        width, height = size
+        g = GridWorld(width, height, goal=(width - 1, height - 1), start=(0, 0), slip=0.2,
+                      walls=walls)
+        rng = np.random.default_rng(n + resamples)
+        if policy == "uniform":
+            follow = uniform_policy(g)
+        else:  # one-hot on each row's first max, as greedy_policy_from_q gives
+            follow = np.eye(4)[np.argmax(rng.random((g.n_cells, 4)), axis=1)]
+        cells = [g.free_cells()[i] for i in rng.permutation(len(g.free_cells()))]
+        assert g.goal in cells
+        if chunk_cells is not None:
+            monkeypatch.setattr(mdp_sim, "TABLE_CHUNK_BYTES", chunk_cells * 8 * n)
+        est = EstimatorConfig(backend="mc", n_samples=n, seed=9,
+                              bootstrap_resamples=resamples)
+        z, se = z_table(g, cells, follow, 4, est, actions)
+        order = [a for a in ACTIONS if a in actions]
         for cell, z_row, se_row in zip(cells, z, se):
-            model = GridWorldModel(g, cell, policy)
+            model = GridWorldModel(g, cell, follow, actions=actions)
             want = {ev.id: w for ev, w in rank_events(model, model.event_space(), "vs-rest",
                                                       Horizon(0, 4), est)}
-            assert z_row.tolist() == [want[a].value for a in ACTIONS]
-            assert se_row.tolist() == [want[a].std_error for a in ACTIONS]
-            assert dict(ranked_row(z_row, se_row, 4, est)) == want
+            assert z_row.tolist() == [want[a].value for a in order]
+            assert se_row.tolist() == [want[a].std_error for a in order]
+            assert dict(ranked_row(z_row, se_row, 4, est, actions)) == want
 
     def test_chunked_equals_unchunked(self, monkeypatch):
         g = GridWorld(5, 4, goal=(4, 3), start=(0, 0), slip=0.2,
@@ -549,6 +570,19 @@ class TestGridWorldModel:
         g = corridor_world(5, 0.2)
         with pytest.raises(ValueError):
             GridWorldModel(g, (3, 0), always_policy(g, "right"), actions=("jump",))
+
+    def test_sampling_tables_built_once(self):
+        # the follow table and one first-step table per admissible action
+        # are built with the model; sampling branches builds none
+        g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.2, walls={(1, 1)})
+        with mock.patch.object(mdp_sim, "_sampling_table",
+                               wraps=mdp_sim._sampling_table) as build:
+            m = GridWorldModel(g, (0, 0), uniform_policy(g), actions=("up", "left"))
+            assert build.call_count == 3
+            rng = np.random.default_rng(0)
+            for event in (None, *m.event_space(), *m.event_space()):
+                m.sample_future_outcomes(event, Horizon(0, 3), 100, rng)
+            assert build.call_count == 3
 
     def test_distribution_start(self):
         g = corridor_world(4, 0.0)
