@@ -6,13 +6,27 @@ Z values come from the exact back-end, cached per (cell, action) and
 refreshed every `recompute_every` episodes under the configured follow-on
 policy (the agent's current greedy policy by default).
 
-RNG protocol (normative for the beta=0 ablation identity): one generator
-seeded once, consumed strictly in this order per step:
-  1. one uniform for the explore/exploit decision,
-  2. if exploring, one integer draw in [0, 4) for the action,
-  3. one uniform for the slip outcome.
+RNG protocol (normative for the beta=0 ablation identity): one generator,
+`np.random.default_rng(seed)`, seeded once and consumed strictly in this
+order per step:
+  1. one `random()` uniform for the explore/exploit decision,
+  2. if exploring, one `integers(0, 4)` draw for the action,
+  3. one `random()` uniform for the slip outcome.
 With beta=0 the Z machinery is bypassed entirely, so a vanilla learner
 following the same protocol reproduces the run byte for byte.
+
+`train` does not make these scalar Generator calls: it reads the same draws
+from blocks of raw 64-bit PCG64 words (`bit_generator.random_raw`), turned
+into Python ints once per block. It relies on how numpy (1.17 and later)
+maps raw words to draws:
+  - `random()` takes one word w and returns (w >> 11) * 2**-53, so
+    `random() < p` exactly when w < _raw_threshold(p);
+  - `integers(0, 4)` is a 32-bit draw through Lemire's method, which never
+    rejects for a range of 4, so the action is the draw's top two bits;
+  - a 32-bit draw takes the low half of a fresh word and buffers the high
+    half, which the next 32-bit draw takes; `random()` neither reads nor
+    clears that buffer, so it carries across steps, episodes and Z refreshes.
+`tests/test_rl_agent.py` checks this mapping against scalar Generator calls.
 """
 
 from __future__ import annotations
@@ -25,6 +39,10 @@ import numpy as np
 from .mdp_sim import ACTIONS, GridWorld, _checked_policy, _target_table, uniform_policy, z_table
 
 Z_POLICIES = ("current-greedy", "fixed-uniform")
+MAX_EPISODES = 100_000
+MAX_STEPS = 10_000  # per episode; with MAX_EPISODES, at most 10**9 env steps
+
+_RAW_BLOCK = 1024  # raw PCG64 words fetched per refill of the draw buffer
 
 
 @dataclass(frozen=True)
@@ -69,6 +87,15 @@ def shaped_reward(r_env: float, z_value: float, beta: float) -> float:
     return r_env - beta * z_value
 
 
+def _raw_threshold(p: float) -> int:
+    """The bound b for which `random() < p` iff the raw PCG64 word w < b.
+
+    random() is k * 2**-53 with k = w >> 11, and p * 2**53 is exact for p in
+    [0, 1], so k < p * 2**53 iff k < ceil(p * 2**53) iff w < ceil(...) << 11.
+    """
+    return math.ceil(p * 2**53) << 11
+
+
 def greedy_policy_from_q(q: np.ndarray) -> np.ndarray:
     """Point-mass policy on the argmax action of each Q row (first max wins)."""
     return np.eye(4)[np.argmax(q, axis=1)]
@@ -107,8 +134,10 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
     the first maximum (np.argmax's tie-break) and every update is the same
     double-precision expression, so results equal those of an array table.
     """
-    if episodes < 0 or max_steps < 1:
-        raise ValueError("episodes must be >= 0 and max_steps >= 1")
+    if not 0 <= episodes <= MAX_EPISODES:
+        raise ValueError(f"episodes must be in 0..{MAX_EPISODES}, got {episodes}")
+    if not 1 <= max_steps <= MAX_STEPS:
+        raise ValueError(f"max_steps must be in 1..{MAX_STEPS}, got {max_steps}")
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError("epsilon must be in [0, 1]")
     if not (0.0 < alpha <= 1.0):
@@ -116,13 +145,17 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
     if not (0.0 <= gamma <= 1.0):
         raise ValueError("gamma must be in [0, 1]")
 
-    rng = np.random.default_rng(seed)
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+    words: list = []  # raw words; words[pos:] are unread
+    pos = 0
+    held = -1  # action in the buffered high half of a word, -1 if none
+    explore_below = _raw_threshold(epsilon)
     goal = g.index_of(g.goal)
     q = [[float(q_init)] * 4 for _ in range(g.n_cells)]
     q[goal] = [0.0] * 4  # terminal: no future value beyond the arrival reward
     start = g.index_of(g.start)
     targets = _target_table(g).tolist()
-    move_p = 1.0 - g.slip
+    move_below = _raw_threshold(1.0 - g.slip)
     keep = 1.0 - alpha
     neg_beta = -shaping.beta
 
@@ -143,12 +176,26 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
         steps = 0
         reached = s == goal
         while steps < max_steps and not reached:
+            # a step reads at most 3 words; drawing past the end of the run
+            # is harmless, as no one else reads this generator
+            while len(words) - pos < 3:
+                words = words[pos:] + raw(_RAW_BLOCK).tolist()
+                pos = 0
             qs = q[s]
-            if rng.random() < epsilon:
-                a = int(rng.integers(0, 4))
+            if words[pos] < explore_below:
+                if held < 0:
+                    a = (words[pos + 1] >> 30) & 3
+                    held = words[pos + 1] >> 62
+                    pos += 2
+                else:
+                    a = held
+                    held = -1
+                    pos += 1
             else:
                 a = qs.index(max(qs))
-            nxt = targets[a][s] if rng.random() < move_p else s
+                pos += 1
+            nxt = targets[a][s] if words[pos] < move_below else s
+            pos += 1
             r_env = 1.0 if nxt == goal else 0.0
             if use_z:
                 intrinsic = neg_beta * zt[s][a]

@@ -371,6 +371,9 @@ class TestConfigParsing:
         ("corridor.json", [(("estimator", "n_samples"), 1_000_001)], "n_samples"),
         ("corridor.json", [(("estimator", "bootstrap_resamples"), 10_001)],
          "bootstrap_resamples"),
+        ("train_corridor.json", [(("shaping", "episodes"), 10**12)], "episodes"),
+        ("train_corridor.json", [(("shaping", "max_steps"), rl_agent.MAX_STEPS + 1)],
+         "max_steps"),
         # these two used to write part of a run, or an empty directory, first
         ("bayes11.json", [(("bayes", "data"), ["heads", "sideways"])], "data"),
         ("anomaly.json", [(("anomaly", "kappa"), -1.0)], "kappa"),

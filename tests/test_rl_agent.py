@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zentropy import rl_agent
 from zentropy.entropic_potential import EstimatorConfig
 from zentropy.entropy_core import normalized_probs
 from zentropy.mdp_sim import (
@@ -17,8 +18,11 @@ from zentropy.mdp_sim import (
     z_table,
 )
 from zentropy.rl_agent import (
+    MAX_EPISODES,
+    MAX_STEPS,
     Z_POLICIES,
     ShapingConfig,
+    _raw_threshold,
     evaluate_policy,
     greedy_policy_from_q,
     shaped_reward,
@@ -87,6 +91,24 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(g, cfg, episodes=1, max_steps=10, epsilon=0.1, alpha=0.5,
                   gamma=1.5, seed=0)
+
+    @pytest.mark.parametrize("episodes, max_steps, named", [
+        (MAX_EPISODES + 1, 10, "episodes"),
+        (10**12, 10, "episodes"),
+        (1, 0, "max_steps"),
+        (1, MAX_STEPS + 1, "max_steps"),
+    ])
+    def test_caps_run_length(self, episodes, max_steps, named):
+        with pytest.raises(ValueError, match=named):
+            train(corridor_world(3, 0.0), ShapingConfig(), episodes=episodes,
+                  max_steps=max_steps, epsilon=0.1, alpha=0.5, gamma=0.9, seed=0)
+
+    def test_caps_are_inclusive(self):
+        # start on the goal: every episode ends before its first step
+        g = GridWorld(1, 1, goal=(0, 0), start=(0, 0))
+        res = train(g, ShapingConfig(), episodes=MAX_EPISODES, max_steps=MAX_STEPS,
+                    epsilon=0.1, alpha=0.5, gamma=0.9, seed=0)
+        assert len(res.steps_to_goal) == MAX_EPISODES and not any(res.steps_to_goal)
 
     def test_zero_episodes_gives_empty_record(self):
         g = corridor_world(3, 0.0)
@@ -168,7 +190,11 @@ class TestTrain:
 @st.composite
 def shaped_runs(draw):
     """A small world with walls and slip, shaping with beta > 0 and training
-    settings; a flat initial Q table (0.0 or 1.0) makes argmax ties common."""
+    settings; a flat initial Q table (0.0 or 1.0) makes argmax ties common.
+    The last item is the size of train's raw-word blocks: at 1, 2 or 3 words
+    a refill lands on every position of a step's draws, so an explore word
+    ends a block and a buffered action half crosses refills, episodes and
+    Z refreshes."""
     width = draw(st.integers(1, 4))
     height = draw(st.integers(1, 3))
     cells = [(x, y) for y in range(height) for x in range(width)]
@@ -182,17 +208,16 @@ def shaped_runs(draw):
                             recompute_every=draw(st.integers(1, 4)),
                             z_policy=draw(st.sampled_from(Z_POLICIES)))
     kw = dict(episodes=draw(st.integers(1, 12)), max_steps=draw(st.integers(1, 30)),
-              epsilon=draw(st.sampled_from([0.0, 0.1, 0.5])),
+              epsilon=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
               alpha=draw(st.sampled_from([0.2, 0.5, 1.0])),
               gamma=draw(st.sampled_from([0.0, 0.9, 1.0])),
               seed=draw(st.integers(0, 2**32 - 1)),
               q_init=draw(st.sampled_from([0.0, 1.0])))
-    return g, shaping, kw
+    return g, shaping, kw, draw(st.sampled_from([1, 2, 3, rl_agent._RAW_BLOCK]))
 
 
-@given(shaped_runs())
-def test_shaped_training_matches_array_reference(run):
-    g, shaping, kw = run
+def assert_matches_array_reference(g, shaping, kw):
+    """train's results equal those of the scalar-draw array learner."""
 
     def z_of(q):
         if shaping.z_policy == "current-greedy":
@@ -215,6 +240,62 @@ def test_shaped_training_matches_array_reference(run):
     assert res.final_q == {(c, a): ref_q[g.index_of(c), i]
                            for c in g.free_cells() for i, a in enumerate(ACTIONS)}
     assert res.z_snapshots == ref_snaps
+
+
+@given(shaped_runs())
+def test_shaped_training_matches_array_reference(run):
+    g, shaping, kw, block = run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rl_agent, "_RAW_BLOCK", block)
+        assert_matches_array_reference(g, shaping, kw)
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 0.5, 1.0])
+def test_long_shaped_run_matches_array_reference(epsilon):
+    # thousands of steps cross many default-size blocks of raw words
+    g = GridWorld(5, 4, goal=(4, 3), start=(0, 0), walls=frozenset({(2, 1), (1, 3)}),
+                  slip=0.2)
+    shaping = ShapingConfig(beta=0.5, horizon_k=4, recompute_every=40,
+                            z_policy="current-greedy")
+    assert_matches_array_reference(g, shaping, dict(
+        episodes=300, max_steps=60, epsilon=epsilon, alpha=0.2, gamma=0.95, seed=8,
+        q_init=1.0))
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(st.booleans(), max_size=300))
+def test_raw_words_decode_to_generator_draws(seed, draws_action):
+    """The mapping train relies on, against scalar Generator calls in any
+    interleaving: random() is (w >> 11) * 2**-53 of one raw PCG64 word w,
+    compared with p through _raw_threshold(p); integers(0, 4) is bits 30-31
+    of a fresh word (its low 32-bit half), whose high half (bits 62-63) the
+    next integers draw takes, across any random() calls in between."""
+    rng = np.random.default_rng(seed)
+    words = iter(np.random.default_rng(seed).bit_generator.random_raw(
+        len(draws_action)).tolist())
+    held = -1
+    for action in draws_action:
+        if action:
+            a = int(rng.integers(0, 4))
+            if held < 0:
+                w = next(words)
+                assert a == (w >> 30) & 3
+                held = w >> 62
+            else:
+                assert a == held
+                held = -1
+        else:
+            w = next(words)
+            u = rng.random()
+            assert u == (w >> 11) * 2**-53
+            for p in (u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)):
+                assert (w < _raw_threshold(float(p))) == (u < p)
+
+
+def test_raw_threshold_ends():
+    assert _raw_threshold(0.0) == 0  # random() < 0 never holds
+    assert _raw_threshold(1.0) == 2**64  # random() < 1 always holds
+    assert _raw_threshold(0.5) == 2**63
+    assert _raw_threshold(2**-53) == 2**11  # only k = 0 is below
 
 
 class TestEvaluatePolicy:
