@@ -25,6 +25,7 @@ from .entropic_potential import (
     EventClass,
     Horizon,
     SystemModel,
+    Walk,
     ZEstimate,
     classify_event,
     mc_entropy_of_branch,

@@ -278,8 +278,7 @@ def cmd_gridworld(config: dict, out: Path, chash: str, tol: float) -> None:
     est = EstimatorConfig(
         backend=_get(est_block, "backend", "estimator", str, "exact"),
         n_samples=_get(est_block, "n_samples", "estimator", int, 10_000),
-        seed=_get(est_block, "seed", "estimator", int, config["seed"]),
-        bootstrap_resamples=_get(est_block, "bootstrap_resamples", "estimator", int, 200))
+        seed=_get(est_block, "seed", "estimator", int, config["seed"]))
 
     z_values, std_errors = mdp_sim.z_table(g, cells, follow, k, est, actions)
     z_rows, attribution = [], []

@@ -9,8 +9,11 @@ entropy of the system state at a future horizon:
 Negative Z means the event concentrates the future (beneficial), positive Z
 means it spreads it (harmful). Values are always in bits. Models plug in via
 the SystemModel contract; exact evaluation asks for the full predictive
-distribution, Monte Carlo draws outcomes and applies the plug-in estimator
-with a bootstrap standard error.
+distribution. Monte Carlo evaluation walks a model's described walk up to
+the step before T and takes the last step exactly (a Rao-Blackwell step):
+the entropy of the mixed last-step law, with a delta-method standard error.
+A model that can only sample gives its outcomes, and the same estimator
+with a point-mass last step is the plug-in entropy of their counts.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .entropy_core import Distribution, EntropyBits, _entropy_of_probs, shannon_entropy
+from ._kernels import cumulative, walk_outcomes
+from .entropy_core import Distribution, EntropyBits, shannon_entropy
 from .errors import (
     EmptyBaselineError,
     EventInBaselineError,
@@ -35,9 +39,8 @@ from .errors import (
 
 DEFAULT_NEUTRAL_TOL = 0.01  # bits
 
-# size caps: an MC branch holds n_samples * (1 + k) uniforms in memory
+# size cap: an MC branch of k steps holds n_samples * k uniforms in memory
 MAX_SAMPLES = 10**6
-MAX_BOOTSTRAP = 10**4
 
 BENEFICIAL = "beneficial"
 HARMFUL = "harmful"
@@ -134,16 +137,12 @@ class EstimatorConfig:
     backend: str = "exact"  # "exact" | "mc"
     n_samples: int = 10_000
     seed: int = 0
-    bootstrap_resamples: int = 200
 
     def __post_init__(self) -> None:
         if self.backend not in ("exact", "mc"):
             raise ValueError(f"backend must be 'exact' or 'mc', got {self.backend!r}")
         if not 100 <= self.n_samples <= MAX_SAMPLES:
             raise ValueError(f"n_samples must be in 100..{MAX_SAMPLES}, got {self.n_samples}")
-        if not 2 <= self.bootstrap_resamples <= MAX_BOOTSTRAP:
-            raise ValueError(f"bootstrap_resamples must be in 2..{MAX_BOOTSTRAP}, "
-                             f"got {self.bootstrap_resamples}")
 
 
 @dataclass(frozen=True)
@@ -168,11 +167,43 @@ class EventClass:
     label: str  # "beneficial" | "harmful" | "neutral" | "uncertain"
 
 
+@dataclass(frozen=True)
+class Walk:
+    """A model's branch as a categorical walk of k steps to X_T.
+
+    A start state is drawn from cum_start, the (S,) cumulative start law;
+    then come n_first steps of the first table and n_rest steps of the rest
+    table, (succ, cum) sampling tables as _kernels.walk_outcomes takes them,
+    so k = n_first + n_rest + 1; then the last step. Its table last is an
+    (outcomes, probs) pair of shape (S, K): row s lists the outcome indices
+    (in the outcome order of exact_future_distribution) that the last step
+    reaches from state s, and their probabilities.
+    """
+
+    cum_start: np.ndarray
+    first: tuple
+    n_first: int
+    rest: tuple
+    n_rest: int
+    last: tuple
+
+    @property
+    def steps(self) -> int:
+        return self.n_first + self.n_rest + 1
+
+    def states(self, u: np.ndarray, starts=None) -> np.ndarray:
+        """States before the last step, from the (n, k) uniforms u: column 0
+        draws the start and each later column one step (see walk_outcomes,
+        which also says what starts does)."""
+        return walk_outcomes(self.cum_start, self.first, self.n_first, self.rest,
+                             self.n_rest, u, starts)
+
+
 class SystemModel(ABC):
     """Contract for anything that can produce the law of X_T given an event.
 
-    Implementors override exact_future_distribution and/or
-    sample_future_outcomes; the base class reports the missing back-end as
+    Implementors override exact_future_distribution and either walk or
+    sample_future_outcomes; the base class reports a missing back-end as
     unsupported. `event` is an Event or None (None = nothing happens at t0,
     the model just runs its default dynamics).
     """
@@ -184,11 +215,27 @@ class SystemModel(ABC):
     def exact_future_distribution(self, event: Event | None, horizon: Horizon) -> Distribution:
         raise UnsupportedBackendError(f"{type(self).__name__} cannot enumerate exactly")
 
+    def walk(self, event: Event | None, horizon: Horizon) -> Walk | None:
+        """The branch as a Walk, or None if the model can only sample."""
+        return None
+
     def sample_future_outcomes(self, event: Event | None, horizon: Horizon,
                                n: int, rng: np.random.Generator) -> np.ndarray:
         """n sampled outcomes of X_T as non-negative integer indices into
-        the outcome order of exact_future_distribution."""
-        raise SamplingUnsupportedError(f"{type(self).__name__} cannot sample outcomes")
+        the outcome order of exact_future_distribution.
+
+        From the model's walk: one (n, k + 1) block of uniforms, column 0 the
+        start draw and column i the i-th step, the last one included.
+        """
+        walk = self.walk(event, horizon)
+        if walk is None:
+            raise SamplingUnsupportedError(f"{type(self).__name__} cannot sample outcomes")
+        u = rng.random((n, walk.steps + 1))
+        s = walk.states(u[:, :-1])
+        outcomes, probs = walk.last
+        # the count of row entries <= u, as walk_outcomes finds the column
+        j = np.count_nonzero(cumulative(probs)[s] <= u[:, -1:], axis=1)
+        return outcomes[s, j]
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -204,46 +251,71 @@ def _branch_seed(base_seed: int, key: tuple) -> np.random.SeedSequence:
 
 
 def mc_entropy_of_branch(model: SystemModel, event: Event | None, horizon: Horizon,
-                         n: int, seed, bootstrap_resamples: int = 200) -> tuple[EntropyBits, float]:
-    """Plug-in entropy of n sampled outcomes of X_T plus a bootstrap SE
-    (see _plugin_bits_and_se), both drawn from one generator."""
+                         n: int, seed) -> tuple[EntropyBits, float]:
+    """Monte Carlo entropy of X_T in bits and its standard error, from n
+    draws (see _branch_bits_and_se).
+
+    A model with a walk walks its first k - 1 steps from one (n, k) block of
+    uniforms and takes the last step exactly. A model that can only sample
+    gives n outcomes, whose last step is then a point mass: the estimate is
+    the plug-in entropy of their counts.
+    """
     if n < 100:
         raise ValueError(f"Monte Carlo branch needs n >= 100, got {n}")
-    if bootstrap_resamples < 2:
-        raise ValueError(f"bootstrap SE needs >= 2 resamples, got {bootstrap_resamples}")
     rng = _as_rng(seed)
-    outcomes = np.asarray(model.sample_future_outcomes(event, horizon, n, rng))
-    if outcomes.shape != (n,) or outcomes.dtype.kind not in "iu" or outcomes.min() < 0:
-        raise InvalidDistributionError(
-            f"sample_future_outcomes must return {n} non-negative integer outcome "
-            f"indices; got shape {outcomes.shape}, dtype {outcomes.dtype}")
-    h, se = _plugin_bits_and_se(outcomes.astype(np.int64, copy=False), rng,
-                                bootstrap_resamples)
-    return EntropyBits(h), se
+    walk = model.walk(event, horizon)
+    if walk is not None:
+        states, last = walk.states(rng.random((n, walk.steps))), walk.last
+    else:
+        states = np.asarray(model.sample_future_outcomes(event, horizon, n, rng))
+        if states.shape != (n,) or states.dtype.kind not in "iu" or states.min() < 0:
+            raise InvalidDistributionError(
+                f"sample_future_outcomes must return {n} non-negative integer outcome "
+                f"indices; got shape {states.shape}, dtype {states.dtype}")
+        states = states.astype(np.int64, copy=False)
+        size = int(states.max()) + 1
+        last = (np.arange(size)[:, None], np.ones((size, 1)))
+    h, se = _branch_bits_and_se(states[None], last)
+    return EntropyBits(float(h[0])), float(se[0])
 
 
-def _plugin_bits_and_se(outcomes: np.ndarray, rng: np.random.Generator,
-                        resamples: int) -> tuple[float, float]:
-    """Plug-in entropy (bits) of the integer outcomes and its bootstrap SE.
+def _branch_bits_and_se(states: np.ndarray, last: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy (bits) of X_T and its delta-method standard error for each
+    row of states, a (c, n) integer array of the states before the last
+    step, whose (outcomes, probs) table is last (see Walk).
 
-    The outcomes are counted with np.bincount, zero counts dropped, so any
-    increasing relabelling of the outcomes gives the same result. The
-    standard error is the sample std of the plug-in entropy over
-    `resamples` multinomial resamples of that count vector, drawn from rng.
+    With w_s = q_s / n, q the counts of a row's states, the row's law of X_T
+    is p = sum_s w_s probs[s] over the outcomes, and its entropy H(p) is the
+    estimate. g_s = -sum_j probs[s, j] log2 p[outcomes[s, j]] is the
+    expected surprisal after state s, so H(p) = sum_s w_s g_s, and the
+    standard error is sqrt(sum_s w_s (g_s - G)^2 / n), centred on
+    G = sum_s w_s g_s, which is H(p) up to rounding. When every walk ends
+    in one state, g_s == G and the error is exactly 0.0.
+
+    Every per-row total is a bincount over the row's terms in order, so a
+    row gives the same bits whatever other rows are in the batch.
     """
-    n = outcomes.shape[0]
-    counts = np.bincount(outcomes).astype(np.float64)
-    counts = counts[counts > 0.0]
-    h = _entropy_of_probs(counts / n)
-    bs = rng.multinomial(n, counts / n, size=resamples).astype(np.float64)
-    return h, float(_plugin_bits_rows(bs, n).std(ddof=1))
-
-
-def _plugin_bits_rows(counts: np.ndarray, total: int) -> np.ndarray:
-    p = counts / total
+    outcomes, probs = last
+    c, n = states.shape
+    n_states, width = probs.shape
+    n_out = int(outcomes.max()) + 1
+    counts = np.bincount((states + n_states * np.arange(c)[:, None]).ravel(),
+                         minlength=c * n_states)
+    occupied = np.flatnonzero(counts)  # (row, state) pairs, row-major
+    row, s = np.divmod(occupied, n_states)
+    w = counts[occupied] / n
+    mass = w[:, None] * probs[s]
+    dest = outcomes[s] + (n_out * row)[:, None]
+    p = np.bincount(dest.ravel(), weights=mass.ravel(), minlength=c * n_out)
     logs = np.zeros_like(p)
     np.log2(p, out=logs, where=p > 0.0)
-    return -(p * logs).sum(axis=1)
+    nz = np.flatnonzero(p)
+    h = np.bincount(nz // n_out, weights=-(p[nz] * logs[nz]), minlength=c)
+    g = np.bincount(np.repeat(np.arange(len(s)), width),
+                    weights=-(probs[s] * logs[dest]).ravel(), minlength=len(s))
+    mean = np.bincount(row, weights=w * g, minlength=c)
+    var = np.bincount(row, weights=w * (g - mean[row]) ** 2, minlength=c)
+    return h, np.sqrt(var / n)
 
 
 def _check_admissible(model: SystemModel, events: Sequence[Event], baseline) -> None:
@@ -266,10 +338,8 @@ def _branch_entropy(model, horizon, estimator, event, j):
     if estimator.backend == "exact":
         d = model.exact_future_distribution(event, horizon)
         return float(shannon_entropy(d)), 0.0
-    h, se = mc_entropy_of_branch(
-        model, event, horizon, estimator.n_samples,
-        _branch_seed(estimator.seed, (j,)), estimator.bootstrap_resamples,
-    )
+    h, se = mc_entropy_of_branch(model, event, horizon, estimator.n_samples,
+                                 _branch_seed(estimator.seed, (j,)))
     return float(h), se
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import cumulative, walk_outcomes
-from .entropic_potential import Event, Horizon, SystemModel
+from ._kernels import cumulative
+from .entropic_potential import Event, Horizon, SystemModel, Walk
 from .entropy_core import Distribution, normalized_probs
 from .errors import InvalidDistributionError
 
@@ -43,10 +43,10 @@ class MarkovChainModel(SystemModel):
         self.labels = tuple(labels) if labels is not None else tuple(range(s))
         self.start = Distribution(self.labels, start)
         # sampling tables over the dense rows: every state is a successor
-        succ = np.broadcast_to(np.arange(s), (s, s))
+        self._succ = np.broadcast_to(np.arange(s), (s, s))
         self._cum_start = cumulative(self.start.probs)
-        self._base_table = (succ, cumulative(self.transition))
-        self._event_tables = {key: (succ, cumulative(k))
+        self._base_table = (self._succ, cumulative(self.transition))
+        self._event_tables = {key: (self._succ, cumulative(k))
                               for key, k in self.event_kernels.items()}
 
     def event_space(self) -> list[Event]:
@@ -60,14 +60,14 @@ class MarkovChainModel(SystemModel):
             d = d @ self.transition
         return Distribution(self.labels, d)
 
-    def sample_future_outcomes(self, event, horizon: Horizon, n: int,
-                               rng: np.random.Generator) -> np.ndarray:
-        """State indices of n sampled X_T (labels are self.labels[i])."""
+    def walk(self, event, horizon: Horizon) -> Walk:
+        """The event kernel (if any), then horizon.steps steps of the base
+        dynamics, the last of them taken from the transition matrix; states
+        are their own outcome indices (labels are self.labels[i])."""
         first = self._base_table if event is None else self._event_tables[event.id]
         n_first = 0 if event is None else 1
-        u = rng.random((n, 1 + n_first + horizon.steps))
-        return walk_outcomes(self._cum_start, first, n_first, self._base_table,
-                             horizon.steps, u)
+        return Walk(self._cum_start, first, n_first, self._base_table, horizon.steps - 1,
+                    (self._succ, self.transition))
 
 
 def two_state_flip_chain(flip: float = 0.1, start=(0.5, 0.5)) -> MarkovChainModel:

@@ -20,9 +20,10 @@ from .entropic_potential import (
     Event,
     Horizon,
     SystemModel,
+    Walk,
     ZEstimate,
+    _branch_bits_and_se,
     _branch_seed,
-    _plugin_bits_and_se,
     _ranked,
     _z_values,
 )
@@ -167,20 +168,34 @@ def _target_table(g: GridWorld) -> np.ndarray:
     return t
 
 
-def _sampling_table(g: GridWorld, pol: np.ndarray) -> tuple:
-    """(succ, cum) sampling table of one step under pol, a (n_cells, 4)
-    policy matrix or a (1, 4) one-hot action: columns are the four move
-    targets, then "stay" with the slip mass. Goal and wall rows stay put."""
+def _step_tables(g: GridWorld, pol: np.ndarray) -> tuple:
+    """The (walk, last) tables of one step under pol, a (n_cells, 4) policy
+    matrix or a (1, 4) one-hot action: walk is its (succ, cum) sampling
+    table over flat cells, last its (outcomes, probs) table whose
+    successors are free-cell positions, the outcome order (see Walk).
+    Columns are the four move targets, then "stay" with the slip mass. Goal
+    and wall rows stay put."""
     n = g.n_cells
     idx = np.arange(n)
     succ = np.concatenate((_target_table(g).T, idx[:, None]), axis=1)
     probs = np.empty((n, 5))
     probs[:, :4] = pol * (1.0 - g.slip)
     probs[:, 4] = g.slip
-    still = _wall_mask(g)
+    wall = _wall_mask(g)
+    still = wall.copy()
     still[g.index_of(g.goal)] = True
     probs[still] = (0.0, 0.0, 0.0, 0.0, 1.0)
-    return succ, cumulative(probs)
+    outcome_of = np.cumsum(~wall) - 1  # flat cell -> position in free_cells()
+    return (succ, cumulative(probs)), (outcome_of[succ], probs)
+
+
+def _branch_walk(cum_start, first: tuple, follow: tuple, k: int) -> Walk:
+    """Walk of a branch of k steps whose first step takes the `first` tables
+    and every later step the follow tables, both as _step_tables gives
+    them."""
+    if k == 1:
+        return Walk(cum_start, first[0], 0, follow[0], 0, first[1])
+    return Walk(cum_start, first[0], 1, follow[0], k - 2, follow[1])
 
 
 def _propagate(g: GridWorld, d: np.ndarray, first, follow: np.ndarray,
@@ -334,11 +349,9 @@ class GridWorldModel(SystemModel):
         self.follow = _checked_policy(grid, follow)
         self.actions = _admissible_actions(actions)
         self._cum_start = cumulative(_dist_to_flat(grid, self.start))
-        self._follow_table = _sampling_table(grid, self.follow)
-        self._first_tables = {a: _sampling_table(grid, _action_matrix(a))
+        self._follow_tables = _step_tables(grid, self.follow)
+        self._first_tables = {a: _step_tables(grid, _action_matrix(a))
                               for a in self.actions}
-        # flat cell index -> position in free_cells(), the outcome order
-        self._outcome_of = np.cumsum(~_wall_mask(grid)) - 1
 
     def event_space(self) -> list[Event]:
         return [Event(a, f"take action {a} at t0") for a in self.actions]
@@ -348,18 +361,10 @@ class GridWorldModel(SystemModel):
         return future_state_distribution(self.grid, self.start, first,
                                          self.follow, horizon.steps)
 
-    def sample_future_outcomes(self, event, horizon: Horizon, n: int,
-                               rng: np.random.Generator) -> np.ndarray:
-        """Free-cell indices (positions in grid.free_cells()) of n sampled X_T."""
-        rest = self._follow_table
-        if event is None:
-            first, n_first = rest, 0
-        else:
-            first, n_first = self._first_tables[event.id], 1
-        n_rest = horizon.steps - n_first
-        u = rng.random((n, 1 + horizon.steps))
-        idx = walk_outcomes(self._cum_start, first, n_first, rest, n_rest, u)
-        return self._outcome_of[idx]
+    def walk(self, event, horizon: Horizon) -> Walk:
+        """Walk over flat cells to the free-cell position of X_T."""
+        first = self._follow_tables if event is None else self._first_tables[event.id]
+        return _branch_walk(self._cum_start, first, self._follow_tables, horizon.steps)
 
 
 def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
@@ -376,7 +381,7 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
     back-end gives every branch bitwise what rank_events gives on that
     cell's GridWorldModel, action j's branch keyed (j,), but walks each
     action's branches at all cells as one batch from one block of uniforms
-    (see _mc_branch_entropies).
+    and estimates their entropies as one batch (see _mc_branch_entropies).
     """
     Horizon(0, k)  # rejects k < 1
     events = [Event(a) for a in _admissible_actions(actions)]
@@ -401,45 +406,42 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
             d[origin, np.arange(len(origin))] = 1.0
             d = _propagate(g, d, firsts[lo:lo + chunk], follow, k)
             h.extend(_row_entropies(d[free].T).tolist())
-        values = [[(x, 0.0) for x in h[i:i + m]] for i in range(0, len(h), m)]
+        h = np.reshape(h, (len(starts), m))
+        se = np.zeros_like(h)
     else:
-        values = _mc_branch_entropies(g, starts, follow, k, estimator, events)
+        h, se = _mc_branch_entropies(g, starts, follow, k, estimator, events)
     out = np.empty((len(starts), m, 2))
-    for i, row in enumerate(values):
-        out[i] = _z_values(events, "vs-rest", lambda _, j: row[j])
+    for i, (h_row, se_row) in enumerate(zip(h.tolist(), se.tolist())):
+        out[i] = _z_values(events, "vs-rest", lambda _, j: (h_row[j], se_row[j]))
     return out[..., 0], out[..., 1]
 
 
 def _mc_branch_entropies(g: GridWorld, starts: np.ndarray, follow: np.ndarray, k: int,
-                         estimator: EstimatorConfig, events) -> list:
-    """(entropy, se) of every (cell, action) branch, [cell][j], for the flat
-    cell indices `starts` and the checked policy `follow`, each exactly as
-    mc_entropy_of_branch gives it for that cell's GridWorldModel.
+                         estimator: EstimatorConfig, events) -> tuple:
+    """(entropy, se) arrays of shape (cells, actions): every (cell, action)
+    branch for the flat cell indices `starts` and the checked policy
+    `follow`, each bitwise what mc_entropy_of_branch gives for that cell's
+    GridWorldModel.
 
-    Branch j draws its uniforms from the child stream keyed (j,) at every
-    cell, so one (n, 1 + k) block per action serves all cells: their walks
-    step together from the start cells as one (cells, n) array, at most
-    TABLE_CHUNK_BYTES of outcomes per chunk. Each cell's bootstrap then
-    resumes from the generator state after that block. Flat cell indices
-    count like free-cell positions, the same increasing relabelling.
+    Branch j draws its (n, k) uniforms from the child stream keyed (j,) at
+    every cell, so one block per action serves all cells: their walks step
+    together from the start cells as one (cells, n) array, and each chunk
+    goes through _branch_bits_and_se as one batch. A chunk holds at most
+    TABLE_CHUNK_BYTES of states and as many of state counts.
     """
     n = estimator.n_samples
-    rest = _sampling_table(g, follow)
-    chunk = max(1, TABLE_CHUNK_BYTES // (8 * n))
-    values = [[None] * len(events) for _ in starts]
+    follow_tables = _step_tables(g, follow)
+    chunk = max(1, TABLE_CHUNK_BYTES // (8 * max(n, g.n_cells)))
+    h, se = np.empty((2, len(starts), len(events)))
     for j, ev in enumerate(events):
-        first = _sampling_table(g, _action_matrix(ev.id))
-        rng = np.random.default_rng(_branch_seed(estimator.seed, (j,)))
-        u = rng.random((n, 1 + k))
-        after = rng.bit_generator.state
+        walk = _branch_walk(None, _step_tables(g, _action_matrix(ev.id)), follow_tables, k)
+        u = np.random.default_rng(_branch_seed(estimator.seed, (j,))).random((n, k))
         for lo in range(0, len(starts), chunk):
-            walked = walk_outcomes(None, first, 1, rest, k - 1, u, starts[lo:lo + chunk])
-            for i, outcomes in enumerate(walked, start=lo):
-                rng.bit_generator.state = after
-                values[i][j] = _plugin_bits_and_se(outcomes, rng,
-                                                   estimator.bootstrap_resamples)
+            states = walk_outcomes(None, walk.first, walk.n_first, walk.rest, walk.n_rest,
+                                   u, starts[lo:lo + chunk])
+            h[lo:lo + chunk, j], se[lo:lo + chunk, j] = _branch_bits_and_se(states, walk.last)
         del u  # freed before the next action's block is drawn
-    return values
+    return h, se
 
 
 def ranked_row(z_row, se_row, k: int, estimator: EstimatorConfig = EstimatorConfig(),

@@ -71,6 +71,25 @@ def chain_future(start, kernel_rows, steps, event_rows=None):
     return d
 
 
+def last_step_estimate(states, outcomes, probs):
+    """(H, SE) of the Monte Carlo branch estimator for one row of states
+    before the last step, from dicts: p = sum_s (q_s / n) probs[s] over the
+    outcomes, H = H(p), g_s = -sum_j probs[s][j] log2 p[outcomes[s][j]] and
+    SE = sqrt(sum_s (q_s / n) (g_s - H)^2 / n)."""
+    n = len(states)
+    q = {}
+    for s in states:
+        q[s] = q.get(s, 0) + 1
+    p = {}
+    for s, c in q.items():
+        for t, pr in zip(outcomes[s], probs[s]):
+            p[t] = p.get(t, 0.0) + c / n * pr
+    h = entropy_bits(p.values())
+    g = {s: -sum(pr * math.log2(p[t]) for t, pr in zip(outcomes[s], probs[s]) if pr > 0)
+         for s in q}
+    return h, math.sqrt(sum(c / n * (g[s] - h) ** 2 for s, c in q.items()) / n)
+
+
 # -- search / planning --------------------------------------------------------
 
 def bfs_shortest_path(width, height, walls, start, goal) -> int:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import io
 import json
@@ -144,8 +145,7 @@ class TestGridworld:
 
     def test_degenerate_estimator_exits_2(self, tmp_path, capsys):
         cfg = json.loads(read(CONFIGS / "corridor.json"))
-        for key, value in (("n_samples", -5), ("bootstrap_resamples", 0),
-                           ("bootstrap_resamples", 1)):
+        for key, value in (("n_samples", -5), ("n_samples", 0), ("backend", "bootstrap")):
             cfg["estimator"] = {"backend": "mc", key: value}
             assert run(["gridworld", "--config", write_config(tmp_path, cfg),
                         "--out", tmp_path / "o"]) == 2
@@ -165,8 +165,7 @@ class TestGridworld:
                        "walls": [[2, 1], [2, 2], [2, 3], [4, 0], [4, 4]], "slip": 0.15,
                        "follow_policy": {"kind": "uniform"}, "horizon_k": 6,
                        "cells": "all"}}
-    WALLED_MC = dict(WALLED, estimator={"backend": "mc", "n_samples": 2000,
-                                        "bootstrap_resamples": 50},
+    WALLED_MC = dict(WALLED, estimator={"backend": "mc", "n_samples": 2000},
                      grid=dict(WALLED["grid"], cells=[[0, 0], [3, 2], [1, 4]]))
     # 40 walls on diagonals of a 20x20 grid: the vertical and horizontal
     # moves of the exact stepper meet walls, borders and the goal
@@ -189,9 +188,10 @@ class TestGridworld:
             "run_meta.json": "531850eadfe3b12c73b851132e85443acd2fff05de92eff65e9f5c21a3c08821",
         }),
         (WALLED_MC, {
-            "z_table.csv": "8f101e5d180af18b245cfb119410873230df94b32ca03fcc4fb710b6b9d15b8c",
-            "attribution.csv": "5ba3cfde118dddeede11dac9e349f220de538d08724875e353dc80863706ba08",
-            "run_meta.json": "c5440b3a7451ba0e21bb1bf09df2e276dae9a3a917800d5de53ceb317991e256",
+            # re-pinned when the MC estimator took its last step exactly
+            "z_table.csv": "46741689c674f7bc8b33e022672281d10ab80a952b9449a9e505f2bc2dc78f28",
+            "attribution.csv": "7b568a4e8be2d63caf7805086c7807e81ebf460cd16f3353fee9f5c91a1c80cb",
+            "run_meta.json": "d165c31b5fe92e13d61ff0563b18afacfd2600164f2b81f50e03df6f0106984c",
         }),
         (WALLED20, {
             "z_table.csv": "0b45c3328b2e1fa793cc1217dbfeefab43f94bd91c6dbd49ac942557da139e60",
@@ -207,6 +207,25 @@ class TestGridworld:
         assert run(["gridworld", "--config", path, "--out", out]) == 0
         for name, digest in golden.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("value", [200, 50, 0, 1, 10_001, "x", None, 2.5])
+    def test_retired_bootstrap_key_is_ignored(self, tmp_path, value):
+        # configs written for the multinomial bootstrap still run: the key is
+        # not read, like any other key the CLI does not know. The rows match
+        # the run without it; the config-hash line covers the whole config.
+        outs = []
+        for name, estimator in (("with", dict(self.WALLED_MC["estimator"],
+                                              bootstrap_resamples=value)),
+                                ("without", self.WALLED_MC["estimator"])):
+            cfg = dict(self.WALLED_MC, estimator=estimator)
+            out = tmp_path / name
+            assert run(["gridworld", "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                        "--out", out]) == 0
+            outs.append(out)
+        for name in ("z_table.csv", "attribution.csv"):
+            got, want = ((o / name).read_text(encoding="utf-8").split("\n", 1) for o in outs)
+            assert got[0].startswith("# config_hash=") and got[0] != want[0]
+            assert got[1] == want[1]
 
 
 def config_text(preset, path, token):
@@ -321,7 +340,7 @@ def edited(preset, *edits):
         block = cfg
         for key in path[:-1]:
             block = block[key]
-        block[path[-1]] = value
+        block[path[-1]] = copy.deepcopy(value)  # callers may mutate cfg
     return cfg
 
 
@@ -351,8 +370,7 @@ class TestConfigParsing:
         ("anomaly.json", [(("anomaly", "warmup"), 64.0)], "warmup"),
         ("bayes11.json", [(("bayes", "grid_points"), 11.5)], "grid_points"),
         ("corridor.json", [(("estimator", "n_samples"), 150.7)], "n_samples"),
-        ("corridor.json", [(("estimator", "bootstrap_resamples"), 200.0)],
-         "bootstrap_resamples"),
+        ("corridor.json", [(("estimator", "seed"), 7.0)], "seed"),
         ("anomaly.json", [(("anomaly", "kappa"), "3")], "kappa"),
         ("anomaly.json", [(("anomaly", "smoothing"), True)], "smoothing"),
         ("anomaly.json", [(("anomaly", "range"), [0, "4"])], "range"),
@@ -369,8 +387,7 @@ class TestConfigParsing:
          "window"),
         ("bayes11.json", [(("bayes", "grid_points"), 10_001)], "grid_points"),
         ("corridor.json", [(("estimator", "n_samples"), 1_000_001)], "n_samples"),
-        ("corridor.json", [(("estimator", "bootstrap_resamples"), 10_001)],
-         "bootstrap_resamples"),
+        ("corridor.json", [(("estimator", "n_samples"), 99)], "n_samples"),
         ("train_corridor.json", [(("shaping", "episodes"), 10**12)], "episodes"),
         ("train_corridor.json", [(("shaping", "max_steps"), rl_agent.MAX_STEPS + 1)],
          "max_steps"),
@@ -412,12 +429,15 @@ class TestConfigParsing:
 
 
 MUTANTS = [None, True, "x", [], {}, -1, 0, 0.5, 2.5]
-PROPERTY_BASES = {
-    "corridor.json": [],
-    "bayes11.json": [],
-    "anomaly.json": [],
-    "train_corridor.json": [(("shaping", "episodes"), 20)],
-}
+PROPERTY_BASES = [
+    ("anomaly.json", []),
+    ("bayes11.json", []),
+    ("corridor.json", []),
+    # the MC back-end, with a key it no longer reads: any value of it runs
+    ("corridor.json", [(("estimator",), {"backend": "mc", "n_samples": 100,
+                                          "bootstrap_resamples": 200})]),
+    ("train_corridor.json", [(("shaping", "episodes"), 20)]),
+]
 
 
 def node_paths(value, path=()):
@@ -432,8 +452,8 @@ def node_paths(value, path=()):
 @given(st.data())
 @settings(max_examples=300)
 def test_mutated_preset_runs_cleanly_or_exits_2_writing_nothing(tmp_path_factory, data):
-    preset = data.draw(st.sampled_from(sorted(PROPERTY_BASES)), label="preset")
-    cfg = edited(preset, *PROPERTY_BASES[preset])
+    preset, edits = data.draw(st.sampled_from(PROPERTY_BASES), label="base")
+    cfg = edited(preset, *edits)
     path = data.draw(st.sampled_from(list(node_paths(cfg))), label="path")
     parent = cfg
     for key in path[:-1]:
@@ -447,6 +467,8 @@ def test_mutated_preset_runs_cleanly_or_exits_2_writing_nothing(tmp_path_factory
         err = io.StringIO()
         mp.setattr("sys.stderr", err)
         code, out = run_config(tmp_path, preset, cfg, mp)
+    if path == ("estimator", "bootstrap_resamples"):
+        assert code == 0, err.getvalue()
     if code == 0:
         for f in out.iterdir():
             assert not re.search(r"(?i)\b(nan|inf|infinity)\b", read(f)), f.name

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zentropy.entropic_potential import (
-    MAX_BOOTSTRAP,
     MAX_SAMPLES,
     Baseline,
     EstimatorConfig,
@@ -13,6 +14,7 @@ from zentropy.entropic_potential import (
     SystemModel,
     ZEstimate,
     classify_event,
+    _branch_bits_and_se,
     mc_entropy_of_branch,
     rank_events,
     z_counterfactual,
@@ -30,7 +32,7 @@ from zentropy.errors import (
 from zentropy.markov import MarkovChainModel, random_chain_model, two_state_flip_chain
 from zentropy.mdp_sim import action_z_scores, always_policy, corridor_world
 
-from oracles import chain_future, entropy_bits
+from oracles import chain_future, entropy_bits, last_step_estimate
 
 EXACT = EstimatorConfig(backend="exact")
 MC = EstimatorConfig(backend="mc", n_samples=500, seed=5)
@@ -41,7 +43,8 @@ CORRIDOR_Z_RIGHT = -0.9820892686420791
 
 
 class CountingChain(MarkovChainModel):
-    """A chain that counts its branch evaluations on either back-end."""
+    """A chain that counts its branch evaluations on either back-end: an
+    exact law, or a walk for the Monte Carlo estimator."""
 
     calls = 0
 
@@ -49,9 +52,9 @@ class CountingChain(MarkovChainModel):
         self.calls += 1
         return super().exact_future_distribution(event, horizon)
 
-    def sample_future_outcomes(self, event, horizon, n, rng):
+    def walk(self, event, horizon):
         self.calls += 1
-        return super().sample_future_outcomes(event, horizon, n, rng)
+        return super().walk(event, horizon)
 
 
 def counting_chain() -> CountingChain:
@@ -99,19 +102,19 @@ class TestDomainTypes:
 
 class TestEstimatorConfig:
     @pytest.mark.parametrize("kw", [{"n_samples": -5}, {"n_samples": 99},
-                                    {"bootstrap_resamples": 0},
-                                    {"bootstrap_resamples": 1},
+                                    {"n_samples": 0},
+                                    {"backend": "bootstrap"},
                                     {"n_samples": MAX_SAMPLES + 1},
-                                    {"bootstrap_resamples": MAX_BOOTSTRAP + 1}])
+                                    {"n_samples": 10 * MAX_SAMPLES}])
     def test_degenerate_settings_rejected(self, kw):
         with pytest.raises(ValueError):
-            EstimatorConfig(backend="mc", **kw)
+            EstimatorConfig(**{"backend": "mc", **kw})
 
     def test_largest_valid_settings_accepted(self):
-        EstimatorConfig(backend="mc", n_samples=MAX_SAMPLES, bootstrap_resamples=MAX_BOOTSTRAP)
+        EstimatorConfig(backend="mc", n_samples=MAX_SAMPLES)
 
     def test_smallest_valid_settings_accepted(self):
-        est = EstimatorConfig(backend="mc", n_samples=100, bootstrap_resamples=2)
+        est = EstimatorConfig(backend="mc", n_samples=100)
         z = z_pre_post(two_state_flip_chain(), Event("clamp0"), Horizon(0, 1), est)
         assert math.isfinite(z.std_error)
 
@@ -212,6 +215,64 @@ class TestMonteCarlo:
         model = MarkovChainModel(p, {"swap": p}, (1.0, 0.0))
         h, se = mc_entropy_of_branch(model, Event("swap"), Horizon(0, 2), 500, 0)
         assert h.value == 0.0 and se == 0.0
+
+    def test_deterministic_state_before_the_last_step_is_exact(self):
+        # clamp0 puts every walk in state 0; the last step is then exact
+        model = two_state_flip_chain(0.1, (0.5, 0.5))
+        h, se = mc_entropy_of_branch(model, Event("clamp0"), Horizon(0, 1), 1000, 3)
+        exact = shannon_entropy(model.exact_future_distribution(Event("clamp0"), Horizon(0, 1)))
+        assert abs(h.value - exact.value) <= 1e-12
+        assert abs(h.value - H_FLIP) <= 1e-12
+        assert se == 0.0
+
+    def test_point_mass_last_step_is_the_plug_in_entropy(self):
+        class Sampler(SystemModel):
+            def event_space(self):
+                return [Event("e")]
+
+            def sample_future_outcomes(self, event, horizon, n, rng):
+                return rng.integers(0, 7, n) ** 2  # gaps: outcomes 0, 1, 4, ..., 36
+
+        n = 500
+        outcomes = Sampler().sample_future_outcomes(None, None, n, np.random.default_rng(4))
+        h, se = mc_entropy_of_branch(Sampler(), Event("e"), Horizon(0, 1), n,
+                                     np.random.default_rng(4))
+        counts = np.bincount(outcomes)
+        p = counts[counts > 0] / n
+        plug_in = entropy_bits(p.tolist())
+        assert abs(h.value - plug_in) <= 1e-12
+        # the delta-method SE of the plug-in entropy: the spread of -log2 p(X)
+        want = math.sqrt(sum(x * (-math.log2(x) - plug_in) ** 2 for x in p) / n)
+        assert se == pytest.approx(want, rel=1e-9)
+
+    @given(st.data())
+    def test_estimator_matches_the_dict_oracle_row_by_row(self, data):
+        # random last-step tables with repeated and zero-probability columns;
+        # each row of a batch gives the oracle's value, and bitwise what it
+        # gives alone
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        c = data.draw(st.integers(1, 4), label="rows")
+        n = data.draw(st.integers(1, 60), label="n")
+        size = data.draw(st.integers(1, 6), label="states")
+        width = data.draw(st.integers(1, 4), label="width")
+        n_out = data.draw(st.integers(1, 5), label="outcomes")
+        outcomes = rng.integers(0, n_out, (size, width))
+        probs = rng.random((size, width)) * (rng.random((size, width)) < 0.7)
+        probs[:, 0] += 1e-3
+        probs /= probs.sum(axis=1, keepdims=True)
+        spread = data.draw(st.integers(1, size), label="spread")
+        states = rng.integers(0, spread, (c, n))
+        h, se = _branch_bits_and_se(states, (outcomes, probs))
+        assert h.shape == se.shape == (c,)
+        for i in range(c):
+            want_h, want_se = last_step_estimate(states[i].tolist(), outcomes.tolist(),
+                                                 probs.tolist())
+            assert abs(h[i] - want_h) <= 1e-12
+            assert abs(se[i] - want_se) <= 1e-12
+            alone = _branch_bits_and_se(states[i:i + 1], (outcomes, probs))
+            assert (alone[0][0], alone[1][0]) == (h[i], se[i])
+            if spread == 1:
+                assert se[i] == 0.0
 
     def test_chain_branch_close_to_exact_at_100k(self):
         model = two_state_flip_chain(0.1, (0.5, 0.5))

@@ -16,7 +16,7 @@ from zentropy.markov import MarkovChainModel
 from zentropy.mdp_sim import (
     GridWorld,
     _action_matrix,
-    _sampling_table,
+    _step_tables,
     uniform_policy,
 )
 
@@ -35,8 +35,8 @@ def grid_tables(size):
     the uniform policy) and a start spread over its free cells."""
     g = GridWorld(size, size, goal=(0, size - 1), start=(0, 0), slip=0.2,
                   walls={(1, 0), (size // 2, size // 2)})
-    first = _sampling_table(g, _action_matrix("right"))
-    rest = _sampling_table(g, uniform_policy(g))
+    first = _step_tables(g, _action_matrix("right"))[0]
+    rest = _step_tables(g, uniform_policy(g))[0]
     start = np.zeros(g.n_cells)
     start[[g.index_of(c) for c in g.free_cells()]] = 1.0 / len(g.free_cells())
     return cumulative(start), first, rest

@@ -6,11 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zentropy import mdp_sim
+from zentropy._kernels import cumulative
 from zentropy.entropic_potential import (
     Baseline,
     EstimatorConfig,
     Event,
     Horizon,
+    ZEstimate,
+    classify_event,
+    mc_entropy_of_branch,
     rank_events,
     z_counterfactual,
 )
@@ -447,22 +451,25 @@ class TestZTable:
             assert [v.value for _, v in ranked] == sorted(z_row.tolist())
             assert dict(ranked) == want
 
-    @pytest.mark.parametrize("size,walls,policy,n,resamples,actions,chunk_cells", [
-        ((4, 3), {(1, 1)}, "uniform", 300, 20, ACTIONS, None),
-        ((5, 4), {(1, 1), (2, 1), (3, 2)}, "uniform", 100, 2, ACTIONS, 2),
-        ((5, 4), {(1, 1), (2, 1), (3, 2)}, "greedy", 1000, 200, ("right", "down", "left"), 3),
-        ((6, 5), {(0, 2), (2, 2), (4, 1), (4, 3)}, "greedy", 1000, 50, ("right", "up"), None),
-        ((6, 5), {(0, 2), (2, 2), (4, 1), (4, 3)}, "uniform", 100, 7, ("left", "up"), 1),
+    @pytest.mark.parametrize("size,walls,policy,n,k,actions,chunk_cells", [
+        ((4, 3), {(1, 1)}, "uniform", 300, 4, ACTIONS, None),
+        ((5, 4), {(1, 1), (2, 1), (3, 2)}, "uniform", 100, 4, ACTIONS, 2),
+        ((5, 4), {(1, 1), (2, 1), (3, 2)}, "greedy", 1000, 4, ("right", "down", "left"), 3),
+        ((6, 5), {(0, 2), (2, 2), (4, 1), (4, 3)}, "greedy", 1000, 4, ("right", "up"), None),
+        ((6, 5), {(0, 2), (2, 2), (4, 1), (4, 3)}, "uniform", 100, 4, ("left", "up"), 1),
+        # nothing walked, and one walked step, before the exact last step
+        ((5, 4), {(1, 1), (2, 1), (3, 2)}, "uniform", 200, 1, ACTIONS, 2),
+        ((6, 5), {(0, 2), (2, 2), (4, 1), (4, 3)}, "greedy", 300, 2, ("down", "left"), 3),
     ])
     def test_mc_rows_equal_rank_events_per_cell(self, monkeypatch, size, walls, policy,
-                                                n, resamples, actions, chunk_cells):
+                                                n, k, actions, chunk_cells):
         # the batched MC table gives each cell what rank_events gives on that
         # cell's own model, whose branch j is keyed by its position j among
         # the admissible actions; chunk_cells cells per walk chunk
         width, height = size
         g = GridWorld(width, height, goal=(width - 1, height - 1), start=(0, 0), slip=0.2,
                       walls=walls)
-        rng = np.random.default_rng(n + resamples)
+        rng = np.random.default_rng(n + k)
         if policy == "uniform":
             follow = uniform_policy(g)
         else:  # one-hot on each row's first max, as greedy_policy_from_q gives
@@ -471,17 +478,57 @@ class TestZTable:
         assert g.goal in cells
         if chunk_cells is not None:
             monkeypatch.setattr(mdp_sim, "TABLE_CHUNK_BYTES", chunk_cells * 8 * n)
-        est = EstimatorConfig(backend="mc", n_samples=n, seed=9,
-                              bootstrap_resamples=resamples)
-        z, se = z_table(g, cells, follow, 4, est, actions)
+        est = EstimatorConfig(backend="mc", n_samples=n, seed=9)
+        z, se = z_table(g, cells, follow, k, est, actions)
         order = [a for a in ACTIONS if a in actions]
         for cell, z_row, se_row in zip(cells, z, se):
             model = GridWorldModel(g, cell, follow, actions=actions)
             want = {ev.id: w for ev, w in rank_events(model, model.event_space(), "vs-rest",
-                                                      Horizon(0, 4), est)}
+                                                      Horizon(0, k), est)}
             assert z_row.tolist() == [want[a].value for a in order]
             assert se_row.tolist() == [want[a].std_error for a in order]
-            assert dict(ranked_row(z_row, se_row, 4, est, actions)) == want
+            assert dict(ranked_row(z_row, se_row, k, est, actions)) == want
+        if k == 1:  # one exact step from a known cell: the exact table
+            assert not se.any()
+            exact, _ = z_table(g, cells, follow, k, EXACT, actions)
+            assert np.abs(z - exact).max() <= 1e-12
+
+    def test_branch_at_one_step_is_exact(self):
+        g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.3, walls={(1, 1)})
+        model = GridWorldModel(g, (1, 0), uniform_policy(g))
+        for event in (None, *model.event_space()):
+            h, se = mc_entropy_of_branch(model, event, Horizon(0, 1), 100, 0)
+            exact = entropy_bits(model.exact_future_distribution(event, Horizon(0, 1)).probs)
+            assert abs(h.value - exact) <= 1e-12
+            assert se == 0.0
+
+    def test_mc_table_calibration_against_exact(self):
+        # every free cell of two seeded walled 12x12 grids, n=1000, k=15:
+        # how often the MC Z misses the exact Z by more than 2 SE, and how
+        # many MC sign labels contradict the exact label. Pinned at what the
+        # exact-last-step estimator gives (the multinomial bootstrap it
+        # replaced gave 81 misses and 3 contradicting labels here).
+        misses = contradicting = 0
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            walls = {(x, y) for y in range(12) for x in range(12) if rng.random() < 0.12}
+            g = GridWorld(12, 12, goal=(10, 9), start=(1, 1), slip=0.2,
+                          walls=walls - {(10, 9), (1, 1)})
+            cells, follow = g.free_cells(), uniform_policy(g)
+            exact, _ = z_table(g, cells, follow, 15, EXACT)
+            est = EstimatorConfig(backend="mc", n_samples=1000, seed=seed)
+            z, se = z_table(g, cells, follow, 15, est)
+            assert z.shape == (len(cells), 4) and (se >= 0.0).all()
+            misses += int(np.count_nonzero(np.abs(z - exact) > 2.0 * se))
+            for z_mc, z_se, z_exact in zip(z.ravel().tolist(), se.ravel().tolist(),
+                                           exact.ravel().tolist()):
+                label = classify_event(ZEstimate(z_mc, z_se, "monte-carlo", 1000,
+                                                 Horizon(0, 15), "e", "rest")).label
+                truth = classify_event(ZEstimate(z_exact, 0.0, "exact", 0,
+                                                 Horizon(0, 15), "e", "rest")).label
+                contradicting += label in ("beneficial", "harmful") and label != truth
+        assert misses <= 53  # of 1008 Z values
+        assert contradicting <= 2
 
     def test_chunked_equals_unchunked(self, monkeypatch):
         g = GridWorld(5, 4, goal=(4, 3), start=(0, 0), slip=0.2,
@@ -520,7 +567,7 @@ class TestZTable:
 
         monkeypatch.setattr(mdp_sim, "_propagate", no_branch)
         monkeypatch.setattr(mdp_sim, "walk_outcomes", no_branch)
-        est = EstimatorConfig(backend=backend, n_samples=100, bootstrap_resamples=2)
+        est = EstimatorConfig(backend=backend, n_samples=100)
         with pytest.raises(EmptyBaselineError):
             z_table(g, g.free_cells() if cells == "all" else [], uniform_policy(g), 15, est,
                     actions=("up",))
@@ -543,10 +590,14 @@ class TestSamplingTable:
                                                  uniform_policy(g))
         pols = {a: mdp_sim._action_matrix(a) for a in ACTIONS}
         pols["uniform"] = uniform_policy(g)
+        position = {g.index_of(c): i for i, c in enumerate(free)}
         for name, law in laws.items():
-            succ, cum = mdp_sim._sampling_table(g, pols[name])
-            assert succ.shape == cum.shape == (g.n_cells, 5)
+            (succ, cum), (outcomes, probs) = mdp_sim._step_tables(g, pols[name])
+            assert succ.shape == cum.shape == outcomes.shape == probs.shape == (g.n_cells, 5)
             assert np.all(cum[:, -1] == 1.0)
+            assert np.array_equal(cum, cumulative(probs))
+            for i in position:  # the last table reaches the same cells, as positions
+                assert outcomes[i].tolist() == [position[t] for t in succ[i]]
             for i in range(g.n_cells):
                 c = g.cell_of(i)
                 got = table_law(g, succ, cum, i)
@@ -572,16 +623,17 @@ class TestGridWorldModel:
             GridWorldModel(g, (3, 0), always_policy(g, "right"), actions=("jump",))
 
     def test_sampling_tables_built_once(self):
-        # the follow table and one first-step table per admissible action
-        # are built with the model; sampling branches builds none
+        # the follow tables and one first step's tables per admissible action
+        # are built with the model; walking or sampling branches builds none
         g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.2, walls={(1, 1)})
-        with mock.patch.object(mdp_sim, "_sampling_table",
-                               wraps=mdp_sim._sampling_table) as build:
+        with mock.patch.object(mdp_sim, "_step_tables",
+                               wraps=mdp_sim._step_tables) as build:
             m = GridWorldModel(g, (0, 0), uniform_policy(g), actions=("up", "left"))
             assert build.call_count == 3
             rng = np.random.default_rng(0)
             for event in (None, *m.event_space(), *m.event_space()):
                 m.sample_future_outcomes(event, Horizon(0, 3), 100, rng)
+                mc_entropy_of_branch(m, event, Horizon(0, 3), 100, rng)
             assert build.call_count == 3
 
     def test_distribution_start(self):
