@@ -39,8 +39,9 @@ from .errors import (
 
 DEFAULT_NEUTRAL_TOL = 0.01  # bits
 
-# size cap: an MC branch of k steps holds n_samples * k uniforms in memory
+# size caps: an MC branch of k steps holds n_samples * k uniforms in memory
 MAX_SAMPLES = 10**6
+MAX_UNIFORMS = 15 * MAX_SAMPLES  # 120 MB of float64: MAX_SAMPLES walks of 15 steps
 
 BENEFICIAL = "beneficial"
 HARMFUL = "harmful"
@@ -250,6 +251,13 @@ def _branch_seed(base_seed: int, key: tuple) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=base_seed, spawn_key=key)
 
 
+def _check_uniforms(n: int, k: int) -> None:
+    """Rejects an MC branch of n walks of k steps over the MAX_UNIFORMS cap."""
+    if n * k > MAX_UNIFORMS:
+        raise ValueError(f"n_samples * horizon_k must be <= {MAX_UNIFORMS}, "
+                         f"got {n} * {k}")
+
+
 def mc_entropy_of_branch(model: SystemModel, event: Event | None, horizon: Horizon,
                          n: int, seed) -> tuple[EntropyBits, float]:
     """Monte Carlo entropy of X_T in bits and its standard error, from n
@@ -262,6 +270,7 @@ def mc_entropy_of_branch(model: SystemModel, event: Event | None, horizon: Horiz
     """
     if n < 100:
         raise ValueError(f"Monte Carlo branch needs n >= 100, got {n}")
+    _check_uniforms(n, horizon.steps)
     rng = _as_rng(seed)
     walk = model.walk(event, horizon)
     if walk is not None:

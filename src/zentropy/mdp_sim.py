@@ -11,6 +11,7 @@ Cells are (x, y) tuples with (0, 0) top-left; the flat index is y*width+x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .entropic_potential import (
     ZEstimate,
     _branch_bits_and_se,
     _branch_seed,
+    _check_uniforms,
     _ranked,
     _z_values,
 )
@@ -88,8 +90,40 @@ class GridWorld:
     def free_cells(self) -> list[Cell]:
         """Non-wall cells in flat-index order; the outcome space of state
         distributions."""
-        return [self.cell_of(i) for i in range(self.n_cells)
-                if self.cell_of(i) not in self.walls]
+        return [self.cell_of(i) for i in self.free_index.tolist()]
+
+    @cached_property
+    def wall_mask(self) -> np.ndarray:
+        """(n_cells,) bool, True at each wall's flat index. Like free_index
+        and successors, built on first use and read-only."""
+        mask = np.zeros(self.n_cells, dtype=bool)
+        mask[np.array([self.index_of(c) for c in self.walls], dtype=np.int64)] = True
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def free_index(self) -> np.ndarray:
+        """Flat indices of the free cells, in free_cells() order."""
+        free = np.flatnonzero(~self.wall_mask)
+        free.flags.writeable = False
+        return free
+
+    @cached_property
+    def successors(self) -> np.ndarray:
+        """(n_cells, 5) flat successors: the four successful moves in ACTIONS
+        order, then "stay". A move off the grid or into a wall, and any move
+        from a wall, stays put; move_target is the per-cell reference."""
+        idx = np.arange(self.n_cells)
+        x, y = idx % self.width, idx // self.width
+        succ = np.repeat(idx[:, None], 5, axis=1)
+        for a, action in enumerate(ACTIONS):
+            dx, dy = _DELTAS[action]
+            nx, ny = x + dx, y + dy
+            inside = (nx >= 0) & (nx < self.width) & (ny >= 0) & (ny < self.height)
+            dest = np.where(inside, ny * self.width + nx, idx)
+            succ[:, a] = np.where(self.wall_mask | self.wall_mask[dest], idx, dest)
+        succ.flags.writeable = False
+        return succ
 
     def move_target(self, cell: Cell, action: str) -> Cell:
         dx, dy = _DELTAS[action]
@@ -135,37 +169,10 @@ def _checked_policy(g: GridWorld, policy) -> np.ndarray:
     if pol.shape != (g.n_cells, 4):
         raise InvalidDistributionError(
             f"policy must have shape ({g.n_cells}, 4), got {pol.shape}")
-    free = ~_wall_mask(g)
+    free = ~g.wall_mask
     out = np.zeros((g.n_cells, 4))
     out[free] = normalized_probs(pol[free])
     return out
-
-
-def _wall_mask(g: GridWorld) -> np.ndarray:
-    mask = np.zeros(g.n_cells, dtype=bool)
-    mask[np.array([g.index_of(c) for c in g.walls], dtype=np.int64)] = True
-    return mask
-
-
-def _free_index(g: GridWorld) -> np.ndarray:
-    """Flat indices of the free cells, in free_cells() order."""
-    return np.flatnonzero(~_wall_mask(g))
-
-
-def _target_table(g: GridWorld) -> np.ndarray:
-    """(4, n_cells) flat indices of the successful-move destination; a move
-    off the grid or into a wall, and any move from a wall, stays put."""
-    idx = np.arange(g.n_cells)
-    x, y = idx % g.width, idx // g.width
-    wall = _wall_mask(g)
-    t = np.empty((4, g.n_cells), dtype=np.int64)
-    for a, action in enumerate(ACTIONS):
-        dx, dy = _DELTAS[action]
-        nx, ny = x + dx, y + dy
-        inside = (nx >= 0) & (nx < g.width) & (ny >= 0) & (ny < g.height)
-        dest = np.where(inside, ny * g.width + nx, idx)
-        t[a] = np.where(wall | wall[dest], idx, dest)
-    return t
 
 
 def _step_tables(g: GridWorld, pol: np.ndarray) -> tuple:
@@ -173,20 +180,14 @@ def _step_tables(g: GridWorld, pol: np.ndarray) -> tuple:
     matrix or a (1, 4) one-hot action: walk is its (succ, cum) sampling
     table over flat cells, last its (outcomes, probs) table whose
     successors are free-cell positions, the outcome order (see Walk).
-    Columns are the four move targets, then "stay" with the slip mass. Goal
-    and wall rows stay put."""
-    n = g.n_cells
-    idx = np.arange(n)
-    succ = np.concatenate((_target_table(g).T, idx[:, None]), axis=1)
-    probs = np.empty((n, 5))
+    Both take their successors from g.successors: the four move targets,
+    then "stay" with the slip mass. Goal and wall rows stay put."""
+    probs = np.empty((g.n_cells, 5))
     probs[:, :4] = pol * (1.0 - g.slip)
     probs[:, 4] = g.slip
-    wall = _wall_mask(g)
-    still = wall.copy()
-    still[g.index_of(g.goal)] = True
-    probs[still] = (0.0, 0.0, 0.0, 0.0, 1.0)
-    outcome_of = np.cumsum(~wall) - 1  # flat cell -> position in free_cells()
-    return (succ, cumulative(probs)), (outcome_of[succ], probs)
+    probs[g.wall_mask] = probs[g.index_of(g.goal)] = (0.0, 0.0, 0.0, 0.0, 1.0)
+    outcome_of = np.cumsum(~g.wall_mask) - 1  # flat cell -> position in free_cells()
+    return (g.successors, cumulative(probs)), (outcome_of[g.successors], probs)
 
 
 def _branch_walk(cum_start, first: tuple, follow: tuple, k: int) -> Walk:
@@ -198,16 +199,13 @@ def _branch_walk(cum_start, first: tuple, follow: tuple, k: int) -> Walk:
     return Walk(cum_start, first[0], 1, follow[0], k - 2, follow[1])
 
 
-def _propagate(g: GridWorld, d: np.ndarray, first, follow: np.ndarray,
-               k: int) -> np.ndarray:
+def _propagate(g: GridWorld, d: np.ndarray, policy: np.ndarray, k: int) -> np.ndarray:
     """k exact push-forward steps of the branches d, an (n_cells, m) block
     whose column b is branch b's law; d may be overwritten. Returns the
-    (n_cells, m) block after k steps.
+    (n_cells, m) block after k steps (d itself when k is 0).
 
-    follow, the policy of every step after the first, is an (n_cells, 4)
-    matrix or a (1, 4) one-hot action, shared by every branch. first, the
-    policy of the first step, is None (follow then), a (1, 4) one-hot
-    action, or an (m, 4) array whose row b is branch b's one-hot action.
+    policy, the policy of every step, is an (n_cells, 4) matrix or a (1, 4)
+    one-hot action, shared by every branch.
 
     Each element gets the float operations of a one-branch loop over source
     cells (``loop_step`` in the tests) in the same order, so a branch's
@@ -227,16 +225,13 @@ def _propagate(g: GridWorld, d: np.ndarray, first, follow: np.ndarray,
     d = np.ascontiguousarray(d)
     n, m = d.shape
     gi = g.index_of(g.goal)
-    idx = np.arange(n)
-    targets = _target_table(g)
+    succ = g.successors
     moves = []
     for a, action in enumerate(ACTIONS):
         dx, dy = _DELTAS[action]
-        moves.append(((dx + dy * g.width) * m, np.flatnonzero(targets[a] == idx)))
-    # per action a column shared by every branch, (n_cells or 1, 1), or a
-    # row of one value per branch, (m or 1,)
-    follow_cols = np.ascontiguousarray(follow.T)[..., None]
-    first_cols = follow_cols if first is None else np.ascontiguousarray(first.T)
+        moves.append(((dx + dy * g.width) * m, np.flatnonzero(succ[:, a] == succ[:, 4])))
+    # per action a column shared by every branch, (n_cells or 1, 1)
+    cols = np.ascontiguousarray(policy.T)[..., None]
     out, w, c = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))
     saved = np.empty((max(len(stay) for _, stay in moves), m))
     flat_c = c.reshape(-1)
@@ -245,7 +240,7 @@ def _propagate(g: GridWorld, d: np.ndarray, first, follow: np.ndarray,
         out.fill(0.0)
         out[gi] = d[gi]  # absorbing, kept exact
         d[gi] = 0.0      # d is now the active mass
-        for (shift, stay), col in zip(moves, first_cols if step == 0 else follow_cols):
+        for (shift, stay), col in zip(moves, cols):
             np.multiply(d, col, out=w)
             np.multiply(w, 1.0 - g.slip, out=c)
             kept = saved[:len(stay)]
@@ -264,6 +259,8 @@ def _propagate(g: GridWorld, d: np.ndarray, first, follow: np.ndarray,
 
 
 def _action_matrix(action: str) -> np.ndarray:
+    if action not in ACTIONS:
+        raise ValueError(f"unknown action {action!r}")
     m = np.zeros((1, 4))
     m[0, ACTIONS.index(action)] = 1.0
     return m
@@ -299,14 +296,12 @@ def _dist_to_flat(g: GridWorld, d: Distribution) -> np.ndarray:
 
 
 def _flat_to_dist(g: GridWorld, flat: np.ndarray) -> Distribution:
-    return Distribution(g.free_cells(), flat[_free_index(g)])
+    return Distribution(g.free_cells(), flat[g.free_index])
 
 
 def transition_kernel(g: GridWorld, cell: Cell, action: str) -> Distribution:
     """One-step law of the next cell for a single (cell, action) pair."""
     cell = _checked_cell(g, cell)
-    if action not in ACTIONS:
-        raise ValueError(f"unknown action {action!r}")
     return push_forward(g, Distribution.point(cell, g.free_cells()), action)
 
 
@@ -320,7 +315,7 @@ def push_forward(g: GridWorld, d: Distribution, policy_or_action) -> Distributio
         pol = _action_matrix(policy_or_action)
     else:
         pol = _checked_policy(g, policy_or_action)
-    return _flat_to_dist(g, _propagate(g, flat, None, pol, 1)[:, 0])
+    return _flat_to_dist(g, _propagate(g, flat, pol, 1)[:, 0])
 
 
 def future_state_distribution(g: GridWorld, start: Distribution,
@@ -329,10 +324,11 @@ def future_state_distribution(g: GridWorld, start: Distribution,
     follow-on policy for the remaining k-1 steps."""
     if k < 1:
         raise ValueError("horizon must be >= 1 step")
-    first_pol = None if first is None else _action_matrix(first)
-    flat = _propagate(g, _dist_to_flat(g, start)[:, None], first_pol,
-                      _checked_policy(g, follow), k)
-    return _flat_to_dist(g, flat[:, 0])
+    follow = _checked_policy(g, follow)
+    flat = _dist_to_flat(g, start)[:, None]
+    if first is not None:
+        flat, k = _propagate(g, flat, _action_matrix(first), 1), k - 1
+    return _flat_to_dist(g, _propagate(g, flat, follow, k)[:, 0])
 
 
 class GridWorldModel(SystemModel):
@@ -345,7 +341,7 @@ class GridWorldModel(SystemModel):
         if isinstance(start, Distribution):
             self.start = start
         else:
-            self.start = Distribution.point(tuple(start), grid.free_cells())
+            self.start = Distribution.point(_checked_cell(grid, start), grid.free_cells())
         self.follow = _checked_policy(grid, follow)
         self.actions = _admissible_actions(actions)
         self._cum_start = cumulative(_dist_to_flat(grid, self.start))
@@ -374,16 +370,20 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
     each action scored against a uniform baseline over the others.
 
     Returns (z, se), float arrays of shape (len(cells), m) whose column j is
-    the j-th admissible action in ACTIONS order. The exact back-end (se 0.0)
-    pushes every (cell, action) branch forward once, as columns of one
-    (n_cells, branches) block per chunk of at most TABLE_CHUNK_BYTES, and
-    takes the chunk's entropies in one _row_entropies call. The Monte Carlo
-    back-end gives every branch bitwise what rank_events gives on that
-    cell's GridWorldModel, action j's branch keyed (j,), but walks each
-    action's branches at all cells as one batch from one block of uniforms
-    and estimates their entropies as one batch (see _mc_branch_entropies).
+    the j-th admissible action in ACTIONS order. Each action's _step_tables
+    are built once for both back-ends. The exact back-end (se 0.0) starts
+    branch (cell, action) as the cell's row of the action's table, in one
+    column of an (n_cells, branches) block per chunk of at most
+    TABLE_CHUNK_BYTES, pushes it k - 1 more steps and takes the chunk's
+    entropies in one _row_entropies call. The Monte Carlo back-end gives
+    every branch bitwise what rank_events gives on that cell's
+    GridWorldModel, action j's branch keyed (j,), but walks each action's
+    branches at all cells as one batch from one block of uniforms and
+    estimates their entropies as one batch (see _mc_branch_entropies).
     """
     Horizon(0, k)  # rejects k < 1
+    if estimator.backend == "mc":
+        _check_uniforms(estimator.n_samples, k)
     events = [Event(a) for a in _admissible_actions(actions)]
     m = len(events)
     # checked before any branch is pushed forward or sampled, as _z_values checks
@@ -393,23 +393,24 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
         raise EmptyBaselineError(f"vs-rest baseline needs >= 2 actions, got {events[0].id!r}")
     starts = np.array([g.index_of(_checked_cell(g, c)) for c in cells], dtype=np.int64)
     follow = _checked_policy(g, follow)
+    firsts = [_step_tables(g, _action_matrix(e.id)) for e in events]
     if estimator.backend == "exact":
-        free = _free_index(g)
-        origins = np.repeat(starts, m)
-        first_ids = np.array([ACTIONS.index(e.id) for e in events], dtype=np.int64)
-        firsts = np.eye(4)[np.tile(first_ids, len(starts))]
+        # branch (i, j) is row i * m + j: action j's first step from cell i
+        succ = np.repeat(g.successors[starts], m, axis=0)
+        probs = np.stack([last[1][starts] for _, last in firsts], axis=1).reshape(-1, 5)
         chunk = max(1, TABLE_CHUNK_BYTES // (8 * g.n_cells))
         h = []
-        for lo in range(0, len(origins), chunk):
-            origin = origins[lo:lo + chunk]
-            d = np.zeros((g.n_cells, len(origin)))
-            d[origin, np.arange(len(origin))] = 1.0
-            d = _propagate(g, d, firsts[lo:lo + chunk], follow, k)
-            h.extend(_row_entropies(d[free].T).tolist())
+        for lo in range(0, len(succ), chunk):
+            cols = np.arange(len(succ[lo:lo + chunk]))[:, None]
+            d = np.zeros((g.n_cells, len(cols)))
+            # a blocked move adds 0 + (1 - slip) + slip, as _propagate's step does
+            np.add.at(d, (succ[lo:lo + chunk], cols), probs[lo:lo + chunk])
+            d = _propagate(g, d, follow, k - 1)
+            h.extend(_row_entropies(d[g.free_index].T).tolist())
         h = np.reshape(h, (len(starts), m))
         se = np.zeros_like(h)
     else:
-        h, se = _mc_branch_entropies(g, starts, follow, k, estimator, events)
+        h, se = _mc_branch_entropies(g, starts, follow, k, estimator, firsts)
     out = np.empty((len(starts), m, 2))
     for i, (h_row, se_row) in enumerate(zip(h.tolist(), se.tolist())):
         out[i] = _z_values(events, "vs-rest", lambda _, j: (h_row[j], se_row[j]))
@@ -417,11 +418,11 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
 
 
 def _mc_branch_entropies(g: GridWorld, starts: np.ndarray, follow: np.ndarray, k: int,
-                         estimator: EstimatorConfig, events) -> tuple:
+                         estimator: EstimatorConfig, firsts: list) -> tuple:
     """(entropy, se) arrays of shape (cells, actions): every (cell, action)
-    branch for the flat cell indices `starts` and the checked policy
-    `follow`, each bitwise what mc_entropy_of_branch gives for that cell's
-    GridWorldModel.
+    branch for the flat cell indices `starts`, the checked policy `follow`
+    and firsts[j], action j's _step_tables, each bitwise what
+    mc_entropy_of_branch gives for that cell's GridWorldModel.
 
     Branch j draws its (n, k) uniforms from the child stream keyed (j,) at
     every cell, so one block per action serves all cells: their walks step
@@ -432,9 +433,9 @@ def _mc_branch_entropies(g: GridWorld, starts: np.ndarray, follow: np.ndarray, k
     n = estimator.n_samples
     follow_tables = _step_tables(g, follow)
     chunk = max(1, TABLE_CHUNK_BYTES // (8 * max(n, g.n_cells)))
-    h, se = np.empty((2, len(starts), len(events)))
-    for j, ev in enumerate(events):
-        walk = _branch_walk(None, _step_tables(g, _action_matrix(ev.id)), follow_tables, k)
+    h, se = np.empty((2, len(starts), len(firsts)))
+    for j, first in enumerate(firsts):
+        walk = _branch_walk(None, first, follow_tables, k)
         u = np.random.default_rng(_branch_seed(estimator.seed, (j,))).random((n, k))
         for lo in range(0, len(starts), chunk):
             states = walk_outcomes(None, walk.first, walk.n_first, walk.rest, walk.n_rest,

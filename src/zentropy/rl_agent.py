@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp_sim import ACTIONS, GridWorld, _checked_policy, _target_table, uniform_policy, z_table
+from .mdp_sim import ACTIONS, GridWorld, _checked_policy, uniform_policy, z_table
 
 Z_POLICIES = ("current-greedy", "fixed-uniform")
 MAX_EPISODES = 100_000
@@ -154,7 +154,7 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
     q = [[float(q_init)] * 4 for _ in range(g.n_cells)]
     q[goal] = [0.0] * 4  # terminal: no future value beyond the arrival reward
     start = g.index_of(g.start)
-    targets = _target_table(g).tolist()
+    targets = g.successors.tolist()
     move_below = _raw_threshold(1.0 - g.slip)
     keep = 1.0 - alpha
     neg_beta = -shaping.beta
@@ -194,7 +194,7 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
             else:
                 a = qs.index(max(qs))
                 pos += 1
-            nxt = targets[a][s] if words[pos] < move_below else s
+            nxt = targets[s][a] if words[pos] < move_below else s
             pos += 1
             r_env = 1.0 if nxt == goal else 0.0
             if use_z:

@@ -388,6 +388,11 @@ class TestConfigParsing:
         ("bayes11.json", [(("bayes", "grid_points"), 10_001)], "grid_points"),
         ("corridor.json", [(("estimator", "n_samples"), 1_000_001)], "n_samples"),
         ("corridor.json", [(("estimator", "n_samples"), 99)], "n_samples"),
+        # over the MC cap on n_samples * horizon_k, before any walk is drawn
+        ("corridor.json", [(("estimator",), {"backend": "mc", "n_samples": 1_000_000}),
+                           (("grid", "horizon_k"), 16)], "horizon_k"),
+        ("corridor.json", [(("estimator",), {"backend": "mc", "n_samples": 750_001}),
+                           (("grid", "horizon_k"), 20)], "n_samples"),
         ("train_corridor.json", [(("shaping", "episodes"), 10**12)], "episodes"),
         ("train_corridor.json", [(("shaping", "max_steps"), rl_agent.MAX_STEPS + 1)],
          "max_steps"),

@@ -1,3 +1,4 @@
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zentropy import mdp_sim
+from zentropy import entropic_potential, mdp_sim, rl_agent
 from zentropy._kernels import cumulative
 from zentropy.entropic_potential import (
+    MAX_SAMPLES,
+    MAX_UNIFORMS,
     Baseline,
     EstimatorConfig,
     Event,
@@ -166,6 +169,12 @@ class TestPushForward:
                              z_table(g, g.free_cells(), uniform_policy(g), 3)):
             assert np.array_equal(got, want)
 
+    def test_unknown_action_rejected(self):
+        g = GridWorld(3, 3, goal=(2, 2), start=(0, 0), walls={(1, 1)})
+        start = Distribution.point((0, 0), g.free_cells())
+        with pytest.raises(ValueError, match="unknown action 'jump'"):
+            push_forward(g, start, "jump")
+
 
 class TestFutureStateDistribution:
     def test_corridor_right_branch_golden(self):
@@ -198,6 +207,12 @@ class TestFutureStateDistribution:
         start = Distribution.point((0, 0), g.free_cells())
         with pytest.raises(ValueError):
             future_state_distribution(g, start, None, uniform_policy(g), 0)
+
+    def test_unknown_first_action_rejected(self):
+        g = GridWorld(3, 3, goal=(2, 2), start=(0, 0), walls={(1, 1)})
+        start = Distribution.point((0, 0), g.free_cells())
+        with pytest.raises(ValueError, match="unknown action 'jump'"):
+            future_state_distribution(g, start, "jump", uniform_policy(g), 2)
 
     def test_absorption_monotone_in_horizon(self):
         g = corridor_world(6, 0.25)
@@ -541,6 +556,33 @@ class TestZTable:
             for got, want in zip(z_table(g, cells, policy, 7), whole):
                 assert np.array_equal(got, want)
 
+    def test_mc_uniform_cap_checked_before_any_table_or_block(self, monkeypatch):
+        # MAX_SAMPLES walks of 16 steps would draw 128 MB of uniforms at once
+        g = corridor_world(5, 0.2)
+        model = GridWorldModel(g, (3, 0), uniform_policy(g))
+        steps = MAX_UNIFORMS // MAX_SAMPLES + 1
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table or block was built before the cap check")
+
+        for module, name in ((mdp_sim, "_step_tables"), (mdp_sim, "walk_outcomes"),
+                             (entropic_potential, "walk_outcomes")):
+            monkeypatch.setattr(module, name, no_table)
+        est = EstimatorConfig(backend="mc", n_samples=MAX_SAMPLES)
+        with pytest.raises(ValueError, match=r"n_samples \* horizon_k"):
+            z_table(g, [(3, 0)], uniform_policy(g), steps, est)
+        rng = mock.create_autospec(np.random.Generator, instance=True)
+        rng.random.side_effect = no_table
+        with pytest.raises(ValueError, match=r"n_samples \* horizon_k"):
+            mc_entropy_of_branch(model, None, Horizon(0, steps), MAX_SAMPLES, rng)
+
+    def test_uniform_cap_admits_max_samples_at_k15_and_spares_exact(self):
+        assert MAX_UNIFORMS >= 15 * MAX_SAMPLES
+        g = corridor_world(5, 0.2)
+        est = EstimatorConfig(backend="exact", n_samples=MAX_SAMPLES)
+        z, se = z_table(g, [(3, 0)], uniform_policy(g), 2 * MAX_UNIFORMS // MAX_SAMPLES, est)
+        assert np.isfinite(z).all() and not se.any()
+
     def test_rejects_bad_cells_and_actions(self):
         g = GridWorld(3, 3, goal=(2, 2), start=(0, 0), walls={(1, 1)})
         pol = uniform_policy(g)
@@ -610,6 +652,43 @@ class TestSamplingTable:
                 assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+class TestSuccessorTable:
+    @given(small_worlds())
+    def test_entries_are_move_targets(self, world):
+        g = world[0]
+        assert g.successors.shape == (g.n_cells, 5)
+        for i in range(g.n_cells):
+            c = g.cell_of(i)
+            wall = c in g.walls
+            assert g.wall_mask[i] == wall
+            want = [i] * 4 if wall else [g.index_of(g.move_target(c, a)) for a in ACTIONS]
+            assert g.successors[i].tolist() == want + [i]
+        assert g.free_index.tolist() == [i for i in range(g.n_cells)
+                                         if g.cell_of(i) not in g.walls]
+
+    def test_tables_are_read_only(self):
+        g = GridWorld(3, 3, goal=(2, 2), start=(0, 0), walls={(1, 1)})
+        for table in (g.successors, g.wall_mask, g.free_index):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+    def test_built_once_per_grid(self):
+        # a model, an exact table, an MC table and shaped training on one
+        # grid build each of the grid's tables once between them
+        g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.2, walls={(1, 1)})
+        props = {name: vars(GridWorld)[name] for name in ("wall_mask", "free_index", "successors")}
+        with contextlib.ExitStack() as stack:
+            builds = {name: stack.enter_context(mock.patch.object(prop, "func", wraps=prop.func))
+                      for name, prop in props.items()}
+            GridWorldModel(g, (0, 0), uniform_policy(g))
+            z_table(g, g.free_cells(), uniform_policy(g), 3)
+            z_table(g, g.free_cells(), uniform_policy(g), 3,
+                    EstimatorConfig(backend="mc", n_samples=100))
+            rl_agent.train(g, rl_agent.ShapingConfig(beta=0.5, horizon_k=3), episodes=2,
+                           max_steps=20, epsilon=0.1, alpha=0.2, gamma=0.9, seed=0)
+        assert {name: b.call_count for name, b in builds.items()} == dict.fromkeys(props, 1)
+
+
 class TestGridWorldModel:
     def test_event_space_respects_restriction(self):
         g = corridor_world(5, 0.2)
@@ -621,6 +700,16 @@ class TestGridWorldModel:
         g = corridor_world(5, 0.2)
         with pytest.raises(ValueError):
             GridWorldModel(g, (3, 0), always_policy(g, "right"), actions=("jump",))
+
+    @pytest.mark.parametrize("start, error, message", [
+        ((1, 1), CellIsWallError, "is a wall"),
+        ((5, 5), ValueError, "out of bounds"),
+        ((-1, 0), ValueError, "out of bounds"),
+    ])
+    def test_rejects_bad_start_cells(self, start, error, message):
+        g = GridWorld(3, 3, goal=(2, 2), start=(0, 0), walls={(1, 1)})
+        with pytest.raises(error, match=message):
+            GridWorldModel(g, start, uniform_policy(g))
 
     def test_sampling_tables_built_once(self):
         # the follow tables and one first step's tables per admissible action
