@@ -226,11 +226,15 @@ class SystemModel(ABC):
         the outcome order of exact_future_distribution.
 
         From the model's walk: one (n, k + 1) block of uniforms, column 0 the
-        start draw and column i the i-th step, the last one included.
+        start draw and column i the i-th step, the last one included. A
+        block over MAX_UNIFORMS is refused before it is drawn.
         """
         walk = self.walk(event, horizon)
         if walk is None:
             raise SamplingUnsupportedError(f"{type(self).__name__} cannot sample outcomes")
+        if n * (walk.steps + 1) > MAX_UNIFORMS:
+            raise ValueError(f"n * (horizon steps + 1) must be <= {MAX_UNIFORMS}, "
+                             f"got {n} * {walk.steps + 1}")
         u = rng.random((n, walk.steps + 1))
         s = walk.states(u[:, :-1])
         outcomes, probs = walk.last

@@ -125,6 +125,14 @@ class GridWorld:
         succ.flags.writeable = False
         return succ
 
+    @cached_property
+    def successor_outcomes(self) -> np.ndarray:
+        """(n_cells, 5) successors as positions in free_cells(), the outcome
+        order of state distributions."""
+        out = (np.cumsum(~self.wall_mask) - 1)[self.successors]
+        out.flags.writeable = False
+        return out
+
     def move_target(self, cell: Cell, action: str) -> Cell:
         dx, dy = _DELTAS[action]
         nxt = (cell[0] + dx, cell[1] + dy)
@@ -175,19 +183,25 @@ def _checked_policy(g: GridWorld, policy) -> np.ndarray:
     return out
 
 
-def _step_tables(g: GridWorld, pol: np.ndarray) -> tuple:
-    """The (walk, last) tables of one step under pol, a (n_cells, 4) policy
-    matrix or a (1, 4) one-hot action: walk is its (succ, cum) sampling
-    table over flat cells, last its (outcomes, probs) table whose
-    successors are free-cell positions, the outcome order (see Walk).
-    Both take their successors from g.successors: the four move targets,
-    then "stay" with the slip mass. Goal and wall rows stay put."""
+def _step_probs(g: GridWorld, pol: np.ndarray) -> np.ndarray:
+    """(n_cells, 5) probabilities of one step under pol, a (n_cells, 4)
+    policy matrix or a (1, 4) one-hot action, over the columns of
+    g.successors: the four move targets, then "stay" with the slip mass.
+    Goal and wall rows stay put."""
     probs = np.empty((g.n_cells, 5))
     probs[:, :4] = pol * (1.0 - g.slip)
     probs[:, 4] = g.slip
     probs[g.wall_mask] = probs[g.index_of(g.goal)] = (0.0, 0.0, 0.0, 0.0, 1.0)
-    outcome_of = np.cumsum(~g.wall_mask) - 1  # flat cell -> position in free_cells()
-    return (g.successors, cumulative(probs)), (outcome_of[g.successors], probs)
+    return probs
+
+
+def _step_tables(g: GridWorld, pol: np.ndarray) -> tuple:
+    """The (walk, last) tables of one step under pol, as _step_probs takes
+    it: walk is its (succ, cum) sampling table over flat cells, last its
+    (outcomes, probs) table whose successors are free-cell positions, the
+    outcome order (see Walk)."""
+    probs = _step_probs(g, pol)
+    return (g.successors, cumulative(probs)), (g.successor_outcomes, probs)
 
 
 def _branch_walk(cum_start, first: tuple, follow: tuple, k: int) -> Walk:
@@ -370,16 +384,16 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
     each action scored against a uniform baseline over the others.
 
     Returns (z, se), float arrays of shape (len(cells), m) whose column j is
-    the j-th admissible action in ACTIONS order. Each action's _step_tables
-    are built once for both back-ends. The exact back-end (se 0.0) starts
-    branch (cell, action) as the cell's row of the action's table, in one
-    column of an (n_cells, branches) block per chunk of at most
-    TABLE_CHUNK_BYTES, pushes it k - 1 more steps and takes the chunk's
-    entropies in one _row_entropies call. The Monte Carlo back-end gives
-    every branch bitwise what rank_events gives on that cell's
-    GridWorldModel, action j's branch keyed (j,), but walks each action's
-    branches at all cells as one batch from one block of uniforms and
-    estimates their entropies as one batch (see _mc_branch_entropies).
+    the j-th admissible action in ACTIONS order. The exact back-end (se 0.0)
+    starts branch (cell, action) as the cell's row of the action's
+    _step_probs, in one column of an (n_cells, branches) block per chunk of
+    at most TABLE_CHUNK_BYTES, pushes it k - 1 more steps and takes the
+    chunk's entropies in one _row_entropies call. The Monte Carlo back-end
+    builds each action's _step_tables and gives every branch bitwise what
+    rank_events gives on that cell's GridWorldModel, action j's branch
+    keyed (j,), but walks each action's branches at all cells as one batch
+    from one block of uniforms and estimates their entropies as one batch
+    (see _mc_branch_entropies).
     """
     Horizon(0, k)  # rejects k < 1
     if estimator.backend == "mc":
@@ -393,11 +407,11 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
         raise EmptyBaselineError(f"vs-rest baseline needs >= 2 actions, got {events[0].id!r}")
     starts = np.array([g.index_of(_checked_cell(g, c)) for c in cells], dtype=np.int64)
     follow = _checked_policy(g, follow)
-    firsts = [_step_tables(g, _action_matrix(e.id)) for e in events]
     if estimator.backend == "exact":
         # branch (i, j) is row i * m + j: action j's first step from cell i
         succ = np.repeat(g.successors[starts], m, axis=0)
-        probs = np.stack([last[1][starts] for _, last in firsts], axis=1).reshape(-1, 5)
+        probs = np.stack([_step_probs(g, _action_matrix(e.id))[starts] for e in events],
+                         axis=1).reshape(-1, 5)
         chunk = max(1, TABLE_CHUNK_BYTES // (8 * g.n_cells))
         h = []
         for lo in range(0, len(succ), chunk):
@@ -410,6 +424,7 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
         h = np.reshape(h, (len(starts), m))
         se = np.zeros_like(h)
     else:
+        firsts = [_step_tables(g, _action_matrix(e.id)) for e in events]
         h, se = _mc_branch_entropies(g, starts, follow, k, estimator, firsts)
     out = np.empty((len(starts), m, 2))
     for i, (h_row, se_row) in enumerate(zip(h.tolist(), se.tolist())):

@@ -101,22 +101,25 @@ def greedy_policy_from_q(q: np.ndarray) -> np.ndarray:
     return np.eye(4)[np.argmax(q, axis=1)]
 
 
-def _z_table(g: GridWorld, q: list, shaping: ShapingConfig) -> tuple[dict, list]:
+def _z_table(g: GridWorld, qarg: list, shaping: ShapingConfig) -> tuple[dict, list]:
     """Z of every (free cell, action) under the configured follow-on policy,
-    as the snapshot dict keyed by (cell, action name) and as zt[s][a] by flat
-    cell index and action index (0.0 on walls)."""
+    as the snapshot dict keyed by (cell, action name), and the shaping term
+    bonus[s][a] = -beta * Z by flat cell index and action index (0.0 on
+    walls, where no step starts). The current-greedy policy is the point
+    mass on qarg[s], each Q row's first maximum: greedy_policy_from_q of
+    the table."""
     if shaping.z_policy == "current-greedy":
-        follow = greedy_policy_from_q(np.array(q))
+        follow = np.eye(4)[qarg]
     else:
         follow = uniform_policy(g)
     cells = g.free_cells()
     z, _ = z_table(g, cells, follow, shaping.horizon_k)
     snapshot = {}
-    zt = [[0.0] * 4 for _ in range(g.n_cells)]
-    for c, row in zip(cells, z.tolist()):
-        zt[g.index_of(c)] = row
+    bonus = [[0.0] * 4 for _ in range(g.n_cells)]
+    for c, row, terms in zip(cells, z.tolist(), (-shaping.beta * z).tolist()):
+        bonus[g.index_of(c)] = terms
         snapshot.update(((c, a), v) for a, v in zip(ACTIONS, row))
-    return snapshot, zt
+    return snapshot, bonus
 
 
 def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
@@ -133,6 +136,21 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
     job plain Python floats do faster than numpy calls. The greedy action is
     the first maximum (np.argmax's tie-break) and every update is the same
     double-precision expression, so results equal those of an array table.
+
+    No step scans a row. Each row's maximum and greedy action are cached,
+    with qmax[s] == max(q[s]) and qarg[s] the first index holding it. An
+    exploit step takes qarg[s]; the update target reads qmax[nxt] before
+    the write, as nxt may be s. After q[s][a] = v, a v above the maximum
+    becomes the maximum at a, a fall of the greedy entry rescans the row,
+    and a v equal to the maximum at an index before qarg[s] moves qarg[s]
+    there. qmax[s] may differ from max(q[s]) in the sign of a zero, which
+    no comparison sees and no update feels: the reward r is never -0.0, so
+    r + gamma * qmax[nxt] is the same for either zero.
+
+    At the start of each episode at least 3 * max_steps raw words, the most
+    an episode reads, are unread; a refill appends max(_RAW_BLOCK,
+    3 * max_steps) words after the unread ones, so the copying grows with
+    the words consumed, not with the number of episodes.
     """
     if not 0 <= episodes <= MAX_EPISODES:
         raise ValueError(f"episodes must be in 0..{MAX_EPISODES}, got {episodes}")
@@ -149,18 +167,21 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
     words: list = []  # raw words; words[pos:] are unread
     pos = 0
     held = -1  # action in the buffered high half of a word, -1 if none
+    need = 3 * max_steps  # a step reads at most 3 words
+    block = max(_RAW_BLOCK, need)
     explore_below = _raw_threshold(epsilon)
     goal = g.index_of(g.goal)
     q = [[float(q_init)] * 4 for _ in range(g.n_cells)]
     q[goal] = [0.0] * 4  # terminal: no future value beyond the arrival reward
+    qmax = [row[0] for row in q]
+    qarg = [0] * g.n_cells
     start = g.index_of(g.start)
     targets = g.successors.tolist()
     move_below = _raw_threshold(1.0 - g.slip)
     keep = 1.0 - alpha
-    neg_beta = -shaping.beta
 
     use_z = shaping.beta > 0.0
-    zt: list = []  # zt[s][a]: Z of action a at flat cell s, 0.0 on walls
+    bonus = [[0.0] * 4 for _ in range(g.n_cells)]  # bonus[s][a] = -beta * Z
     returns, steps_list, intr_list, reached_list, snapshots = [], [], [], [], []
 
     for ep in range(episodes):
@@ -168,19 +189,18 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
         # periodic refresh only applies to the current-greedy variant
         if use_z and ep % shaping.recompute_every == 0 and (
                 ep == 0 or shaping.z_policy == "current-greedy"):
-            snapshot, zt = _z_table(g, q, shaping)
+            snapshot, bonus = _z_table(g, qarg, shaping)
             snapshots.append((ep, snapshot))
+        # drawing past the end of the run is harmless, as no one else reads
+        # this generator
+        if len(words) - pos < need:
+            words = words[pos:] + raw(block).tolist()
+            pos = 0
         s = start
         ep_return = 0.0
         intr_sum = 0.0
         steps = 0
-        reached = s == goal
-        while steps < max_steps and not reached:
-            # a step reads at most 3 words; drawing past the end of the run
-            # is harmless, as no one else reads this generator
-            while len(words) - pos < 3:
-                words = words[pos:] + raw(_RAW_BLOCK).tolist()
-                pos = 0
+        while steps < max_steps and s != goal:
             qs = q[s]
             if words[pos] < explore_below:
                 if held < 0:
@@ -192,33 +212,40 @@ def train(g: GridWorld, shaping: ShapingConfig, episodes: int, max_steps: int,
                     held = -1
                     pos += 1
             else:
-                a = qs.index(max(qs))
+                a = qarg[s]
                 pos += 1
             nxt = targets[s][a] if words[pos] < move_below else s
             pos += 1
             r_env = 1.0 if nxt == goal else 0.0
-            if use_z:
-                intrinsic = neg_beta * zt[s][a]
-            else:
-                intrinsic = 0.0
+            intrinsic = bonus[s][a]
             r = r_env + intrinsic
-            qs[a] = keep * qs[a] + alpha * (r + gamma * max(q[nxt]))
+            v = keep * qs[a] + alpha * (r + gamma * qmax[nxt])
+            qs[a] = v
+            top = qmax[s]
+            if v > top:
+                qmax[s] = v
+                qarg[s] = a
+            elif a == qarg[s]:
+                if v != top:
+                    top = qmax[s] = max(qs)
+                    qarg[s] = qs.index(top)
+            elif v == top and a < qarg[s]:
+                qarg[s] = a
             ep_return += r_env
             intr_sum += intrinsic
             steps += 1
             s = nxt
-            reached = s == goal
         returns.append(ep_return)
         steps_list.append(steps)
         intr_list.append(intr_sum / steps if steps else 0.0)
-        reached_list.append(reached)
+        reached_list.append(s == goal)
 
     final_policy = {}
     final_q = {}
     for c in g.free_cells():
-        qs = q[g.index_of(c)]
-        final_policy[c] = ACTIONS[qs.index(max(qs))]
-        final_q.update(((c, a), v) for a, v in zip(ACTIONS, qs))
+        i = g.index_of(c)
+        final_policy[c] = ACTIONS[qarg[i]]
+        final_q.update(((c, a), v) for a, v in zip(ACTIONS, q[i]))
     return TrainResult(returns, steps_list, intr_list, reached_list,
                        final_policy, final_q, snapshots)
 

@@ -233,6 +233,100 @@ def vanilla_q_learning(width, height, walls, start, goal, slip, episodes,
     return returns, steps, q
 
 
+def train_scanning_rows(g, shaping, episodes, max_steps, epsilon, alpha, gamma, seed,
+                        q_init=1.0):
+    """zentropy.rl_agent.train as it was before its rows' maxima were cached:
+    every exploit step and every update target scans a Q row with max(), and
+    a step tops up the raw-word buffer whenever fewer than 3 words are
+    unread. Same arguments and TrainResult; the package's loop must match
+    it bit for bit."""
+    import numpy as np
+
+    from zentropy.mdp_sim import ACTIONS, uniform_policy, z_table
+    from zentropy.rl_agent import TrainResult, _raw_threshold, greedy_policy_from_q
+
+    def z_of(q):
+        if shaping.z_policy == "current-greedy":
+            follow = greedy_policy_from_q(np.array(q))
+        else:
+            follow = uniform_policy(g)
+        cells = g.free_cells()
+        z, _ = z_table(g, cells, follow, shaping.horizon_k)
+        snapshot = {}
+        zt = [[0.0] * 4 for _ in range(g.n_cells)]
+        for c, row in zip(cells, z.tolist()):
+            zt[g.index_of(c)] = row
+            snapshot.update(((c, a), v) for a, v in zip(ACTIONS, row))
+        return snapshot, zt
+
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+    words = []
+    pos = 0
+    held = -1
+    explore_below = _raw_threshold(epsilon)
+    goal = g.index_of(g.goal)
+    q = [[float(q_init)] * 4 for _ in range(g.n_cells)]
+    q[goal] = [0.0] * 4
+    start = g.index_of(g.start)
+    targets = g.successors.tolist()
+    move_below = _raw_threshold(1.0 - g.slip)
+    keep = 1.0 - alpha
+    neg_beta = -shaping.beta
+    use_z = shaping.beta > 0.0
+    zt = []
+    returns, steps_list, intr_list, reached_list, snapshots = [], [], [], [], []
+    for ep in range(episodes):
+        if use_z and ep % shaping.recompute_every == 0 and (
+                ep == 0 or shaping.z_policy == "current-greedy"):
+            snapshot, zt = z_of(q)
+            snapshots.append((ep, snapshot))
+        s = start
+        ep_return = 0.0
+        intr_sum = 0.0
+        steps = 0
+        reached = s == goal
+        while steps < max_steps and not reached:
+            while len(words) - pos < 3:
+                words = words[pos:] + raw(1024).tolist()
+                pos = 0
+            qs = q[s]
+            if words[pos] < explore_below:
+                if held < 0:
+                    a = (words[pos + 1] >> 30) & 3
+                    held = words[pos + 1] >> 62
+                    pos += 2
+                else:
+                    a = held
+                    held = -1
+                    pos += 1
+            else:
+                a = qs.index(max(qs))
+                pos += 1
+            nxt = targets[s][a] if words[pos] < move_below else s
+            pos += 1
+            r_env = 1.0 if nxt == goal else 0.0
+            intrinsic = neg_beta * zt[s][a] if use_z else 0.0
+            r = r_env + intrinsic
+            qs[a] = keep * qs[a] + alpha * (r + gamma * max(q[nxt]))
+            ep_return += r_env
+            intr_sum += intrinsic
+            steps += 1
+            s = nxt
+            reached = s == goal
+        returns.append(ep_return)
+        steps_list.append(steps)
+        intr_list.append(intr_sum / steps if steps else 0.0)
+        reached_list.append(reached)
+    final_policy = {}
+    final_q = {}
+    for c in g.free_cells():
+        qs = q[g.index_of(c)]
+        final_policy[c] = ACTIONS[qs.index(max(qs))]
+        final_q.update(((c, a), v) for a, v in zip(ACTIONS, qs))
+    return TrainResult(returns, steps_list, intr_list, reached_list,
+                       final_policy, final_q, snapshots)
+
+
 def evaluate_policy_loop(g, policy, n_episodes, max_steps, seed):
     """Seeded rollout statistics (mean return, mean steps) of a dict policy
     {cell: [(action, p), ...]}: the action is found by a running sum over the

@@ -550,6 +550,27 @@ class TestTrain:
         for name, digest in golden.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
+    def test_current_greedy_outputs_match_golden_hashes(self, tmp_path):
+        # both presets follow a fixed-uniform policy; this pins the shaping
+        # whose Z tables follow the learner's own greedy policy, refreshed
+        # 10 times, as written by the learner that scanned every Q row
+        cfg = {"seed": 31337,
+               "shaping": {"grid": {"width": 5, "height": 5,
+                                    "walls": [[1, 1], [3, 1], [1, 3], [2, 3]],
+                                    "goal": [4, 4], "start": [0, 0], "slip": 0.2},
+                           "beta": 0.5, "horizon_k": 15, "recompute_every": 50,
+                           "z_policy": "current-greedy", "episodes": 500,
+                           "max_steps": 200, "epsilon": 0.1, "alpha": 0.2,
+                           "gamma": 0.95}}
+        out = tmp_path / "run"
+        assert run(["train", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
+        golden = {
+            "train_result.csv": "361866169083f060ac186799f1406f36abcb3b5d482915aa6307fc4b95d8421c",
+            "train_result.json": "f29f5cb483ba23074f7f0a9be2783e36a592b8934c23163500eb629d1155e082",
+        }
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
     @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
     def test_non_finite_beta_exits_2(self, tmp_path, capsys, beta):
         # json writes and reads these as NaN/Infinity; shaping must refuse

@@ -576,6 +576,22 @@ class TestZTable:
         with pytest.raises(ValueError, match=r"n_samples \* horizon_k"):
             mc_entropy_of_branch(model, None, Horizon(0, steps), MAX_SAMPLES, rng)
 
+    def test_sampled_outcome_block_is_capped_before_it_is_drawn(self):
+        # (10**6, 2001) uniforms would be 16 GB; the stand-in Generator
+        # reports the shape it was asked for instead of drawing it
+        g = corridor_world(5, 0.2)
+        model = GridWorldModel(g, (0, 0), uniform_policy(g))
+        rng = mock.create_autospec(np.random.Generator, instance=True)
+        rng.random.side_effect = lambda shape: pytest.fail(f"drew {shape}")
+        with pytest.raises(ValueError, match=r"n \* \(horizon steps \+ 1\)"):
+            model.sample_future_outcomes(None, Horizon(0, 2000), 10**6, rng)
+        n = MAX_UNIFORMS // 16  # n * 16 is the cap exactly
+        for size, over in ((n, False), (n + 1, True)):
+            rng.random.side_effect = AssertionError
+            with pytest.raises(ValueError if over else AssertionError):
+                model.sample_future_outcomes(None, Horizon(0, 15), size, rng)
+        rng.random.assert_called_once_with((n, 16))
+
     def test_uniform_cap_admits_max_samples_at_k15_and_spares_exact(self):
         assert MAX_UNIFORMS >= 15 * MAX_SAMPLES
         g = corridor_world(5, 0.2)
@@ -668,7 +684,7 @@ class TestSuccessorTable:
 
     def test_tables_are_read_only(self):
         g = GridWorld(3, 3, goal=(2, 2), start=(0, 0), walls={(1, 1)})
-        for table in (g.successors, g.wall_mask, g.free_index):
+        for table in (g.successors, g.wall_mask, g.free_index, g.successor_outcomes):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
 
@@ -676,7 +692,8 @@ class TestSuccessorTable:
         # a model, an exact table, an MC table and shaped training on one
         # grid build each of the grid's tables once between them
         g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.2, walls={(1, 1)})
-        props = {name: vars(GridWorld)[name] for name in ("wall_mask", "free_index", "successors")}
+        props = {name: vars(GridWorld)[name]
+                 for name in ("wall_mask", "free_index", "successors", "successor_outcomes")}
         with contextlib.ExitStack() as stack:
             builds = {name: stack.enter_context(mock.patch.object(prop, "func", wraps=prop.func))
                       for name, prop in props.items()}
@@ -687,6 +704,23 @@ class TestSuccessorTable:
             rl_agent.train(g, rl_agent.ShapingConfig(beta=0.5, horizon_k=3), episodes=2,
                            max_steps=20, epsilon=0.1, alpha=0.2, gamma=0.9, seed=0)
         assert {name: b.call_count for name, b in builds.items()} == dict.fromkeys(props, 1)
+
+    def test_exact_table_builds_no_sampling_tables(self):
+        # the exact back-end reads each action's step probabilities alone
+        g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.2, walls={(1, 1)})
+        with mock.patch.object(mdp_sim, "cumulative", wraps=cumulative) as cum, \
+                mock.patch.object(mdp_sim, "_step_tables") as tables:
+            z_table(g, g.free_cells(), uniform_policy(g), 3)
+        assert cum.call_count == tables.call_count == 0
+        assert "successor_outcomes" not in vars(g)
+
+    @given(small_worlds())
+    def test_successor_outcomes_are_free_cell_positions(self, world):
+        g = world[0]
+        free = g.free_cells()
+        for i in g.free_index.tolist():
+            assert g.successor_outcomes[i].tolist() == [
+                free.index(g.cell_of(j)) for j in g.successors[i].tolist()]
 
 
 class TestGridWorldModel:

@@ -32,6 +32,7 @@ from zentropy.rl_agent import (
 from oracles import (
     evaluate_policy_loop,
     shaped_q_learning,
+    train_scanning_rows,
     value_iteration_actions,
     vanilla_q_learning,
 )
@@ -192,9 +193,8 @@ def shaped_runs(draw):
     """A small world with walls and slip, shaping with beta > 0 and training
     settings; a flat initial Q table (0.0 or 1.0) makes argmax ties common.
     The last item is the size of train's raw-word blocks: at 1, 2 or 3 words
-    a refill lands on every position of a step's draws, so an explore word
-    ends a block and a buffered action half crosses refills, episodes and
-    Z refreshes."""
+    a refill is 3 * max_steps words, so it comes at many episode starts and
+    a buffered action half crosses refills, episodes and Z refreshes."""
     width = draw(st.integers(1, 4))
     height = draw(st.integers(1, 3))
     cells = [(x, y) for y in range(height) for x in range(width)]
@@ -260,6 +260,139 @@ def test_long_shaped_run_matches_array_reference(epsilon):
     assert_matches_array_reference(g, shaping, dict(
         episodes=300, max_steps=60, epsilon=epsilon, alpha=0.2, gamma=0.95, seed=8,
         q_init=1.0))
+
+
+@st.composite
+def tie_heavy_runs(draw):
+    """Training runs weighted toward tied and zero Q values: flat initial
+    rows, gamma 0 (a target of r alone), alpha 1 (an entry replaced by its
+    target), beta 0 (no shaping) or slip 0 (where a greedy follow policy
+    gives zero Z), and epsilon 0 or 1.
+    The last item is the size of train's raw-word blocks, as in
+    shaped_runs."""
+    width = draw(st.integers(1, 4))
+    height = draw(st.integers(1, 3))
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    goal = draw(st.sampled_from(cells))
+    start = draw(st.sampled_from(cells))
+    walls = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1)) - {goal, start}
+    g = GridWorld(width, height, goal=goal, start=start, walls=walls,
+                  slip=draw(st.sampled_from([0.0, 0.0, 0.25])))
+    shaping = ShapingConfig(beta=draw(st.sampled_from([0.0, 0.0, 0.5, 2.0])),
+                            horizon_k=draw(st.integers(1, 3)),
+                            recompute_every=draw(st.integers(1, 4)),
+                            z_policy=draw(st.sampled_from(Z_POLICIES)))
+    kw = dict(episodes=draw(st.integers(1, 12)), max_steps=draw(st.integers(1, 30)),
+              epsilon=draw(st.sampled_from([0.0, 0.0, 0.1, 1.0, 1.0])),
+              alpha=draw(st.sampled_from([1.0, 1.0, 0.5])),
+              gamma=draw(st.sampled_from([0.0, 0.0, 0.9, 1.0])),
+              seed=draw(st.integers(0, 2**32 - 1)),
+              q_init=draw(st.sampled_from([0.0, 1.0])))
+    return g, shaping, kw, draw(st.sampled_from([1, 2, 3, rl_agent._RAW_BLOCK]))
+
+
+def hex_floats(values):
+    return [v.hex() for v in values]
+
+
+@given(tie_heavy_runs())
+def test_train_matches_the_row_scanning_loop(run):
+    # the cached row maxima must reproduce every bit of the loop that
+    # scanned each row with max(), zeros' signs included
+    g, shaping, kw, block = run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rl_agent, "_RAW_BLOCK", block)
+        res = train(g, shaping, **kw)
+    ref = train_scanning_rows(g, shaping, **kw)
+    assert res.steps_to_goal == ref.steps_to_goal
+    assert res.reached == ref.reached
+    assert res.final_policy == ref.final_policy
+    for field in ("episode_returns", "mean_intrinsic"):
+        assert getattr(res, field) == getattr(ref, field), field
+        assert hex_floats(getattr(res, field)) == hex_floats(getattr(ref, field)), field
+    assert list(res.final_q) == list(ref.final_q)
+    assert hex_floats(res.final_q.values()) == hex_floats(ref.final_q.values())
+    assert [(ep, list(t), hex_floats(t.values())) for ep, t in res.z_snapshots] == \
+        [(ep, list(t), hex_floats(t.values())) for ep, t in ref.z_snapshots]
+
+
+@pytest.mark.parametrize("seed, q_init, script", [
+    # (explore action, value written, first maximum of the row after it)
+    (6613, 1.0, [(2, 3.0, 2),    # a rise above the maximum
+                 (2, 0.5, 0),    # a fall of the greedy entry: rescan
+                 (3, 2.0, 3),    # a rise at the last action
+                 (1, 2.0, 1),    # a tie below the greedy action
+                 (2, 2.0, 1),    # a tie above the greedy action
+                 (1, 2.0, 1),    # the greedy entry rewritten with its value
+                 (1, -1.0, 2)]),  # a fall past the entries it tied
+    (83, -0.0, [(2, 0.0, 0),     # 0.0 ties the row's -0.0 above the greedy action
+                (0, 0.0, 0),     # the greedy -0.0 becomes 0.0, an equal value
+                (0, -1.0, 1)]),  # a fall: the first of -0.0, 0.0, -0.0 wins
+])
+def test_row_cache_on_hand_made_rows(seed, q_init, script):
+    """Each episode takes one exploring step from a cell whose four moves
+    are all blocked, with alpha 1 and gamma 0, so the step writes its
+    action's shaping term, -beta * Z = value, into the row. A stand-in for
+    the Z refresh, run before every episode, supplies the value and reads
+    the greedy action of every row, which must be the row's first
+    maximum."""
+    rng = np.random.default_rng(seed)
+    actions = []
+    for _ in range(len(script) + 1):  # explore, action and slip draws
+        rng.random()
+        actions.append(int(rng.integers(0, 4)))
+        rng.random()
+    assert actions[:-1] == [action for action, _, _ in script]  # premise
+    g = GridWorld(2, 2, goal=(1, 1), start=(0, 0), walls={(1, 0), (0, 1)})
+    s = g.index_of(g.start)
+    values = [value for _, value, _ in script] + [0.0]
+    greedy = []
+
+    def refresh(grid, qarg, shaping):
+        greedy.append(qarg[s])
+        bonus = [[0.0] * 4 for _ in range(grid.n_cells)]
+        bonus[s] = [values[len(greedy) - 1]] * 4
+        return {}, bonus
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rl_agent, "_z_table", refresh)
+        res = train(g, ShapingConfig(beta=1.0, recompute_every=1), episodes=len(script) + 1,
+                    max_steps=1, epsilon=1.0, alpha=1.0, gamma=0.0, seed=seed, q_init=q_init)
+    assert greedy == [0] + [first for _, _, first in script]
+    row = [q_init] * 4
+    for action, value in zip(actions, values):
+        row[action] = value
+    assert hex_floats(res.final_q[(g.start, a)] for a in ACTIONS) == hex_floats(row)
+    assert res.final_policy[g.start] == ACTIONS[int(np.argmax(row))]
+
+
+def test_raw_refills_scale_with_words_not_episodes(monkeypatch):
+    # thousands of episodes of a few steps each, at the largest max_steps:
+    # a refill per episode would fetch 3 * MAX_STEPS words each time
+    calls = []
+    make_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self._raw = make_rng(seed).bit_generator.random_raw
+            self.bit_generator = self
+
+        def random_raw(self, size):
+            calls.append(size)
+            return self._raw(size)
+
+    g = corridor_world(3, 0.0)
+    kw = dict(episodes=5000, max_steps=MAX_STEPS, epsilon=0.0, alpha=0.5, gamma=0.9,
+              seed=4)
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    res = train(g, ShapingConfig(), **kw)
+    monkeypatch.undo()
+    consumed = 2 * sum(res.steps_to_goal)  # epsilon 0: two words per step
+    block = 3 * MAX_STEPS
+    assert len(calls) <= consumed // block + 2 < kw["episodes"]
+    assert set(calls) == {block}
+    ref = train_scanning_rows(g, ShapingConfig(), **kw)
+    assert res.steps_to_goal == ref.steps_to_goal and res.final_q == ref.final_q
 
 
 @given(st.integers(0, 2**64 - 1), st.lists(st.booleans(), max_size=300))
