@@ -53,6 +53,12 @@ class DetectorConfig:
             raise ValueError("warmup must be >= window")
         if self.smoothing <= 0:
             raise ValueError("smoothing pseudo-count must be > 0")
+        # the smallest smoothed probability, an empty bin in a full window,
+        # as the stream kernel forms it; 0.0 there has no log2
+        if self.smoothing / (self.window + self.bins * self.smoothing) == 0.0:
+            raise ValueError(
+                f"smoothing {self.smoothing!r} is too small: an empty bin's probability "
+                f"in a full window of {self.window} underflows to 0")
 
     @property
     def bin_width(self) -> float:

@@ -364,11 +364,15 @@ def cmd_bayes(config: dict, out: Path, chash: str, tol: float) -> None:
         posterior = bayes_infer.GridPosterior.with_weights(grid, weights)
     except InvalidDistributionError as e:
         raise ConfigError(f"bad bayes prior: {e}") from e
-    queries = []
+    queries, ids = [], set()
     for i, qspec in enumerate(_get(block, "queries", "bayes", list, [])):
         where = f"bayes.queries[{i}]"
+        qid = _get(_checked(qspec, where, dict), "id", where, str)
+        if qid in ids:
+            raise ConfigError(f"{where}.id {qid!r} repeats an earlier query id")
+        ids.add(qid)
         queries.append(bayes_infer.QueryCandidate(
-            id=_get(_checked(qspec, where, dict), "id", where, str),
+            id=qid,
             model=bayes_infer.BernoulliFlip(noise=_get(qspec, "noise", where, float, 1.0))))
     data_model = bayes_infer.BernoulliFlip(noise=_get(
         _get(block, "data_model", "bayes", dict, {}), "noise", "bayes.data_model", float, 1.0))

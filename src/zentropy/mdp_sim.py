@@ -41,8 +41,9 @@ MAX_CELLS = 4096  # exact push-forward stays the universal oracle below this
 
 # Byte budget of one (n_cells, branches) float64 block when z_table pushes
 # its branches forward. _propagate holds five such blocks at once (the two
-# step buffers used in turn, w, c and the set-aside stay rows), so a table
-# over every cell of a MAX_CELLS grid never holds all of its dense laws.
+# step buffers used in turn, w and then w * slip in one buffer,
+# w * (1 - slip), and the set-aside stay rows), so a table over every cell
+# of a MAX_CELLS grid never holds all of its dense laws.
 TABLE_CHUNK_BYTES = 1 << 20
 
 
@@ -213,6 +214,15 @@ def _branch_walk(cum_start, first: tuple, follow: tuple, k: int) -> Walk:
     return Walk(cum_start, first[0], 1, follow[0], k - 2, follow[1])
 
 
+def _repeated_columns(policy: np.ndarray) -> list:
+    """Per action in ACTIONS order, whether its column of policy, as
+    _propagate takes it, has the bytes of the previous action's. Bytes, not
+    ==: a -0.0 entry never stands in for a 0.0 one, so a reused product is
+    always the product it replaces."""
+    cols = policy.T
+    return [a > 0 and cols[a].tobytes() == cols[a - 1].tobytes() for a in range(len(cols))]
+
+
 def _propagate(g: GridWorld, d: np.ndarray, policy: np.ndarray, k: int) -> np.ndarray:
     """k exact push-forward steps of the branches d, an (n_cells, m) block
     whose column b is branch b's law; d may be overwritten. Returns the
@@ -235,6 +245,14 @@ def _propagate(g: GridWorld, d: np.ndarray, policy: np.ndarray, k: int) -> np.nd
     it is one shifted add over the flattened block. The stay rows are set
     aside and c there set to -0.0 first, so the shift adds nothing from them
     (x + -0.0 == x for every x); they are added back as whole rows.
+
+    The products w * (1 - slip) and w * slip depend on the action only
+    through its policy column, so an action whose column has the same bytes
+    as the previous action's (_repeated_columns) reuses them: all four
+    columns of a uniform policy, the three zero columns of a fixed one.
+    Before a reuse the stay rows the previous action zeroed in c are put
+    back. w and w * slip share one buffer, so the step holds five blocks:
+    d, out, that buffer, c and the stay rows.
     """
     d = np.ascontiguousarray(d)
     n, m = d.shape
@@ -246,7 +264,9 @@ def _propagate(g: GridWorld, d: np.ndarray, policy: np.ndarray, k: int) -> np.nd
         moves.append(((dx + dy * g.width) * m, np.flatnonzero(succ[:, a] == succ[:, 4])))
     # per action a column shared by every branch, (n_cells or 1, 1)
     cols = np.ascontiguousarray(policy.T)[..., None]
-    out, w, c = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))
+    reuse = _repeated_columns(policy)
+    # s holds w, then w * slip
+    out, s, c = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))
     saved = np.empty((max(len(stay) for _, stay in moves), m))
     flat_c = c.reshape(-1)
     for step in range(k):
@@ -254,9 +274,13 @@ def _propagate(g: GridWorld, d: np.ndarray, policy: np.ndarray, k: int) -> np.nd
         out.fill(0.0)
         out[gi] = d[gi]  # absorbing, kept exact
         d[gi] = 0.0      # d is now the active mass
-        for (shift, stay), col in zip(moves, cols):
-            np.multiply(d, col, out=w)
-            np.multiply(w, 1.0 - g.slip, out=c)
+        for (shift, stay), col, again in zip(moves, cols, reuse):
+            if again:
+                c[prev] = kept  # the rows the previous action set to -0.0
+            else:
+                np.multiply(d, col, out=s)
+                np.multiply(s, 1.0 - g.slip, out=c)
+                s *= g.slip
             kept = saved[:len(stay)]
             np.take(c, stay, axis=0, out=kept)
             c[stay] = -0.0
@@ -266,8 +290,8 @@ def _propagate(g: GridWorld, d: np.ndarray, policy: np.ndarray, k: int) -> np.nd
             else:
                 out[stay] += kept
                 flat_out[:shift] += flat_c[-shift:]
-            np.multiply(w, g.slip, out=c)
-            out += c
+            out += s
+            prev = stay
         d, out = out, d
     return d
 

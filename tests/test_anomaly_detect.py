@@ -26,6 +26,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             DetectorConfig(bins=1)
 
+    @pytest.mark.parametrize("window, smoothing", [(64, 5e-324), (1024, 1e-321)])
+    def test_smoothing_that_underflows_is_rejected(self, window, smoothing):
+        with pytest.raises(ValueError, match="smoothing"):
+            DetectorConfig(window=window, warmup=window, smoothing=smoothing)
+
+    @pytest.mark.parametrize("window", [8, 64, 1024])
+    def test_smallest_accepted_smoothing_scores_a_full_window(self, window):
+        # walk up the subnormals to the first smoothing the config accepts:
+        # a constant stream then leaves three bins empty in a full window,
+        # each at the smallest probability, and every output is finite
+        smoothing = 5e-324
+        while True:
+            try:
+                cfg = DetectorConfig(window=window, warmup=window, smoothing=smoothing)
+                break
+            except ValueError:
+                smoothing = np.nextafter(smoothing, 1.0)
+        cols = StreamDetector(cfg).score_columns(np.full(window + 50, 0.5))
+        for col in cols[1:4]:
+            assert np.isfinite(col).all()
+
     def test_bin_clamping(self):
         det = StreamDetector(CFG)
         assert det.bin_of(-100.0) == 0

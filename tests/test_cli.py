@@ -175,6 +175,9 @@ class TestGridworld:
                                    if (7 * x + 3 * y) % 10 == 0],
                          "slip": 0.2, "follow_policy": {"kind": "fixed", "action": "right"},
                          "horizon_k": 15, "cells": "all"}}
+    # the grid-exact benchmark's shape: four equal policy columns per step
+    WALLED20_UNIFORM = dict(WALLED20, grid=dict(WALLED20["grid"],
+                                                follow_policy={"kind": "uniform"}))
 
     @pytest.mark.parametrize("config, golden", [
         ("corridor.json", {
@@ -198,7 +201,12 @@ class TestGridworld:
             "attribution.csv": "44cce5afda80956f7f38959e16203d1cd1cfc26559c38957e6f923da21bb8b9a",
             "run_meta.json": "538b827a7419ddc5e78081a3fea15868c948cb49c046a16ee5803159f12cd084",
         }),
-    ], ids=["corridor", "walled-exact", "walled-mc", "walled20-exact"])
+        (WALLED20_UNIFORM, {
+            "z_table.csv": "f9bc25bd1c504b956dd0b77becb4311a72f3820a663f6c0396acbbb87ab41d4e",
+            "attribution.csv": "7e17ec955640b4e12ed4dd79f016044ba10e279b935d78647ea1c5d3bcfcb0b7",
+            "run_meta.json": "f85cff87d7ea6f27f2a0f43a5bcfdcb7fddd029afcfe48af02f5357a5e4ace87",
+        }),
+    ], ids=["corridor", "walled-exact", "walled-mc", "walled20-exact", "walled20-uniform"])
     def test_outputs_match_golden_hashes(self, tmp_path, config, golden):
         # sha256 of the outputs as written when policies were dicts of
         # Distributions; the (n_cells, 4) array policies must keep every byte
@@ -399,6 +407,12 @@ class TestConfigParsing:
         # these two used to write part of a run, or an empty directory, first
         ("bayes11.json", [(("bayes", "data"), ["heads", "sideways"])], "data"),
         ("anomaly.json", [(("anomaly", "kappa"), -1.0)], "kappa"),
+        # an empty bin's smoothed probability underflows to 0.0: refused
+        # before the stream is read, even one too short to fill the window
+        ("anomaly.json", [(("anomaly", "smoothing"), 5e-324)], "smoothing"),
+        ("anomaly.json", [(("anomaly", "window"), 1024), (("anomaly", "warmup"), 1024),
+                          (("anomaly", "smoothing"), 1e-321)], "smoothing"),
+        ("bayes11.json", [(("bayes", "queries", 2, "id"), "flip")], "'flip'"),
     ])
     def test_bad_config_exits_2_naming_the_key_and_writes_nothing(
             self, tmp_path, capsys, monkeypatch, preset, edits, named):
@@ -407,6 +421,15 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "config error" in err and named in err
         assert not out.exists() and not (tmp_path / "runs").exists()
+
+    def test_tiny_smoothing_that_stays_positive_runs(self, tmp_path, monkeypatch):
+        # 1e-320 / 64 is subnormal, not 0.0: the 200-event stream fills the
+        # window and every score is a finite number
+        code, out = run_config(tmp_path, "anomaly.json", edited(
+            "anomaly.json", (("anomaly", "smoothing"), 1e-320)), monkeypatch)
+        assert code == 0
+        text = (out / "scores.csv").read_text(encoding="utf-8").lower()
+        assert len(text.splitlines()) == 202 and "nan" not in text and "inf" not in text
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"

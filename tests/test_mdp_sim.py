@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -347,11 +348,29 @@ def loop_step(g, d, pol):
     return out
 
 
+def _weights(draw, equal=None, zero_pair=False):
+    """A drawn probability row; equal=a makes columns a and a + 1 equal,
+    and zero_pair also makes both zero, with -0.0 in column a + 1."""
+    w = np.array(draw(st.lists(st.integers(0, 9), min_size=4, max_size=4)), float)
+    if equal is not None:
+        w[equal + 1] = w[equal] = 0.0 if zero_pair else w[equal]
+        w[draw(st.sampled_from([b for b in range(4) if b not in (equal, equal + 1)]))] += 1.0
+        if zero_pair:
+            w[equal + 1] = -0.0
+    else:
+        w[draw(st.integers(0, 3))] += 1.0
+    return w / w.sum()
+
+
 @st.composite
 def mixed_worlds(draw):
-    """A grid (also 1xN or Nx1) with walls, a follow-on policy mixing
-    non-dyadic, greedy one-hot, uniform and signed-zero rows, a non-point
-    start law over the free cells, an action set and k."""
+    """A grid (also 1xN or Nx1) with walls, a follow-on policy, a non-point
+    start law over the free cells, an action set and k. The policy mixes
+    non-dyadic, greedy one-hot, uniform and signed-zero rows, or is one
+    whole-grid kind with repeated columns: uniform, one fixed action, two
+    equal neighbouring columns, or two neighbouring columns equal but for
+    the sign of their zeros (the goal row among them, and -0.0 start mass
+    on the goal cell)."""
     shape = draw(st.sampled_from(("grid", "row", "column")))
     if shape == "grid":
         width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
@@ -365,24 +384,37 @@ def mixed_worlds(draw):
     g = GridWorld(width, height, goal=goal, start=goal,
                   slip=draw(st.sampled_from([0.0, 0.1, 0.25, 0.37])), walls=walls)
     policy = np.zeros((g.n_cells, 4))
-    for row in policy:
-        kind = draw(st.sampled_from(("weights", "greedy", "uniform", "signed-zero")))
-        if kind == "weights":
-            w = np.array(draw(st.lists(st.integers(0, 9), min_size=4, max_size=4)), float)
-            w[draw(st.integers(0, 3))] += 1.0
-            row[:] = w / w.sum()
-        elif kind == "greedy":
-            row[draw(st.integers(0, 3))] = 1.0
-        elif kind == "uniform":
-            row[:] = 0.25
-        else:
-            row[:] = -0.0
-            row[sorted(draw(st.sets(st.integers(0, 3), min_size=1)))] = 1.0
-            row /= row.sum()
+    whole = draw(st.sampled_from(("rows", "uniform", "fixed", "equal", "signed-zero")))
+    if whole == "uniform":
+        policy[:] = 0.25
+    elif whole == "fixed":
+        policy[:, draw(st.integers(0, 3))] = 1.0
+    elif whole in ("equal", "signed-zero"):
+        a = draw(st.integers(0, 2))
+        for i, row in enumerate(policy):
+            zero_pair = whole == "signed-zero" and (i == g.index_of(goal) or draw(st.booleans()))
+            row[:] = _weights(draw, a, zero_pair)
+    else:
+        for row in policy:
+            kind = draw(st.sampled_from(("weights", "greedy", "uniform", "signed-zero")))
+            if kind == "weights":
+                row[:] = _weights(draw)
+            elif kind == "greedy":
+                row[draw(st.integers(0, 3))] = 1.0
+            elif kind == "uniform":
+                row[:] = 0.25
+            else:
+                row[:] = -0.0
+                row[sorted(draw(st.sets(st.integers(0, 3), min_size=1)))] = 1.0
+                row /= row.sum()
     free = g.free_cells()
     w = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 0.3, 1.0, 7.0]),
                                min_size=len(free), max_size=len(free))))
     w[draw(st.integers(0, len(free) - 1))] = 1.0
+    if whole == "signed-zero" and len(free) > 1:
+        at = free.index(goal)
+        w[at] = -0.0
+        w[(at + 1) % len(free)] += 1.0
     start = Distribution(free, w / w.sum())
     actions = draw(st.sets(st.sampled_from(ACTIONS), min_size=2))
     return g, policy, start, tuple(sorted(actions)), draw(st.integers(1, 6))
@@ -636,6 +668,41 @@ def table_law(g, succ, cum, s):
     law = np.zeros(g.n_cells)
     np.add.at(law, succ[s], np.diff(cum[s], prepend=0.0))
     return law
+
+
+class TestPropagate:
+    def test_only_byte_equal_columns_repeat(self):
+        repeated = mdp_sim._repeated_columns
+        assert repeated(np.full((3, 4), 0.25)) == [False, True, True, True]
+        assert repeated(mdp_sim._action_matrix("up")) == [False, False, True, True]
+        assert repeated(np.array([[0.3, 0.3, 0.4, 0.0],
+                                  [0.5, 0.5, 0.0, 0.0]])) == [False, True, False, False]
+        # columns 2 and 3 are == but differ in the sign of a zero
+        assert repeated(np.array([[0.5, 0.5, 0.0, -0.0],
+                                  [0.0, 0.5, 0.25, 0.25]])) == [False, False, False, False]
+
+    @pytest.mark.parametrize("policy", ["uniform", "fixed", "greedy", "pairs"])
+    def test_step_holds_no_more_blocks(self, policy):
+        # beside d: out, the buffer of w and then w * slip, w * (1 - slip)
+        # and the stay rows, at most four (n_cells, m) blocks, whatever the
+        # runs of equal columns
+        g = GridWorld(20, 20, goal=(17, 16), start=(2, 1), slip=0.2,
+                      walls={(x, y) for y in range(20) for x in range(20)
+                             if (7 * x + 3 * y) % 10 == 0})
+        pol = {"uniform": uniform_policy(g),
+               "fixed": mdp_sim._action_matrix("right"),
+               "greedy": np.eye(4)[np.arange(g.n_cells) % 4],
+               "pairs": np.tile([0.1, 0.1, 0.4, 0.4], (g.n_cells, 1))}[policy]
+        d = np.zeros((g.n_cells, 64))
+        d[g.free_index[:64], np.arange(64)] = 1.0
+        g.successors  # built once per grid, not part of the step
+        tracemalloc.start()
+        try:
+            mdp_sim._propagate(g, d, pol, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * d.nbytes
 
 
 class TestSamplingTable:
