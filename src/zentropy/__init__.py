@@ -17,6 +17,7 @@ from .bayes_infer import (
     posterior_update,
     rank_queries,
     realized_event_potential,
+    realized_potentials,
 )
 from .entropic_potential import (
     Baseline,

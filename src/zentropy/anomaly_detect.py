@@ -17,6 +17,7 @@ are; only ingest, ingest_batch and replay build EventScore objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,9 @@ class DetectorConfig:
     smoothing: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("lo", "hi", "kappa", "smoothing"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 8 <= self.window <= MAX_WINDOW:
             raise ValueError(f"window must be in 8..{MAX_WINDOW}, got {self.window}")
         if not 2 <= self.bins <= MAX_BINS:

@@ -25,7 +25,7 @@ from .errors import InvalidDistributionError, ZeroEvidenceError
 HEADS = "heads"
 TAILS = "tails"
 
-MAX_GRID_POINTS = 10_000  # every update and mutual_information walks each point
+MAX_GRID_POINTS = 10_000  # every update and mutual_information forms arrays over all points
 
 
 def _check_grid_size(n_points: int) -> None:
@@ -39,6 +39,19 @@ def even_grid(n_points: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n_points)
 
 
+def _checked_grid(grid) -> tuple:
+    """grid as a tuple of floats: 1-D, sized, in [0, 1] (not NaN), strictly increasing."""
+    g = np.asarray(grid, dtype=np.float64)
+    if g.ndim != 1:
+        raise InvalidDistributionError(f"grid must be 1-D, got shape {g.shape}")
+    _check_grid_size(g.size)
+    if not np.all((g >= 0.0) & (g <= 1.0)):
+        raise InvalidDistributionError("grid values must lie in [0, 1]")
+    if np.any(g[1:] <= g[:-1]):
+        raise InvalidDistributionError("grid must be strictly increasing")
+    return tuple(g.tolist())
+
+
 @dataclass(frozen=True)
 class GridPosterior:
     """Belief over a strictly increasing grid of parameter values in [0, 1]."""
@@ -47,13 +60,8 @@ class GridPosterior:
     belief: Distribution
 
     def __post_init__(self) -> None:
-        grid = tuple(float(t) for t in self.grid)
-        object.__setattr__(self, "grid", grid)
-        if any(t < 0.0 or t > 1.0 for t in grid):
-            raise InvalidDistributionError("grid values must lie in [0, 1]")
-        if any(b >= a for a, b in zip(grid[1:], grid)):
-            raise InvalidDistributionError("grid must be strictly increasing")
-        if len(self.belief.outcomes) != len(grid):
+        object.__setattr__(self, "grid", _checked_grid(self.grid))
+        if len(self.belief.outcomes) != len(self.grid):
             raise InvalidDistributionError("belief size does not match grid")
 
     @classmethod
@@ -63,8 +71,7 @@ class GridPosterior:
     @classmethod
     def with_weights(cls, grid, weights=None) -> "GridPosterior":
         """Belief `weights` over `grid`, uniform when weights is None."""
-        _check_grid_size(len(grid))
-        grid = tuple(float(t) for t in grid)
+        grid = _checked_grid(grid)
         if weights is None:
             weights = np.full(len(grid), 1.0 / len(grid))
         return cls(grid, Distribution(grid, weights))
@@ -99,28 +106,32 @@ class QueryCandidate:
     model: BernoulliFlip
 
 
-def _likelihood_column(p: GridPosterior, model: BernoulliFlip, outcome: str) -> np.ndarray:
-    if outcome not in model.outcomes:
-        raise ValueError(f"unknown outcome {outcome!r}")
-    return model.likelihood_matrix(p.grid)[:, model.outcomes.index(outcome)]
-
-
 def posterior_update(p: GridPosterior, model: BernoulliFlip, outcome: str) -> GridPosterior:
     """Multiply in the likelihood of `outcome` and renormalize."""
-    w = p.belief.probs * _likelihood_column(p, model, outcome)
+    if outcome not in model.outcomes:
+        raise ValueError(f"unknown outcome {outcome!r}")
+    w = p.belief.probs * model.likelihood_matrix(p.grid)[:, model.outcomes.index(outcome)]
     total = float(w.sum())
     if total == 0.0:
         raise ZeroEvidenceError(f"outcome {outcome!r} impossible under the entire grid")
     return GridPosterior(p.grid, Distribution(p.grid, w / total))
 
 
+def realized_potentials(p: GridPosterior, model: BernoulliFlip, data) -> list[float]:
+    """Pre/post potential of each datum in turn, against the posterior of the data
+    before it; one posterior_update per datum. Can be positive for surprising data."""
+    h = [float(p.entropy())]
+    for outcome in data:
+        p = posterior_update(p, model, outcome)
+        h.append(float(p.entropy()))
+    return [b - a for a, b in zip(h, h[1:])]
+
+
 def realized_event_potential(p: GridPosterior, model: BernoulliFlip,
                              outcome: str, event_id: str | None = None,
                              t0: int = 0) -> ZEstimate:
-    """Pre/post potential of a datum that actually arrived:
-    posterior entropy minus prior entropy. Can be positive for surprising data."""
-    post = posterior_update(p, model, outcome)
-    value = float(post.entropy()) - float(p.entropy())
+    """realized_potentials of the one datum `outcome`, as a ZEstimate."""
+    [value] = realized_potentials(p, model, [outcome])
     return ZEstimate(value=value, std_error=0.0, method="exact", n_samples=0,
                      horizon=Horizon(t0, t0 + 1),
                      event=event_id or f"observe:{outcome}", baseline="null-event")
@@ -150,18 +161,14 @@ def mutual_information(p: GridPosterior, q: QueryCandidate) -> EntropyBits:
     Independent of the entropy-difference path on purpose: it serves as the
     oracle for expected_event_potential == -I.
     """
-    like = q.model.likelihood_matrix(p.grid)
-    joint = p.belief.probs[:, None] * like
     marg_theta = p.belief.probs
+    joint = marg_theta[:, None] * q.model.likelihood_matrix(p.grid)
     marg_out = joint.sum(axis=0)
-    total = 0.0
-    n_grid, n_out = joint.shape
-    for i in range(n_grid):
-        for j in range(n_out):
-            v = joint[i, j]
-            if v > 0.0:
-                total += v * np.log2(v / (marg_theta[i] * marg_out[j]))
-    return EntropyBits(float(total))
+    i, j = np.nonzero(joint > 0.0)  # the positive entries, row-major
+    v = joint[i, j]
+    terms = v * np.log2(v / (marg_theta[i] * marg_out[j]))
+    # added one by one from 0.0 as a double loop would (cumsum; .sum() pairs terms)
+    return EntropyBits(float(np.cumsum(np.concatenate(([0.0], terms)))[-1]))
 
 
 def rank_queries(p: GridPosterior, qs: list[QueryCandidate]

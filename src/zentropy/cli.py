@@ -387,13 +387,13 @@ def cmd_bayes(config: dict, out: Path, chash: str, tol: float) -> None:
             mi = bayes_infer.mutual_information(posterior, q)
             q_rows.append([q.id, z.value, float(mi), rank])
     attribution = []
-    current = posterior
-    for i, outcome in enumerate(data):
-        z = bayes_infer.realized_event_potential(
-            current, data_model, outcome, event_id=f"data[{i}]:{outcome}", t0=i)
+    for i, (outcome, v) in enumerate(zip(
+            data, bayes_infer.realized_potentials(posterior, data_model, data))):
+        z = ZEstimate(value=v, std_error=0.0, method="exact", n_samples=0,
+                      horizon=Horizon(i, i + 1), event=f"data[{i}]:{outcome}",
+                      baseline="null-event")
         attribution.append(_attribution_row(
             z.event, f"observed {outcome} (update {i})", z, tol))
-        current = bayes_infer.posterior_update(current, data_model, outcome)
     header = ["query", "expected_z_bits", "mutual_information_bits", "rank"]
     write_csv(out / "queries.csv", header, _columns(q_rows, len(header)), chash)
     _write_attribution(out, attribution, chash)

@@ -243,12 +243,6 @@ class SystemModel(ABC):
         return outcomes[s, j]
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _branch_seed(base_seed: int, key: tuple) -> np.random.SeedSequence:
     # Index-keyed child streams: independent and order-insensitive, so
     # parallel evaluation across events stays reproducible.
@@ -275,7 +269,7 @@ def mc_entropy_of_branch(model: SystemModel, event: Event | None, horizon: Horiz
     if n < 100:
         raise ValueError(f"Monte Carlo branch needs n >= 100, got {n}")
     _check_uniforms(n, horizon.steps)
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     walk = model.walk(event, horizon)
     if walk is not None:
         states, last = walk.states(rng.random((n, walk.steps))), walk.last

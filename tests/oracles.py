@@ -512,6 +512,29 @@ def stream_scores_loop(values, lo, width, n_bins, alpha, kappa, warmup,
         state[0] = n_seen
 
 
+# -- Bayesian grid -------------------------------------------------------------
+
+def mutual_information_loop(p, q) -> float:
+    """I(parameter; outcome) of grid posterior p and query q as a double loop
+    over (point, outcome) in numpy float64 scalars, each positive joint entry
+    adding its term to a running total from 0.0: the reference for the array
+    form of bayes_infer.mutual_information, which must match it bit for bit."""
+    import numpy as np
+
+    like = q.model.likelihood_matrix(p.grid)
+    joint = p.belief.probs[:, None] * like
+    marg_theta = p.belief.probs
+    marg_out = joint.sum(axis=0)
+    total = 0.0
+    n_grid, n_out = joint.shape
+    for i in range(n_grid):
+        for j in range(n_out):
+            v = joint[i, j]
+            if v > 0.0:
+                total += v * np.log2(v / (marg_theta[i] * marg_out[j]))
+    return float(total)
+
+
 # -- CSV output -----------------------------------------------------------------
 
 def write_csv_rows(path, header, rows, config_hash) -> None:

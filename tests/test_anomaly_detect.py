@@ -31,6 +31,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="smoothing"):
             DetectorConfig(window=window, warmup=window, smoothing=smoothing)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lo", -math.inf), ("lo", math.nan), ("hi", math.inf), ("hi", math.nan),
+        ("kappa", math.inf), ("kappa", math.nan), ("smoothing", math.inf),
+        ("smoothing", math.nan)])
+    def test_non_finite_number_is_rejected_naming_the_field(self, field, value):
+        # NaN slips past every range check (each comparison is false), and
+        # inf passes them but bins every event alike or scores NaN
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DetectorConfig(**{field: value})
+
     @pytest.mark.parametrize("window", [8, 64, 1024])
     def test_smallest_accepted_smoothing_scores_a_full_window(self, window):
         # walk up the subnormals to the first smoothing the config accepts:

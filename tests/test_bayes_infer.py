@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zentropy.bayes_infer import (
     HEADS,
@@ -14,10 +16,12 @@ from zentropy.bayes_infer import (
     posterior_update,
     rank_queries,
     realized_event_potential,
+    realized_potentials,
 )
+from zentropy.entropy_core import Distribution
 from zentropy.errors import InvalidDistributionError, ZeroEvidenceError
 
-from oracles import entropy_bits
+from oracles import entropy_bits, mutual_information_loop
 
 # 11-point uniform grid goldens, frozen from exact enumeration:
 # H(prior) = log2 11; H(post|heads) = log2 55 - (sum_{i=1..10} i log2 i)/55
@@ -36,6 +40,23 @@ class TestGridPosterior:
     def test_grid_must_stay_in_unit_interval(self):
         with pytest.raises(InvalidDistributionError):
             GridPosterior.with_weights([0.0, 1.5], [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_value_is_refused(self, bad):
+        with pytest.raises(InvalidDistributionError, match=r"grid values must lie in \[0, 1\]"):
+            GridPosterior.with_weights([0.1, bad, 0.9], [1 / 3] * 3)
+        grid = (0.1, bad, 0.9)
+        with pytest.raises(InvalidDistributionError, match=r"grid values must lie in \[0, 1\]"):
+            GridPosterior(grid, Distribution(grid, [1 / 3] * 3))
+
+    def test_two_dimensional_grid_is_refused(self):
+        with pytest.raises(InvalidDistributionError, match="1-D"):
+            GridPosterior.with_weights([[0.1, 0.2], [0.3, 0.4]])
+
+    def test_grid_is_stored_as_python_floats(self):
+        p = GridPosterior.with_weights(np.array([0, 0.25, 1]), [0.2, 0.3, 0.5])
+        assert type(p.grid) is tuple and [type(t) for t in p.grid] == [float] * 3
+        assert p.grid == (0.0, 0.25, 1.0) and p.belief.outcomes == p.grid
 
     def test_uniform_default_grid(self):
         p = GridPosterior.uniform(101)
@@ -101,6 +122,26 @@ class TestRealizedPotential:
         assert z.value > 0.0
 
 
+class TestRealizedPotentials:
+    def test_each_datum_scored_against_the_posterior_before_it(self):
+        p = GridPosterior.with_weights([0.1, 0.3, 0.6, 0.9], [0.1, 0.2, 0.3, 0.4])
+        model = BernoulliFlip(noise=0.8)
+        data = [TAILS, HEADS, HEADS, TAILS]
+        expected, current = [], p
+        for outcome in data:
+            expected.append(realized_event_potential(current, model, outcome).value)
+            current = posterior_update(current, model, outcome)
+        assert realized_potentials(p, model, data) == expected
+
+    def test_no_data_no_potentials(self):
+        assert realized_potentials(eleven_point(), BernoulliFlip(), []) == []
+
+    def test_impossible_datum_raises(self):
+        p = GridPosterior.with_weights([0.0, 1.0], [1.0, 0.0])
+        with pytest.raises(ZeroEvidenceError):
+            realized_potentials(p, BernoulliFlip(), [TAILS, HEADS])
+
+
 class TestExpectedPotential:
     def test_golden_11_point(self):
         z = expected_event_potential(eleven_point(), QueryCandidate("flip", BernoulliFlip()))
@@ -148,6 +189,33 @@ class TestMutualInformation:
             q = QueryCandidate("q", BernoulliFlip(noise=float(rng.random())))
             assert expected_event_potential(p, q).value == pytest.approx(
                 -float(mutual_information(p, q)), abs=1e-9)
+
+
+@st.composite
+def grid_posteriors_and_queries(draw):
+    """A strictly increasing grid in [0, 1] (endpoints likely), a prior with
+    zero entries likely, and a query of noise 0, 1 or in between."""
+    points = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=1, max_size=40))
+    grid = sorted(set(points))
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(1e-6, 1.0),
+                               min_size=len(grid), max_size=len(grid))))
+    if not w.any():
+        w[draw(st.integers(0, len(w) - 1))] = 1.0
+    noise = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return (GridPosterior.with_weights(grid, w / w.sum()),
+            QueryCandidate("q", BernoulliFlip(noise)))
+
+
+@given(grid_posteriors_and_queries())
+@settings(max_examples=300)
+@example((GridPosterior.with_weights([0.0, 0.5, 1.0], [0.0, 0.3, 0.7]),
+          QueryCandidate("flip", BernoulliFlip(1.0))))
+@example((GridPosterior.with_weights([0.2, 0.8], [0.0, 1.0]),
+          QueryCandidate("null", BernoulliFlip(0.0))))
+def test_mutual_information_matches_the_double_loop_bit_for_bit(case):
+    p, q = case
+    assert float(mutual_information(p, q)).hex() == mutual_information_loop(p, q).hex()
 
 
 class TestRankQueries:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zentropy import anomaly_detect, cli, rl_agent
+from zentropy import anomaly_detect, bayes_infer, cli, rl_agent
 from zentropy.errors import ZentropyError
 
 from oracles import make_regime_shift_stream, write_csv_rows
@@ -611,7 +611,49 @@ class TestTrain:
         assert not out.exists() or not any(out.iterdir())
 
 
+def scaled_bayes_config(points, n_data, n_queries):
+    """A bayes config: a uniform prior on `points` grid points, n_queries
+    queries whose noise runs evenly from 0 to 1, and n_data data (heads,
+    tails, heads, heads, tails, ...) seen through noise 0.6."""
+    return {"seed": 9, "bayes": {
+        "grid_points": points,
+        "queries": [{"id": f"q{j}", "noise": j / max(n_queries - 1, 1)}
+                    for j in range(n_queries)],
+        "data_model": {"noise": 0.6},
+        "data": ["tails" if i % 3 == 1 else "heads" for i in range(n_data)]}}
+
+
 class TestBayes:
+    def test_scaled_run_matches_golden_hashes(self, tmp_path):
+        # sha256 of the outputs as written when each datum's posterior was
+        # formed twice and mutual_information was a Python double loop
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, scaled_bayes_config(1000, 200, 5))
+        assert run(["bayes", "--config", cfg, "--out", out]) == 0
+        golden = {
+            "queries.csv": "422d0cf402bad4f57d9123df69f96ffa6c22bd68872c2840fce7b1541506645b",
+            "attribution.csv": "11000e415b9335fe1899073dad3ea6504a08a5239b0679b78522e675e5c58a68",
+            "run_meta.json": "cc8615fe16bbd733823d952a14d2adc56e880d9c33ac0c448ec68913b5dcda7a",
+        }
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_run_updates_the_posterior_once_per_datum(self, tmp_path, monkeypatch):
+        # d data and q queries: one update per datum, and one per outcome of
+        # each query for its expected potential
+        d, q = 7, 3
+        calls = []
+        update = bayes_infer.posterior_update
+
+        def counted(*args):
+            calls.append(args[2])
+            return update(*args)
+
+        monkeypatch.setattr(bayes_infer, "posterior_update", counted)
+        cfg = write_config(tmp_path, scaled_bayes_config(11, d, q))
+        assert run(["bayes", "--config", cfg, "--out", tmp_path / "run"]) == 0
+        assert len(calls) <= d + 2 * q
+
     def test_golden_query_ranking(self, tmp_path):
         out = tmp_path / "run"
         assert run(["bayes", "--config", CONFIGS / "bayes11.json",
