@@ -51,6 +51,9 @@ class DetectorConfig:
             raise ValueError(f"bins must be in 2..{MAX_BINS}, got {self.bins}")
         if not self.hi > self.lo:
             raise ValueError("range must satisfy hi > lo")
+        if not 0.0 < self.bin_width < math.inf:  # hi - lo overflows, or / bins underflows
+            raise ValueError(f"range [{self.lo!r}, {self.hi!r}] over {self.bins} bins gives "
+                             f"bin width {self.bin_width!r}; it must be positive and finite")
         if self.kappa <= 0:
             raise ValueError("kappa must be > 0")
         if self.warmup < self.window:
@@ -77,13 +80,6 @@ class EventScore:
     flagged: bool
     rolling_mean: float
     rolling_std: float
-
-
-def event_estimate(index: int, z: float) -> ZEstimate:
-    """Event `index`'s score as an exact ZEstimate over (index, index + 1)."""
-    return ZEstimate(value=z, std_error=0.0, method="exact", n_samples=0,
-                     horizon=Horizon(index, index + 1), event=f"x[{index}]",
-                     baseline="null-event")
 
 
 class StreamDetector:
@@ -130,8 +126,10 @@ class StreamDetector:
     def ingest_batch(self, values) -> list[EventScore]:
         start = self.events_seen
         columns = [a.tolist() for a in self.score_columns(values)]
-        return [EventScore(index=i, bin=b, z=event_estimate(i, z), flagged=flagged,
-                           rolling_mean=mean, rolling_std=std)
+        return [EventScore(index=i, bin=b, flagged=flagged, rolling_mean=mean, rolling_std=std,
+                           z=ZEstimate(value=z, std_error=0.0, method="exact", n_samples=0,
+                                       horizon=Horizon(i, i + 1), event=f"x[{i}]",
+                                       baseline="null-event"))
                 for i, (b, z, mean, std, flagged) in enumerate(zip(*columns), start)]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropic_potential import Horizon, ZEstimate
+from .entropic_potential import Horizon, ZEstimate, rank_order
 from .entropy_core import Distribution, EntropyBits, shannon_entropy
 from .errors import InvalidDistributionError, ZeroEvidenceError
 
@@ -177,5 +177,5 @@ def rank_queries(p: GridPosterior, qs: list[QueryCandidate]
     if not qs:
         raise ValueError("rank_queries needs at least one candidate")
     scored = [(q, expected_event_potential(p, q)) for q in qs]
-    scored.sort(key=lambda t: (t[1].value, t[0].id))
-    return scored
+    order = rank_order([z.value for _, z in scored], [q.id for q in qs])
+    return [scored[i] for i in order.tolist()]

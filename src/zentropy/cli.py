@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import anomaly_detect, bayes_infer, mdp_sim, rl_agent
-from .entropic_potential import EstimatorConfig, Horizon, ZEstimate, classify_event
+from .entropic_potential import EstimatorConfig, event_labels, rank_order
 from .errors import (CellIsWallError, ConfigError, InvalidDistributionError, MissingRunError,
                      ZentropyError)
 
@@ -245,22 +245,17 @@ def _parse_cells(g: mdp_sim.GridWorld, block: dict) -> list:
         raise ConfigError(f"bad grid.cells entry: {e}") from e
 
 
-def _attribution_row(event: str, description: str, z, tol: float) -> list:
-    label = classify_event(z, tol).label
-    return [event, description, z.horizon.t0, z.horizon.t,
-            z.value, z.std_error, z.method, label]
-
-
-def _columns(rows: list, width: int) -> list:
-    """A table built row by row as `width` columns."""
-    return list(zip(*rows)) if rows else [()] * width
-
-
-def _write_attribution(out: Path, rows: list, chash: str) -> None:
-    """attribution.csv, most beneficial (lowest Z) first, ties by event."""
-    rows = sorted(rows, key=lambda r: (r[4], r[0]))
+def _write_attribution(out: Path, chash: str, events: list, descriptions: list, t0, t,
+                       z, se, method: str, tol: float) -> None:
+    """attribution.csv from one entry per event, most beneficial (lowest Z)
+    first, ties by event. t0, t and se are arrays or one value for all."""
+    order = rank_order(z, events)
+    z, se, t0, t = (np.broadcast_to(v, order.shape)[order] for v in (z, se, t0, t))
+    rows = order.tolist()
     write_csv(out / "attribution.csv", ATTRIBUTION_HEADER,
-              _columns(rows, len(ATTRIBUTION_HEADER)), chash)
+              [[events[i] for i in rows], [descriptions[i] for i in rows], t0, t,
+               z, se, [method] * len(rows), event_labels(z, se, tol)],
+              chash)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -280,17 +275,19 @@ def cmd_gridworld(config: dict, out: Path, chash: str, tol: float) -> None:
         n_samples=_get(est_block, "n_samples", "estimator", int, 10_000),
         seed=_get(est_block, "seed", "estimator", int, config["seed"]))
 
-    z_values, std_errors = mdp_sim.z_table(g, cells, follow, k, est, actions)
-    z_rows, attribution = [], []
-    for cell, z_row, se_row in zip(cells, z_values, std_errors):
-        for action, z in mdp_sim.ranked_row(z_row, se_row, k, est, actions):
-            z_rows.append([cell[0], cell[1], action, z.value, z.std_error, z.method])
-            attribution.append(_attribution_row(
-                f"{action}@{cell[0]},{cell[1]}",
-                f"action {action} at cell ({cell[0]}, {cell[1]})", z, tol))
-    header = ["cell_x", "cell_y", "action", "z_bits", "std_error", "method"]
-    write_csv(out / "z_table.csv", header, _columns(z_rows, len(header)), chash)
-    _write_attribution(out, attribution, chash)
+    z, se = mdp_sim.z_table(g, cells, follow, k, est, actions)
+    # each cell's actions most beneficial first, flattened cell by cell
+    order = rank_order(z, actions)
+    z, se = (np.take_along_axis(a, order, axis=1).ravel() for a in (z, se))
+    x, y = np.repeat(np.array(cells, dtype=np.int64).reshape(-1, 2), len(actions), axis=0).T
+    names = [actions[j] for j in order.ravel().tolist()]
+    method = "exact" if est.backend == "exact" else "monte-carlo"
+    write_csv(out / "z_table.csv", ["cell_x", "cell_y", "action", "z_bits", "std_error", "method"],
+              [x, y, names, z, se, [method] * len(z)], chash)
+    keys = list(zip(names, x.tolist(), y.tolist()))
+    _write_attribution(out, chash, [f"{a}@{cx},{cy}" for a, cx, cy in keys],
+                       [f"action {a} at cell ({cx}, {cy})" for a, cx, cy in keys],
+                       0, k, z, se, method, tol)
     _write_meta(out, "gridworld", config, chash,
                 ["z_table.csv", "attribution.csv"])
 
@@ -334,16 +331,10 @@ def cmd_train(config: dict, out: Path, chash: str, tol: float) -> None:
     }
     write_json(out / "train_result.json", record, chash)
 
-    attribution = []
-    if result.z_snapshots:
-        ep, table = result.z_snapshots[-1]
-        for (cell, action), v in sorted(table.items()):
-            z = ZEstimate(value=v, std_error=0.0, method="exact", n_samples=0,
-                          horizon=Horizon(0, shaping.horizon_k),
-                          event=f"{action}@{key(cell)}", baseline="vs-rest")
-            attribution.append(_attribution_row(
-                z.event, f"action {action} at cell ({cell[0]}, {cell[1]})", z, tol))
-    _write_attribution(out, attribution, chash)
+    table = sorted(result.z_snapshots[-1][1].items()) if result.z_snapshots else []
+    _write_attribution(out, chash, [f"{a}@{key(c)}" for (c, a), _ in table],
+                       [f"action {a} at cell ({c[0]}, {c[1]})" for (c, a), _ in table],
+                       0, shaping.horizon_k, [v for _, v in table], 0.0, "exact", tol)
     _write_meta(out, "train", config, chash,
                 ["train_result.csv", "train_result.json", "attribution.csv"])
 
@@ -380,23 +371,16 @@ def cmd_bayes(config: dict, out: Path, chash: str, tol: float) -> None:
     if any(outcome not in data_model.outcomes for outcome in data):
         raise ConfigError(f"bayes.data may hold only {data_model.outcomes}, got {data!r}")
 
-    q_rows = []
-    if queries:
-        ranked = bayes_infer.rank_queries(posterior, queries)
-        for rank, (q, z) in enumerate(ranked, start=1):
-            mi = bayes_infer.mutual_information(posterior, q)
-            q_rows.append([q.id, z.value, float(mi), rank])
-    attribution = []
-    for i, (outcome, v) in enumerate(zip(
-            data, bayes_infer.realized_potentials(posterior, data_model, data))):
-        z = ZEstimate(value=v, std_error=0.0, method="exact", n_samples=0,
-                      horizon=Horizon(i, i + 1), event=f"data[{i}]:{outcome}",
-                      baseline="null-event")
-        attribution.append(_attribution_row(
-            z.event, f"observed {outcome} (update {i})", z, tol))
-    header = ["query", "expected_z_bits", "mutual_information_bits", "rank"]
-    write_csv(out / "queries.csv", header, _columns(q_rows, len(header)), chash)
-    _write_attribution(out, attribution, chash)
+    ranked = bayes_infer.rank_queries(posterior, queries) if queries else []
+    mi = [float(bayes_infer.mutual_information(posterior, q)) for q, _ in ranked]
+    potentials = bayes_infer.realized_potentials(posterior, data_model, data)
+    write_csv(out / "queries.csv", ["query", "expected_z_bits", "mutual_information_bits", "rank"],
+              [[q.id for q, _ in ranked], np.array([z.value for _, z in ranked]), np.array(mi),
+               np.arange(1, len(ranked) + 1)], chash)
+    index = np.arange(len(data))
+    _write_attribution(out, chash, [f"data[{i}]:{o}" for i, o in enumerate(data)],
+                       [f"observed {o} (update {i})" for i, o in enumerate(data)],
+                       index, index + 1, potentials, 0.0, "exact", tol)
     _write_meta(out, "bayes", config, chash, ["queries.csv", "attribution.csv"])
 
 
@@ -447,21 +431,17 @@ def cmd_anomaly(config: dict, out: Path, chash: str, tol: float,
     values = _read_stream(input_path)
     # bin, z, rolling_mean, rolling_std, flagged: one array per column
     cols = anomaly_detect.StreamDetector(cfg).score_columns(values)
-    flagged = np.flatnonzero(cols[4]).tolist()
-
-    attribution = []
-    for i in flagged:
-        z = anomaly_detect.event_estimate(i, float(cols[1][i]))
-        attribution.append(_attribution_row(z.event, f"flagged value {fmt(float(values[i]))}",
-                                            z, tol))
+    flagged = np.flatnonzero(cols[4])
     write_csv(out / "scores.csv",
               ["index", "value", "bin", "z_bits", "rolling_mean", "rolling_std", "flagged"],
               [np.arange(len(values)), values, *cols], chash)
-    _write_attribution(out, attribution, chash)
+    _write_attribution(out, chash, [f"x[{i}]" for i in flagged.tolist()],
+                       [f"flagged value {fmt(v)}" for v in values[flagged].tolist()],
+                       flagged, flagged + 1, cols[1][flagged], 0.0, "exact", tol)
     write_json(out / "summary.json", {
         "n_events": len(values),
         "flag_count": len(flagged),
-        "first_flag_index": flagged[0] if flagged else None,
+        "first_flag_index": int(flagged[0]) if len(flagged) else None,
     }, chash)
     _write_meta(out, "anomaly", config, chash,
                 ["scores.csv", "attribution.csv", "summary.json"])

@@ -410,7 +410,17 @@ def _ranked(events: Sequence[Event], zs, baseline, horizon: Horizon,
                              event=ev.id,
                              baseline=label))
               for ev, (value, se), label in zip(events, zs, labels)]
-    return sorted(scored, key=lambda t: (t[1].value, t[0].id))
+    order = rank_order([z.value for _, z in scored], [ev.id for ev in events])
+    return [scored[i] for i in order.tolist()]
+
+
+def rank_order(z, ids) -> np.ndarray:
+    """The indices that sort the last axis of z lowest first, ties broken on
+    ids, one id per position of that axis, in the order Python sorts them."""
+    position = {name: i for i, name in enumerate(sorted(set(ids)))}
+    tie = np.array([position[name] for name in ids], dtype=np.int64)
+    z = np.asarray(z, dtype=np.float64)
+    return np.lexsort((np.broadcast_to(tie, z.shape), z), axis=-1)
 
 
 def z_pre_post(model: SystemModel, event: Event, horizon: Horizon,
@@ -433,19 +443,24 @@ def z_counterfactual(model: SystemModel, event: Event, baseline: Baseline,
 
 
 def classify_event(z: ZEstimate, tol: float = DEFAULT_NEUTRAL_TOL) -> EventClass:
-    """Sign convention: entropy reduction is beneficial, increase is harmful.
+    """The label event_labels gives z's value and standard error."""
+    return EventClass(event_labels(z.value, z.std_error, tol).item())
 
-    A sign label needs |Z| > tol + 2 * std_error. Otherwise the event is
-    neutral when |Z| <= tol and uncertain when the standard error cannot
-    tell it from neutral. Exact estimates have std_error 0.
+
+def event_labels(z, se, tol: float = DEFAULT_NEUTRAL_TOL) -> np.ndarray:
+    """The label of each Z with standard error se. Sign convention: entropy
+    reduction is beneficial, increase is harmful.
+
+    A sign label needs |Z| > tol + 2 * se. Otherwise the event is neutral
+    when |Z| <= tol and uncertain when the standard error cannot tell it
+    from neutral. Exact estimates have se 0.
     """
     if tol < 0:
         raise ValueError("tolerance must be >= 0")
-    if abs(z.value) > tol + 2.0 * z.std_error:
-        return EventClass(BENEFICIAL if z.value < 0 else HARMFUL)
-    if abs(z.value) <= tol:
-        return EventClass(NEUTRAL)
-    return EventClass(UNCERTAIN)
+    size = np.abs(z)
+    return np.where(size > tol + 2.0 * np.asarray(se),
+                    np.where(np.less(z, 0), BENEFICIAL, HARMFUL),
+                    np.where(size <= tol, NEUTRAL, UNCERTAIN))
 
 
 def rank_events(model: SystemModel, events: Sequence[Event], baseline,

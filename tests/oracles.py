@@ -9,7 +9,7 @@ import csv
 import math
 from collections import deque
 
-from zentropy.cli import fmt
+from zentropy.cli import ATTRIBUTION_HEADER, fmt, write_csv
 
 
 def entropy_bits(probs) -> float:
@@ -547,3 +547,43 @@ def write_csv_rows(path, header, rows, config_hash) -> None:
         w.writerow(header)
         for row in rows:
             w.writerow([fmt(v) for v in row])
+
+
+# -- attribution rows -------------------------------------------------------------
+
+def label_of(value, std_error, tol) -> str:
+    """The label of one Z with standard error std_error, by scalar comparisons
+    in Python floats: a sign needs |Z| > tol + 2 * std_error, then |Z| <= tol
+    is neutral and anything else uncertain. The reference for
+    entropic_potential.event_labels."""
+    if tol < 0:
+        raise ValueError("tolerance must be >= 0")
+    if abs(value) > tol + 2.0 * std_error:
+        return "beneficial" if value < 0 else "harmful"
+    if abs(value) <= tol:
+        return "neutral"
+    return "uncertain"
+
+
+def attribution_row(event, description, z, tol) -> list:
+    """One attribution.csv row from a ZEstimate, as the CLI assembled its
+    rows before it wrote them from columns."""
+    return [event, description, z.horizon.t0, z.horizon.t,
+            z.value, z.std_error, z.method, label_of(z.value, z.std_error, tol)]
+
+
+def ranked_rows(rows) -> list:
+    """Attribution rows most beneficial (lowest Z) first, ties by event."""
+    return sorted(rows, key=lambda r: (r[4], r[0]))
+
+
+def columns(rows, width) -> list:
+    """A table built row by row as `width` columns."""
+    return list(zip(*rows)) if rows else [()] * width
+
+
+def write_attribution_rows(out, rows, config_hash) -> None:
+    """attribution.csv from attribution_row rows, ranked, as columns of
+    Python values: the reference for cli._write_attribution."""
+    write_csv(out / "attribution.csv", ATTRIBUTION_HEADER,
+              columns(ranked_rows(rows), len(ATTRIBUTION_HEADER)), config_hash)

@@ -41,6 +41,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             DetectorConfig(**{field: value})
 
+    @pytest.mark.parametrize("lo, hi, bins", [
+        (-1e308, 1e308, 4),                    # hi - lo overflows: width inf, all in bin 0
+        (-1.7976931348623157e308, 1.7976931348623157e308, 256),
+        (0.0, 5e-324, 4),                      # width underflows to 0.0: bins of NaN
+        (0.0, 5e-324, 2)])
+    def test_bin_width_that_is_not_positive_and_finite_is_rejected(self, lo, hi, bins):
+        with pytest.raises(ValueError, match=r"range \[.*bin width"):
+            DetectorConfig(lo=lo, hi=hi, bins=bins)
+
+    @pytest.mark.parametrize("lo, hi, bins", [(-1e307, 1e307, 4), (0.0, 1e-323, 2)])
+    def test_extreme_range_with_a_usable_bin_width_bins_by_value(self, lo, hi, bins):
+        cfg = DetectorConfig(lo=lo, hi=hi, bins=bins)
+        assert 0.0 < cfg.bin_width < math.inf
+        det = StreamDetector(cfg)
+        assert [det.bin_of(x) for x in (lo, hi, 0.9 * hi)] == [0, bins - 1, bins - 1]
+
     @pytest.mark.parametrize("window", [8, 64, 1024])
     def test_smallest_accepted_smoothing_scores_a_full_window(self, window):
         # walk up the subnormals to the first smoothing the config accepts:

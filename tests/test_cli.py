@@ -12,9 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zentropy import anomaly_detect, bayes_infer, cli, rl_agent
+from zentropy.entropic_potential import Horizon, ZEstimate
 from zentropy.errors import ZentropyError
 
-from oracles import make_regime_shift_stream, write_csv_rows
+from oracles import (attribution_row, make_regime_shift_stream, ranked_rows,
+                     write_attribution_rows, write_csv_rows)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -100,6 +102,63 @@ class TestCsvWriter:
         assert not (tmp_path / "x.csv").exists()
 
 
+def _boundary_z(tol: float, se: float) -> list:
+    """Z values on and beside the label boundaries |Z| == tol + 2 * se and |Z| == tol."""
+    edges = [tol + 2.0 * se, tol]
+    near = [x for e in edges for x in (e, math.nextafter(e, 0.0), math.nextafter(e, math.inf))]
+    return [0.0, -0.0, *near, *(-x for x in near)]
+
+
+@st.composite
+def attribution_tables(draw):
+    """(method, tol, rows of (event, description, t0, t, z, se)) as a
+    subcommand hands them to cli._write_attribution. Events repeat and z
+    ties exactly; se 0.0 throughout for the exact method."""
+    method = draw(st.sampled_from(["exact", "monte-carlo"]))
+    tol = draw(st.sampled_from([0.0, 0.01, 0.25, 5e-324]))
+    ses = [0.0] if method == "exact" else [0.0, 0.005, 0.125, 1e-300]
+    n = draw(st.integers(0, 12))
+    rows = []
+    for _ in range(n):
+        se = draw(st.sampled_from(ses))
+        z = draw(st.sampled_from(_boundary_z(tol, se))
+                 | st.floats(-4.0, 4.0, allow_subnormal=True))
+        t0 = draw(st.integers(0, 12))
+        rows.append((draw(st.sampled_from(["a", "a\x00", "b", "x[1]", "x[10]", "right@1,0"])),
+                     draw(st.text(st.sampled_from('ab ,"\n'), max_size=5)),
+                     t0, t0 + draw(st.integers(1, 3)), z, se))
+    return method, tol, rows
+
+
+class TestAttributionWriter:
+    @given(attribution_tables(), st.booleans())
+    @example(table=("exact", 0.0, []), as_arrays=True)
+    @example(table=("monte-carlo", 0.01, [("b", "", 0, 1, 0.0, 0.125), ("a", "", 0, 1, -0.0, 0.0),
+                                          ("a", "x", 2, 3, 0.0, 0.005)]), as_arrays=False)
+    @settings(max_examples=300, deadline=None)
+    def test_columns_write_what_the_rows_wrote(self, tmp_path_factory, table, as_arrays):
+        method, tol, rows = table
+        events, descriptions, t0, t, z, se = (list(c) for c in zip(*rows)) if rows else [[]] * 6
+        if as_arrays:
+            t0, t, z, se = (np.array(c) for c in (t0, t, z, se))
+        d = tmp_path_factory.mktemp("attribution")
+        cli._write_attribution(d / "columns", "abc", events, descriptions, t0, t, z, se,
+                               method, tol)
+        n_samples = 0 if method == "exact" else 100
+        write_attribution_rows(d / "rows", [
+            attribution_row(e, text, ZEstimate(v, s, method, n_samples, Horizon(a, b), e,
+                                               "null-event"), tol)
+            for e, text, a, b, v, s in rows], "abc")
+        assert ((d / "columns" / "attribution.csv").read_bytes()
+                == (d / "rows" / "attribution.csv").read_bytes())
+
+    def test_scalar_columns_stand_for_every_row(self, tmp_path):
+        cli._write_attribution(tmp_path, "abc", ["b", "a"], ["", ""], 0, 5, [0.5, -0.5], 0.0,
+                               "exact", 0.01)
+        assert read(tmp_path / "attribution.csv").splitlines()[2:] == [
+            "a,,0,5,-0.5,0,exact,beneficial", "b,,0,5,0.5,0,exact,harmful"]
+
+
 class TestGridworld:
     def test_corridor_preset_golden_values(self, tmp_path):
         out = tmp_path / "run"
@@ -178,6 +237,15 @@ class TestGridworld:
     # the grid-exact benchmark's shape: four equal policy columns per step
     WALLED20_UNIFORM = dict(WALLED20, grid=dict(WALLED20["grid"],
                                                 follow_policy={"kind": "uniform"}))
+    # slip-free with a fixed follow policy: every branch is a point mass, so
+    # every Z is 0 and each order in both files comes from the tie-break on id
+    TIES = {"seed": 2, "neutral_tol": 0.01, "estimator": {"backend": "exact"},
+            "grid": {"width": 12, "height": 5, "goal": [11, 4], "start": [0, 0],
+                     "walls": [*WALLED["grid"]["walls"], [7, 2], [9, 1]], "slip": 0.0,
+                     "follow_policy": {"kind": "fixed", "action": "down"},
+                     "actions": ["right", "up", "left"], "horizon_k": 4, "cells": "all"}}
+    # 100 walks per branch: the labels include uncertain and neutral ones
+    SMALL_MC = dict(WALLED, estimator={"backend": "mc", "n_samples": 100})
 
     @pytest.mark.parametrize("config, golden", [
         ("corridor.json", {
@@ -206,7 +274,18 @@ class TestGridworld:
             "attribution.csv": "7e17ec955640b4e12ed4dd79f016044ba10e279b935d78647ea1c5d3bcfcb0b7",
             "run_meta.json": "f85cff87d7ea6f27f2a0f43a5bcfdcb7fddd029afcfe48af02f5357a5e4ace87",
         }),
-    ], ids=["corridor", "walled-exact", "walled-mc", "walled20-exact", "walled20-uniform"])
+        (TIES, {
+            "z_table.csv": "a715c07660814cc4bb430f581138d85dbf16825ee6fb22fa2eacfd774e5a7e5c",
+            "attribution.csv": "ea2c696aadc4cf809293964839c47020c03d04465b837c8fc45440c9befa4e56",
+            "run_meta.json": "5571c0c2ab2839dd37da1dec47299de4f7d9088642136d74e1258b07e52ddbbd",
+        }),
+        (SMALL_MC, {
+            "z_table.csv": "189a7560b5515816353452f583120e0a08c3fbdaf21fc0ac8053dc72e9ba9e20",
+            "attribution.csv": "9e80fde85ba2087ee879378c2d054cf74ab22522f497d0f5e80722f6cc49bcfc",
+            "run_meta.json": "ff269445cc4d375b3eef560764b96b60cc702fc745f80cb0fb2ec90b5b8f2da3",
+        }),
+    ], ids=["corridor", "walled-exact", "walled-mc", "walled20-exact", "walled20-uniform",
+            "tie-break", "small-mc"])
     def test_outputs_match_golden_hashes(self, tmp_path, config, golden):
         # sha256 of the outputs as written when policies were dicts of
         # Distributions; the (n_cells, 4) array policies must keep every byte
@@ -215,6 +294,21 @@ class TestGridworld:
         assert run(["gridworld", "--config", path, "--out", out]) == 0
         for name, digest in golden.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_tie_break_golden_has_only_zero_z(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["gridworld", "--config", write_config(tmp_path, self.TIES),
+                    "--out", out]) == 0
+        rows = read_csv_rows(out / "attribution.csv")
+        assert len(rows) == 3 * (12 * 5 - 7) and {r["z_bits"] for r in rows} == {"0"}
+        assert [r["event"] for r in rows] == sorted(r["event"] for r in rows)
+
+    def test_small_mc_golden_labels_uncertain_and_neutral_events(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["gridworld", "--config", write_config(tmp_path, self.SMALL_MC),
+                    "--out", out]) == 0
+        labels = {r["classification"] for r in read_csv_rows(out / "attribution.csv")}
+        assert {"uncertain", "neutral"} <= labels
 
     @pytest.mark.parametrize("value", [200, 50, 0, 1, 10_001, "x", None, 2.5])
     def test_retired_bootstrap_key_is_ignored(self, tmp_path, value):
@@ -413,6 +507,9 @@ class TestConfigParsing:
         ("anomaly.json", [(("anomaly", "window"), 1024), (("anomaly", "warmup"), 1024),
                           (("anomaly", "smoothing"), 1e-321)], "smoothing"),
         ("bayes11.json", [(("bayes", "queries", 2, "id"), "flip")], "'flip'"),
+        # a bin width that overflows to inf, or underflows to 0.0 over 4 bins
+        ("anomaly.json", [(("anomaly", "range"), [-1e308, 1e308])], "range"),
+        ("anomaly.json", [(("anomaly", "range"), [0.0, 5e-324])], "range"),
     ])
     def test_bad_config_exits_2_naming_the_key_and_writes_nothing(
             self, tmp_path, capsys, monkeypatch, preset, edits, named):
@@ -654,6 +751,16 @@ class TestBayes:
         assert run(["bayes", "--config", cfg, "--out", tmp_path / "run"]) == 0
         assert len(calls) <= d + 2 * q
 
+    def test_impossible_datum_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # every belief sits on theta = 1, where an ideal coin never shows tails;
+        # the potentials are computed before queries.csv is written
+        cfg = {"seed": 1, "bayes": {"grid": [0.5, 1.0], "prior": [0.0, 1.0],
+                                    "queries": [{"id": "flip"}], "data": ["heads", "tails"]}}
+        out = tmp_path / "run"
+        assert run(["bayes", "--config", write_config(tmp_path, cfg), "--out", out]) == 1
+        assert "impossible" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_golden_query_ranking(self, tmp_path):
         out = tmp_path / "run"
         assert run(["bayes", "--config", CONFIGS / "bayes11.json",
@@ -791,7 +898,7 @@ class TestAnomaly:
             rows.append([sc.index, v, sc.bin, sc.z.value, sc.rolling_mean, sc.rolling_std,
                          sc.flagged])
             if sc.flagged:
-                attribution.append(cli._attribution_row(
+                attribution.append(attribution_row(
                     sc.z.event, f"flagged value {cli.fmt(v)}", sc.z, 0.01))
         flagged = [sc.index for sc in scores if sc.flagged]
         assert (len(flagged) > 0) == (kind in ("shifts", "uniform"))
@@ -799,7 +906,7 @@ class TestAnomaly:
         write_csv_rows(ref / "scores.csv", ["index", "value", "bin", "z_bits", "rolling_mean",
                                             "rolling_std", "flagged"], rows, chash)
         write_csv_rows(ref / "attribution.csv", cli.ATTRIBUTION_HEADER,
-                       sorted(attribution, key=lambda r: (r[4], r[0])), chash)
+                       ranked_rows(attribution), chash)
         cli.write_json(ref / "summary.json", {
             "n_events": len(values), "flag_count": len(flagged),
             "first_flag_index": flagged[0] if flagged else None}, chash)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zentropy.entropic_potential import (
@@ -14,9 +14,11 @@ from zentropy.entropic_potential import (
     SystemModel,
     ZEstimate,
     classify_event,
+    event_labels,
     _branch_bits_and_se,
     mc_entropy_of_branch,
     rank_events,
+    rank_order,
     z_counterfactual,
     z_pre_post,
 )
@@ -32,7 +34,7 @@ from zentropy.errors import (
 from zentropy.markov import MarkovChainModel, random_chain_model, two_state_flip_chain
 from zentropy.mdp_sim import action_z_scores, always_policy, corridor_world
 
-from oracles import chain_future, entropy_bits, last_step_estimate
+from oracles import chain_future, entropy_bits, label_of, last_step_estimate
 
 EXACT = EstimatorConfig(backend="exact")
 MC = EstimatorConfig(backend="mc", n_samples=500, seed=5)
@@ -139,6 +141,61 @@ class TestClassify:
         assert classify_event(z(-0.2, 0.05), 0.01).label == "beneficial"
         assert classify_event(z(0.2, 0.05), 0.01).label == "harmful"
         assert classify_event(z(0.1, 0.05), 0.01).label == "uncertain"
+
+
+    @staticmethod
+    def boundaries(tol, se):
+        """Z on, just inside and just outside |Z| == tol + 2 * se and |Z| == tol."""
+        near = [x for e in (tol + 2.0 * se, tol)
+                for x in (e, math.nextafter(e, 0.0), math.nextafter(e, math.inf))]
+        return [0.0, -0.0, *near, *(-x for x in near)]
+
+    @given(st.sampled_from([0.0, 0.01, 0.3, 5e-324, 1.0]),
+           st.lists(st.sampled_from([0.0, 0.004, 0.05, 1e-300, 2.5]), min_size=1, max_size=6),
+           st.data())
+    @settings(max_examples=200)
+    def test_labels_agree_with_classify_event_element_by_element(self, tol, ses, data):
+        pairs = [(data.draw(st.sampled_from(self.boundaries(tol, se))
+                            | st.floats(-5.0, 5.0, allow_subnormal=True)), se) for se in ses]
+        z, se = (np.array(c) for c in zip(*pairs))
+        labels = event_labels(z, se, tol)
+        assert labels.shape == z.shape
+        for label, (v, s) in zip(labels.tolist(), pairs):
+            est = ZEstimate(v, s, "monte-carlo", 1000, Horizon(0, 1), "e", "null-event")
+            assert label == classify_event(est, tol).label == label_of(v, s, tol)
+
+    def test_every_label_and_a_negative_tolerance(self):
+        labels = event_labels(np.array([-0.2, 0.2, 0.005, 0.02]),
+                              np.array([0.05, 0.05, 0.0, 0.05]), 0.01)
+        assert labels.tolist() == ["beneficial", "harmful", "neutral", "uncertain"]
+        assert event_labels(np.empty(0), np.empty(0), 0.0).shape == (0,)
+        with pytest.raises(ValueError):
+            event_labels(np.zeros(2), np.zeros(2), -1e-300)
+
+
+class TestRankOrder:
+    IDS = ["a", "a\x00", "b", "", "\x00", "right@10,0", "right@9,0"]
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324])
+                              | st.floats(allow_nan=False), st.sampled_from(IDS)), max_size=10))
+    @example(pairs=[(0.0, "a"), (-0.0, "a\x00"), (0.0, "a\x00"), (-0.0, "a")])
+    @example(pairs=[(1.0, "a\x00"), (1.0, "a")])
+    @example(pairs=[])
+    def test_equals_python_sort_on_z_then_id(self, pairs):
+        z = [v for v, _ in pairs]
+        ids = [i for _, i in pairs]
+        got = rank_order(np.array(z), ids)
+        assert got.tolist() == sorted(range(len(pairs)), key=lambda i: (z[i], ids[i]))
+
+    @given(st.integers(0, 4), st.lists(st.sampled_from(IDS), min_size=1, max_size=5, unique=True),
+           st.data())
+    def test_ranks_each_row_of_a_table(self, rows, ids, data):
+        z = np.array([[data.draw(st.sampled_from([0.0, -0.0, 0.25, -1.0])) for _ in ids]
+                      for _ in range(rows)]).reshape(rows, len(ids))
+        got = rank_order(z, ids)
+        assert got.shape == z.shape
+        for z_row, order in zip(z.tolist(), got.tolist()):
+            assert order == rank_order(np.array(z_row), ids).tolist()
 
 
 class TestChainGoldens:
