@@ -8,8 +8,10 @@ Determinism notes:
     each start exactly as a walk from that start alone would.
   - stream_scores works on whole arrays but performs, for every event, the
     same float operations in the same order as a per-event loop would
-    (math.log2 terms, additions in bin order and in window order), so its
-    outputs are bitwise independent of how a stream is split into calls.
+    (math.log2 terms, additions in bin order and in window order), whether
+    a chunk sums its rolling windows as one gathered block or slice by
+    slice, so its outputs are bitwise independent of how a stream is split
+    into calls or chunks.
 """
 
 from __future__ import annotations
@@ -124,9 +126,18 @@ def cumulative(probs) -> np.ndarray:
 # stream and replaying it in one call give bitwise equal results.
 # ---------------------------------------------------------------------------
 
-# Working set per chunk of events: the (events, window) blocks of past
-# scores dominate, so long streams run at a small, flat peak memory.
-STREAM_CHUNK_BYTES = 1 << 17
+# Working set per chunk of events, so long streams run at a small, flat peak
+# memory. A chunk is charged 8 bytes per event for each bin (its sliding bin
+# counts) and for each past score it holds: a row of `window` in the block
+# form, 8 running columns in the slice form (see _stream_bounds).
+STREAM_CHUNK_BYTES = 1 << 18
+
+# Chunks of at least this many events sum their rolling windows as slices,
+# shorter ones (an online ingest among them) as one gathered block. Both do
+# O(events * window) float work; the slice form adds about 5 * window numpy
+# calls, which pays off from about 200 events on at every window from 16 to
+# 1024 (2-core x86-64, numpy 2.4).
+STREAM_SLICES_FROM = 256
 
 
 def stream_bins(values, lo, width, n_bins) -> np.ndarray:
@@ -155,6 +166,43 @@ def _entropy_bits(counts, length, cap, n_bins, alpha):
     return terms[np.searchsorted(uniq, keys)].cumsum(axis=1)[:, -1]
 
 
+def _rolling_block(zseq, first, n, cap):
+    """Rolling mean and std of n events from one gathered (n, cap) block:
+    row i holds zseq[first + i:first + i + cap], summed along the row by
+    cumsum. A few numpy calls and O(cap) bytes per event, for short chunks."""
+    cols = np.arange(cap)
+    z_end = np.arange(first, first + n)
+    block = zseq[z_end[:, None] + cols]
+    z_count = np.minimum(z_end, cap)
+    mean = block.cumsum(axis=1)[:, -1] / z_count
+    block -= mean[:, None]
+    block *= block
+    block[cols < (cap - z_count)[:, None]] = 0.0
+    return mean, np.sqrt(block.cumsum(axis=1)[:, -1] / z_count)
+
+
+def _rolling_slices(zseq, first, n, cap):
+    """_rolling_block's sums column by column. Column j of its block is the
+    contiguous slice zseq[first + j:first + j + n], so adding the cap slices
+    to a running total in order adds each row's entries as cumsum does.
+    About 5 * cap numpy calls over a few columns of n floats, for long
+    chunks."""
+    z_count = np.minimum(np.arange(first, first + n), cap)
+    total = zseq[first:first + n].copy()
+    for j in range(first + 1, first + cap):
+        total += zseq[j:j + n]
+    mean = total / z_count
+    # 0.0 + the first square is that square, as a square is never -0.0
+    sq = np.zeros(n)
+    d = np.empty(n)
+    for j in range(cap):
+        np.subtract(zseq[first + j:first + j + n], mean, out=d)
+        d *= d
+        d[:max(cap - first - j, 0)] = 0.0  # the rows whose column j is padding
+        sq += d
+    return mean, np.sqrt(sq / z_count)
+
+
 def _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
                   window, z_past, state):
     cap = window.shape[0]
@@ -177,20 +225,14 @@ def _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
     h = _entropy_bits(c, lengths, cap, n_bins, alpha)
     z = h[n:] - h[:n]
 
-    # rolling stats over the last <= cap scores, current one included: row i
-    # holds that window oldest first, behind zeros while fewer than cap exist
-    # (zero squared deviations there too), so each sum adds 0.0 first and
-    # then the live scores in the loop's order
+    # rolling stats over the last <= cap scores, current one included: event
+    # i's window is zseq[live + 1 + i:live + 1 + i + cap], oldest first, behind
+    # zeros while fewer than cap scores exist (zero squared deviations there
+    # too), so each sum adds 0.0 first and then the live scores in the loop's
+    # order
     zseq = np.concatenate((np.zeros(cap), z_past[:live], z))
-    cols = np.arange(cap)
-    z_end = live + 1 + steps
-    block = zseq[z_end[:, None] + cols]
-    z_count = np.minimum(z_end, cap)
-    mean = block.cumsum(axis=1)[:, -1] / z_count
-    block -= mean[:, None]
-    block *= block
-    block[cols < (cap - z_count)[:, None]] = 0.0
-    std = np.sqrt(block.cumsum(axis=1)[:, -1] / z_count)
+    rolling = _rolling_slices if n >= STREAM_SLICES_FROM else _rolling_block
+    mean, std = rolling(zseq, live + 1, n, cap)
     flag = (steps >= warmup - n_seen) & (z > mean + kappa * std)
 
     # carried state: the last <= cap bins and scores, oldest first
@@ -199,6 +241,18 @@ def _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
     z_past[:new_live] = zseq[zseq.shape[0] - new_live:]
     state[0] = n_seen + n
     return bins, z, mean, std, flag
+
+
+def _stream_bounds(n, cap, n_bins):
+    """Chunk boundaries [0, ..., n] of a batch of n events. The batch is
+    split into as few slice-form chunks as fit STREAM_CHUNK_BYTES, with
+    lengths differing by at most one. If those are too short for the slice
+    form, it is cut into block-form chunks instead, each as long as fits."""
+    if n >= STREAM_SLICES_FROM:
+        k = -(-n // max(1, STREAM_CHUNK_BYTES // (8 * (n_bins + 8))))
+        if n // k >= STREAM_SLICES_FROM:
+            return [i * n // k for i in range(k + 1)]
+    return [*range(0, n, max(1, STREAM_CHUNK_BYTES // (8 * (n_bins + cap)))), n]
 
 
 def stream_state(cap):
@@ -224,15 +278,15 @@ def stream_scores(values, lo, width, n_bins, alpha, kappa, warmup,
     if not np.isfinite(values).all():
         raise ValueError("stream values must be finite")
     n = values.shape[0]
-    chunk = max(1, STREAM_CHUNK_BYTES // (8 * (window.shape[0] + n_bins)))
-    if 0 < n <= chunk:  # one chunk, e.g. an online ingest: no output copies
+    bounds = _stream_bounds(n, window.shape[0], n_bins)
+    if len(bounds) == 2:  # one chunk, e.g. an online ingest: no output copies
         return _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
                              window, z_past, state)
     outs = (np.empty(n, dtype=np.int64), np.empty(n), np.empty(n), np.empty(n),
             np.empty(n, dtype=np.bool_))
-    for a in range(0, n, chunk):
-        got = _stream_chunk(values[a:a + chunk], lo, width, n_bins, alpha, kappa,
+    for a, b in zip(bounds, bounds[1:]):
+        got = _stream_chunk(values[a:b], lo, width, n_bins, alpha, kappa,
                             warmup, window, z_past, state)
         for out, part in zip(outs, got):
-            out[a:a + chunk] = part
+            out[a:b] = part
     return outs

@@ -82,28 +82,30 @@ def _quoted(field: str) -> str:
     return '"' + field.replace('"', '""') + '"'
 
 
-def _fields(column) -> list:
-    """One block of a column as CSV fields. A float64, integer or bool array
-    is formatted whole; a sequence of Python values field by field, through
-    fmt and csv quoting."""
-    if isinstance(column, np.ndarray):
-        if column.dtype == np.float64:
-            # one %-format call, split on the spaces (a formatted float holds none);
-            # + 0.0 turns -0.0 into 0.0, which fmt writes as "0"
-            return (("%.9g " * len(column)) % tuple((column + 0.0).tolist())).split()
-        if column.dtype == np.bool_:
-            return [("false", "true")[b] for b in column.tolist()]
-        if column.dtype.kind in "iu":
-            return list(map(str, column.tolist()))
-    return [_quoted(fmt(v)) for v in column]
-
-
 def _lines(columns: list) -> str:
-    """Equal-length column blocks as CSV text, one line per row."""
-    rows = list(map(",".join, zip(*map(_fields, columns))))
-    if len(columns) == 1:  # csv writes a lone empty field as "", not as a blank line
-        rows = [row or '""' for row in rows]
-    return "\n".join(rows) + "\n" if rows else ""
+    """Equal-length column blocks as CSV text, one line per row, from one
+    %-format call that takes the values row by row: %.9g for a float64 array
+    (+ 0.0 turns -0.0 into 0.0, which fmt writes as "0"), %d for an integer
+    array and %s for the text of any other column, a bool array's true/false
+    or each value's quoted fmt. Field text is only ever an argument of %,
+    never part of the format string."""
+    m = len(columns)
+    specs, values = [], [None] * (m * len(columns[0]))
+    for j, column in enumerate(columns):
+        dtype = column.dtype if isinstance(column, np.ndarray) else None
+        if dtype == np.float64:
+            spec, fields = "%.9g", (column + 0.0).tolist()
+        elif dtype == np.bool_:
+            spec, fields = "%s", [("false", "true")[b] for b in column.tolist()]
+        elif dtype is not None and dtype.kind in "iu":
+            spec, fields = "%d", column.tolist()
+        else:
+            spec, fields = "%s", [_quoted(fmt(v)) for v in column]
+            if m == 1:  # csv writes a lone empty field as "", not as a blank line
+                fields = [field or '""' for field in fields]
+        specs.append(spec)
+        values[j::m] = fields
+    return ((",".join(specs) + "\n") * len(columns[0])) % tuple(values)
 
 
 def write_csv(path: Path, header: list, columns: list, config_hash: str) -> None:

@@ -398,8 +398,14 @@ def _ranked(events: Sequence[Event], zs, baseline, horizon: Horizon,
     (lowest Z) first, ties broken on event id."""
     exact = estimator.backend == "exact"
     if baseline == "vs-rest":
-        labels = [Baseline.uniform(e for e in events if e.id != ev.id).summary()
-                  for ev in events]
+        # each event's Baseline.uniform(<the other events>).summary(), with
+        # that constructor's checks but no Baseline built per event
+        ids = [ev.id for ev in events]
+        if len(ids) < 2:
+            raise EmptyBaselineError("uniform baseline needs >= 1 alternative")
+        if len(set(ids)) != len(ids):
+            raise EmptyBaselineError("duplicate alternative event ids")
+        labels = [f"uniform{{{','.join(ids[:i] + ids[i + 1:])}}}" for i in range(len(ids))]
     else:
         labels = [baseline.summary()] * len(events)
     scored = [(ev, ZEstimate(value=value,

@@ -59,8 +59,19 @@ CSV_KINDS = {
     "int": (st.integers(-2**63, 2**63 - 1)
             | st.sampled_from([10**9, -10**9, 999_999_999, 12_345_678_901]), np.int64),
     "bool": (st.booleans(), np.bool_),
-    "text": (st.text(st.sampled_from('ab 1.,"\r\n\té')), None),
+    "text": (st.text(st.sampled_from('ab 1.,"%\r\n\té')), None),
 }
+
+
+def _scores_like_table():
+    """The columns of a scores.csv one row longer than a writer block, with
+    -0.0, nan and inf among the floats, under a header holding % signs."""
+    index = np.arange(BLOCK + 1)
+    floats = np.resize([-0.0, 0.25, math.nan, math.inf, -1.5e-7, -math.inf, 3.0], BLOCK + 1)
+    columns = [index, floats, index % 4, floats[::-1].copy(), floats * 0.5, -floats,
+               index % 3 == 0]
+    header = ["index", "value%", "%d", "z_%s", "rolling_mean%%", "%(x)s", "flagged"]
+    return header, columns, list(zip(*(c.tolist() for c in columns)))
 
 
 @st.composite
@@ -86,6 +97,7 @@ class TestCsvWriter:
     @given(csv_tables())
     @example(table=(["z"], [np.array([-0.0, 0.0, -1.5])], [(-0.0,), (0.0,), (-1.5,)]))
     @example(table=([""], [["", "a\r", 'b"', "c,d\n"]], [("",), ("a\r",), ('b"',), ("c,d\n",)]))
+    @example(table=_scores_like_table())
     @settings(max_examples=200, deadline=None)
     def test_columns_write_what_the_row_writer_writes(self, tmp_path_factory, table):
         header, columns, rows = table
@@ -928,6 +940,24 @@ class TestAnomaly:
             "scores.csv": "c33c53c7d649ae2c337bd559aeca3831453b459c3b06df176e2f89bfff390142",
             "attribution.csv": "9dadd60f6fe2e38d0e2f9c4817ef2f313eaf208fb133f4c0e2a49f82d3ddf2e5",
             "summary.json": "aece87f2ae9a129ead8987a3b113b3d185930926940ab41d7d947519922f65dd",
+        }
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_long_stream_outputs_match_golden_hashes(self, tmp_path):
+        # 20k events on [0, 2) and [2, 4), switching every 500, through the
+        # preset detector: many kernel chunks and about 20 CSV writer blocks
+        rng = np.random.default_rng(2025)
+        values = rng.random(20_000) * 2.0 + (np.arange(20_000) // 500) % 2 * 2.0
+        stream = tmp_path / "stream.txt"
+        stream.write_text("".join(f"{v!r}\n" for v in values.tolist()), encoding="utf-8")
+        out = tmp_path / "run"
+        assert run(["anomaly", "--config", CONFIGS / "anomaly.json",
+                    "--input", stream, "--out", out]) == 0
+        golden = {
+            "scores.csv": "217b9863dd4a3dbb243648806c3d69d6502e6fff74cabab6408fe228637c6526",
+            "attribution.csv": "e474d7117c9937bd903e6c4ddc9827d22ad02468d9e4e8461e49ff98027ccf26",
+            "summary.json": "358d6b99a572c60eef3d441b1048dc5bad234dd6df706c71eb01dba15b25014b",
         }
         for name, digest in golden.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

@@ -16,6 +16,7 @@ from zentropy.entropic_potential import (
     classify_event,
     event_labels,
     _branch_bits_and_se,
+    _ranked,
     mc_entropy_of_branch,
     rank_events,
     rank_order,
@@ -32,7 +33,7 @@ from zentropy.errors import (
     UnsupportedBackendError,
 )
 from zentropy.markov import MarkovChainModel, random_chain_model, two_state_flip_chain
-from zentropy.mdp_sim import action_z_scores, always_policy, corridor_world
+from zentropy.mdp_sim import action_z_scores, always_policy, corridor_world, ranked_row
 
 from oracles import chain_future, entropy_bits, label_of, last_step_estimate
 
@@ -497,6 +498,27 @@ class TestRankEvents:
             z = z_counterfactual(model, ev, Baseline.uniform(e for e in events if e != ev),
                                  Horizon(0, 2), EXACT)
             assert ranked[ev] == z
+
+    @pytest.mark.parametrize("ids", [["b", "a"], ["up", "down", "left", "right"],
+                                     ["a,b", "", "{c}", "a", "a\x00"]])
+    def test_vs_rest_labels_are_the_uniform_baseline_summaries(self, ids):
+        events = [Event(i) for i in ids]
+        ranked = dict(_ranked(events, [(0.5, 0.0)] * len(events), "vs-rest",
+                              Horizon(0, 1), EXACT))
+        for ev in events:
+            other = Baseline.uniform(e for e in events if e.id != ev.id)
+            assert ranked[ev].baseline == other.summary()
+
+    def test_vs_rest_labels_refuse_one_event(self):
+        with pytest.raises(EmptyBaselineError):
+            ranked_row(np.zeros(1), np.zeros(1), 2, EXACT, ("up",))
+
+    @pytest.mark.parametrize("ids", [["a", "a"], ["a", "b", "a"], ["a", "b", "b", "c"]])
+    def test_vs_rest_labels_refuse_duplicate_ids(self, ids):
+        # _ranked is reached without _z_values's duplicate check by ranked_row
+        with pytest.raises(EmptyBaselineError):
+            _ranked([Event(i) for i in ids], [(0.0, 0.0)] * len(ids), "vs-rest",
+                    Horizon(0, 1), EXACT)
 
     def test_weighted_baseline_averages_branch_entropies(self):
         rng = np.random.default_rng(29)

@@ -7,7 +7,7 @@ their references in tests/oracles.py bit for bit.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zentropy import _kernels
@@ -200,6 +200,20 @@ def test_stream_python_path_is_deterministic():
     assert_bitwise(kernel_stream(values), kernel_stream(values))
 
 
+# one piece per example: window - 1, window, window + 1 and >> window events,
+# then the last block-form length, the first slice-form one and one past it,
+# and a piece long enough for several slice-form chunks
+@example(window=8, bins=4, alpha=1.0, kappa=3.0, extra_warmup=0, seed=1, n=7, cuts=[])
+@example(window=8, bins=4, alpha=1.0, kappa=3.0, extra_warmup=0, seed=2, n=8, cuts=[])
+@example(window=8, bins=4, alpha=1.0, kappa=3.0, extra_warmup=0, seed=3, n=9, cuts=[])
+@example(window=24, bins=3, alpha=0.5, kappa=1.0, extra_warmup=2, seed=4, n=2000, cuts=[])
+@example(window=24, bins=5, alpha=1.0, kappa=2.0, extra_warmup=0, seed=5,
+         n=_kernels.STREAM_SLICES_FROM - 1, cuts=[])
+@example(window=24, bins=5, alpha=1.0, kappa=2.0, extra_warmup=0, seed=6,
+         n=_kernels.STREAM_SLICES_FROM, cuts=[])
+@example(window=24, bins=5, alpha=1.0, kappa=2.0, extra_warmup=0, seed=7,
+         n=_kernels.STREAM_SLICES_FROM + 1, cuts=[])
+@example(window=16, bins=9, alpha=1.0, kappa=3.0, extra_warmup=5, seed=8, n=6000, cuts=[])
 @given(
     window=st.integers(8, 24),
     bins=st.integers(2, 9),
@@ -231,12 +245,52 @@ def test_stream_chunks_equal_one_pass(monkeypatch):
     kw = dict(window=64, bins=4, warmup=64)
     monkeypatch.setattr(_kernels, "STREAM_CHUNK_BYTES", 1 << 40)
     whole = kernel_stream(values, **kw)
-    # 8 * (window + bins) bytes per event: 36-event chunks
-    monkeypatch.setattr(_kernels, "STREAM_CHUNK_BYTES", 20_000)
+    # slice-form chunks are charged 8 * (bins + 8) bytes per event: at most
+    # 416 events, so 8 slice-form chunks of 375
+    monkeypatch.setattr(_kernels, "STREAM_CHUNK_BYTES", 40_000)
+    assert _kernels._stream_bounds(3000, 64, 4) == list(range(0, 3001, 375))
     chunked = kernel_stream(values, **kw)
     assert_bitwise(chunked, whole)
+    # 208-event slice-form chunks would be too short, so 36-event block-form
+    # chunks, at 8 * (bins + window) bytes per event
+    monkeypatch.setattr(_kernels, "STREAM_CHUNK_BYTES", 20_000)
+    assert _kernels._stream_bounds(3000, 64, 4) == [*range(0, 3000, 36), 3000]
+    assert_bitwise(kernel_stream(values, **kw), whole)
     assert_bitwise(whole, reference_stream(values, **kw))
     assert whole[4].any()
+
+
+@given(cap=st.integers(1, 70), live=st.integers(0, 70), n=st.integers(1, 600),
+       scale=st.sampled_from([1e-3, 1.0, 3e5]), seed=st.integers(0, 2**32 - 1))
+def test_rolling_slices_equal_the_block_bitwise(cap, live, n, scale, seed):
+    # scores that are not exact differences of entropies, so the order of
+    # every addition shows in the bits (stream scores often sum exactly)
+    rng = np.random.default_rng(seed)
+    live = min(live, cap)
+    z = rng.standard_normal(live + n) * scale
+    z[rng.random(live + n) < 0.1] = 0.0
+    z[rng.random(live + n) < 0.05] = -0.0
+    zseq = np.concatenate((np.zeros(cap), z))
+    block = _kernels._rolling_block(zseq, live + 1, n, cap)
+    slices = _kernels._rolling_slices(zseq, live + 1, n, cap)
+    for got, want in zip(slices, block):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_stream_sums_short_chunks_as_a_block_and_long_ones_as_slices(monkeypatch):
+    # an online ingest gathers one small block and makes no per-slice calls
+    calls = []
+    for name in ("_rolling_block", "_rolling_slices"):
+        def spy(zseq, first, n, cap, name=name, real=getattr(_kernels, name)):
+            calls.append((name, n))
+            return real(zseq, first, n, cap)
+        monkeypatch.setattr(_kernels, name, spy)
+    state = fresh_state(64)
+    first = _kernels.STREAM_SLICES_FROM
+    for n in (1, first - 1, first, 2000):
+        stream_scores(np.ones(n), 0.0, 1.0, 4, 1.0, 3.0, 64, *state)
+    assert calls == [("_rolling_block", 1), ("_rolling_block", first - 1),
+                     ("_rolling_slices", first), ("_rolling_slices", 2000)]
 
 
 def test_stream_reads_ring_state_left_by_the_loop():
