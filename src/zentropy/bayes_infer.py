@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropic_potential import Horizon, ZEstimate, rank_order
-from .entropy_core import Distribution, EntropyBits, shannon_entropy
+from .entropy_core import EntropyBits, _entropy_of_probs, normalized_probs
 from .errors import InvalidDistributionError, ZeroEvidenceError
 
 HEADS = "heads"
@@ -39,45 +39,41 @@ def even_grid(n_points: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n_points)
 
 
-def _checked_grid(grid) -> tuple:
-    """grid as a tuple of floats: 1-D, sized, in [0, 1] (not NaN), strictly increasing."""
-    g = np.asarray(grid, dtype=np.float64)
-    if g.ndim != 1:
-        raise InvalidDistributionError(f"grid must be 1-D, got shape {g.shape}")
-    _check_grid_size(g.size)
-    if not np.all((g >= 0.0) & (g <= 1.0)):
-        raise InvalidDistributionError("grid values must lie in [0, 1]")
-    if np.any(g[1:] <= g[:-1]):
-        raise InvalidDistributionError("grid must be strictly increasing")
-    return tuple(g.tolist())
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridPosterior:
-    """Belief over a strictly increasing grid of parameter values in [0, 1]."""
+    """Belief `probs` over `grid`, a strictly increasing set of parameter
+    values in [0, 1]; both are read-only float64 arrays."""
 
-    grid: tuple
-    belief: Distribution
+    grid: np.ndarray
+    probs: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "grid", _checked_grid(self.grid))
-        if len(self.belief.outcomes) != len(self.grid):
-            raise InvalidDistributionError("belief size does not match grid")
+    def __init__(self, grid, probs=None) -> None:
+        """Check `grid`: 1-D, sized, in [0, 1] (not NaN), strictly increasing.
+        `probs` (uniform when None) must match it in length and pass
+        normalized_probs."""
+        g = np.array(grid, dtype=np.float64)  # a copy: the caller's array stays writable
+        if g.ndim != 1:
+            raise InvalidDistributionError(f"grid must be 1-D, got shape {g.shape}")
+        _check_grid_size(g.size)
+        if not ((g >= 0.0) & (g <= 1.0)).all():
+            raise InvalidDistributionError("grid values must lie in [0, 1]")
+        if (g[1:] <= g[:-1]).any():
+            raise InvalidDistributionError("grid must be strictly increasing")
+        p = np.asarray(np.full(g.size, 1.0 / g.size) if probs is None else probs,
+                       dtype=np.float64)
+        if p.shape != g.shape:
+            raise InvalidDistributionError(f"{p.shape} probabilities vs {g.size} grid points")
+        p = normalized_probs(p)  # a new array: the caller's stays writable
+        g.flags.writeable = p.flags.writeable = False
+        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "probs", p)
 
     @classmethod
     def uniform(cls, n_points: int = 101) -> "GridPosterior":
-        return cls.with_weights(even_grid(n_points))
-
-    @classmethod
-    def with_weights(cls, grid, weights=None) -> "GridPosterior":
-        """Belief `weights` over `grid`, uniform when weights is None."""
-        grid = _checked_grid(grid)
-        if weights is None:
-            weights = np.full(len(grid), 1.0 / len(grid))
-        return cls(grid, Distribution(grid, weights))
+        return cls(even_grid(n_points))
 
     def entropy(self) -> EntropyBits:
-        return shannon_entropy(self.belief)
+        return EntropyBits(_entropy_of_probs(self.probs))
 
 
 @dataclass(frozen=True)
@@ -110,11 +106,11 @@ def posterior_update(p: GridPosterior, model: BernoulliFlip, outcome: str) -> Gr
     """Multiply in the likelihood of `outcome` and renormalize."""
     if outcome not in model.outcomes:
         raise ValueError(f"unknown outcome {outcome!r}")
-    w = p.belief.probs * model.likelihood_matrix(p.grid)[:, model.outcomes.index(outcome)]
+    w = p.probs * model.likelihood_matrix(p.grid)[:, model.outcomes.index(outcome)]
     total = float(w.sum())
     if total == 0.0:
         raise ZeroEvidenceError(f"outcome {outcome!r} impossible under the entire grid")
-    return GridPosterior(p.grid, Distribution(p.grid, w / total))
+    return GridPosterior(p.grid, w / total)
 
 
 def realized_potentials(p: GridPosterior, model: BernoulliFlip, data) -> list[float]:
@@ -141,7 +137,7 @@ def expected_event_potential(p: GridPosterior, q: QueryCandidate) -> ZEstimate:
     """Predictive-weighted posterior entropy minus prior entropy for a
     candidate query. Never positive: in expectation, information cannot hurt."""
     like = q.model.likelihood_matrix(p.grid)
-    predictive = p.belief.probs @ like
+    predictive = p.probs @ like
     h_prior = float(p.entropy())
     expected_h_post = 0.0
     for j, outcome in enumerate(q.model.outcomes):
@@ -161,7 +157,7 @@ def mutual_information(p: GridPosterior, q: QueryCandidate) -> EntropyBits:
     Independent of the entropy-difference path on purpose: it serves as the
     oracle for expected_event_potential == -I.
     """
-    marg_theta = p.belief.probs
+    marg_theta = p.probs
     joint = marg_theta[:, None] * q.model.likelihood_matrix(p.grid)
     marg_out = joint.sum(axis=0)
     i, j = np.nonzero(joint > 0.0)  # the positive entries, row-major

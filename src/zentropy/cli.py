@@ -348,13 +348,20 @@ def cmd_bayes(config: dict, out: Path, chash: str, tol: float) -> None:
         _checked(w, f"bayes.prior[{i}]", float)
         for i, w in enumerate(_get(block, "prior", "bayes", list))]
     grid = _get(block, "grid", "bayes", list, None)
+    n_points = _get(block, "grid_points", "bayes", int, None)
+    if grid is not None and n_points is not None:
+        raise ConfigError("bayes.grid_points may not be given beside bayes.grid")
+    if weights is not None and n_points not in (None, len(weights)):
+        raise ConfigError(f"bayes.grid_points is {n_points}, but bayes.prior "
+                          f"holds {len(weights)} weights")
     if grid is None:
-        n_points = _get(block, "grid_points", "bayes", int, 101)
-        grid = bayes_infer.even_grid(n_points if weights is None else len(weights))
+        if n_points is None:
+            n_points = 101 if weights is None else len(weights)
+        grid = bayes_infer.even_grid(n_points)
     else:
         grid = [_checked(t, f"bayes.grid[{i}]", float) for i, t in enumerate(grid)]
     try:
-        posterior = bayes_infer.GridPosterior.with_weights(grid, weights)
+        posterior = bayes_infer.GridPosterior(grid, weights)
     except InvalidDistributionError as e:
         raise ConfigError(f"bad bayes prior: {e}") from e
     queries, ids = [], set()

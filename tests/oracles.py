@@ -522,8 +522,8 @@ def mutual_information_loop(p, q) -> float:
     import numpy as np
 
     like = q.model.likelihood_matrix(p.grid)
-    joint = p.belief.probs[:, None] * like
-    marg_theta = p.belief.probs
+    joint = p.probs[:, None] * like
+    marg_theta = p.probs
     marg_out = joint.sum(axis=0)
     total = 0.0
     n_grid, n_out = joint.shape

@@ -117,7 +117,7 @@ def test_criterion_05_bayes_identity():
     for _ in range(200):
         n = int(rng.integers(2, 60))
         w = rng.random(n) + 1e-6
-        p = z.GridPosterior.with_weights(np.linspace(0.0, 1.0, n), w / w.sum())
+        p = z.GridPosterior(np.linspace(0.0, 1.0, n), w / w.sum())
         q = z.QueryCandidate("q", z.BernoulliFlip(noise=float(rng.random())))
         expected = z.expected_event_potential(p, q).value
         mi = float(z.mutual_information(p, q))
@@ -131,7 +131,7 @@ def test_criterion_05_bayes_identity():
 
 def test_criterion_06_positive_realized_potential_exists():
     t0 = time.perf_counter()
-    p = z.GridPosterior.with_weights([0.1, 0.9], [0.05, 0.95])
+    p = z.GridPosterior([0.1, 0.9], [0.05, 0.95])
     zr = z.realized_event_potential(p, z.BernoulliFlip(), "tails")
     report(6, f"surprising datum with realized Z = {zr.value:+.4f} > 0",
            zr.value > 0.0, time.perf_counter() - t0, 1.0)

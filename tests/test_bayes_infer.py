@@ -18,7 +18,6 @@ from zentropy.bayes_infer import (
     realized_event_potential,
     realized_potentials,
 )
-from zentropy.entropy_core import Distribution
 from zentropy.errors import InvalidDistributionError, ZeroEvidenceError
 
 from oracles import entropy_bits, mutual_information_loop
@@ -35,28 +34,46 @@ def eleven_point():
 class TestGridPosterior:
     def test_grid_must_increase(self):
         with pytest.raises(InvalidDistributionError):
-            GridPosterior.with_weights([0.5, 0.5, 0.9], [1 / 3] * 3)
+            GridPosterior([0.5, 0.5, 0.9], [1 / 3] * 3)
 
     def test_grid_must_stay_in_unit_interval(self):
         with pytest.raises(InvalidDistributionError):
-            GridPosterior.with_weights([0.0, 1.5], [0.5, 0.5])
+            GridPosterior([0.0, 1.5], [0.5, 0.5])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_grid_value_is_refused(self, bad):
         with pytest.raises(InvalidDistributionError, match=r"grid values must lie in \[0, 1\]"):
-            GridPosterior.with_weights([0.1, bad, 0.9], [1 / 3] * 3)
-        grid = (0.1, bad, 0.9)
+            GridPosterior([0.1, bad, 0.9], [1 / 3] * 3)
         with pytest.raises(InvalidDistributionError, match=r"grid values must lie in \[0, 1\]"):
-            GridPosterior(grid, Distribution(grid, [1 / 3] * 3))
+            GridPosterior((0.1, bad, 0.9))  # uniform prior
 
     def test_two_dimensional_grid_is_refused(self):
         with pytest.raises(InvalidDistributionError, match="1-D"):
-            GridPosterior.with_weights([[0.1, 0.2], [0.3, 0.4]])
+            GridPosterior([[0.1, 0.2], [0.3, 0.4]])
 
-    def test_grid_is_stored_as_python_floats(self):
-        p = GridPosterior.with_weights(np.array([0, 0.25, 1]), [0.2, 0.3, 0.5])
-        assert type(p.grid) is tuple and [type(t) for t in p.grid] == [float] * 3
-        assert p.grid == (0.0, 0.25, 1.0) and p.belief.outcomes == p.grid
+    @pytest.mark.parametrize("weights, match", [
+        ([0.5, 0.5], r"\(2,\) probabilities vs 3 grid points"),
+        ([0.2, 0.3, 0.5, 0.0], r"\(4,\) probabilities vs 3 grid points"),
+        ([0.6, -0.1, 0.5], "finite and >= 0"),
+        ([0.2, 0.3, 0.5 + 2e-9], "sum to"),
+        ([0.2, 0.3, 0.5 - 2e-9], "sum to"),
+    ])
+    def test_bad_prior_weights_are_refused(self, weights, match):
+        with pytest.raises(InvalidDistributionError, match=match):
+            GridPosterior([0.1, 0.5, 0.9], weights)
+
+    def test_grid_and_probs_are_read_only_float64_arrays(self):
+        source = np.array([0, 0.25, 1])
+        p = GridPosterior(source, [0.2, 0.3, 0.5])
+        for a in (p.grid, p.probs):
+            assert type(a) is np.ndarray and a.dtype == np.float64 and a.shape == (3,)
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+        assert p.grid.tolist() == [0.0, 0.25, 1.0] and p.probs.tolist() == [0.2, 0.3, 0.5]
+        assert source.flags.writeable  # the caller's array is copied, not frozen
+        post = posterior_update(p, BernoulliFlip(), HEADS)
+        assert not post.grid.flags.writeable and not post.probs.flags.writeable
 
     def test_uniform_default_grid(self):
         p = GridPosterior.uniform(101)
@@ -70,15 +87,15 @@ class TestPosteriorUpdate:
         post = posterior_update(p, BernoulliFlip(), HEADS)
         # oracle: belief_i = theta_i / sum(theta) = (i/10) / 5.5
         for i, theta in enumerate(p.grid):
-            assert post.belief.probs[i] == pytest.approx(theta / 5.5, abs=1e-12)
+            assert post.probs[i] == pytest.approx(theta / 5.5, abs=1e-12)
 
     def test_point_mass_prior_unchanged(self):
-        p = GridPosterior.with_weights([0.2, 0.7], [0.0, 1.0])
+        p = GridPosterior([0.2, 0.7], [0.0, 1.0])
         post = posterior_update(p, BernoulliFlip(), TAILS)
-        assert post.belief.probs.tolist() == [0.0, 1.0]
+        assert post.probs.tolist() == [0.0, 1.0]
 
     def test_zero_evidence(self):
-        p = GridPosterior.with_weights([0.0, 1.0], [1.0, 0.0])  # all mass on theta=0
+        p = GridPosterior([0.0, 1.0], [1.0, 0.0])  # all mass on theta=0
         with pytest.raises(ZeroEvidenceError):
             posterior_update(p, BernoulliFlip(), HEADS)
 
@@ -87,15 +104,15 @@ class TestPosteriorUpdate:
         for _ in range(10):
             n = int(rng.integers(2, 30))
             w = rng.random(n) + 1e-3
-            p = GridPosterior.with_weights(np.linspace(0, 1, n), w / w.sum())
+            p = GridPosterior(np.linspace(0, 1, n), w / w.sum())
             model = BernoulliFlip(noise=float(rng.random()))
             like = model.likelihood_matrix(p.grid)
-            predictive = p.belief.probs @ like
+            predictive = p.probs @ like
             mix = np.zeros(n)
             for j, o in enumerate(model.outcomes):
                 if predictive[j] > 0:
-                    mix += predictive[j] * posterior_update(p, model, o).belief.probs
-            np.testing.assert_allclose(mix, p.belief.probs, atol=1e-12)
+                    mix += predictive[j] * posterior_update(p, model, o).probs
+            np.testing.assert_allclose(mix, p.probs, atol=1e-12)
 
 
 class TestRealizedPotential:
@@ -105,7 +122,7 @@ class TestRealizedPotential:
         assert z.method == "exact"
 
     def test_point_mass_prior_zero(self):
-        p = GridPosterior.with_weights([0.2, 0.7], [0.0, 1.0])
+        p = GridPosterior([0.2, 0.7], [0.0, 1.0])
         assert realized_event_potential(p, BernoulliFlip(), HEADS).value == \
             pytest.approx(0.0, abs=1e-12)
 
@@ -117,14 +134,14 @@ class TestRealizedPotential:
 
     def test_positive_realized_potential_exists(self):
         # prior concentrated near theta=1; observing tails spreads the belief
-        p = GridPosterior.with_weights([0.1, 0.9], [0.05, 0.95])
+        p = GridPosterior([0.1, 0.9], [0.05, 0.95])
         z = realized_event_potential(p, BernoulliFlip(), TAILS)
         assert z.value > 0.0
 
 
 class TestRealizedPotentials:
     def test_each_datum_scored_against_the_posterior_before_it(self):
-        p = GridPosterior.with_weights([0.1, 0.3, 0.6, 0.9], [0.1, 0.2, 0.3, 0.4])
+        p = GridPosterior([0.1, 0.3, 0.6, 0.9], [0.1, 0.2, 0.3, 0.4])
         model = BernoulliFlip(noise=0.8)
         data = [TAILS, HEADS, HEADS, TAILS]
         expected, current = [], p
@@ -137,7 +154,7 @@ class TestRealizedPotentials:
         assert realized_potentials(eleven_point(), BernoulliFlip(), []) == []
 
     def test_impossible_datum_raises(self):
-        p = GridPosterior.with_weights([0.0, 1.0], [1.0, 0.0])
+        p = GridPosterior([0.0, 1.0], [1.0, 0.0])
         with pytest.raises(ZeroEvidenceError):
             realized_potentials(p, BernoulliFlip(), [TAILS, HEADS])
 
@@ -148,7 +165,7 @@ class TestExpectedPotential:
         assert z.value == pytest.approx(GOLDEN_REALIZED, abs=1e-12)
 
     def test_point_mass_prior_zero(self):
-        p = GridPosterior.with_weights([0.2, 0.7], [0.0, 1.0])
+        p = GridPosterior([0.2, 0.7], [0.0, 1.0])
         z = expected_event_potential(p, QueryCandidate("flip", BernoulliFlip()))
         assert z.value == pytest.approx(0.0, abs=1e-12)
 
@@ -161,7 +178,7 @@ class TestExpectedPotential:
         for _ in range(25):
             n = int(rng.integers(2, 40))
             w = rng.random(n) + 1e-6
-            p = GridPosterior.with_weights(np.linspace(0, 1, n), w / w.sum())
+            p = GridPosterior(np.linspace(0, 1, n), w / w.sum())
             q = QueryCandidate("q", BernoulliFlip(noise=float(rng.random())))
             assert expected_event_potential(p, q).value <= 1e-12
 
@@ -176,7 +193,7 @@ class TestMutualInformation:
         assert float(mi) == pytest.approx(-GOLDEN_REALIZED, abs=1e-9)
 
     def test_full_revelation(self):
-        p = GridPosterior.with_weights([0.0, 1.0], [0.4, 0.6])
+        p = GridPosterior([0.0, 1.0], [0.4, 0.6])
         mi = mutual_information(p, QueryCandidate("flip", BernoulliFlip()))
         assert float(mi) == pytest.approx(entropy_bits([0.4, 0.6]), abs=1e-12)
 
@@ -185,7 +202,7 @@ class TestMutualInformation:
         for _ in range(50):
             n = int(rng.integers(2, 50))
             w = rng.random(n) + 1e-6
-            p = GridPosterior.with_weights(np.linspace(0, 1, n), w / w.sum())
+            p = GridPosterior(np.linspace(0, 1, n), w / w.sum())
             q = QueryCandidate("q", BernoulliFlip(noise=float(rng.random())))
             assert expected_event_potential(p, q).value == pytest.approx(
                 -float(mutual_information(p, q)), abs=1e-9)
@@ -203,15 +220,15 @@ def grid_posteriors_and_queries(draw):
     if not w.any():
         w[draw(st.integers(0, len(w) - 1))] = 1.0
     noise = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
-    return (GridPosterior.with_weights(grid, w / w.sum()),
+    return (GridPosterior(grid, w / w.sum()),
             QueryCandidate("q", BernoulliFlip(noise)))
 
 
 @given(grid_posteriors_and_queries())
 @settings(max_examples=300)
-@example((GridPosterior.with_weights([0.0, 0.5, 1.0], [0.0, 0.3, 0.7]),
+@example((GridPosterior([0.0, 0.5, 1.0], [0.0, 0.3, 0.7]),
           QueryCandidate("flip", BernoulliFlip(1.0))))
-@example((GridPosterior.with_weights([0.2, 0.8], [0.0, 1.0]),
+@example((GridPosterior([0.2, 0.8], [0.0, 1.0]),
           QueryCandidate("null", BernoulliFlip(0.0))))
 def test_mutual_information_matches_the_double_loop_bit_for_bit(case):
     p, q = case

@@ -522,6 +522,16 @@ class TestConfigParsing:
         # a bin width that overflows to inf, or underflows to 0.0 over 4 bins
         ("anomaly.json", [(("anomaly", "range"), [-1e308, 1e308])], "range"),
         ("anomaly.json", [(("anomaly", "range"), [0.0, 5e-324])], "range"),
+        # grid_points beside an explicit grid, where it was never read
+        ("bayes11.json", [(("bayes", "grid"), [0.2, 0.8])], "grid_points"),
+        ("bayes11.json", [(("bayes", "grid_points"), "x"), (("bayes", "grid"), [0.2, 0.8])],
+         "grid_points"),
+        ("bayes11.json", [(("bayes", "grid_points"), 2), (("bayes", "grid"), [0.2, 0.8]),
+                          (("bayes", "prior"), [0.5, 0.5])], "grid_points"),
+        # grid_points beside a list prior of another length, where the prior's length won
+        ("bayes11.json", [(("bayes", "grid_points"), 5), (("bayes", "prior"), [0.5, 0.5])],
+         "grid_points"),
+        ("bayes11.json", [(("bayes", "prior"), [0.2, 0.3, 0.5])], "grid_points"),
     ])
     def test_bad_config_exits_2_naming_the_key_and_writes_nothing(
             self, tmp_path, capsys, monkeypatch, preset, edits, named):
@@ -549,7 +559,7 @@ class TestConfigParsing:
 
     def test_explicit_grid_with_weighted_prior_matches_golden_hashes(self, tmp_path):
         # sha256 of the outputs as written when the prior was built by a
-        # three-way branch; one GridPosterior.with_weights call keeps them
+        # three-way branch; one GridPosterior constructor call keeps them
         cfg = {"seed": 4, "bayes": {
             "grid": [0.1, 0.3, 0.6, 0.9], "prior": [0.1, 0.2, 0.3, 0.4],
             "queries": [{"id": "flip"}, {"id": "half", "noise": 0.5}],
@@ -563,6 +573,24 @@ class TestConfigParsing:
         }
         for name, digest in golden.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_grid_points_equal_to_the_prior_length_runs(self, tmp_path):
+        cfg = {"seed": 1, "bayes": {"grid_points": 3, "prior": [0.2, 0.3, 0.5]}}
+        out = tmp_path / "run"
+        assert run(["bayes", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
+
+    @pytest.mark.parametrize("block", [
+        {"prior": [0.5, 0.5], "grid": [0.1, 0.5, 0.9]},  # wrong length
+        {"prior": [0.6, -0.1, 0.5]},  # a negative weight
+        {"prior": [0.2, 0.3, 0.5 + 2e-9]},  # a sum off by more than 1e-9
+        {"prior": [0.2, 0.3, 0.5 - 2e-9], "grid": [0.1, 0.5, 0.9]},
+    ])
+    def test_bad_prior_weights_exit_2_and_write_nothing(self, tmp_path, capsys, block):
+        cfg = {"seed": 1, "bayes": dict(block, queries=[{"id": "flip"}], data=["heads"])}
+        out = tmp_path / "run"
+        assert run(["bayes", "--config", write_config(tmp_path, cfg), "--out", out]) == 2
+        assert "bad bayes prior" in capsys.readouterr().err
+        assert not out.exists()
 
 
 MUTANTS = [None, True, "x", [], {}, -1, 0, 0.5, 2.5]
@@ -743,6 +771,20 @@ class TestBayes:
             "queries.csv": "422d0cf402bad4f57d9123df69f96ffa6c22bd68872c2840fce7b1541506645b",
             "attribution.csv": "11000e415b9335fe1899073dad3ea6504a08a5239b0679b78522e675e5c58a68",
             "run_meta.json": "cc8615fe16bbd733823d952a14d2adc56e880d9c33ac0c448ec68913b5dcda7a",
+        }
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_10k_point_run_matches_golden_hashes(self, tmp_path):
+        # sha256 of the outputs as written when the belief was a Distribution
+        # labelled with a tuple of grid floats, rebuilt on every update
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, scaled_bayes_config(10_000, 500, 10))
+        assert run(["bayes", "--config", cfg, "--out", out]) == 0
+        golden = {
+            "queries.csv": "15efbb223b0ea54681055496be7c54a0f6afba884a1c83ba67aa700907eb7260",
+            "attribution.csv": "55ac041246fcf7d44cf88c1c4f092613af6a20422c75af7d30c0556315c770ae",
+            "run_meta.json": "a72711a6e914790c005074e28ac534580dd4cfc43ababbd7151f4844cccf1ba5",
         }
         for name, digest in golden.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
