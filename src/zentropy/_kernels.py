@@ -68,8 +68,9 @@ def walk_outcomes(cum_start, first, n_first, rest, n_rest, u, starts=None) -> np
     from there on. So j is found by a branchless binary search over the
     row's first K - 1 entries of the flattened table, each round one take,
     one compare and one add over all walks, and the successor is one flat
-    take at s * K + j. Transposed chunks of u give each step contiguous
-    uniforms.
+    take at s * K + j. Each step reads a contiguous column of uniforms: a
+    column-major u is read in place, a row-major one through transposed
+    chunks.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != 1 + n_first + n_rest:
@@ -83,11 +84,13 @@ def walk_outcomes(cum_start, first, n_first, rest, n_rest, u, starts=None) -> np
         starts = np.asarray(starts, dtype=np.int64)[:, None]
     walks = 1 if starts is None else len(starts)
     out = np.empty((n,) if starts is None else (walks, n), dtype=np.int64)
-    # bytes per row of u: its uniforms, then per walk an int64 state and
-    # position, a float64 probe and a bool hit
+    # bytes per row of u: its uniforms (transposed), then per walk an int64
+    # state and position, a float64 probe and a bool hit
     chunk = max(1, WALK_CHUNK_BYTES // (8 * u.shape[1] + 25 * walks))
     for a in range(0, n, chunk):
-        ut = np.ascontiguousarray(u[a:a + chunk].T)
+        ut = u[a:a + chunk].T
+        if ut.strides[1] != ut.itemsize:
+            ut = np.ascontiguousarray(ut)
         if starts is None:
             s = np.searchsorted(cum_start, ut[0], side="right")
         else:

@@ -90,10 +90,14 @@ class BernoulliFlip:
     def outcomes(self) -> tuple:
         return (HEADS, TAILS)
 
+    def likelihood(self, grid, outcome: str) -> np.ndarray:
+        """The likelihood of outcome at each grid point: its column of
+        likelihood_matrix, computed alone."""
+        p_heads = 0.5 + self.noise * (np.asarray(grid, dtype=np.float64) - 0.5)
+        return p_heads if outcome == HEADS else 1.0 - p_heads
+
     def likelihood_matrix(self, grid) -> np.ndarray:
-        theta = np.asarray(grid, dtype=np.float64)
-        p_heads = 0.5 + self.noise * (theta - 0.5)
-        return np.column_stack([p_heads, 1.0 - p_heads])
+        return np.column_stack([self.likelihood(grid, o) for o in self.outcomes])
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,7 @@ def posterior_update(p: GridPosterior, model: BernoulliFlip, outcome: str) -> Gr
     """Multiply in the likelihood of `outcome` and renormalize."""
     if outcome not in model.outcomes:
         raise ValueError(f"unknown outcome {outcome!r}")
-    w = p.probs * model.likelihood_matrix(p.grid)[:, model.outcomes.index(outcome)]
+    w = p.probs * model.likelihood(p.grid, outcome)
     total = float(w.sum())
     if total == 0.0:
         raise ZeroEvidenceError(f"outcome {outcome!r} impossible under the entire grid")

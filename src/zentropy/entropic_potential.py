@@ -14,19 +14,21 @@ the step before T and takes the last step exactly (a Rao-Blackwell step):
 the entropy of the mixed last-step law, with a delta-method standard error.
 A model that can only sample gives its outcomes, and the same estimator
 with a point-mass last step is the plug-in entropy of their counts.
+
+All Monte Carlo branches of one call walk from the same uniforms (common
+random numbers), and Z's standard error is the paired delta-method one,
+taken walk by walk over the difference of the branches' surprisals.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import cumulative, walk_outcomes
+from ._kernels import WALK_CHUNK_BYTES, cumulative, walk_outcomes
 from .entropy_core import Distribution, EntropyBits, shannon_entropy
 from .errors import (
     EmptyBaselineError,
@@ -244,8 +246,8 @@ class SystemModel(ABC):
 
 
 def _branch_seed(base_seed: int, key: tuple) -> np.random.SeedSequence:
-    # Index-keyed child streams: independent and order-insensitive, so
-    # parallel evaluation across events stays reproducible.
+    # The child stream keyed `key`: independent of every other key, and the
+    # same whatever else was drawn from base_seed.
     return np.random.SeedSequence(entropy=base_seed, spawn_key=key)
 
 
@@ -256,10 +258,51 @@ def _check_uniforms(n: int, k: int) -> None:
                          f"got {n} * {k}")
 
 
+def _uniform_block(seed: int, n: int, width: int) -> np.ndarray:
+    """The (n, width) uniforms that every Monte Carlo branch of one call
+    reads, from the child stream keyed (0,): the values of one
+    ``random((n, width))`` draw, stored column-major so that walk_outcomes
+    reads each column contiguously, without a transposed copy. They are
+    drawn in row chunks of at most WALK_CHUNK_BYTES, so the block is never
+    held twice."""
+    rng = np.random.default_rng(_branch_seed(seed, (0,)))
+    u = np.empty((n, width), order="F")
+    rows = max(1, WALK_CHUNK_BYTES // (8 * width))
+    for a in range(0, n, rows):
+        u[a:a + rows] = rng.random((min(rows, n - a), width))
+    return u
+
+
+def _aligned_columns(u: np.ndarray, walk: Walk) -> np.ndarray:
+    """The columns of the block u that walk reads: column 0 draws the start,
+    and its steps read the block's last columns. A walk with fewer steps
+    than the block is wide (a Markov null branch has no event step) skips
+    the columns in between, so its later steps use the uniforms that every
+    other branch uses at the same time step."""
+    width = u.shape[1]
+    if walk.steps == width:
+        return u
+    return u[:, np.r_[0, width - walk.steps + 1:width]]
+
+
+def _sampled_states(model: SystemModel, event: Event | None, horizon: Horizon, n: int,
+                    rng) -> tuple:
+    """(states, last) of a model that can only sample: its n outcomes, and a
+    point-mass last step over them."""
+    states = np.asarray(model.sample_future_outcomes(event, horizon, n, rng))
+    if states.shape != (n,) or states.dtype.kind not in "iu" or states.min() < 0:
+        raise InvalidDistributionError(
+            f"sample_future_outcomes must return {n} non-negative integer outcome "
+            f"indices; got shape {states.shape}, dtype {states.dtype}")
+    states = states.astype(np.int64, copy=False)
+    size = int(states.max()) + 1
+    return states, (np.arange(size)[:, None], np.ones((size, 1)))
+
+
 def mc_entropy_of_branch(model: SystemModel, event: Event | None, horizon: Horizon,
                          n: int, seed) -> tuple[EntropyBits, float]:
     """Monte Carlo entropy of X_T in bits and its standard error, from n
-    draws (see _branch_bits_and_se).
+    draws (see _branch_surprisals and _walk_se).
 
     A model with a walk walks its first k - 1 steps from one (n, k) block of
     uniforms and takes the last step exactly. A model that can only sample
@@ -274,30 +317,50 @@ def mc_entropy_of_branch(model: SystemModel, event: Event | None, horizon: Horiz
     if walk is not None:
         states, last = walk.states(rng.random((n, walk.steps))), walk.last
     else:
-        states = np.asarray(model.sample_future_outcomes(event, horizon, n, rng))
-        if states.shape != (n,) or states.dtype.kind not in "iu" or states.min() < 0:
-            raise InvalidDistributionError(
-                f"sample_future_outcomes must return {n} non-negative integer outcome "
-                f"indices; got shape {states.shape}, dtype {states.dtype}")
-        states = states.astype(np.int64, copy=False)
-        size = int(states.max()) + 1
-        last = (np.arange(size)[:, None], np.ones((size, 1)))
-    h, se = _branch_bits_and_se(states[None], last)
-    return EntropyBits(float(h[0])), float(se[0])
+        states, last = _sampled_states(model, event, horizon, n, rng)
+    h, g = _branch_surprisals(states[None], last)
+    return EntropyBits(float(h[0])), float(_walk_se(g)[0])
 
 
-def _branch_bits_and_se(states: np.ndarray, last: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy (bits) of X_T and its delta-method standard error for each
-    row of states, a (c, n) integer array of the states before the last
-    step, whose (outcomes, probs) table is last (see Walk).
+def _mc_branches(model: SystemModel, branches: Sequence, horizon: Horizon,
+                 estimator: EstimatorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(h, g) of each branch (an Event or None), shapes (b,) and (b, n):
+    its Monte Carlo entropy and the expected surprisal after each of its
+    walks (see _branch_surprisals).
+
+    Common random numbers: every branch with a walk reads its columns of
+    one _uniform_block (see _aligned_columns), so walk i of every branch
+    draws from the same uniforms, and a branch that can only sample gets
+    a generator on that block's stream (0,), restarted for each branch.
+    """
+    n = estimator.n_samples
+    _check_uniforms(n, horizon.steps)
+    walks = [model.walk(branch, horizon) for branch in branches]
+    width = max((walk.steps for walk in walks if walk is not None), default=0)
+    u = _uniform_block(estimator.seed, n, width) if width else None
+    h, g = np.empty(len(walks)), np.empty((len(walks), n))
+    for b, (branch, walk) in enumerate(zip(branches, walks)):
+        if walk is None:
+            rng = np.random.default_rng(_branch_seed(estimator.seed, (0,)))
+            states, last = _sampled_states(model, branch, horizon, n, rng)
+        else:
+            states, last = walk.states(_aligned_columns(u, walk)), walk.last
+        h[b:b + 1], g[b:b + 1] = _branch_surprisals(states[None], last)
+    return h, g
+
+
+def _branch_surprisals(states: np.ndarray, last: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy (bits) of X_T for each row of states, a (c, n) integer array
+    of the states before the last step, whose (outcomes, probs) table is
+    last (see Walk), and the expected surprisal after each walk's state,
+    a (c, n) array.
 
     With w_s = q_s / n, q the counts of a row's states, the row's law of X_T
     is p = sum_s w_s probs[s] over the outcomes, and its entropy H(p) is the
     estimate. g_s = -sum_j probs[s, j] log2 p[outcomes[s, j]] is the
     expected surprisal after state s, so H(p) = sum_s w_s g_s, and the
-    standard error is sqrt(sum_s w_s (g_s - G)^2 / n), centred on
-    G = sum_s w_s g_s, which is H(p) up to rounding. When every walk ends
-    in one state, g_s == G and the error is exactly 0.0.
+    delta-method standard error of H(p) is the spread of g over the walks
+    (_walk_se). Walks that end in one state get the same g bitwise.
 
     Every per-row total is a bincount over the row's terms in order, so a
     row gives the same bits whatever other rows are in the batch.
@@ -306,23 +369,32 @@ def _branch_bits_and_se(states: np.ndarray, last: tuple) -> tuple[np.ndarray, np
     c, n = states.shape
     n_states, width = probs.shape
     n_out = int(outcomes.max()) + 1
-    counts = np.bincount((states + n_states * np.arange(c)[:, None]).ravel(),
-                         minlength=c * n_states)
+    keys = states + n_states * np.arange(c)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=c * n_states)
     occupied = np.flatnonzero(counts)  # (row, state) pairs, row-major
     row, s = np.divmod(occupied, n_states)
-    w = counts[occupied] / n
-    mass = w[:, None] * probs[s]
+    mass = (counts[occupied] / n)[:, None] * probs[s]
     dest = outcomes[s] + (n_out * row)[:, None]
     p = np.bincount(dest.ravel(), weights=mass.ravel(), minlength=c * n_out)
     logs = np.zeros_like(p)
     np.log2(p, out=logs, where=p > 0.0)
     nz = np.flatnonzero(p)
     h = np.bincount(nz // n_out, weights=-(p[nz] * logs[nz]), minlength=c)
-    g = np.bincount(np.repeat(np.arange(len(s)), width),
-                    weights=-(probs[s] * logs[dest]).ravel(), minlength=len(s))
-    mean = np.bincount(row, weights=w * g, minlength=c)
-    var = np.bincount(row, weights=w * (g - mean[row]) ** 2, minlength=c)
-    return h, np.sqrt(var / n)
+    g = np.zeros(c * n_states)
+    g[occupied] = np.bincount(np.repeat(np.arange(len(s)), width),
+                              weights=-(probs[s] * logs[dest]).ravel(), minlength=len(s))
+    return h, g[keys]
+
+
+def _walk_se(psi: np.ndarray) -> np.ndarray:
+    """sqrt(sum_i (psi_i - mean)^2) / n along the last axis, of length n.
+    The values are first shifted by the first one, so a row whose values
+    are all equal gives exactly 0.0. Each row is reduced on its own, so it
+    gives the same bits whatever other rows are in the batch."""
+    x = psi - psi[..., :1]
+    x -= x.mean(axis=-1, keepdims=True)
+    x *= x
+    return np.sqrt(x.sum(axis=-1)) / psi.shape[-1]
 
 
 def _check_admissible(model: SystemModel, events: Sequence[Event], baseline) -> None:
@@ -339,28 +411,16 @@ def _check_admissible(model: SystemModel, events: Sequence[Event], baseline) -> 
             raise EventInBaselineError(f"event {ev.id!r} is among its own alternatives")
 
 
-def _branch_entropy(model, horizon, estimator, event, j):
-    """(entropy, se) of one conditional branch under the configured back-end;
-    an MC branch draws from the child stream keyed (j,)."""
-    if estimator.backend == "exact":
-        d = model.exact_future_distribution(event, horizon)
-        return float(shannon_entropy(d)), 0.0
-    h, se = mc_entropy_of_branch(model, event, horizon, estimator.n_samples,
-                                 _branch_seed(estimator.seed, (j,)))
-    return float(h), se
+def _plans(events: Sequence[Event], baseline) -> tuple[list, list]:
+    """The distinct branches that the Z of each event against `baseline`
+    needs, and each event's plan over them, after the events are checked.
 
-
-def _z_values(events: Sequence[Event], baseline, entropy) -> list[tuple[float, float]]:
-    """(Z, se) of each event against `baseline`: "vs-rest" (uniform over the
-    other events) or one Baseline for all, a null baseline being the single
-    alternative None with weight 1.0.
-
-    Each distinct branch is evaluated once, after the events are checked, as
-    entropy(branch, j) with j its position in the events followed by the
-    baseline's alternatives (never among the events, see _check_admissible)
-    or None. Z is the event's entropy minus its alternatives' weighted
-    entropies summed in baseline order; se is the root of the event's se
-    squared plus each (weight * se) squared.
+    baseline is "vs-rest" (uniform over the other events) or one Baseline
+    for all, a null baseline being the single alternative None with weight
+    1.0. The branches are the events followed by the baseline's
+    alternatives (never among the events, see _check_admissible), so each
+    is evaluated once; event i's branch is branch i, and its plan lists the
+    (weight, branch) pairs of its alternatives in baseline order.
     """
     if not events:
         raise ValueError("ranking needs at least one event")
@@ -373,23 +433,54 @@ def _z_values(events: Sequence[Event], baseline, entropy) -> list[tuple[float, f
     if baseline == "vs-rest":
         if n < 2:
             raise EmptyBaselineError("vs-rest baseline needs >= 2 events")
-        alternatives = []
-        plans = [[(1.0 / (n - 1), j) for j in range(n) if j != i] for i in range(n)]
-    else:
-        alternatives = list(baseline.alternatives) or [None]
-        weights = baseline.normalized_weights() or (1.0,)
-        plans = [list(zip(weights, range(n, n + len(alternatives))))] * n
-    values = [entropy(branch, j) for j, branch in enumerate([*events, *alternatives])]
-    out = []
-    for (h_event, se_event), plan in zip(values, plans):
-        h_base = 0.0
-        var_base = 0.0
+        return list(events), [[(1.0 / (n - 1), j) for j in range(n) if j != i]
+                              for i in range(n)]
+    alternatives = list(baseline.alternatives) or [None]
+    weights = baseline.normalized_weights() or (1.0,)
+    return [*events, *alternatives], [list(zip(weights, range(n, n + len(alternatives))))] * n
+
+
+def _z_from_branches(h: np.ndarray, g: np.ndarray | None, plans: list) -> tuple:
+    """(z, se) arrays of shape (..., events) from the branch entropies h,
+    shape (..., branches), and the plans of _plans.
+
+    Z is the event's entropy minus its alternatives' weighted entropies,
+    summed from 0.0 in plan order. g is None for exact branches, whose Z
+    has se 0.0. For Monte Carlo branches it holds the (..., branches, n)
+    expected surprisals after each walk (see _branch_surprisals), walk i of
+    every branch having drawn from the same uniforms. Z's standard error is
+    then the paired delta-method one, _walk_se of
+    psi_i = g_event(walk i) - sum_j w_j g_j(walk i): the errors that the
+    branches share cancel in Z, and so they do in se.
+    """
+    shape = h.shape[:-1] + (len(plans),)
+    z, se = np.empty(shape), np.zeros(shape)
+    for i, plan in enumerate(plans):
+        base = np.zeros(h.shape[:-1])
         for w, j in plan:
-            h_j, se_j = values[j]
-            h_base += w * h_j
-            var_base += (w * se_j) ** 2
-        out.append((h_event - h_base, math.sqrt(se_event ** 2 + var_base)))
-    return out
+            base += w * h[..., j]
+        z[..., i] = h[..., i] - base
+        if g is not None:
+            psi = g[..., i, :].copy()
+            for w, j in plan:
+                psi -= w * g[..., j, :]
+            se[..., i] = _walk_se(psi)
+    return z, se
+
+
+def _z_estimates(model: SystemModel, events: Sequence[Event], baseline, horizon: Horizon,
+                 estimator: EstimatorConfig) -> list[tuple[float, float]]:
+    """(Z, se) of each event against `baseline` (see _plans), every branch
+    evaluated once under the configured back-end."""
+    branches, plans = _plans(events, baseline)
+    if estimator.backend == "exact":
+        h = np.array([float(shannon_entropy(model.exact_future_distribution(b, horizon)))
+                      for b in branches])
+        g = None
+    else:
+        h, g = _mc_branches(model, branches, horizon, estimator)
+    z, se = _z_from_branches(h, g, plans)
+    return list(zip(z.tolist(), se.tolist()))
 
 
 def _ranked(events: Sequence[Event], zs, baseline, horizon: Horizon,
@@ -444,7 +535,7 @@ def z_counterfactual(model: SystemModel, event: Event, baseline: Baseline,
     the per-alternative conditional entropies. A null-event baseline reduces
     to the pre/post form."""
     _check_admissible(model, [event], baseline)
-    zs = _z_values([event], baseline, partial(_branch_entropy, model, horizon, estimator))
+    zs = _z_estimates(model, [event], baseline, horizon, estimator)
     return _ranked([event], zs, baseline, horizon, estimator)[0][1]
 
 
@@ -479,10 +570,10 @@ def rank_events(model: SystemModel, events: Sequence[Event], baseline,
     event. Ties break lexicographically on event id, and duplicate ids are
     rejected. Each distinct branch (the events, the baseline alternatives,
     the null event) is evaluated once and shared by every Z that needs it;
-    on the Monte Carlo back-end it is seeded by its position in that list,
-    so rankings are reproducible whatever order branches are evaluated in.
+    on the Monte Carlo back-end every branch walks from one block of
+    uniforms (see _mc_branches).
     """
     events = list(events)
     _check_admissible(model, events, baseline)
-    zs = _z_values(events, baseline, partial(_branch_entropy, model, horizon, estimator))
+    zs = _z_estimates(model, events, baseline, horizon, estimator)
     return _ranked(events, zs, baseline, horizon, estimator)

@@ -23,11 +23,12 @@ from .entropic_potential import (
     SystemModel,
     Walk,
     ZEstimate,
-    _branch_bits_and_se,
-    _branch_seed,
+    _branch_surprisals,
     _check_uniforms,
+    _plans,
     _ranked,
-    _z_values,
+    _uniform_block,
+    _z_from_branches,
 )
 from .entropy_core import Distribution, _row_entropies, normalized_probs
 from .errors import CellIsWallError, EmptyBaselineError, InvalidDistributionError
@@ -196,13 +197,17 @@ def _step_probs(g: GridWorld, pol: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _step_tables(g: GridWorld, pol: np.ndarray) -> tuple:
-    """The (walk, last) tables of one step under pol, as _step_probs takes
-    it: walk is its (succ, cum) sampling table over flat cells, last its
-    (outcomes, probs) table whose successors are free-cell positions, the
-    outcome order (see Walk)."""
-    probs = _step_probs(g, pol)
-    return (g.successors, cumulative(probs)), (g.successor_outcomes, probs)
+def _step_tables(g: GridWorld, *pols: np.ndarray) -> tuple:
+    """The (walk, last) tables of one step under each of pols, as
+    _step_probs takes them: walk is their (succ, cum) sampling table over
+    flat cells, last their (outcomes, probs) table whose successors are
+    free-cell positions, the outcome order (see Walk). Row j * n_cells + s
+    is the step from flat cell s under pols[j]; its successors are flat
+    cells, so a walk takes the stacked table once and then a one-policy
+    table."""
+    probs = np.concatenate([_step_probs(g, pol) for pol in pols])
+    succ, outcomes = (np.tile(t, (len(pols), 1)) for t in (g.successors, g.successor_outcomes))
+    return (succ, cumulative(probs)), (outcomes, probs)
 
 
 def _branch_walk(cum_start, first: tuple, follow: tuple, k: int) -> Walk:
@@ -408,80 +413,74 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
     each action scored against a uniform baseline over the others.
 
     Returns (z, se), float arrays of shape (len(cells), m) whose column j is
-    the j-th admissible action in ACTIONS order. The exact back-end (se 0.0)
-    starts branch (cell, action) as the cell's row of the action's
-    _step_probs, in one column of an (n_cells, branches) block per chunk of
-    at most TABLE_CHUNK_BYTES, pushes it k - 1 more steps and takes the
-    chunk's entropies in one _row_entropies call. The Monte Carlo back-end
-    builds each action's _step_tables and gives every branch bitwise what
-    rank_events gives on that cell's GridWorldModel, action j's branch
-    keyed (j,), but walks each action's branches at all cells as one batch
-    from one block of uniforms and estimates their entropies as one batch
-    (see _mc_branch_entropies).
+    the j-th admissible action in ACTIONS order, both formed by
+    _z_from_branches from the (cells, m) branch entropies. The exact
+    back-end (se 0.0) starts branch (cell, action) as the cell's row of the
+    action's _step_probs, in one column of an (n_cells, branches) block per
+    chunk of at most TABLE_CHUNK_BYTES, pushes it k - 1 more steps and
+    takes the chunk's entropies in one _row_entropies call. The Monte Carlo
+    back-end is _mc_table. Each row is bitwise what rank_events gives on
+    that cell's GridWorldModel.
     """
     Horizon(0, k)  # rejects k < 1
     if estimator.backend == "mc":
         _check_uniforms(estimator.n_samples, k)
     events = [Event(a) for a in _admissible_actions(actions)]
     m = len(events)
-    # checked before any branch is pushed forward or sampled, as _z_values checks
+    # checked before any branch is pushed forward or sampled, as _plans checks
     if m == 0:
         raise ValueError("ranking needs at least one action")
     if m == 1:
         raise EmptyBaselineError(f"vs-rest baseline needs >= 2 actions, got {events[0].id!r}")
     starts = np.array([g.index_of(_checked_cell(g, c)) for c in cells], dtype=np.int64)
     follow = _checked_policy(g, follow)
-    if estimator.backend == "exact":
-        # branch (i, j) is row i * m + j: action j's first step from cell i
-        succ = np.repeat(g.successors[starts], m, axis=0)
-        probs = np.stack([_step_probs(g, _action_matrix(e.id))[starts] for e in events],
-                         axis=1).reshape(-1, 5)
-        chunk = max(1, TABLE_CHUNK_BYTES // (8 * g.n_cells))
-        h = []
-        for lo in range(0, len(succ), chunk):
-            cols = np.arange(len(succ[lo:lo + chunk]))[:, None]
-            d = np.zeros((g.n_cells, len(cols)))
-            # a blocked move adds 0 + (1 - slip) + slip, as _propagate's step does
-            np.add.at(d, (succ[lo:lo + chunk], cols), probs[lo:lo + chunk])
-            d = _propagate(g, d, follow, k - 1)
-            h.extend(_row_entropies(d[g.free_index].T).tolist())
-        h = np.reshape(h, (len(starts), m))
-        se = np.zeros_like(h)
-    else:
-        firsts = [_step_tables(g, _action_matrix(e.id)) for e in events]
-        h, se = _mc_branch_entropies(g, starts, follow, k, estimator, firsts)
-    out = np.empty((len(starts), m, 2))
-    for i, (h_row, se_row) in enumerate(zip(h.tolist(), se.tolist())):
-        out[i] = _z_values(events, "vs-rest", lambda _, j: (h_row[j], se_row[j]))
-    return out[..., 0], out[..., 1]
+    _, plans = _plans(events, "vs-rest")
+    if estimator.backend == "mc":
+        return _mc_table(g, starts, follow, k, estimator, events, plans)
+    # branch (i, j) is row i * m + j: action j's first step from cell i
+    succ = np.repeat(g.successors[starts], m, axis=0)
+    probs = np.stack([_step_probs(g, _action_matrix(e.id))[starts] for e in events],
+                     axis=1).reshape(-1, 5)
+    chunk = max(1, TABLE_CHUNK_BYTES // (8 * g.n_cells))
+    h = np.empty(len(succ))
+    for lo in range(0, len(succ), chunk):
+        cols = np.arange(len(succ[lo:lo + chunk]))[:, None]
+        d = np.zeros((g.n_cells, len(cols)))
+        # a blocked move adds 0 + (1 - slip) + slip, as _propagate's step does
+        np.add.at(d, (succ[lo:lo + chunk], cols), probs[lo:lo + chunk])
+        d = _propagate(g, d, follow, k - 1)
+        h[lo:lo + chunk] = _row_entropies(d[g.free_index].T)
+    return _z_from_branches(h.reshape(len(starts), m), None, plans)
 
 
-def _mc_branch_entropies(g: GridWorld, starts: np.ndarray, follow: np.ndarray, k: int,
-                         estimator: EstimatorConfig, firsts: list) -> tuple:
-    """(entropy, se) arrays of shape (cells, actions): every (cell, action)
-    branch for the flat cell indices `starts`, the checked policy `follow`
-    and firsts[j], action j's _step_tables, each bitwise what
-    mc_entropy_of_branch gives for that cell's GridWorldModel.
+def _mc_table(g: GridWorld, starts: np.ndarray, follow: np.ndarray, k: int,
+              estimator: EstimatorConfig, events: list, plans: list) -> tuple:
+    """z_table's Monte Carlo back-end for the flat cell indices `starts`
+    and the checked policy `follow`.
 
-    Branch j draws its (n, k) uniforms from the child stream keyed (j,) at
-    every cell, so one block per action serves all cells: their walks step
-    together from the start cells as one (cells, n) array, and each chunk
-    goes through _branch_bits_and_se as one batch. A chunk holds at most
-    TABLE_CHUNK_BYTES of states and as many of state counts.
+    The m actions' first steps are one stacked _step_tables table, so
+    branch (cell, action j) is a walk from row j * n_cells + cell. Every
+    branch reads the same _uniform_block, the one rank_events reads, so
+    each of a chunk's (cell, action) branches walks in one walk_outcomes
+    call and goes through one _branch_surprisals call, and the chunk's Z
+    and paired se come from one _z_from_branches call. A chunk holds whole
+    cells, at most TABLE_CHUNK_BYTES of its (branches, n) states, and as
+    many of surprisals and of state counts.
     """
-    n = estimator.n_samples
-    follow_tables = _step_tables(g, follow)
-    chunk = max(1, TABLE_CHUNK_BYTES // (8 * max(n, g.n_cells)))
-    h, se = np.empty((2, len(starts), len(firsts)))
-    for j, first in enumerate(firsts):
-        walk = _branch_walk(None, first, follow_tables, k)
-        u = np.random.default_rng(_branch_seed(estimator.seed, (j,))).random((n, k))
-        for lo in range(0, len(starts), chunk):
-            states = walk_outcomes(None, walk.first, walk.n_first, walk.rest, walk.n_rest,
-                                   u, starts[lo:lo + chunk])
-            h[lo:lo + chunk, j], se[lo:lo + chunk, j] = _branch_bits_and_se(states, walk.last)
-        del u  # freed before the next action's block is drawn
-    return h, se
+    n, m = estimator.n_samples, len(events)
+    first = _step_tables(g, *(_action_matrix(e.id) for e in events))
+    walk = _branch_walk(None, first, _step_tables(g, follow), k)
+    rows = (np.arange(m) * g.n_cells + starts[:, None]).ravel()
+    chunk = max(1, TABLE_CHUNK_BYTES // (8 * m * max(n, len(walk.last[1]))))
+    u = _uniform_block(estimator.seed, n, walk.steps)
+    z, se = np.empty((2, len(starts), m))
+    for lo in range(0, len(starts), chunk):
+        states = walk_outcomes(None, walk.first, walk.n_first, walk.rest, walk.n_rest,
+                               u, rows[lo * m:(lo + chunk) * m])
+        h, surprisal = _branch_surprisals(states, walk.last)
+        z[lo:lo + chunk], se[lo:lo + chunk] = _z_from_branches(
+            h.reshape(-1, m), surprisal.reshape(-1, m, n), plans)
+    return z, se
 
 
 def ranked_row(z_row, se_row, k: int, estimator: EstimatorConfig = EstimatorConfig(),

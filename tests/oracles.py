@@ -72,10 +72,11 @@ def chain_future(start, kernel_rows, steps, event_rows=None):
 
 
 def last_step_estimate(states, outcomes, probs):
-    """(H, SE) of the Monte Carlo branch estimator for one row of states
+    """(H, SE, g) of the Monte Carlo branch estimator for one row of states
     before the last step, from dicts: p = sum_s (q_s / n) probs[s] over the
-    outcomes, H = H(p), g_s = -sum_j probs[s][j] log2 p[outcomes[s][j]] and
-    SE = sqrt(sum_s (q_s / n) (g_s - H)^2 / n)."""
+    outcomes, H = H(p), g_s = -sum_j probs[s][j] log2 p[outcomes[s][j]],
+    SE = sqrt(sum_s (q_s / n) (g_s - H)^2 / n), and g the list of g_s of
+    each walk's state s."""
     n = len(states)
     q = {}
     for s in states:
@@ -87,7 +88,8 @@ def last_step_estimate(states, outcomes, probs):
     h = entropy_bits(p.values())
     g = {s: -sum(pr * math.log2(p[t]) for t, pr in zip(outcomes[s], probs[s]) if pr > 0)
          for s in q}
-    return h, math.sqrt(sum(c / n * (g[s] - h) ** 2 for s, c in q.items()) / n)
+    se = math.sqrt(sum(c / n * (g[s] - h) ** 2 for s, c in q.items()) / n)
+    return h, se, [g[s] for s in states]
 
 
 # -- search / planning --------------------------------------------------------

@@ -99,6 +99,29 @@ class TestPosteriorUpdate:
         with pytest.raises(ZeroEvidenceError):
             posterior_update(p, BernoulliFlip(), HEADS)
 
+    def test_likelihood_column_equals_the_matrix_column_bitwise(self):
+        # the update reads one outcome's column alone; on random grids and
+        # noises (0 and 1 among them) it has the bits of likelihood_matrix's
+        # column, and of the column_stack of p_heads and 1 - p_heads; the
+        # update gives the posterior of the weights times that column over
+        # their sum, bitwise
+        rng = np.random.default_rng(21)
+        for noise in (0.0, 1.0, *rng.random(18).tolist()):
+            grid = np.unique(rng.random(int(rng.integers(1, 300))))
+            model = BernoulliFlip(noise=noise)
+            p_heads = 0.5 + noise * (grid - 0.5)
+            matrix = model.likelihood_matrix(grid)
+            assert matrix.tobytes() == np.column_stack([p_heads, 1.0 - p_heads]).tobytes()
+            w = rng.random(len(grid)) + 1e-3
+            p = GridPosterior(grid, w / w.sum())
+            for j, outcome in enumerate(model.outcomes):
+                column = model.likelihood(grid, outcome)
+                assert column.tobytes() == matrix[:, j].tobytes()
+                want = p.probs * matrix[:, j]
+                got = posterior_update(p, model, outcome).probs
+                want = GridPosterior(grid, want / float(want.sum())).probs
+                assert got.tobytes() == want.tobytes()
+
     def test_martingale_recovers_prior(self):
         rng = np.random.default_rng(12)
         for _ in range(10):

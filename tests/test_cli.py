@@ -271,9 +271,11 @@ class TestGridworld:
             "run_meta.json": "531850eadfe3b12c73b851132e85443acd2fff05de92eff65e9f5c21a3c08821",
         }),
         (WALLED_MC, {
-            # re-pinned when the MC estimator took its last step exactly
-            "z_table.csv": "46741689c674f7bc8b33e022672281d10ab80a952b9449a9e505f2bc2dc78f28",
-            "attribution.csv": "7b568a4e8be2d63caf7805086c7807e81ebf460cd16f3353fee9f5c91a1c80cb",
+            # re-pinned when the MC estimator took its last step exactly, and
+            # again when every branch read one block of uniforms and the SE
+            # became the paired one
+            "z_table.csv": "e962f0045edb37da5dc25c1f19fcf4667745ca4bd8754f00d7f89354eaf10a25",
+            "attribution.csv": "4ae8e8a646b41c32c3bd8a6067eb946a8b3cd1eeda7592ea91d69277294b0d6b",
             "run_meta.json": "d165c31b5fe92e13d61ff0563b18afacfd2600164f2b81f50e03df6f0106984c",
         }),
         (WALLED20, {
@@ -292,8 +294,9 @@ class TestGridworld:
             "run_meta.json": "5571c0c2ab2839dd37da1dec47299de4f7d9088642136d74e1258b07e52ddbbd",
         }),
         (SMALL_MC, {
-            "z_table.csv": "189a7560b5515816353452f583120e0a08c3fbdaf21fc0ac8053dc72e9ba9e20",
-            "attribution.csv": "9e80fde85ba2087ee879378c2d054cf74ab22522f497d0f5e80722f6cc49bcfc",
+            # re-pinned when every branch read one block of uniforms
+            "z_table.csv": "d31f9fa348bf1b9b61118696541dc02f8e0813ba5695a51188ac525b599f74a0",
+            "attribution.csv": "1c936fb21fc82ce53af4532d63464f0cb50c12dc8ba8ed29457a5f45c31c898e",
             "run_meta.json": "ff269445cc4d375b3eef560764b96b60cc702fc745f80cb0fb2ec90b5b8f2da3",
         }),
     ], ids=["corridor", "walled-exact", "walled-mc", "walled20-exact", "walled20-uniform",

@@ -15,14 +15,17 @@ from zentropy.entropic_potential import (
     ZEstimate,
     classify_event,
     event_labels,
-    _branch_bits_and_se,
+    _branch_surprisals,
     _ranked,
+    _uniform_block,
+    _walk_se,
     mc_entropy_of_branch,
     rank_events,
     rank_order,
     z_counterfactual,
     z_pre_post,
 )
+from zentropy._kernels import WALK_CHUNK_BYTES
 from zentropy.entropy_core import Distribution, shannon_entropy
 from zentropy.errors import (
     EmptyBaselineError,
@@ -320,15 +323,19 @@ class TestMonteCarlo:
         probs /= probs.sum(axis=1, keepdims=True)
         spread = data.draw(st.integers(1, size), label="spread")
         states = rng.integers(0, spread, (c, n))
-        h, se = _branch_bits_and_se(states, (outcomes, probs))
-        assert h.shape == se.shape == (c,)
+        h, g = _branch_surprisals(states, (outcomes, probs))
+        se = _walk_se(g)
+        assert h.shape == se.shape == (c,) and g.shape == (c, n)
         for i in range(c):
-            want_h, want_se = last_step_estimate(states[i].tolist(), outcomes.tolist(),
-                                                 probs.tolist())
+            want_h, want_se, want_g = last_step_estimate(states[i].tolist(), outcomes.tolist(),
+                                                         probs.tolist())
             assert abs(h[i] - want_h) <= 1e-12
             assert abs(se[i] - want_se) <= 1e-12
-            alone = _branch_bits_and_se(states[i:i + 1], (outcomes, probs))
-            assert (alone[0][0], alone[1][0]) == (h[i], se[i])
+            assert np.abs(g[i] - want_g).max() <= 1e-12
+            alone = _branch_surprisals(states[i:i + 1], (outcomes, probs))
+            assert alone[0].tobytes() == h[i:i + 1].tobytes()
+            assert alone[1].tobytes() == g[i:i + 1].tobytes()
+            assert _walk_se(g[i]) == se[i]
             if spread == 1:
                 assert se[i] == 0.0
 
@@ -388,6 +395,34 @@ class TestMonteCarlo:
             if abs(z.value - exact) <= 3.0 * z.std_error:
                 hits += 1
         assert hits >= 19
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_identity_event_walks_the_null_branch(self, k):
+        # the null branch has no event step, so it skips the block's event
+        # column and its steps read the columns the event branch's later
+        # steps read: an event whose kernel is the identity walks the null
+        # branch's walks, and its pre/post Z is 0.0 with SE 0.0 exactly
+        rng = np.random.default_rng(k)
+        base = random_chain_model(6, 1, rng)
+        model = MarkovChainModel(base.transition, {"stay": np.eye(6),
+                                                   "mix": base.event_kernels["e0"]},
+                                 base.start.probs)
+        est = EstimatorConfig(backend="mc", n_samples=400, seed=k)
+        z = z_pre_post(model, Event("stay"), Horizon(0, k), est)
+        assert (z.value, z.std_error) == (0.0, 0.0)
+        ranked = dict(rank_events(model, model.event_space(), Baseline.null(), Horizon(0, k),
+                                  est))
+        assert ranked[Event("stay")] == z
+        assert ranked[Event("mix")].std_error > 0.0
+
+    def test_uniform_block_is_one_row_major_draw(self):
+        # drawn in several row chunks, stored column-major, and equal to one
+        # (n, width) draw from the child stream (0,)
+        n, width = 3 * WALK_CHUNK_BYTES // (8 * 15) + 5, 15
+        u = _uniform_block(7, n, width)
+        want = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(0,))).random((n, width))
+        assert u.flags.f_contiguous and u.shape == (n, width)
+        assert np.array_equal(u, want)
 
     def test_mc_is_reproducible_from_seed(self):
         model = two_state_flip_chain(0.1, (0.5, 0.5))

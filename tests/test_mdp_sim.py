@@ -552,10 +552,14 @@ class TestZTable:
     def test_mc_table_calibration_against_exact(self):
         # every free cell of two seeded walled 12x12 grids, n=1000, k=15:
         # how often the MC Z misses the exact Z by more than 2 SE, and how
-        # many MC sign labels contradict the exact label. Pinned at what the
-        # exact-last-step estimator gives (the multinomial bootstrap it
-        # replaced gave 81 misses and 3 contradicting labels here).
-        misses = contradicting = 0
+        # many MC sign labels contradict the exact label. The bounds were
+        # pinned at what the exact-last-step estimator gave with a stream
+        # per branch (the multinomial bootstrap before it gave 81 misses and
+        # 3 contradicting labels here); with one block of uniforms for all
+        # branches and the paired SE it gives 36 misses, 1 contradicting
+        # label, and 772 decisive (sign) labels, pinned, where a stream per
+        # branch gave 624.
+        misses = contradicting = decisive = 0
         for seed in (1, 2):
             rng = np.random.default_rng(seed)
             walls = {(x, y) for y in range(12) for x in range(12) if rng.random() < 0.12}
@@ -573,9 +577,83 @@ class TestZTable:
                                                  Horizon(0, 15), "e", "rest")).label
                 truth = classify_event(ZEstimate(z_exact, 0.0, "exact", 0,
                                                  Horizon(0, 15), "e", "rest")).label
+                decisive += label in ("beneficial", "harmful")
                 contradicting += label in ("beneficial", "harmful") and label != truth
         assert misses <= 53  # of 1008 Z values
         assert contradicting <= 2
+        assert decisive == 772
+
+    def test_mc_miss_share_on_a_seeded_sweep(self):
+        # the calibration test's construction on four more grids, five
+        # estimator seeds each: 10300 Z, of which 407 (3.95%) miss the exact
+        # Z by more than 2 SE (a stream per branch with the independence SE:
+        # 488, 4.74%). Within one call the errors of nearby cells are
+        # correlated, so a single grid's share ranges from about 3% to 6%.
+        misses = total = 0
+        for grid_seed in (3, 4, 5, 6):
+            rng = np.random.default_rng(grid_seed)
+            walls = {(x, y) for y in range(12) for x in range(12) if rng.random() < 0.12}
+            g = GridWorld(12, 12, goal=(10, 9), start=(1, 1), slip=0.2,
+                          walls=walls - {(10, 9), (1, 1)})
+            cells, follow = g.free_cells(), uniform_policy(g)
+            exact, _ = z_table(g, cells, follow, 15, EXACT)
+            for seed in range(5):
+                est = EstimatorConfig(backend="mc", n_samples=1000, seed=seed)
+                z, se = z_table(g, cells, follow, 15, est)
+                misses += int(np.count_nonzero(np.abs(z - exact) > 2.0 * se))
+                total += z.size
+        assert (misses, total) == (407, 10300)
+
+    def test_paired_se_matches_the_spread_across_seeds(self, monkeypatch):
+        # 200 estimator seeds, two cells per chunk: the sd of each MC Z over
+        # the seeds against its mean reported SE. Pinned at the measured
+        # band (ratios 0.899 to 1.122, pooled 1.012); an SE read from the
+        # wrong chunk or cell lands far outside it. At the goal every branch
+        # is the same, so Z and SE are 0.0 for every seed.
+        g = GridWorld(5, 4, goal=(4, 3), start=(0, 0), slip=0.2,
+                      walls={(1, 1), (2, 1), (3, 2)})
+        cells, n = g.free_cells(), 200
+        monkeypatch.setattr(mdp_sim, "TABLE_CHUNK_BYTES", 2 * 8 * len(ACTIONS) * n)
+        runs = [z_table(g, cells, uniform_policy(g), 6,
+                        EstimatorConfig(backend="mc", n_samples=n, seed=seed))
+                for seed in range(200)]
+        z, se = (np.array(x) for x in zip(*runs))
+        goal = cells.index(g.goal)
+        assert not z[:, goal].any() and not se[:, goal].any()
+        sd = np.delete(z, goal, axis=1).std(axis=0, ddof=1)
+        mean_se = np.delete(se, goal, axis=1).mean(axis=0)
+        ratio = sd / mean_se
+        assert 0.89 <= ratio.min() and ratio.max() <= 1.13
+        assert 1.0 <= np.sqrt((sd ** 2).mean() / (mean_se ** 2).mean()) <= 1.02
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_blocked_actions_walk_the_same_states(self, k):
+        # up and left are both blocked at (0, 0): both first steps stay put,
+        # and every later step reads the same uniforms, so the two branches
+        # are equal bitwise and the Z of one against the other is 0.0 with
+        # SE 0.0 exactly
+        g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.2, walls={(1, 1)})
+        est = EstimatorConfig(backend="mc", n_samples=500, seed=4)
+        model = GridWorldModel(g, (0, 0), uniform_policy(g))
+        branches = model.event_space()
+        h, surprisal = entropic_potential._mc_branches(model, branches, Horizon(0, k), est)
+        up, left = ACTIONS.index("up"), ACTIONS.index("left")
+        assert h[up].tobytes() == h[left].tobytes() and h[up] > 0.0
+        assert surprisal[up].tobytes() == surprisal[left].tobytes()
+        z, se = z_table(g, [(0, 0), (2, 0)], uniform_policy(g), k, est, ("up", "left"))
+        assert z[0].tolist() == se[0].tolist() == [0.0, 0.0]
+        assert (se[1] > 0.0).all()
+
+    def test_branch_zero_keeps_its_stream(self):
+        # the block every branch reads is the one branch 0 drew alone, from
+        # the child stream keyed (0,)
+        g = GridWorld(5, 4, goal=(4, 3), start=(0, 0), slip=0.2, walls={(1, 1), (2, 1)})
+        est = EstimatorConfig(backend="mc", n_samples=300, seed=11)
+        model = GridWorldModel(g, (3, 0), uniform_policy(g))
+        h, _ = entropic_potential._mc_branches(model, model.event_space(), Horizon(0, 6), est)
+        alone, _ = mc_entropy_of_branch(model, Event(ACTIONS[0]), Horizon(0, 6), 300,
+                                        entropic_potential._branch_seed(11, (0,)))
+        assert h[0] == alone.value
 
     def test_chunked_equals_unchunked(self, monkeypatch):
         g = GridWorld(5, 4, goal=(4, 3), start=(0, 0), slip=0.2,
