@@ -11,7 +11,10 @@ Determinism notes:
     (math.log2 terms, additions in bin order and in window order), whether
     a chunk sums its rolling windows as one gathered block or slice by
     slice, so its outputs are bitwise independent of how a stream is split
-    into calls or chunks.
+    into calls or chunks. A chunk of n events takes the entropy of each of
+    the n + 1 windows it passes through once, from integer bin counts that
+    are exact however they are formed; an event's score is the difference
+    of its two windows' entropies, as the loop's is.
 """
 
 from __future__ import annotations
@@ -131,15 +134,18 @@ def cumulative(probs) -> np.ndarray:
 
 # Bytes charged per chunk of events, so a long stream's peak memory does not
 # grow with its length. A chunk is charged 8 bytes per event for each bin (its
-# sliding bin counts) and for each past score it holds: a row of `window` in
-# the block form, 8 running columns in the slice form (see _stream_bounds).
+# bin counts) and for each past score it holds: a row of `window` in the
+# block form, 8 running columns in the slice form (see _stream_bounds).
 # This bounds only the charged arrays, not the working set. By tracemalloc
-# (numpy 2.4), a slice-form chunk holds 8 * (12 * bins + 7) bytes per event,
-# mostly the (2 * events, bins) count, key, sort and term arrays of
-# _entropy_bits; a block-form chunk also holds its (events, window) block and
-# the (window + events + 1, bins) cumsum of the carried window. One full chunk
-# of a 20k stream peaks at 1.1 MB at (window 64, bins 4) and 4.8 MB at
-# (1024, 256).
+# (numpy 2.4), a chunk holds at its peak 8 * (3 * bins + 3) bytes per event,
+# and at least 160: the (events + 1, bins) counts, the per-bin terms and
+# their running sums in _entropy_bits, or at few bins the rolling-stat
+# columns; a block-form chunk also holds its (events, window) block. The
+# charge is not raised to that: at bins 4 it would cut slice-form chunks
+# from 2730 to about 1640 events, each chunk adding its 5 * window rolling
+# calls, while the peak is already bounded and small. A 20k-event call
+# peaks at 1.15 MB at (window 64, bins 4) and 1.27 MB at (1024, 256),
+# its five output columns (0.66 MB) included.
 STREAM_CHUNK_BYTES = 1 << 18
 
 # Chunks of at least this many events sum their rolling windows as slices,
@@ -157,23 +163,38 @@ def stream_bins(values, lo, width, n_bins) -> np.ndarray:
     return np.minimum(np.maximum(b, 0), n_bins - 1).astype(np.int64)
 
 
-def _entropy_bits(counts, length, cap, n_bins, alpha):
+def _entropy_bits(counts, first, cap, n_bins, alpha):
     """Entropy of each row's smoothed predictive (count + alpha) /
-    (length + n_bins * alpha), for counts and lengths up to cap. Each
-    distinct (count, length) term is taken once with math.log2, and a row's
-    terms are added in bin order."""
-    stride = cap + 1
-    keys = counts * stride + length[:, None]
-    flat = np.sort(keys, axis=None)
-    uniq = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+    (length + n_bins * alpha), row t of counts covering a window of
+    min(first + t, cap) symbols. Each distinct (count, length) term is
+    taken once with math.log2: a presence mask over the (count, length -
+    first) key space lists the keys in order, with no sort. Each key's
+    term is then looked up in a dense table if that is no larger than
+    the keys, else by binary search, and a row's terms are added in bin
+    order."""
+    rows = counts.shape[0]
+    span = min(first + rows - 1, cap) - first + 1  # distinct lengths
+    keys = counts
+    if span > 1:
+        keys = counts * span
+        keys += np.minimum(np.arange(rows), span - 1)[:, None]
+    seen = np.zeros((first + span) * span, dtype=np.bool_)
+    seen[keys] = True
+    uniq = np.flatnonzero(seen)
     extra = n_bins * alpha
     terms = np.empty(uniq.shape[0])
     for i, key in enumerate(uniq.tolist()):
-        c, n = divmod(key, stride)
-        p = (c + alpha) / (n + extra)
+        c, off = divmod(key, span)
+        p = (c + alpha) / (first + off + extra)
         terms[i] = -(p * math.log2(p))
+    if seen.shape[0] <= keys.size:
+        table = np.empty(seen.shape[0])
+        table[uniq] = terms
+        per_bin = table[keys]
+    else:
+        per_bin = terms[np.searchsorted(uniq, keys)]
     # cumsum adds strictly left to right; a sum reduction may pair terms up
-    return terms[np.searchsorted(uniq, keys)].cumsum(axis=1)[:, -1]
+    return per_bin.cumsum(axis=1)[:, -1]
 
 
 def _rolling_block(zseq, first, n, cap):
@@ -222,18 +243,21 @@ def _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
     steps = np.arange(n)
     bins = stream_bins(values, lo, width, n_bins)
 
-    # cum[k] counts each bin among the first k symbols of the carried window
-    # (oldest first) followed by the new bins. Event i sits at live + i:
-    # the window before it ends there, the window after it one later.
+    # Event i moves the window from W_i to W_{i + 1}, so the entropies of
+    # W_0..W_n give every score. Row t of counts holds W_t's bin counts:
+    # the carried window's, plus one for each of the first t new bins,
+    # minus one for each symbol of seq (carried window, oldest first, then
+    # the new bins) that has left. The first n_out symbols leave, one per
+    # row from 1 + n - n_out on.
     seq = np.concatenate((window[:live], bins))
-    onehot = np.zeros((seq.shape[0] + 1, n_bins), dtype=np.int64)
-    onehot[np.arange(1, seq.shape[0] + 1), seq] = 1
-    cum = onehot.cumsum(axis=0)
-    ends = np.concatenate((live + steps, live + 1 + steps))
-    lengths = np.minimum(ends, cap)
-    c = cum[ends] - cum[ends - lengths]
-    h = _entropy_bits(c, lengths, cap, n_bins, alpha)
-    z = h[n:] - h[:n]
+    n_out = max(live + n - cap, 0)
+    counts = np.zeros((n + 1, n_bins), dtype=np.int64)
+    counts[0] = np.bincount(window[:live], minlength=n_bins)
+    counts[steps + 1, bins] = 1
+    counts[np.arange(1 + n - n_out, n + 1), seq[:n_out]] -= 1
+    counts.cumsum(axis=0, out=counts)
+    h = _entropy_bits(counts, live, cap, n_bins, alpha)
+    z = h[1:] - h[:-1]
 
     # rolling stats over the last <= cap scores, current one included: event
     # i's window is zseq[live + 1 + i:live + 1 + i + cap], oldest first, behind

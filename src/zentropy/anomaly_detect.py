@@ -26,7 +26,8 @@ from ._kernels import stream_bins, stream_scores, stream_state
 from .entropic_potential import Horizon, ZEstimate
 from .entropy_core import Distribution
 
-# size caps: the stream kernel's work per event grows with window * bins
+# size caps: the stream kernel's work per event grows with window (the
+# rolling stats) plus bins (the bin counts and entropy terms)
 MAX_WINDOW = 1024
 MAX_BINS = 256
 

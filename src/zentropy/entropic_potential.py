@@ -251,11 +251,14 @@ def _branch_seed(base_seed: int, key: tuple) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=base_seed, spawn_key=key)
 
 
-def _check_uniforms(n: int, k: int) -> None:
-    """Rejects an MC branch of n walks of k steps over the MAX_UNIFORMS cap."""
-    if n * k > MAX_UNIFORMS:
-        raise ValueError(f"n_samples * horizon_k must be <= {MAX_UNIFORMS}, "
-                         f"got {n} * {k}")
+def _check_uniforms(n: int, k: int, width: int | None = None) -> None:
+    """Rejects n Monte Carlo walks at horizon k over the MAX_UNIFORMS cap.
+    Each walk reads `width` uniforms, k unless given: a Markov event
+    branch reads k + 1, one for its event step."""
+    width = k if width is None else width
+    if n * width > MAX_UNIFORMS:
+        raise ValueError(f"n_samples * horizon_k must be <= {MAX_UNIFORMS} uniforms, "
+                         f"got {n} walks of width {width} at horizon_k {k}")
 
 
 def _uniform_block(seed: int, n: int, width: int) -> np.ndarray:
@@ -311,9 +314,9 @@ def mc_entropy_of_branch(model: SystemModel, event: Event | None, horizon: Horiz
     """
     if n < 100:
         raise ValueError(f"Monte Carlo branch needs n >= 100, got {n}")
-    _check_uniforms(n, horizon.steps)
-    rng = np.random.default_rng(seed)
     walk = model.walk(event, horizon)
+    _check_uniforms(n, horizon.steps, horizon.steps if walk is None else walk.steps)
+    rng = np.random.default_rng(seed)
     if walk is not None:
         states, last = walk.states(rng.random((n, walk.steps))), walk.last
     else:
@@ -334,9 +337,9 @@ def _mc_branches(model: SystemModel, branches: Sequence, horizon: Horizon,
     a generator on that block's stream (0,), restarted for each branch.
     """
     n = estimator.n_samples
-    _check_uniforms(n, horizon.steps)
     walks = [model.walk(branch, horizon) for branch in branches]
     width = max((walk.steps for walk in walks if walk is not None), default=0)
+    _check_uniforms(n, horizon.steps, max(width, horizon.steps))
     u = _uniform_block(estimator.seed, n, width) if width else None
     h, g = np.empty(len(walks)), np.empty((len(walks), n))
     for b, (branch, walk) in enumerate(zip(branches, walks)):

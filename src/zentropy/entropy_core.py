@@ -130,14 +130,15 @@ def _entropy_of_probs(p: np.ndarray) -> float:
 
 def _row_entropies(p) -> np.ndarray:
     """_entropy_of_probs(normalized_probs(row)) of every row of the 2-D p,
-    bitwise, from whole-block operations: each row's total is its own 1-D
-    .sum() (sum(axis=-1) adds in another order), the division and the log2
-    run once over the block, and each row's positive terms are summed as
-    one contiguous run. An invalid block raises what normalized_probs
-    raises for its first offending row."""
+    bitwise, from whole-block operations: the row totals are one
+    sum(axis=1) of the C-contiguous block, which adds each row in the order
+    of its own 1-D .sum(); the division and the log2 run once over the
+    block, and each row's positive terms are summed as one contiguous run
+    (np.add.reduceat adds a segment in another order). An invalid block
+    raises what normalized_probs raises for its first offending row."""
     p = np.ascontiguousarray(p, dtype=np.float64)
     valid = bool(np.isfinite(p).all()) and not (p < 0.0).any()
-    total = np.array([row.sum() for row in p])[:, None] if valid else None
+    total = p.sum(axis=1)[:, None] if valid else None
     if not valid or (np.abs(total - 1.0) > NORMALIZATION_TOL).any():
         for row in p:
             normalized_probs(row)

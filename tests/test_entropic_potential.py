@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zentropy import entropic_potential
 from zentropy.entropic_potential import (
     MAX_SAMPLES,
+    MAX_UNIFORMS,
     Baseline,
     EstimatorConfig,
     Event,
@@ -423,6 +425,35 @@ class TestMonteCarlo:
         want = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(0,))).random((n, width))
         assert u.flags.f_contiguous and u.shape == (n, width)
         assert np.array_equal(u, want)
+
+    def test_uniform_cap_counts_the_event_step_before_any_draw(self, monkeypatch):
+        # a Markov event branch walks k + 1 columns: MAX_SAMPLES walks at
+        # k = 15 would draw 16M uniforms against the 15M cap
+        model = two_state_flip_chain()
+        k = MAX_UNIFORMS // MAX_SAMPLES
+        assert model.walk(Event("clamp0"), Horizon(0, k)).steps == k + 1
+
+        def no_block(*args):
+            pytest.fail(f"drew a block {args}")
+
+        monkeypatch.setattr(entropic_potential, "_uniform_block", no_block)
+        est = EstimatorConfig(backend="mc", n_samples=MAX_SAMPLES)
+        want = rf"got {MAX_SAMPLES} walks of width {k + 1} at horizon_k {k}"
+        with pytest.raises(ValueError, match=want):
+            z_pre_post(model, Event("clamp0"), Horizon(0, k), est)
+        with pytest.raises(ValueError, match=want):
+            rank_events(model, model.event_space(), Baseline.null(), Horizon(0, k), est)
+
+        class NoDraw(np.random.Generator):
+            def random(self, *args):
+                no_block(*args)
+
+        rng = NoDraw(np.random.PCG64(0))
+        with pytest.raises(ValueError, match=want):
+            mc_entropy_of_branch(model, Event("clamp0"), Horizon(0, k), MAX_SAMPLES, rng)
+        # the null branch reads k columns, the cap exactly, so it gets to draw
+        with pytest.raises(pytest.fail.Exception, match="drew a block"):
+            mc_entropy_of_branch(model, None, Horizon(0, k), MAX_SAMPLES, rng)
 
     def test_mc_is_reproducible_from_seed(self):
         model = two_state_flip_chain(0.1, (0.5, 0.5))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zentropy.entropy_core import (
@@ -223,6 +223,20 @@ class TestRowEntropies:
         got = _row_entropies(p)
         assert got.tobytes() == per_row_entropies(p).tobytes()
         assert got.tobytes() == _row_entropies(np.asfortranarray(p)).tobytes()
+
+    @example(rows=1, width=7, seed=0)
+    @example(rows=10_000, width=5, seed=1)
+    @example(rows=400, width=3000, seed=2)
+    @given(rows=st.integers(1, 64), width=st.integers(1, 2000),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_row_sums_equal_each_rows_own_sum(self, rows, width, seed):
+        # _row_entropies takes the row totals as one sum(axis=1); the per-row
+        # form sums each row alone. Magnitudes spread over 20 decades, so the
+        # order of every addition shows in the bits.
+        rng = np.random.default_rng(seed)
+        p = rng.random((rows, width)) * 10.0 ** rng.integers(-10, 10, (rows, width))
+        want = np.array([row.sum() for row in p])
+        assert p.sum(axis=1).tobytes() == want.tobytes()
 
     def test_no_rows(self):
         assert _row_entropies(np.zeros((0, 3))).shape == (0,)

@@ -260,6 +260,68 @@ def test_stream_chunks_equal_one_pass(monkeypatch):
     assert whole[4].any()
 
 
+def wide_values(seed, n, regime):
+    """Values over [0, 4), some spilling past both edges, in alternating
+    regimes of `regime` events: noise, then a constant that fills one bin,
+    so the noise after it raises flags."""
+    rng = np.random.default_rng(seed)
+    values = rng.random(n) * 4.0
+    edge = rng.random(n) < 0.05
+    values[edge] = rng.choice([-3.0, 9.0], int(edge.sum()))
+    values[(np.arange(n) // regime) % 2 == 1] = 0.5
+    return values
+
+
+# wide detectors: block-form chunks of 25 events at (1024, 256) and of 102
+# at (64, 256); at (1024, 4), warm-up fills most of the first of two
+# 1500-event slice-form chunks, or all of a 299-event one after the first cut
+@pytest.mark.parametrize("window, bins, n", [(1024, 256, 2600), (64, 256, 900),
+                                             (1024, 4, 3000)])
+def test_stream_kernel_matches_loop_at_wide_detectors(window, bins, n):
+    values = wide_values(window + bins, n, window + 200)
+    kw = dict(window=window, bins=bins, warmup=window, width=4.0 / bins)
+    want = reference_stream(values, **kw)
+    assert want[4].any()
+    assert_bitwise(kernel_stream(values, **kw), want)
+    assert_bitwise(kernel_stream(values, [1, 300, window - 1, window + 1], **kw), want)
+
+
+@given(
+    window=st.integers(8, 80),
+    bins=st.integers(2, 48),
+    budget=st.integers(64, 1 << 16),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 700),
+    cuts=st.lists(st.integers(0, 700), max_size=4),
+)
+def test_stream_kernel_matches_loop_under_any_chunk_budget(window, bins, budget, seed,
+                                                           n, cuts):
+    # budgets from one-event block-form chunks to slice-form chunks of
+    # hundreds of events, with split points on top
+    values = wide_values(seed, n, window + 20)
+    kw = dict(window=window, bins=bins, warmup=window, width=4.0 / bins)
+    want = reference_stream(values, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "STREAM_CHUNK_BYTES", budget)
+        got = kernel_stream(values, [c for c in cuts if c <= n], **kw)
+    assert_bitwise(got, want)
+
+
+def test_a_chunk_of_n_events_takes_the_entropy_of_n_plus_one_windows(monkeypatch):
+    shapes = []
+
+    def spy(counts, *args, real=_kernels._entropy_bits):
+        shapes.append(counts.shape)
+        return real(counts, *args)
+
+    monkeypatch.setattr(_kernels, "_entropy_bits", spy)
+    state = fresh_state(64)
+    values = wide_values(23, 1200, 100)
+    for piece in np.split(values, [1, 40, 340]):   # one chunk each
+        stream_scores(piece, 0.0, 1.0, 4, 1.0, 3.0, 64, *state)
+    assert shapes == [(2, 4), (40, 4), (301, 4), (861, 4)]
+
+
 @given(cap=st.integers(1, 70), live=st.integers(0, 70), n=st.integers(1, 600),
        scale=st.sampled_from([1e-3, 1.0, 3e5]), seed=st.integers(0, 2**32 - 1))
 def test_rolling_slices_equal_the_block_bitwise(cap, live, n, scale, seed):
