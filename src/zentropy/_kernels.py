@@ -169,9 +169,8 @@ def _entropy_bits(counts, first, cap, n_bins, alpha):
     min(first + t, cap) symbols. Each distinct (count, length) term is
     taken once with math.log2: a presence mask over the (count, length -
     first) key space lists the keys in order, with no sort. Each key's
-    term is then looked up in a dense table if that is no larger than
-    the keys, else by binary search, and a row's terms are added in bin
-    order."""
+    term is then found by binary search over those keys, and a row's
+    terms are added in bin order."""
     rows = counts.shape[0]
     span = min(first + rows - 1, cap) - first + 1  # distinct lengths
     keys = counts
@@ -187,12 +186,7 @@ def _entropy_bits(counts, first, cap, n_bins, alpha):
         c, off = divmod(key, span)
         p = (c + alpha) / (first + off + extra)
         terms[i] = -(p * math.log2(p))
-    if seen.shape[0] <= keys.size:
-        table = np.empty(seen.shape[0])
-        table[uniq] = terms
-        per_bin = table[keys]
-    else:
-        per_bin = terms[np.searchsorted(uniq, keys)]
+    per_bin = terms[np.searchsorted(uniq, keys)]
     # cumsum adds strictly left to right; a sum reduction may pair terms up
     return per_bin.cumsum(axis=1)[:, -1]
 

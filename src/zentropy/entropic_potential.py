@@ -251,14 +251,14 @@ def _branch_seed(base_seed: int, key: tuple) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=base_seed, spawn_key=key)
 
 
-def _check_uniforms(n: int, k: int, width: int | None = None) -> None:
+def _check_uniforms(n: int, k: int, width: int) -> None:
     """Rejects n Monte Carlo walks at horizon k over the MAX_UNIFORMS cap.
-    Each walk reads `width` uniforms, k unless given: a Markov event
-    branch reads k + 1, one for its event step."""
-    width = k if width is None else width
+    Each walk reads `width` uniforms: k, or k + 1 if a Markov event
+    branch is among them, one for its event step."""
     if n * width > MAX_UNIFORMS:
-        raise ValueError(f"n_samples * horizon_k must be <= {MAX_UNIFORMS} uniforms, "
-                         f"got {n} walks of width {width} at horizon_k {k}")
+        raise ValueError(f"n_samples * horizon_k (+ 1 for a Markov event step) must be "
+                         f"<= {MAX_UNIFORMS} uniforms, got {n} walks of width {width} "
+                         f"at horizon_k {k}")
 
 
 def _uniform_block(seed: int, n: int, width: int) -> np.ndarray:
@@ -315,7 +315,8 @@ def mc_entropy_of_branch(model: SystemModel, event: Event | None, horizon: Horiz
     if n < 100:
         raise ValueError(f"Monte Carlo branch needs n >= 100, got {n}")
     walk = model.walk(event, horizon)
-    _check_uniforms(n, horizon.steps, horizon.steps if walk is None else walk.steps)
+    width = 0 if walk is None else walk.steps
+    _check_uniforms(n, horizon.steps, max(width, horizon.steps))
     rng = np.random.default_rng(seed)
     if walk is not None:
         states, last = walk.states(rng.random((n, walk.steps))), walk.last

@@ -424,7 +424,7 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
     """
     Horizon(0, k)  # rejects k < 1
     if estimator.backend == "mc":
-        _check_uniforms(estimator.n_samples, k)
+        _check_uniforms(estimator.n_samples, k, k)
     events = [Event(a) for a in _admissible_actions(actions)]
     m = len(events)
     # checked before any branch is pushed forward or sampled, as _plans checks
