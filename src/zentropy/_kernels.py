@@ -2,10 +2,13 @@
 
 Determinism notes:
   - walk_outcomes consumes pre-drawn uniforms and only compares floats, so
-    its outcome arrays depend on nothing but its inputs. Its fixed-length
-    binary search returns the same successor column as counting a row's
-    entries <= u, for any u in [0, 1), and a batch of start states walks
-    each start exactly as a walk from that start alone would.
+    its outcome arrays depend on nothing but its inputs. Its bucketed
+    search (one exact bucket index floor(u * G), then a fixed-length binary
+    search over the bucket's thresholds) returns the same successor as
+    counting a row's entries <= u, for any u in [0, 1), whatever G and
+    whether the table is bucketed or searched by rows, and a batch of
+    start states walks each start exactly as a walk from that start alone
+    would.
   - stream_scores works on whole arrays but performs, for every event, the
     same float operations in the same order as a per-event loop would
     (math.log2 terms, additions in bin order and in window order), whether
@@ -37,20 +40,114 @@ def active_backend() -> str:
 # cumulative() builds them.
 # ---------------------------------------------------------------------------
 
-# Byte budget of one chunk of walks: the chunk's uniforms, transposed, plus
-# the state, position, probe and hit arrays of every walk in it.
+# Byte budget of one chunk of walks: per row of uniforms, its int64 bucket
+# offsets and, unless the uniforms are column-major and read in place, their
+# transposed copy; per walk, its two int64 state arrays, its float64 probe
+# and its bool hit.
 WALK_CHUNK_BYTES = 1 << 20
+
+# Slot budget of a bucketed search table: a table whose guide could exceed
+# this many (threshold, successor) slots is searched by its rows instead
+# (see _search_table). A 64x64 grid's uniform follow table at slip 0.2
+# fits (G = 4: at most 49k slots).
+# A fine guide does not pay for its build: a dense 20-state Markov table at
+# G = 2048 (82k slots) walked 10k walks of 11 steps in 7.7 ms, 3.2 ms of it
+# the build, against 2.8 ms by rows (2-core x86-64, numpy 2.4).
+WALK_GUIDE_SLOTS = 1 << 16
 
 
 def _search_halves(k: int) -> tuple:
     """Probe steps of a fixed-length binary search for a count in [0, k - 1]:
     while more than one candidate is left, probe the half'th of them and
-    keep len - half. Five candidates (a grid row) take 3 probes."""
+    keep len - half. Five candidates (a grid row) take 3 probes, two take 1
+    and one takes none."""
     halves = []
     while k > 1:
         halves.append(k // 2)
         k -= k // 2
     return tuple(halves)
+
+
+def _min_gap(cum) -> float:
+    """The smallest gap between two distinct entries of a table row that
+    lie strictly between 0 and 1 (inf if no row has two): the only entries a
+    uniform in [0, 1) must be compared with. cum is one row or a table's
+    rows flattened; no pair across two rows counts, as each row ends at
+    1.0."""
+    lo, hi = cum[:-1], cum[1:]
+    gap = hi - lo
+    return float(gap.min(initial=np.inf, where=(lo > 0.0) & (hi < 1.0) & (gap > 0.0)))
+
+
+def _bucket_count(d: float, cap: int) -> int:
+    """The largest power of two G with G * d <= 1, or 0 if it exceeds cap.
+    With d a table's smallest gap (_min_gap), a bucket of width 1 / G holds
+    at most 2 of a row's distinct entries strictly inside it."""
+    g = 1
+    while g * 2 * d <= 1.0 and g <= cap:
+        g *= 2
+    return 0 if g > cap else g
+
+
+def _search_table(succ, cum) -> tuple:
+    """(thr, nxt, g, p, built) of an (S, K) (succ, cum) table: a bucketed
+    search table, and whether it was built (False for a row table, below).
+
+    [0, 1) is split into g buckets of width 1 / g, g a power of two, so a
+    uniform's bucket floor(u * g) is exact. Row r = s * g + b of the flat
+    (S * g, p) arrays covers u in bucket b from state s. Its thr slots hold
+    the distinct entries of row s strictly inside the bucket, in order,
+    padded with 2.0 > u (the last slot is never probed); its nxt slot h
+    holds the successor once h of them are <= u, the one that counting all
+    of row s's entries <= u picks. So a search over p - 1 thresholds
+    replaces one over K - 1 entries.
+
+    g comes from the table's smallest gap (_bucket_count), so p <= 3 and the
+    guide has at most S * g * min(K, 3) slots. If that bound exceeds
+    WALK_GUIDE_SLOTS, the table is its own search table: thr and nxt are
+    cum and succ, flattened, with g = 1 and p = K. The first row's gap
+    bounds the table's from above, so a dense table is turned down from
+    its first row, with nothing built.
+
+    The build is O(S * (K + g)): the entries <= b / g of each row are
+    counted by a bincount and cumsum of ceil(cum * g), exact for a power of
+    two, and the successor past a threshold is at the start of the row's
+    next run of larger entries.
+    """
+    succ = np.ascontiguousarray(succ, dtype=np.int64)
+    cum = np.ascontiguousarray(cum, dtype=np.float64)
+    rows, k = cum.shape
+    cap = WALK_GUIDE_SLOTS // (rows * min(k, 3))
+    g = _bucket_count(_min_gap(cum[0]), cap)
+    cum, succ = cum.ravel(), succ.ravel()
+    if g:
+        g = _bucket_count(_min_gap(cum), cap)
+    if not g:
+        return cum, succ, 1, k, False
+    # keys ceil(c * g) + s * (g + 1), an entry past 1.0 (a sum's rounding
+    # before the pinned entries) keyed as 1.0, which is never <= u: row s
+    # has K entries, so the running count of keys <= s * (g + 1) + b is
+    # s * K plus row s's entries <= b / g, the flat index of its first
+    # entry > b / g (never its last entry, 1.0)
+    keys = np.ceil(np.minimum(cum, 1.0) * g).astype(np.int64)
+    keys += np.repeat(np.arange(rows) * (g + 1), k)
+    j = np.bincount(keys, minlength=rows * (g + 1)).cumsum()
+    j = j.reshape(rows, g + 1)[:, :g].ravel()
+    # the flat index at which each run of equal entries starts; past a
+    # threshold, the next one is in its row, at latest the row's last 1.0
+    runs = np.flatnonzero(cum[1:] != cum[:-1]) + 1
+    edge = np.tile(np.arange(1.0, g + 1.0), rows)  # b + 1, for each (s, b)
+    thr, nxt = [], [succ[j]]
+    t = cum[j]
+    inside = t * g < edge
+    while inside.any():
+        thr.append(np.where(inside, t, 2.0))
+        j = np.where(inside, runs.take(np.searchsorted(runs, j, side="right"), mode="clip"), j)
+        nxt.append(succ[j])
+        t = cum[j]
+        inside = t * g < edge
+    thr.append(np.full(rows * g, 2.0))
+    return np.stack(thr, axis=-1).ravel(), np.stack(nxt, axis=-1).ravel(), g, len(nxt), True
 
 
 def walk_outcomes(cum_start, first, n_first, rest, n_rest, u, starts=None) -> np.ndarray:
@@ -66,50 +163,87 @@ def walk_outcomes(cum_start, first, n_first, rest, n_rest, u, starts=None) -> np
     skipped (cum_start and column 0 go unused) and each start walks every
     row of u, so the result is (c, n) instead of (n,).
 
-    The row entries <= u always form a prefix, since cumulative() rows are
-    nondecreasing up to their last nonzero probability and exactly 1.0 > u
-    from there on. So j is found by a branchless binary search over the
-    row's first K - 1 entries of the flattened table, each round one take,
-    one compare and one add over all walks, and the successor is one flat
-    take at s * K + j. Each step reads a contiguous column of uniforms: a
-    column-major u is read in place, a row-major one through transposed
-    chunks.
+    Each table used is first made a bucketed search table (_search_table),
+    once per call; a first table taken once from given starts is built
+    over their rows alone, the only rows it is read at. A step adds the
+    bucket offset floor(u * g) * p to the walk's row start, runs a
+    branchless binary search over that row's p - 1 thresholds, each round
+    one take, one compare and one add over all walks, and takes the
+    successor at the position found. The state is carried as the next
+    table's row start s * g * p: a bucketed table's successors are stored
+    scaled, and a row table's raw successors are scaled by the next step.
+    A grid's follow table has g = 4 and p = 2, so a step is one add, take,
+    compare, add and take. Each step reads a contiguous column of
+    uniforms: a column-major u is read in place, a row-major one through
+    transposed chunks.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != 1 + n_first + n_rest:
         raise ValueError("uniform array width does not match walk length")
     n = u.shape[0]
-    tables = [(np.ascontiguousarray(succ, dtype=np.int64).reshape(-1),
-               np.ascontiguousarray(cum, dtype=np.float64).reshape(-1),
-               cum.shape[1], _search_halves(cum.shape[1])) for succ, cum in (first, rest)]
-    steps = [tables[0]] * n_first + [tables[1]] * n_rest
     if starts is not None:
-        starts = np.asarray(starts, dtype=np.int64)[:, None]
+        starts = np.asarray(starts, dtype=np.int64)
+        if n_first == 1:  # the first table is read at the start rows alone
+            first = tuple(np.asarray(a)[starts] for a in first)
+            starts = np.arange(len(starts))
+        starts = starts[:, None]
+    tables = [_search_table(*t) if used else None
+              for t, used in ((first, n_first), (rest, n_rest))]
+    order = [0] * n_first + [1] * n_rest
+    # A walk's state is the row start s * g * p of its next step's table, or
+    # raw (stride 1) after a row table's step and at the end. Per step:
+    # (thr, successors, factor the incoming state still needs, halves).
+    strides = [tables[t][2] * tables[t][3] for t in order] + [1]
+    steps, scaled, carried = [], {}, 1
+    for t, stride, after in zip(order, strides, strides[1:]):
+        thr, nxt, g, p, built = tables[t]
+        mul = stride // carried
+        if built:
+            if (t, after) not in scaled:
+                scaled[t, after] = nxt * after if after > 1 else nxt
+            nxt, carried = scaled[t, after], after
+        else:
+            carried = 1
+        steps.append((thr, nxt, mul, _search_halves(p)))
+    spans = [(0, n_first), (n_first, n_first + n_rest)]
     walks = 1 if starts is None else len(starts)
     out = np.empty((n,) if starts is None else (walks, n), dtype=np.int64)
-    # bytes per row of u: its uniforms (transposed), then per walk an int64
-    # state and position, a float64 probe and a bool hit
-    chunk = max(1, WALK_CHUNK_BYTES // (8 * u.shape[1] + 25 * walks))
+    row_bytes = 8 * (u.shape[1] - 1) + (8 * u.shape[1] if u.strides[0] != u.itemsize else 0)
+    chunk = max(1, WALK_CHUNK_BYTES // (row_bytes + 25 * walks))
     for a in range(0, n, chunk):
         ut = u[a:a + chunk].T
         if ut.strides[1] != ut.itemsize:
             ut = np.ascontiguousarray(ut)
         if starts is None:
-            s = np.searchsorted(cum_start, ut[0], side="right")
+            cur = np.searchsorted(cum_start, ut[0], side="right")
         else:
-            s = np.repeat(starts, ut.shape[1], axis=1)
-        pos = np.empty_like(s)
-        probe = np.empty(s.shape)
-        hit = np.empty(s.shape, dtype=np.bool_)
-        for x, (succ, cum, k, halves) in zip(ut[1:], steps):
-            np.multiply(s, k, out=pos)
+            cur = np.repeat(starts, ut.shape[1], axis=1)
+        other = np.empty_like(cur)
+        probe = np.empty(cur.shape)
+        hit = np.empty(cur.shape, dtype=np.bool_)
+        # bucket offsets floor(u * g) * p, one block per bucketed table (the
+        # int cast truncates the exact u * g >= 0)
+        offsets = [None] * len(steps)
+        for t, (lo, hi) in enumerate(spans):
+            if hi > lo and tables[t][2] > 1:
+                g, p = tables[t][2:4]
+                block = np.empty((hi - lo, ut.shape[1]), dtype=np.int64)
+                np.multiply(ut[1 + lo:1 + hi], g, out=block, casting="unsafe")
+                block *= p
+                offsets[lo:hi] = block
+        for x, off, (thr, nxt, mul, halves) in zip(ut[1:], offsets, steps):
+            if mul > 1:
+                np.multiply(cur, mul, out=cur)
+            if off is not None:
+                np.add(cur, off, out=cur)
             for half in halves:
-                # cum[half - 1:] at pos is the row's (j + half - 1)th entry
-                np.take(cum[half - 1:], pos, out=probe, mode="clip")
+                # thr[half - 1:] at cur is the row's (h + half - 1)th threshold
+                np.take(thr[half - 1:], cur, out=probe, mode="clip")
                 np.less_equal(probe, x, out=hit)
-                np.add(pos, hit if half == 1 else hit * half, out=pos)
-            np.take(succ, pos, out=s, mode="clip")
-        out[..., a:a + chunk] = s
+                np.add(cur, hit if half == 1 else hit * half, out=cur)
+            np.take(nxt, cur, out=other, mode="clip")
+            cur, other = other, cur
+        out[..., a:a + chunk] = cur
     return out
 
 

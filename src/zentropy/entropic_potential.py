@@ -240,7 +240,8 @@ class SystemModel(ABC):
         u = rng.random((n, walk.steps + 1))
         s = walk.states(u[:, :-1])
         outcomes, probs = walk.last
-        # the count of row entries <= u, as walk_outcomes finds the column
+        # the count of row entries <= u: the column each walk_outcomes step
+        # picks, there by a bucketed search
         j = np.count_nonzero(cumulative(probs)[s] <= u[:, -1:], axis=1)
         return outcomes[s, j]
 

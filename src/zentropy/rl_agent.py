@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import cumulative
 from .mdp_sim import ACTIONS, GridWorld, _checked_policy, uniform_policy, z_table
 
 Z_POLICIES = ("current-greedy", "fixed-uniform")
@@ -259,7 +260,7 @@ def evaluate_policy(g: GridWorld, policy: np.ndarray, n_episodes: int, max_steps
     """
     if n_episodes < 0 or max_steps < 1:
         raise ValueError("n_episodes must be >= 0 and max_steps >= 1")
-    cum = np.cumsum(_checked_policy(g, policy), axis=1)
+    cum = cumulative(_checked_policy(g, policy))
     goal = g.goal
     total_return = 0.0
     total_steps = 0
@@ -268,8 +269,9 @@ def evaluate_policy(g: GridWorld, policy: np.ndarray, n_episodes: int, max_steps
         c = g.start
         steps = 0
         while steps < max_steps and c != goal:
-            # the first action whose cumulative probability exceeds u, else the last
-            a = min(int(np.searchsorted(cum[g.index_of(c)], rng.random(), side="right")), 3)
+            # the first action whose cumulative probability exceeds u; the
+            # last action of positive probability has 1.0
+            a = int(np.searchsorted(cum[g.index_of(c)], rng.random(), side="right"))
             c = g.move_target(c, ACTIONS[a]) if rng.random() < 1.0 - g.slip else c
             steps += 1
         total_return += 1.0 if c == goal else 0.0

@@ -332,8 +332,8 @@ def train_scanning_rows(g, shaping, episodes, max_steps, epsilon, alpha, gamma, 
 def evaluate_policy_loop(g, policy, n_episodes, max_steps, seed):
     """Seeded rollout statistics (mean return, mean steps) of a dict policy
     {cell: [(action, p), ...]}: the action is found by a running sum over the
-    pairs, the last one if u reaches every partial sum. Each episode draws
-    from its own child stream."""
+    pairs, the last one of positive probability if u reaches every partial
+    sum. Each episode draws from its own child stream."""
     import numpy as np
 
     goal = g.goal
@@ -347,7 +347,7 @@ def evaluate_policy_loop(g, policy, n_episodes, max_steps, seed):
             pairs = policy[c]
             u = rng.random()
             acc = 0.0
-            action = pairs[-1][0]
+            action = [label for label, p in pairs if p > 0.0][-1]
             for label, p in pairs:
                 acc += p
                 if u < acc:

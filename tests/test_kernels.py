@@ -12,13 +12,15 @@ from hypothesis import strategies as st
 
 from zentropy import _kernels
 from zentropy._kernels import cumulative, stream_scores, stream_state, walk_outcomes
-from zentropy.markov import MarkovChainModel
+from zentropy.markov import MarkovChainModel, random_chain_model
 from zentropy.mdp_sim import (
+    ACTIONS,
     GridWorld,
     _action_matrix,
     _step_tables,
     uniform_policy,
 )
+from zentropy.rl_agent import greedy_policy_from_q
 
 from oracles import stream_scores_loop, walk_outcomes_loop
 
@@ -80,13 +82,16 @@ def random_table(rng, n_states, k, zeros):
     n=st.integers(0, 200),
     leading_zeros=st.integers(0, 5),
     chunk_bytes=st.sampled_from([1, 300, 2000, 1 << 20]),
+    guide_slots=st.sampled_from([0, _kernels.WALK_GUIDE_SLOTS, 1 << 20]),
 )
 def test_walk_kernel_matches_loop_bitwise(seed, n_states, kind, zeros, n_first,
-                                          n_rest, n, leading_zeros, chunk_bytes):
-    """The branchless search equals counting a row's entries <= u, on K = 1,
-    K = 5 and dense K = S tables, with ties at table entries and at 0.0,
-    walks from a drawn start law and from a batch of start states, and n
-    split into several chunks."""
+                                          n_rest, n, leading_zeros, chunk_bytes,
+                                          guide_slots):
+    """The bucketed search equals counting a row's entries <= u, on K = 1,
+    K = 5 and dense K = S tables, searched by rows (a slot budget of 0) or
+    by buckets, with ties at table entries, just below them, at 0.0 and at
+    bucket edges b / G, walks from a drawn start law and from a batch of
+    start states, and n split into several chunks."""
     rng = np.random.default_rng(seed)
     k = {"point": 1, "grid": 5, "dense": n_states}[kind]
     first = random_table(rng, n_states, k, zeros)
@@ -95,14 +100,12 @@ def test_walk_kernel_matches_loop_bitwise(seed, n_states, kind, zeros, n_first,
     start[:min(leading_zeros, n_states - 1)] = 0.0
     cum_start = cumulative(start / start.sum())
     u = rng.random((n, 1 + n_first + n_rest))
-    # ties: exact table entries below 1.0, and 0.0
-    entries = np.concatenate((cum_start, first[1].ravel(), rest[1].ravel(), [0.0]))
-    entries = entries[entries < 1.0]
     tie = rng.random(u.shape) < 0.4
-    u[tie] = rng.choice(entries, int(tie.sum()))
+    u[tie] = rng.choice(tie_values(cum_start, first[1], rest[1]), int(tie.sum()))
     starts = rng.integers(0, n_states, 3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "WALK_CHUNK_BYTES", chunk_bytes)
+        mp.setattr(_kernels, "WALK_GUIDE_SLOTS", guide_slots)
         got = walk_outcomes(cum_start, first, n_first, rest, n_rest, u)
         batch = walk_outcomes(None, first, n_first, rest, n_rest, u, starts)
     want = np.empty(n, dtype=np.int64)
@@ -112,6 +115,78 @@ def test_walk_kernel_matches_loop_bitwise(seed, n_states, kind, zeros, n_first,
     for s, row in zip(starts, batch):
         walk_outcomes_loop(cumulative(np.eye(n_states)[s]), first, n_first, rest,
                            n_rest, u, want)
+        assert np.array_equal(row, want)
+
+
+def tie_values(*cums, max_g=2**11):
+    """Uniforms at which a search decides: every distinct entry below 1.0 of
+    the cumulative arrays cums, the float just below each, and the bucket
+    edges b / G of every G up to max_g (0.0 among them)."""
+    entries = np.unique(np.concatenate([np.ravel(c) for c in cums]))
+    entries = entries[entries < 1.0]
+    edges = np.concatenate([np.arange(g) / g for g in 2 ** np.arange(max_g.bit_length())])
+    return np.concatenate((entries, np.nextafter(entries, 0.0), edges,
+                           np.nextafter(edges[edges > 0.0], 0.0)))
+
+
+@pytest.mark.parametrize("slip", [0.0, 0.2, 0.5])
+def test_grid_tables_take_one_threshold_per_bucket(slip):
+    """Every follow table and the stacked one-hot first-step table of a
+    grid is bucketed with at most one threshold per bucket (p <= 2), so a
+    step takes at most one compare: G = 1 for one-hot rows, and G = 4 for
+    the uniform policy at slip 0.2. At slip 0 and at the uniform policy's
+    slip 0.5 every entry is a bucket edge, and a step takes no compare.
+    Walks on them equal the loop, with every uniform a tie."""
+    g = GridWorld(6, 5, goal=(5, 4), start=(0, 0), slip=slip, walls={(2, 2), (3, 1)})
+    first = _step_tables(g, *(_action_matrix(a) for a in ACTIONS))[0]
+    found = {"stacked": _kernels._search_table(*first)}
+    # follow policies: uniform, fixed, and one-hot greedy varying by cell
+    pols = {"uniform": uniform_policy(g),
+            "fixed": np.tile(_action_matrix("right"), (g.n_cells, 1)),
+            "greedy": greedy_policy_from_q(np.random.default_rng(1).random((g.n_cells, 4)))}
+    for name, pol in pols.items():
+        rest = _step_tables(g, pol)[0]
+        found[name] = _kernels._search_table(*rest)
+        u = tie_values(first[1], rest[1], max_g=16)
+        u = np.stack([np.random.default_rng(c).permutation(u) for c in range(4)], axis=1)
+        starts = np.arange(len(first[1]))  # every (action, cell) row
+        want = np.empty(len(u), dtype=np.int64)
+        for s, row in zip(starts, walk_outcomes(None, first, 1, rest, 2, u, starts)):
+            walk_outcomes_loop(cumulative(np.eye(len(starts))[s]), first, 1, rest, 2, u, want)
+            assert np.array_equal(row, want)
+    want_g = {name: 1 for name in found} | {"uniform": {0.0: 4, 0.2: 4, 0.5: 8}[slip]}
+    want_p = {name: 1 if slip == 0.0 else 2 for name in found}
+    want_p["uniform"] = 2 if slip == 0.2 else 1
+    for name, (thr, nxt, g_, p, built) in found.items():
+        assert (g_, p, built) == (want_g[name], want_p[name], True), name
+
+
+def test_dense_markov_table_is_searched_by_rows_without_a_build(monkeypatch):
+    """A dense 200-state table's gaps are far too fine for any bucket
+    budget: it is searched by its own rows, decided from its first row,
+    with no copy of cum."""
+    succ, cum = random_chain_model(200, 4, np.random.default_rng(0))._base_table
+    seen = []
+    gap = _kernels._min_gap
+    monkeypatch.setattr(_kernels, "_min_gap", lambda cum: seen.append(cum.shape) or gap(cum))
+    thr, nxt, g, p, built = _kernels._search_table(succ, cum)
+    assert (g, p, built) == (1, 200, False)
+    assert np.shares_memory(thr, cum) and np.array_equal(nxt, succ.ravel())
+    assert seen == [(200,)]  # the first row alone
+
+
+def test_walk_entry_past_one_stays_in_its_row():
+    """A last row whose running sum passes 1.0 by an ulp before its pinned
+    1.0 entry: that entry is bucketed as 1.0, never <= u and keyed within
+    its row, and walks from every state equal the loop."""
+    cum = np.array([[0.25, 0.75, 1.0], [0.5, 1.0, 1.0], [0.375, 1.0 + 2.0**-52, 1.0]])
+    table = (np.broadcast_to(np.arange(3), (3, 3)), cum)
+    assert _kernels._search_table(*table)[2:] == (2, 2, True)
+    u = tie_values(cum, max_g=4)
+    u = np.stack([np.random.default_rng(c).permutation(u) for c in range(3)], axis=1)
+    want = np.empty(len(u), dtype=np.int64)
+    for s, row in enumerate(walk_outcomes(None, table, 1, table, 1, u, np.arange(3))):
+        walk_outcomes_loop(np.eye(3)[s].cumsum(), table, 1, table, 1, u, want)
         assert np.array_equal(row, want)
 
 

@@ -11,6 +11,7 @@ from zentropy.entropy_core import normalized_probs
 from zentropy.mdp_sim import (
     ACTIONS,
     GridWorld,
+    _checked_policy,
     action_z_scores,
     always_policy,
     corridor_world,
@@ -460,6 +461,29 @@ class TestEvaluatePolicy:
         g = corridor_world(3, 0.0)
         with pytest.raises(ValueError):
             evaluate_policy(g, uniform_policy(g), n_episodes, max_steps, seed=0)
+
+    def test_zero_probability_action_never_drawn(self, monkeypatch):
+        # this row checks to one whose running sum stops at 1 - 2**-53, so a
+        # raw cumsum let u = 1 - 2**-53 draw "right", of probability 0
+        g = GridWorld(2, 1, goal=(1, 0), start=(0, 0), slip=0.0)
+        pol = np.array([[0.46335848984461653, 0.3373961461805628, 0.1992453639748208, 0.0]] * 2)
+        row = _checked_policy(g, pol)[0].tolist()
+        assert row == [0.4633584898446164, 0.33739614618056274, 0.19924536397482073, 0.0]
+        assert np.cumsum(row)[2] == 1.0 - 2.0**-53
+
+        class Top:
+            """An episode generator whose every draw is 1 - 2**-53."""
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        monkeypatch.setattr(np.random, "default_rng", Top)
+        # "left" from the west end is blocked: the goal, east, is never reached
+        assert evaluate_policy(g, pol, 3, 1, seed=0) == (0.0, 1.0)
+        pairs = {c: list(zip(ACTIONS, row)) for c in ((0, 0), (1, 0))}
+        assert evaluate_policy_loop(g, pairs, 3, 1, 0) == (0.0, 1.0)
 
     @given(st.data())
     def test_equals_the_running_sum_loop(self, data):
