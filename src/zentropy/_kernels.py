@@ -1,8 +1,11 @@
 """Hot numeric kernels in plain numpy.
 
 Determinism notes:
-  - walk_outcomes consumes pre-drawn uniforms and only compares floats, so
-    its outcome arrays depend on nothing but its inputs. Its bucketed
+  - walk_outcomes consumes pre-drawn uniforms, or a Draw whose rows it
+    draws a chunk at a time as it reads them (the rows of one
+    rng.random((n, width)) call, in order, with no (n, width) block held),
+    and only compares floats, so its outcome arrays depend on nothing but
+    its inputs, and not on how the rows are chunked. Its bucketed
     search (one exact bucket index floor(u * G), then a fixed-length binary
     search over the bucket's thresholds) returns the same successor as
     counting a row's entries <= u, for any u in [0, 1), whatever G and
@@ -23,6 +26,7 @@ Determinism notes:
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,10 +44,11 @@ def active_backend() -> str:
 # cumulative() builds them.
 # ---------------------------------------------------------------------------
 
-# Byte budget of one chunk of walks: per row of uniforms, its int64 bucket
-# offsets and, unless the uniforms are column-major and read in place, their
-# transposed copy; per walk, its two int64 state arrays, its float64 probe
-# and its bool hit.
+# Byte budget of one chunk of walks, charged per row of uniforms: its int64
+# bucket offset and, if the uniforms come from a Draw, the row as drawn; and
+# per walk, its two int64 state arrays, its float64 probe and its bool hit.
+# All of these are allocated once per walk_outcomes call and reused by every
+# chunk.
 WALK_CHUNK_BYTES = 1 << 20
 
 # Slot budget of a bucketed search table: a table whose guide could exceed
@@ -54,6 +59,42 @@ WALK_CHUNK_BYTES = 1 << 20
 # G = 2048 (82k slots) walked 10k walks of 11 steps in 7.7 ms, 3.2 ms of it
 # the build, against 2.8 ms by rows (2-core x86-64, numpy 2.4).
 WALK_GUIDE_SLOTS = 1 << 16
+
+
+class SearchTable(NamedTuple):
+    """A (succ, cum) table as walk_outcomes searches it (see _search_table)."""
+
+    thr: np.ndarray
+    nxt: np.ndarray
+    g: int
+    p: int
+    built: bool
+
+
+class Draw:
+    """The uniforms of one ``rng.random((n, width))`` draw, width that of
+    the walk that reads them, which walk_outcomes draws a row chunk at a
+    time as it reads them (draw_rows). len() is its row count, as an
+    array's is."""
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self.rng, self.n = rng, n
+
+    def __len__(self) -> int:
+        return self.n
+
+
+def draw_rows(rng, n: int, width: int, rows: int):
+    """The rows of ``rng.random((n, width))`` in order, as (a, part) pairs:
+    part holds rows a to a + len(part), at most `rows` of them, drawn into
+    one C-order buffer that every part reuses. Drawn part after part from
+    one stream they are that draw's values, as each float64 takes one
+    64-bit word of the stream."""
+    buf = np.empty(min(rows, n) * width)
+    for a in range(0, n, rows):
+        part = buf[:min(rows, n - a) * width].reshape(-1, width)
+        rng.random(out=part)
+        yield a, part
 
 
 def _search_halves(k: int) -> tuple:
@@ -89,7 +130,7 @@ def _bucket_count(d: float, cap: int) -> int:
     return 0 if g > cap else g
 
 
-def _search_table(succ, cum) -> tuple:
+def _search_table(succ, cum) -> SearchTable:
     """(thr, nxt, g, p, built) of an (S, K) (succ, cum) table: a bucketed
     search table, and whether it was built (False for a row table, below).
 
@@ -123,7 +164,7 @@ def _search_table(succ, cum) -> tuple:
     if g:
         g = _bucket_count(_min_gap(cum), cap)
     if not g:
-        return cum, succ, 1, k, False
+        return SearchTable(cum, succ, 1, k, False)
     # keys ceil(c * g) + s * (g + 1), an entry past 1.0 (a sum's rounding
     # before the pinned entries) keyed as 1.0, which is never <= u: row s
     # has K entries, so the running count of keys <= s * (g + 1) + b is
@@ -147,53 +188,62 @@ def _search_table(succ, cum) -> tuple:
         t = cum[j]
         inside = t * g < edge
     thr.append(np.full(rows * g, 2.0))
-    return np.stack(thr, axis=-1).ravel(), np.stack(nxt, axis=-1).ravel(), g, len(nxt), True
+    return SearchTable(np.stack(thr, axis=-1).ravel(), np.stack(nxt, axis=-1).ravel(), g,
+                       len(nxt), True)
 
 
 def walk_outcomes(cum_start, first, n_first, rest, n_rest, u, starts=None) -> np.ndarray:
-    """Sample final states of n categorical walks from pre-drawn uniforms.
+    """Sample final states of n categorical walks from uniforms in [0, 1).
 
     cum_start: (S,) cumulative initial distribution. first/rest: (succ, cum)
-    sampling tables, applied n_first then n_rest times. u: (n, 1 + n_first +
-    n_rest) uniforms in [0, 1). Column 0 draws the start, and each step
-    picks the successor in column j, the count of row entries <= u
-    (searchsorted side='right').
+    sampling tables, applied n_first then n_rest times, or their
+    _search_table, so that a table walked in several calls is built once.
+    u: (n, 1 + n_first + n_rest) uniforms in [0, 1), or a Draw of n rows
+    that the walk draws a chunk at a time as it reads them. Column 0 draws
+    the start, and each step picks the successor in column j, the count of
+    row entries <= u (searchsorted side='right').
 
     starts, if given, is a (c,) array of start states: the start draw is
     skipped (cum_start and column 0 go unused) and each start walks every
     row of u, so the result is (c, n) instead of (n,).
 
-    Each table used is first made a bucketed search table (_search_table),
-    once per call; a first table taken once from given starts is built
-    over their rows alone, the only rows it is read at. A step adds the
-    bucket offset floor(u * g) * p to the walk's row start, runs a
-    branchless binary search over that row's p - 1 thresholds, each round
-    one take, one compare and one add over all walks, and takes the
+    Each table given as (succ, cum) is first made a bucketed search table
+    (_search_table), once per call; a first table taken once from given
+    starts is built over their rows alone, the only rows it is read at. A
+    step adds the bucket offset floor(u * g) * p to the walk's row start,
+    runs a branchless binary search over that row's p - 1 thresholds, each
+    round one take, one compare and one add over all walks, and takes the
     successor at the position found. The state is carried as the next
     table's row start s * g * p: a bucketed table's successors are stored
     scaled, and a row table's raw successors are scaled by the next step.
     A grid's follow table has g = 4 and p = 2, so a step is one add, take,
-    compare, add and take. Each step reads a contiguous column of
-    uniforms: a column-major u is read in place, a row-major one through
-    transposed chunks.
+    compare, add and take. The walks go through chunks of rows of u, and
+    each step reads its column of the chunk where it lies: contiguous in a
+    column-major u, strided in a row-major or drawn one (a transposed copy
+    would cost more than it saves). The working arrays (see
+    WALK_CHUNK_BYTES) are allocated once per call.
     """
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2 or u.shape[1] != 1 + n_first + n_rest:
-        raise ValueError("uniform array width does not match walk length")
-    n = u.shape[0]
+    width = 1 + n_first + n_rest
+    drawn = isinstance(u, Draw)
+    if not drawn:
+        u = np.asarray(u, dtype=np.float64)
+        if u.ndim != 2 or u.shape[1] != width:
+            raise ValueError("uniform array width does not match walk length")
+    n = len(u)
     if starts is not None:
         starts = np.asarray(starts, dtype=np.int64)
-        if n_first == 1:  # the first table is read at the start rows alone
+        if n_first == 1 and not isinstance(first, SearchTable):
+            # the first table is read at the start rows alone
             first = tuple(np.asarray(a)[starts] for a in first)
             starts = np.arange(len(starts))
         starts = starts[:, None]
-    tables = [_search_table(*t) if used else None
+    tables = [t if isinstance(t, SearchTable) or not used else _search_table(*t)
               for t, used in ((first, n_first), (rest, n_rest))]
     order = [0] * n_first + [1] * n_rest
     # A walk's state is the row start s * g * p of its next step's table, or
     # raw (stride 1) after a row table's step and at the end. Per step:
-    # (thr, successors, factor the incoming state still needs, halves).
-    strides = [tables[t][2] * tables[t][3] for t in order] + [1]
+    # (thr, successors, factor the incoming state still needs, halves, g, p).
+    strides = [tables[t].g * tables[t].p for t in order] + [1]
     steps, scaled, carried = [], {}, 1
     for t, stride, after in zip(order, strides, strides[1:]):
         thr, nxt, g, p, built = tables[t]
@@ -204,47 +254,41 @@ def walk_outcomes(cum_start, first, n_first, rest, n_rest, u, starts=None) -> np
             nxt, carried = scaled[t, after], after
         else:
             carried = 1
-        steps.append((thr, nxt, mul, _search_halves(p)))
-    spans = [(0, n_first), (n_first, n_first + n_rest)]
+        steps.append((thr, nxt, mul, _search_halves(p), g, p))
     walks = 1 if starts is None else len(starts)
-    out = np.empty((n,) if starts is None else (walks, n), dtype=np.int64)
-    row_bytes = 8 * (u.shape[1] - 1) + (8 * u.shape[1] if u.strides[0] != u.itemsize else 0)
-    chunk = max(1, WALK_CHUNK_BYTES // (row_bytes + 25 * walks))
-    for a in range(0, n, chunk):
-        ut = u[a:a + chunk].T
-        if ut.strides[1] != ut.itemsize:
-            ut = np.ascontiguousarray(ut)
-        if starts is None:
-            cur = np.searchsorted(cum_start, ut[0], side="right")
-        else:
-            cur = np.repeat(starts, ut.shape[1], axis=1)
-        other = np.empty_like(cur)
-        probe = np.empty(cur.shape)
-        hit = np.empty(cur.shape, dtype=np.bool_)
-        # bucket offsets floor(u * g) * p, one block per bucketed table (the
-        # int cast truncates the exact u * g >= 0)
-        offsets = [None] * len(steps)
-        for t, (lo, hi) in enumerate(spans):
-            if hi > lo and tables[t][2] > 1:
-                g, p = tables[t][2:4]
-                block = np.empty((hi - lo, ut.shape[1]), dtype=np.int64)
-                np.multiply(ut[1 + lo:1 + hi], g, out=block, casting="unsafe")
-                block *= p
-                offsets[lo:hi] = block
-        for x, off, (thr, nxt, mul, halves) in zip(ut[1:], offsets, steps):
+    out = np.empty((walks, n), dtype=np.int64)
+    chunk = max(1, min(n, WALK_CHUNK_BYTES // (8 + 8 * width * drawn + 25 * walks)))
+    state, spare = np.empty((2, walks * chunk), dtype=np.int64)
+    probe = np.empty(walks * chunk)
+    hit = np.empty(walks * chunk, dtype=np.bool_)
+    offset = np.empty(chunk, dtype=np.int64)
+    if drawn:
+        parts = draw_rows(u.rng, n, width, chunk)
+    else:
+        parts = ((a, u[a:a + chunk]) for a in range(0, n, chunk))
+    for a, part in parts:
+        size = part.shape[0]
+        ut = part.T
+        cur, other, found, le = (buf[:walks * size].reshape(walks, size)
+                                 for buf in (state, spare, probe, hit))
+        cur[...] = np.searchsorted(cum_start, ut[0], side="right") if starts is None else starts
+        off = offset[:size]
+        for x, (thr, nxt, mul, halves, g, p) in zip(ut[1:], steps):
             if mul > 1:
                 np.multiply(cur, mul, out=cur)
-            if off is not None:
+            if g > 1:  # bucket offset floor(u * g) * p; the cast truncates u * g >= 0
+                np.multiply(x, g, out=off, casting="unsafe")
+                off *= p
                 np.add(cur, off, out=cur)
             for half in halves:
                 # thr[half - 1:] at cur is the row's (h + half - 1)th threshold
-                np.take(thr[half - 1:], cur, out=probe, mode="clip")
-                np.less_equal(probe, x, out=hit)
-                np.add(cur, hit if half == 1 else hit * half, out=cur)
+                np.take(thr[half - 1:], cur, out=found, mode="clip")
+                np.less_equal(found, x, out=le)
+                np.add(cur, le if half == 1 else le * half, out=cur)
             np.take(nxt, cur, out=other, mode="clip")
             cur, other = other, cur
-        out[..., a:a + chunk] = cur
-    return out
+        out[:, a:a + size] = cur
+    return out[0] if starts is None else out
 
 
 def cumulative(probs) -> np.ndarray:

@@ -124,16 +124,17 @@ def write_csv(path: Path, header: list, columns: list, config_hash: str) -> None
 
 
 def write_json(path: Path, obj: dict, config_hash: str) -> None:
+    """obj and its config hash as indented JSON, with sorted keys. The text is
+    formed before the file is opened and written in one call, so an encode
+    error leaves no file behind."""
     obj = dict(obj)
     obj["config_hash"] = config_hash
-    path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(_round_floats(obj), f, sort_keys=True, indent=2, allow_nan=False)
-            f.write("\n")
-    except ValueError as e:  # a non-finite float; no partial file is left behind
-        path.unlink()
+        text = json.dumps(_round_floats(obj), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as e:  # a non-finite float
         raise ZentropyError(f"non-finite number in {path.name}: {e}") from e
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def config_hash_of(config: dict) -> str:

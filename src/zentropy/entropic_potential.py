@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import WALK_CHUNK_BYTES, cumulative, walk_outcomes
+from ._kernels import WALK_CHUNK_BYTES, Draw, cumulative, draw_rows, walk_outcomes
 from .entropy_core import Distribution, EntropyBits, shannon_entropy
 from .errors import (
     EmptyBaselineError,
@@ -262,18 +262,31 @@ def _check_uniforms(n: int, k: int, width: int) -> None:
                          f"at horizon_k {k}")
 
 
+def _uniform_stream(seed: int) -> np.random.Generator:
+    """The generator on the child stream keyed (0,), from which every Monte
+    Carlo branch of one call reads its uniforms."""
+    return np.random.default_rng(_branch_seed(seed, (0,)))
+
+
+def _uniform_draw(seed: int, n: int) -> Draw:
+    """The uniforms of _uniform_block as a Draw, for a walk that reads each
+    of them once: walk_outcomes draws them a chunk at a time as it reads
+    them, so no (n, width) block is held."""
+    return Draw(_uniform_stream(seed), n)
+
+
 def _uniform_block(seed: int, n: int, width: int) -> np.ndarray:
     """The (n, width) uniforms that every Monte Carlo branch of one call
-    reads, from the child stream keyed (0,): the values of one
-    ``random((n, width))`` draw, stored column-major so that walk_outcomes
-    reads each column contiguously, without a transposed copy. They are
-    drawn in row chunks of at most WALK_CHUNK_BYTES, so the block is never
-    held twice."""
-    rng = np.random.default_rng(_branch_seed(seed, (0,)))
+    reads, for walks that read them more than once: the values of one
+    ``random((n, width))`` draw from _uniform_stream, stored column-major
+    so that walk_outcomes reads each column contiguously, in place. They
+    are drawn through one reused buffer (draw_rows) of at most
+    WALK_CHUNK_BYTES // 16 bytes, so the fill holds little beside the
+    block."""
     u = np.empty((n, width), order="F")
-    rows = max(1, WALK_CHUNK_BYTES // (8 * width))
-    for a in range(0, n, rows):
-        u[a:a + rows] = rng.random((min(rows, n - a), width))
+    rows = max(1, WALK_CHUNK_BYTES // (16 * 8 * width))
+    for a, part in draw_rows(_uniform_stream(seed), n, width, rows):
+        u[a:a + len(part)] = part
     return u
 
 
@@ -346,7 +359,7 @@ def _mc_branches(model: SystemModel, branches: Sequence, horizon: Horizon,
     h, g = np.empty(len(walks)), np.empty((len(walks), n))
     for b, (branch, walk) in enumerate(zip(branches, walks)):
         if walk is None:
-            rng = np.random.default_rng(_branch_seed(estimator.seed, (0,)))
+            rng = _uniform_stream(estimator.seed)
             states, last = _sampled_states(model, branch, horizon, n, rng)
         else:
             states, last = walk.states(_aligned_columns(u, walk)), walk.last

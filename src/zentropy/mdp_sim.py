@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import cumulative, walk_outcomes
+from ._kernels import _search_table, cumulative, walk_outcomes
 from .entropic_potential import (
     EstimatorConfig,
     Event,
@@ -28,6 +28,7 @@ from .entropic_potential import (
     _plans,
     _ranked,
     _uniform_block,
+    _uniform_draw,
     _z_from_branches,
 )
 from .entropy_core import Distribution, _row_entropies, normalized_probs
@@ -197,23 +198,30 @@ def _step_probs(g: GridWorld, pol: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _step_tables(g: GridWorld, *pols: np.ndarray) -> tuple:
-    """The (walk, last) tables of one step under each of pols, as
-    _step_probs takes them: walk is their (succ, cum) sampling table over
-    flat cells, last their (outcomes, probs) table whose successors are
-    free-cell positions, the outcome order (see Walk). Row j * n_cells + s
-    is the step from flat cell s under pols[j]; its successors are flat
-    cells, so a walk takes the stacked table once and then a one-policy
-    table."""
-    probs = np.concatenate([_step_probs(g, pol) for pol in pols])
-    succ, outcomes = (np.tile(t, (len(pols), 1)) for t in (g.successors, g.successor_outcomes))
-    return (succ, cumulative(probs)), (outcomes, probs)
+def _step_tables(g: GridWorld, pol: np.ndarray) -> tuple:
+    """The (walk, last) tables of one step under pol, as _step_probs takes
+    it: walk is its (succ, cum) sampling table over flat cells, last its
+    (outcomes, probs) table whose successors are free-cell positions, the
+    outcome order (see Walk). Row s is the step from flat cell s."""
+    probs = _step_probs(g, pol)
+    return (g.successors, cumulative(probs)), (g.successor_outcomes, probs)
+
+
+def _first_rows(g: GridWorld, starts: np.ndarray, actions) -> tuple:
+    """(succ, probs), the first steps of the branches (cell, action) that
+    z_table scores, as rows of two (len(starts) * m, 5) arrays: row i * m + j
+    is action j's step from flat cell starts[i], its successors flat cells
+    and its probabilities those of the action's _step_probs."""
+    succ = np.repeat(g.successors[starts], len(actions), axis=0)
+    probs = np.stack([_step_probs(g, _action_matrix(a))[starts] for a in actions],
+                     axis=1).reshape(-1, 5)
+    return succ, probs
 
 
 def _branch_walk(cum_start, first: tuple, follow: tuple, k: int) -> Walk:
     """Walk of a branch of k steps whose first step takes the `first` tables
-    and every later step the follow tables, both as _step_tables gives
-    them."""
+    and every later step the follow tables, both (walk, last) pairs as
+    _step_tables gives them."""
     if k == 1:
         return Walk(cum_start, first[0], 0, follow[0], 0, first[1])
     return Walk(cum_start, first[0], 1, follow[0], k - 2, follow[1])
@@ -415,8 +423,8 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
     Returns (z, se), float arrays of shape (len(cells), m) whose column j is
     the j-th admissible action in ACTIONS order, both formed by
     _z_from_branches from the (cells, m) branch entropies. The exact
-    back-end (se 0.0) starts branch (cell, action) as the cell's row of the
-    action's _step_probs, in one column of an (n_cells, branches) block per
+    back-end (se 0.0) starts branch (cell, action) as its _first_rows row,
+    in one column of an (n_cells, branches) block per
     chunk of at most TABLE_CHUNK_BYTES, pushes it k - 1 more steps and
     takes the chunk's entropies in one _row_entropies call. The Monte Carlo
     back-end is _mc_table. Each row is bitwise what rank_events gives on
@@ -438,9 +446,7 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
     if estimator.backend == "mc":
         return _mc_table(g, starts, follow, k, estimator, events, plans)
     # branch (i, j) is row i * m + j: action j's first step from cell i
-    succ = np.repeat(g.successors[starts], m, axis=0)
-    probs = np.stack([_step_probs(g, _action_matrix(e.id))[starts] for e in events],
-                     axis=1).reshape(-1, 5)
+    succ, probs = _first_rows(g, starts, [e.id for e in events])
     chunk = max(1, TABLE_CHUNK_BYTES // (8 * g.n_cells))
     h = np.empty(len(succ))
     for lo in range(0, len(succ), chunk):
@@ -458,25 +464,34 @@ def _mc_table(g: GridWorld, starts: np.ndarray, follow: np.ndarray, k: int,
     """z_table's Monte Carlo back-end for the flat cell indices `starts`
     and the checked policy `follow`.
 
-    The m actions' first steps are one stacked _step_tables table, so
-    branch (cell, action j) is a walk from row j * n_cells + cell. Every
-    branch reads the same _uniform_block, the one rank_events reads, so
-    each of a chunk's (cell, action) branches walks in one walk_outcomes
-    call and goes through one _branch_surprisals call, and the chunk's Z
-    and paired se come from one _z_from_branches call. A chunk holds whole
-    cells, at most TABLE_CHUNK_BYTES of its (branches, n) states, and as
-    many of surprisals and of state counts.
+    Branch (cell i, action j) walks from row i * m + j of the _first_rows
+    table, so the first steps are built at the scored cells alone. Every
+    branch reads the uniforms that rank_events reads, so each of a chunk's
+    (cell, action) branches walks in one walk_outcomes call and goes
+    through one _branch_surprisals call, and the chunk's Z and paired se
+    come from one _z_from_branches call. A chunk holds whole cells, at most
+    TABLE_CHUNK_BYTES of its (branches, n) states, and as many of
+    surprisals and of state counts. Both search tables are built once per
+    call. If the cells fit one chunk, each uniform is read once, and the
+    walk draws them as it reads them (_uniform_draw); cells over several
+    chunks each re-read one _uniform_block.
     """
     n, m = estimator.n_samples, len(events)
-    first = _step_tables(g, *(_action_matrix(e.id) for e in events))
+    succ, probs = _first_rows(g, starts, [e.id for e in events])
+    first = ((succ, cumulative(probs)),
+             (np.repeat(g.successor_outcomes[starts], m, axis=0), probs))
     walk = _branch_walk(None, first, _step_tables(g, follow), k)
-    rows = (np.arange(m) * g.n_cells + starts[:, None]).ravel()
+    tables = [_search_table(*t) if used else t
+              for t, used in ((walk.first, walk.n_first), (walk.rest, walk.n_rest))]
     chunk = max(1, TABLE_CHUNK_BYTES // (8 * m * max(n, len(walk.last[1]))))
-    u = _uniform_block(estimator.seed, n, walk.steps)
+    if len(starts) <= chunk:
+        u = _uniform_draw(estimator.seed, n)
+    else:
+        u = _uniform_block(estimator.seed, n, walk.steps)
     z, se = np.empty((2, len(starts), m))
     for lo in range(0, len(starts), chunk):
-        states = walk_outcomes(None, walk.first, walk.n_first, walk.rest, walk.n_rest,
-                               u, rows[lo * m:(lo + chunk) * m])
+        rows = np.arange(lo * m, min(lo + chunk, len(starts)) * m)
+        states = walk_outcomes(None, tables[0], walk.n_first, tables[1], walk.n_rest, u, rows)
         h, surprisal = _branch_surprisals(states, walk.last)
         z[lo:lo + chunk], se[lo:lo + chunk] = _z_from_branches(
             h.reshape(-1, m), surprisal.reshape(-1, m, n), plans)

@@ -249,6 +249,10 @@ class TestGridworld:
     # the grid-exact benchmark's shape: four equal policy columns per step
     WALLED20_UNIFORM = dict(WALLED20, grid=dict(WALLED20["grid"],
                                                 follow_policy={"kind": "uniform"}))
+    # the grid-mc benchmark's shape: one cell, 10k walks of 15 steps, so the
+    # walks span several walk chunks and the cells one cell chunk
+    WALLED20_MC = dict(WALLED20_UNIFORM, estimator={"backend": "mc", "n_samples": 10_000},
+                       grid=dict(WALLED20_UNIFORM["grid"], cells=[[5, 7]]))
     # slip-free with a fixed follow policy: every branch is a point mass, so
     # every Z is 0 and each order in both files comes from the tie-break on id
     TIES = {"seed": 2, "neutral_tol": 0.01, "estimator": {"backend": "exact"},
@@ -299,8 +303,13 @@ class TestGridworld:
             "attribution.csv": "1c936fb21fc82ce53af4532d63464f0cb50c12dc8ba8ed29457a5f45c31c898e",
             "run_meta.json": "ff269445cc4d375b3eef560764b96b60cc702fc745f80cb0fb2ec90b5b8f2da3",
         }),
+        (WALLED20_MC, {
+            "z_table.csv": "906ef0aec4b9fb8868a3a8e3ff8c20803a99b22ce2b13f0874cd91c96b739c0c",
+            "attribution.csv": "9fc8399e0eca340da8261309b3a6f8afa15add9479c161780fe05971d19154d8",
+            "run_meta.json": "c9063e4de50d93c6465dea7a733542ad9e9951be44d7723d9050a3c53102acd7",
+        }),
     ], ids=["corridor", "walled-exact", "walled-mc", "walled20-exact", "walled20-uniform",
-            "tie-break", "small-mc"])
+            "tie-break", "small-mc", "walled20-mc-one-cell"])
     def test_outputs_match_golden_hashes(self, tmp_path, config, golden):
         # sha256 of the outputs as written when policies were dicts of
         # Distributions; the (n_cells, 4) array policies must keep every byte
@@ -384,9 +393,18 @@ class TestConfigValidation:
     def test_write_json_refuses_non_finite_numbers(self, tmp_path):
         path = tmp_path / "x.json"
         for bad in (math.nan, math.inf):
-            with pytest.raises(ZentropyError, match="non-finite"):
+            with pytest.raises(ZentropyError, match="non-finite.*x.json"):
                 cli.write_json(path, {"v": [1.0, bad]}, "abc")
             assert not path.exists()
+
+    def test_write_json_leaves_no_partial_file_on_any_encode_error(self, tmp_path):
+        # the keys before the bad value would have been written by a
+        # streaming encoder; the text is formed before the file is opened
+        path = tmp_path / "out" / "x.json"
+        for bad, error in ((object(), TypeError), (math.nan, ZentropyError)):
+            with pytest.raises(error):
+                cli.write_json(path, {"a": 1.0, "b": [2.0, bad], "c": "z"}, "abc")
+            assert not path.parent.exists()
 
     def test_non_finite_result_exits_1(self, tmp_path, monkeypatch, capsys):
         def nan_train(*args, **kwargs):

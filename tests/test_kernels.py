@@ -17,6 +17,7 @@ from zentropy.mdp_sim import (
     ACTIONS,
     GridWorld,
     _action_matrix,
+    _first_rows,
     _step_tables,
     uniform_policy,
 )
@@ -91,7 +92,9 @@ def test_walk_kernel_matches_loop_bitwise(seed, n_states, kind, zeros, n_first,
     K = 5 and dense K = S tables, searched by rows (a slot budget of 0) or
     by buckets, with ties at table entries, just below them, at 0.0 and at
     bucket edges b / G, walks from a drawn start law and from a batch of
-    start states, and n split into several chunks."""
+    start states, with tables given as (succ, cum) or as prebuilt search
+    tables, with uniforms given as an array or drawn as they are read, and
+    n split into several chunks."""
     rng = np.random.default_rng(seed)
     k = {"point": 1, "grid": 5, "dense": n_states}[kind]
     first = random_table(rng, n_states, k, zeros)
@@ -108,10 +111,17 @@ def test_walk_kernel_matches_loop_bitwise(seed, n_states, kind, zeros, n_first,
         mp.setattr(_kernels, "WALK_GUIDE_SLOTS", guide_slots)
         got = walk_outcomes(cum_start, first, n_first, rest, n_rest, u)
         batch = walk_outcomes(None, first, n_first, rest, n_rest, u, starts)
+        built = walk_outcomes(None, _kernels._search_table(*first), n_first,
+                              _kernels._search_table(*rest), n_rest, u, starts)
+        drawn = walk_outcomes(cum_start, first, n_first, rest, n_rest,
+                              _kernels.Draw(np.random.default_rng(seed), n))
     want = np.empty(n, dtype=np.int64)
+    walk_outcomes_loop(cum_start, first, n_first, rest, n_rest,
+                       np.random.default_rng(seed).random(u.shape), want)
+    assert np.array_equal(drawn, want)
     walk_outcomes_loop(cum_start, first, n_first, rest, n_rest, u, want)
     assert np.array_equal(got, want)
-    assert batch.shape == (3, n)
+    assert batch.shape == (3, n) and np.array_equal(built, batch)
     for s, row in zip(starts, batch):
         walk_outcomes_loop(cumulative(np.eye(n_states)[s]), first, n_first, rest,
                            n_rest, u, want)
@@ -131,15 +141,17 @@ def tie_values(*cums, max_g=2**11):
 
 @pytest.mark.parametrize("slip", [0.0, 0.2, 0.5])
 def test_grid_tables_take_one_threshold_per_bucket(slip):
-    """Every follow table and the stacked one-hot first-step table of a
-    grid is bucketed with at most one threshold per bucket (p <= 2), so a
-    step takes at most one compare: G = 1 for one-hot rows, and G = 4 for
-    the uniform policy at slip 0.2. At slip 0 and at the uniform policy's
-    slip 0.5 every entry is a bucket edge, and a step takes no compare.
-    Walks on them equal the loop, with every uniform a tie."""
+    """Every follow table and the one-hot first-step rows of a grid (every
+    (cell, action) row, as z_table builds them) are bucketed with at most
+    one threshold per bucket (p <= 2), so a step takes at most one
+    compare: G = 1 for one-hot rows, and G = 4 for the uniform policy at
+    slip 0.2. At slip 0 and at the uniform policy's slip 0.5 every entry
+    is a bucket edge, and a step takes no compare. Walks on them equal the
+    loop, with every uniform a tie."""
     g = GridWorld(6, 5, goal=(5, 4), start=(0, 0), slip=slip, walls={(2, 2), (3, 1)})
-    first = _step_tables(g, *(_action_matrix(a) for a in ACTIONS))[0]
-    found = {"stacked": _kernels._search_table(*first)}
+    succ, probs = _first_rows(g, np.arange(g.n_cells), ACTIONS)
+    first = succ, cumulative(probs)
+    found = {"first": _kernels._search_table(*first)}
     # follow policies: uniform, fixed, and one-hot greedy varying by cell
     pols = {"uniform": uniform_policy(g),
             "fixed": np.tile(_action_matrix("right"), (g.n_cells, 1)),
@@ -149,7 +161,7 @@ def test_grid_tables_take_one_threshold_per_bucket(slip):
         found[name] = _kernels._search_table(*rest)
         u = tie_values(first[1], rest[1], max_g=16)
         u = np.stack([np.random.default_rng(c).permutation(u) for c in range(4)], axis=1)
-        starts = np.arange(len(first[1]))  # every (action, cell) row
+        starts = np.arange(len(first[1]))  # every (cell, action) row
         want = np.empty(len(u), dtype=np.int64)
         for s, row in zip(starts, walk_outcomes(None, first, 1, rest, 2, u, starts)):
             walk_outcomes_loop(cumulative(np.eye(len(starts))[s]), first, 1, rest, 2, u, want)

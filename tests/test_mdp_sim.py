@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zentropy import entropic_potential, mdp_sim, rl_agent
-from zentropy._kernels import cumulative
+from zentropy._kernels import WALK_CHUNK_BYTES, cumulative
 from zentropy.entropic_potential import (
     MAX_SAMPLES,
     MAX_UNIFORMS,
@@ -526,7 +526,10 @@ class TestZTable:
         if chunk_cells is not None:
             monkeypatch.setattr(mdp_sim, "TABLE_CHUNK_BYTES", chunk_cells * 8 * n)
         est = EstimatorConfig(backend="mc", n_samples=n, seed=9)
-        z, se = z_table(g, cells, follow, k, est, actions)
+        with mock.patch.object(mdp_sim, "_uniform_block", wraps=mdp_sim._uniform_block) as block:
+            z, se = z_table(g, cells, follow, k, est, actions)
+        # one chunk draws its uniforms as it walks; several re-read one block
+        assert block.call_count == (chunk_cells is not None and chunk_cells < len(cells))
         order = [a for a in ACTIONS if a in actions]
         for cell, z_row, se_row in zip(cells, z, se):
             model = GridWorldModel(g, cell, follow, actions=actions)
@@ -675,16 +678,37 @@ class TestZTable:
         def no_table(*args, **kwargs):
             raise AssertionError("a table or block was built before the cap check")
 
-        for module, name in ((mdp_sim, "_step_tables"), (mdp_sim, "walk_outcomes"),
-                             (entropic_potential, "walk_outcomes")):
+        for module, name in ((mdp_sim, "_step_tables"), (mdp_sim, "_first_rows"),
+                             (mdp_sim, "_uniform_draw"), (mdp_sim, "_uniform_block"),
+                             (mdp_sim, "walk_outcomes"), (entropic_potential, "walk_outcomes")):
             monkeypatch.setattr(module, name, no_table)
         est = EstimatorConfig(backend="mc", n_samples=MAX_SAMPLES)
         with pytest.raises(ValueError, match=r"n_samples \* horizon_k"):
             z_table(g, [(3, 0)], uniform_policy(g), steps, est)
+        with pytest.raises(ValueError, match=r"n_samples \* horizon_k"):  # several cell chunks
+            z_table(g, g.free_cells(), uniform_policy(g), steps, est)
         rng = mock.create_autospec(np.random.Generator, instance=True)
         rng.random.side_effect = no_table
         with pytest.raises(ValueError, match=r"n_samples \* horizon_k"):
             mc_entropy_of_branch(model, None, Horizon(0, steps), MAX_SAMPLES, rng)
+
+    def test_one_chunk_mc_table_holds_no_uniform_block(self):
+        # the grid-mc benchmark's shape: one cell, so each uniform is read
+        # once, drawn a walk chunk at a time; the table holds less than the
+        # (n, k) block plus one walk chunk
+        g = GridWorld(20, 20, goal=(17, 16), start=(2, 1), slip=0.2,
+                      walls={(x, y) for y in range(20) for x in range(20)
+                             if (7 * x + 3 * y) % 10 == 0})
+        n, k = 10_000, 15
+        est = EstimatorConfig(backend="mc", n_samples=n, seed=5)
+        g.successors, g.successor_outcomes  # built once per grid, not part of the table
+        tracemalloc.start()
+        try:
+            z_table(g, [(5, 7)], uniform_policy(g), k, est)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * k + WALK_CHUNK_BYTES
 
     def test_sampled_outcome_block_is_capped_before_it_is_drawn(self):
         # (10**6, 2001) uniforms would be 16 GB; the stand-in Generator
