@@ -49,7 +49,6 @@ from .mdp_sim import (
     ACTIONS,
     GridWorld,
     GridWorldModel,
-    action_z_scores,
     always_policy,
     corridor_world,
     future_state_distribution,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropic_potential import Horizon, ZEstimate, rank_order
-from .entropy_core import EntropyBits, _entropy_of_probs, normalized_probs
+from .entropy_core import EntropyBits, _entropy_of_probs, _renormalized, normalized_probs
 from .errors import InvalidDistributionError, ZeroEvidenceError
 
 HEADS = "heads"
@@ -106,24 +106,29 @@ class QueryCandidate:
     model: BernoulliFlip
 
 
-def posterior_update(p: GridPosterior, model: BernoulliFlip, outcome: str) -> GridPosterior:
-    """Multiply in the likelihood of `outcome` and renormalize."""
+def _updated_probs(grid, probs, model: BernoulliFlip, outcome: str) -> np.ndarray:
+    """posterior_update on trusted arrays, before it is renormalised once."""
     if outcome not in model.outcomes:
         raise ValueError(f"unknown outcome {outcome!r}")
-    w = p.probs * model.likelihood(p.grid, outcome)
+    w = probs * model.likelihood(grid, outcome)
     total = float(w.sum())
     if total == 0.0:
         raise ZeroEvidenceError(f"outcome {outcome!r} impossible under the entire grid")
-    return GridPosterior(p.grid, w / total)
+    return w / total
+
+
+def posterior_update(p: GridPosterior, model: BernoulliFlip, outcome: str) -> GridPosterior:
+    """Multiply in the likelihood of `outcome` and renormalize."""
+    return GridPosterior(p.grid, _updated_probs(p.grid, p.probs, model, outcome))
 
 
 def realized_potentials(p: GridPosterior, model: BernoulliFlip, data) -> list[float]:
     """Pre/post potential of each datum in turn, against the posterior of the data
-    before it; one posterior_update per datum. Can be positive for surprising data."""
-    h = [float(p.entropy())]
+    before it, with posterior_update's bits. Can be positive for surprising data."""
+    probs, h = p.probs, [_entropy_of_probs(p.probs)]
     for outcome in data:
-        p = posterior_update(p, model, outcome)
-        h.append(float(p.entropy()))
+        probs = _renormalized(_updated_probs(p.grid, probs, model, outcome))
+        h.append(_entropy_of_probs(probs))
     return [b - a for a, b in zip(h, h[1:])]
 
 
@@ -140,17 +145,13 @@ def realized_event_potential(p: GridPosterior, model: BernoulliFlip,
 def expected_event_potential(p: GridPosterior, q: QueryCandidate) -> ZEstimate:
     """Predictive-weighted posterior entropy minus prior entropy for a
     candidate query. Never positive: in expectation, information cannot hurt."""
-    like = q.model.likelihood_matrix(p.grid)
-    predictive = p.probs @ like
-    h_prior = float(p.entropy())
+    predictive = p.probs @ q.model.likelihood_matrix(p.grid)
     expected_h_post = 0.0
-    for j, outcome in enumerate(q.model.outcomes):
-        m = float(predictive[j])
-        if m == 0.0:
-            continue
-        post = posterior_update(p, q.model, outcome)
-        expected_h_post += m * float(post.entropy())
-    return ZEstimate(value=expected_h_post - h_prior, std_error=0.0, method="exact",
+    for m, outcome in zip(predictive.tolist(), q.model.outcomes):
+        if m != 0.0:
+            post = _renormalized(_updated_probs(p.grid, p.probs, q.model, outcome))
+            expected_h_post += m * _entropy_of_probs(post)
+    return ZEstimate(value=expected_h_post - float(p.entropy()), std_error=0.0, method="exact",
                      n_samples=0, horizon=Horizon(0, 1), event=q.id,
                      baseline="null-event")
 

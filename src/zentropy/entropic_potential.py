@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._kernels import WALK_CHUNK_BYTES, Draw, cumulative, draw_rows, walk_outcomes
-from .entropy_core import Distribution, EntropyBits, shannon_entropy
+from .entropy_core import Distribution, EntropyBits, _entropy_of_probs
 from .errors import (
     EmptyBaselineError,
     EventInBaselineError,
@@ -218,6 +218,10 @@ class SystemModel(ABC):
     def exact_future_distribution(self, event: Event | None, horizon: Horizon) -> Distribution:
         raise UnsupportedBackendError(f"{type(self).__name__} cannot enumerate exactly")
 
+    def exact_future_probs(self, event: Event | None, horizon: Horizon) -> np.ndarray:
+        """exact_future_distribution's .probs, as the exact back-end reads them."""
+        return self.exact_future_distribution(event, horizon).probs
+
     def walk(self, event: Event | None, horizon: Horizon) -> Walk | None:
         """The branch as a Walk, or None if the model can only sample."""
         return None
@@ -317,26 +321,10 @@ def _sampled_states(model: SystemModel, event: Event | None, horizon: Horizon, n
 
 
 def mc_entropy_of_branch(model: SystemModel, event: Event | None, horizon: Horizon,
-                         n: int, seed) -> tuple[EntropyBits, float]:
+                         n: int, seed: int) -> tuple[EntropyBits, float]:
     """Monte Carlo entropy of X_T in bits and its standard error, from n
-    draws (see _branch_surprisals and _walk_se).
-
-    A model with a walk walks its first k - 1 steps from one (n, k) block of
-    uniforms and takes the last step exactly. A model that can only sample
-    gives n outcomes, whose last step is then a point mass: the estimate is
-    the plug-in entropy of their counts.
-    """
-    if n < 100:
-        raise ValueError(f"Monte Carlo branch needs n >= 100, got {n}")
-    walk = model.walk(event, horizon)
-    width = 0 if walk is None else walk.steps
-    _check_uniforms(n, horizon.steps, max(width, horizon.steps))
-    rng = np.random.default_rng(seed)
-    if walk is not None:
-        states, last = walk.states(rng.random((n, walk.steps))), walk.last
-    else:
-        states, last = _sampled_states(model, event, horizon, n, rng)
-    h, g = _branch_surprisals(states[None], last)
+    walks: the one-branch case of _mc_branches, on stream (0,) of seed."""
+    h, g = _mc_branches(model, [event], horizon, EstimatorConfig("mc", n, seed))
     return EntropyBits(float(h[0])), float(_walk_se(g)[0])
 
 
@@ -492,8 +480,7 @@ def _z_estimates(model: SystemModel, events: Sequence[Event], baseline, horizon:
     evaluated once under the configured back-end."""
     branches, plans = _plans(events, baseline)
     if estimator.backend == "exact":
-        h = np.array([float(shannon_entropy(model.exact_future_distribution(b, horizon)))
-                      for b in branches])
+        h = np.array([_entropy_of_probs(model.exact_future_probs(b, horizon)) for b in branches])
         g = None
     else:
         h, g = _mc_branches(model, branches, horizon, estimator)

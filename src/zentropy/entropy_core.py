@@ -120,6 +120,13 @@ def normalized_probs(probs) -> np.ndarray:
     off = np.abs(total - 1.0) > NORMALIZATION_TOL
     if off.any():
         raise InvalidDistributionError(f"probabilities sum to {float(total[off][0])!r}, not 1")
+    return _renormalized(p, total)
+
+
+def _renormalized(p: np.ndarray, total=None) -> np.ndarray:
+    """normalized_probs' arithmetic without its checks: p over total, its
+    keepdims sum along the last axis, where that is not exactly 1."""
+    total = p.sum(axis=-1, keepdims=True) if total is None else total
     return np.where(total == 1.0, p, p / total)
 
 
@@ -142,7 +149,7 @@ def _row_entropies(p) -> np.ndarray:
     if not valid or (np.abs(total - 1.0) > NORMALIZATION_TOL).any():
         for row in p:
             normalized_probs(row)
-    q = np.where(total == 1.0, p, p / total)
+    q = _renormalized(p, total)
     positive = q > 0.0
     nz = q[positive]
     terms = nz * np.log2(nz)

@@ -10,6 +10,7 @@ Cells are (x, y) tuples with (0, 0) top-left; the flat index is y*width+x.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -335,19 +336,33 @@ def _admissible_actions(actions) -> tuple:
 
 
 def _dist_to_flat(g: GridWorld, d: Distribution) -> np.ndarray:
+    """d as a flat law, checked: each label an (x, y) cell, no mass on a wall."""
     flat = np.zeros(g.n_cells)
-    for label, p in zip(d.outcomes, d.probs):
-        cell = tuple(label)
+    for label, p in zip(d.outcomes, d.probs.tolist()):
+        try:
+            x, y = cell = tuple(map(operator.index, label))
+        except (TypeError, ValueError):
+            raise InvalidDistributionError(f"label {label!r} is not an (x, y) cell") from None
+        if not g._in_bounds(cell):
+            raise ValueError(f"cell {cell} out of bounds")
         if cell in g.walls:
             if p > 0.0:
                 raise CellIsWallError(f"distribution puts mass on wall {cell}")
             continue
-        flat[g.index_of(cell)] = p
+        flat[y * g.width + x] = p
     return flat
 
 
 def _flat_to_dist(g: GridWorld, flat: np.ndarray) -> Distribution:
     return Distribution(g.free_cells(), flat[g.free_index])
+
+
+def _future_flat(g: GridWorld, flat: np.ndarray, first, follow: np.ndarray, k: int):
+    """The flat law k >= 1 steps after `flat` (kept): action first, if any, then follow."""
+    d = flat[:, None].copy()
+    if first is not None:
+        d, k = _propagate(g, d, _action_matrix(first), 1), k - 1
+    return _propagate(g, d, follow, k)[:, 0]
 
 
 def transition_kernel(g: GridWorld, cell: Cell, action: str) -> Distribution:
@@ -361,12 +376,11 @@ def push_forward(g: GridWorld, d: Distribution, policy_or_action) -> Distributio
 
     policy_or_action is an action name (applied everywhere) or a policy array.
     """
-    flat = _dist_to_flat(g, d)[:, None]
     if isinstance(policy_or_action, str):
         pol = _action_matrix(policy_or_action)
     else:
         pol = _checked_policy(g, policy_or_action)
-    return _flat_to_dist(g, _propagate(g, flat, pol, 1)[:, 0])
+    return _flat_to_dist(g, _future_flat(g, _dist_to_flat(g, d), None, pol, 1))
 
 
 def future_state_distribution(g: GridWorld, start: Distribution,
@@ -376,10 +390,7 @@ def future_state_distribution(g: GridWorld, start: Distribution,
     if k < 1:
         raise ValueError("horizon must be >= 1 step")
     follow = _checked_policy(g, follow)
-    flat = _dist_to_flat(g, start)[:, None]
-    if first is not None:
-        flat, k = _propagate(g, flat, _action_matrix(first), 1), k - 1
-    return _flat_to_dist(g, _propagate(g, flat, follow, k)[:, 0])
+    return _flat_to_dist(g, _future_flat(g, _dist_to_flat(g, start), first, follow, k))
 
 
 class GridWorldModel(SystemModel):
@@ -390,12 +401,12 @@ class GridWorldModel(SystemModel):
                  actions: tuple = ACTIONS):
         self.grid = grid
         if isinstance(start, Distribution):
-            self.start = start
+            self._start = _dist_to_flat(grid, start)
         else:
-            self.start = Distribution.point(_checked_cell(grid, start), grid.free_cells())
+            self._start = np.eye(1, grid.n_cells, grid.index_of(_checked_cell(grid, start)))[0]
         self.follow = _checked_policy(grid, follow)
         self.actions = _admissible_actions(actions)
-        self._cum_start = cumulative(_dist_to_flat(grid, self.start))
+        self._cum_start = cumulative(self._start)
         self._follow_tables = _step_tables(grid, self.follow)
         self._first_tables = {a: _step_tables(grid, _action_matrix(a))
                               for a in self.actions}
@@ -403,10 +414,15 @@ class GridWorldModel(SystemModel):
     def event_space(self) -> list[Event]:
         return [Event(a, f"take action {a} at t0") for a in self.actions]
 
-    def exact_future_distribution(self, event, horizon: Horizon) -> Distribution:
+    def _branch_flat(self, event, horizon: Horizon) -> np.ndarray:
         first = event.id if event is not None else None
-        return future_state_distribution(self.grid, self.start, first,
-                                         self.follow, horizon.steps)
+        return _future_flat(self.grid, self._start, first, self.follow, horizon.steps)
+
+    def exact_future_distribution(self, event, horizon: Horizon) -> Distribution:
+        return _flat_to_dist(self.grid, self._branch_flat(event, horizon))
+
+    def exact_future_probs(self, event, horizon: Horizon) -> np.ndarray:
+        return normalized_probs(self._branch_flat(event, horizon)[self.grid.free_index])
 
     def walk(self, event, horizon: Horizon) -> Walk:
         """Walk over flat cells to the free-cell position of X_T."""
@@ -505,13 +521,3 @@ def ranked_row(z_row, se_row, k: int, estimator: EstimatorConfig = EstimatorConf
     events = [Event(a) for a in _admissible_actions(actions)]
     zs = zip(z_row.tolist(), se_row.tolist())
     return [(ev.id, z) for ev, z in _ranked(events, zs, "vs-rest", Horizon(0, k), estimator)]
-
-
-def action_z_scores(g: GridWorld, cell: Cell, follow: np.ndarray, k: int,
-                    estimator: EstimatorConfig = EstimatorConfig(),
-                    actions: tuple = ACTIONS) -> list[tuple[str, ZEstimate]]:
-    """Entropic potential of each admissible action at `cell`, most beneficial
-    first: the ranked view of z_table's row for that cell. Each action is
-    scored against a uniform baseline over the others."""
-    z, se = z_table(g, [cell], follow, k, estimator, actions)
-    return ranked_row(z[0], se[0], k, estimator, actions)

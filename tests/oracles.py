@@ -537,6 +537,43 @@ def mutual_information_loop(p, q) -> float:
     return float(total)
 
 
+def _posterior_per_datum(p, model, outcome):
+    """The posterior after one datum as a checked GridPosterior: the prior
+    times the likelihood, over its total, which the constructor then
+    renormalises once more (no zero-evidence check: the caller's)."""
+    from zentropy.bayes_infer import GridPosterior
+
+    w = p.probs * model.likelihood(p.grid, outcome)
+    return GridPosterior(p.grid, w / float(w.sum()))
+
+
+def realized_potentials_per_datum(p, model, data) -> list:
+    """bayes_infer.realized_potentials with one GridPosterior built per
+    datum; the array loop must match it bit for bit. An impossible datum
+    raises ZeroEvidenceError."""
+    from zentropy.errors import ZeroEvidenceError
+
+    h = [float(p.entropy())]
+    for outcome in data:
+        if not (p.probs * model.likelihood(p.grid, outcome)).sum():
+            raise ZeroEvidenceError(outcome)
+        p = _posterior_per_datum(p, model, outcome)
+        h.append(float(p.entropy()))
+    return [b - a for a, b in zip(h, h[1:])]
+
+
+def expected_potential_per_outcome(p, q) -> float:
+    """bayes_infer.expected_event_potential's value with one GridPosterior
+    built per outcome of positive predictive mass."""
+    predictive = p.probs @ q.model.likelihood_matrix(p.grid)
+    expected = 0.0
+    for j, outcome in enumerate(q.model.outcomes):
+        if float(predictive[j]) != 0.0:
+            post = _posterior_per_datum(p, q.model, outcome)
+            expected += float(predictive[j]) * float(post.entropy())
+    return expected - float(p.entropy())
+
+
 # -- CSV output -----------------------------------------------------------------
 
 def write_csv_rows(path, header, rows, config_hash) -> None:

@@ -101,8 +101,9 @@ def test_criterion_03_monte_carlo_matches_exact():
 def test_criterion_04_corridor_golden_values():
     t0 = time.perf_counter()
     g = z.corridor_world(5, 0.2)
-    scores = dict(z.action_z_scores(g, (3, 0), z.always_policy(g, "right"), 2,
-                                    z.EstimatorConfig(), actions=("left", "right")))
+    est, actions = z.EstimatorConfig(), ("left", "right")
+    zs, se = z.z_table(g, [(3, 0)], z.always_policy(g, "right"), 2, est, actions)
+    scores = dict(z.ranked_row(zs[0], se[0], 2, est, actions))
     ok = (abs(scores["right"].value - (-0.982)) <= 0.001
           and abs(scores["left"].value - 0.982) <= 0.001)
     report(4, f"corridor goldens: Z(right)={scores['right'].value:.4f}, "

@@ -20,7 +20,12 @@ from zentropy.bayes_infer import (
 )
 from zentropy.errors import InvalidDistributionError, ZeroEvidenceError
 
-from oracles import entropy_bits, mutual_information_loop
+from oracles import (
+    entropy_bits,
+    expected_potential_per_outcome,
+    mutual_information_loop,
+    realized_potentials_per_datum,
+)
 
 # 11-point uniform grid goldens, frozen from exact enumeration:
 # H(prior) = log2 11; H(post|heads) = log2 55 - (sum_{i=1..10} i log2 i)/55
@@ -256,6 +261,44 @@ def grid_posteriors_and_queries(draw):
 def test_mutual_information_matches_the_double_loop_bit_for_bit(case):
     p, q = case
     assert float(mutual_information(p, q)).hex() == mutual_information_loop(p, q).hex()
+
+
+@given(grid_posteriors_and_queries(), st.lists(st.sampled_from([HEADS, TAILS]), max_size=40))
+@settings(max_examples=300)
+@example((GridPosterior.uniform(7), QueryCandidate("q", BernoulliFlip(0.6))),
+         [HEADS, TAILS, HEADS])
+@example((GridPosterior([0.0, 0.5, 1.0], [0.0, 0.3, 0.7]),
+          QueryCandidate("flip", BernoulliFlip(1.0))), [HEADS, TAILS, HEADS])
+@example((GridPosterior([0.0, 1.0], [0.4, 0.6]), QueryCandidate("flip", BernoulliFlip(1.0))),
+         [TAILS, HEADS])
+def test_array_updates_equal_one_posterior_per_datum(case, data):
+    # the array loops give the bits of a checked GridPosterior per datum and
+    # per outcome, also where an update's quotient does not sum to exactly
+    # 1.0 and is divided once more, and where a datum is impossible
+    p, q = case
+    try:
+        want = realized_potentials_per_datum(p, q.model, data)
+    except ZeroEvidenceError:
+        with pytest.raises(ZeroEvidenceError):
+            realized_potentials(p, q.model, data)
+    else:
+        assert [v.hex() for v in realized_potentials(p, q.model, data)] == \
+            [v.hex() for v in want]
+    assert expected_event_potential(p, q).value.hex() == \
+        expected_potential_per_outcome(p, q).hex()
+
+
+def test_an_update_can_need_a_second_division():
+    # the first example above: heads through noise 0.6 on a uniform 7-point
+    # prior leaves a quotient that sums to 1 - 2**-53, so the posterior is
+    # divided by that sum once more, and differs from the quotient
+    p, model = GridPosterior.uniform(7), BernoulliFlip(0.6)
+    w = p.probs * model.likelihood(p.grid, HEADS)
+    quotient = w / float(w.sum())
+    assert quotient.sum() != 1.0
+    post = posterior_update(p, model, HEADS).probs
+    assert post.tobytes() != quotient.tobytes()
+    assert post.tobytes() == (quotient / quotient.sum()).tobytes()
 
 
 class TestRankQueries:

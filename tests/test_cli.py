@@ -810,21 +810,37 @@ class TestBayes:
         for name, digest in golden.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
+    def test_101_point_20k_datum_run_matches_golden_hashes(self, tmp_path):
+        # sha256 of the outputs as written when each datum's posterior was a
+        # checked GridPosterior; this shape chains the most updates
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, scaled_bayes_config(101, 20_000, 3))
+        assert run(["bayes", "--config", cfg, "--out", out]) == 0
+        golden = {
+            "queries.csv": "928958169d40c38370e15a69a1e36e74f9b7312de4c2e0e5be1eb575b862afaf",
+            "attribution.csv": "8d1f3ea6fac23117c9eba919981347235f68a0e26edce7b81002451696d47b8d",
+            "run_meta.json": "3f7b1cc77d64c71b3204a76d40ee48e0db1f4073afdf518e6b7485490ee3ce71",
+        }
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
     def test_run_updates_the_posterior_once_per_datum(self, tmp_path, monkeypatch):
         # d data and q queries: one update per datum, and one per outcome of
         # each query for its expected potential
         d, q = 7, 3
         calls = []
-        update = bayes_infer.posterior_update
+        update = bayes_infer._updated_probs
 
         def counted(*args):
-            calls.append(args[2])
+            calls.append(args[3])
             return update(*args)
 
-        monkeypatch.setattr(bayes_infer, "posterior_update", counted)
-        cfg = write_config(tmp_path, scaled_bayes_config(11, d, q))
+        monkeypatch.setattr(bayes_infer, "_updated_probs", counted)
+        config = scaled_bayes_config(11, d, q)
+        cfg = write_config(tmp_path, config)
         assert run(["bayes", "--config", cfg, "--out", tmp_path / "run"]) == 0
-        assert len(calls) <= d + 2 * q
+        # the queries are ranked before the data are scored
+        assert calls == ["heads", "tails"] * q + config["bayes"]["data"]
 
     def test_impossible_datum_exits_1_and_writes_nothing(self, tmp_path, capsys):
         # every belief sits on theta = 1, where an ideal coin never shows tails;

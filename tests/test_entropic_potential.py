@@ -38,7 +38,7 @@ from zentropy.errors import (
     UnsupportedBackendError,
 )
 from zentropy.markov import MarkovChainModel, random_chain_model, two_state_flip_chain
-from zentropy.mdp_sim import action_z_scores, always_policy, corridor_world, ranked_row
+from zentropy.mdp_sim import always_policy, corridor_world, ranked_row, z_table
 
 from oracles import chain_future, entropy_bits, label_of, last_step_estimate
 
@@ -297,9 +297,9 @@ class TestMonteCarlo:
                 return rng.integers(0, 7, n) ** 2  # gaps: outcomes 0, 1, 4, ..., 36
 
         n = 500
-        outcomes = Sampler().sample_future_outcomes(None, None, n, np.random.default_rng(4))
-        h, se = mc_entropy_of_branch(Sampler(), Event("e"), Horizon(0, 1), n,
-                                     np.random.default_rng(4))
+        outcomes = Sampler().sample_future_outcomes(None, None, n,
+                                                    entropic_potential._uniform_stream(4))
+        h, se = mc_entropy_of_branch(Sampler(), Event("e"), Horizon(0, 1), n, 4)
         counts = np.bincount(outcomes)
         p = counts[counts > 0] / n
         plug_in = entropy_bits(p.tolist())
@@ -444,16 +444,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=want):
             rank_events(model, model.event_space(), Baseline.null(), Horizon(0, k), est)
 
-        class NoDraw(np.random.Generator):
-            def random(self, *args):
-                no_block(*args)
-
-        rng = NoDraw(np.random.PCG64(0))
         with pytest.raises(ValueError, match=want):
-            mc_entropy_of_branch(model, Event("clamp0"), Horizon(0, k), MAX_SAMPLES, rng)
+            mc_entropy_of_branch(model, Event("clamp0"), Horizon(0, k), MAX_SAMPLES, 0)
         # the null branch reads k columns, the cap exactly, so it gets to draw
         with pytest.raises(pytest.fail.Exception, match="drew a block"):
-            mc_entropy_of_branch(model, None, Horizon(0, k), MAX_SAMPLES, rng)
+            mc_entropy_of_branch(model, None, Horizon(0, k), MAX_SAMPLES, 0)
 
     def test_mc_is_reproducible_from_seed(self):
         model = two_state_flip_chain(0.1, (0.5, 0.5))
@@ -466,8 +461,8 @@ class TestMonteCarlo:
 class TestRankEvents:
     def test_corridor_ordering(self):
         g = corridor_world(5, 0.2)
-        scores = action_z_scores(g, (3, 0), always_policy(g, "right"), 2, EXACT,
-                                 actions=("left", "right"))
+        z, se = z_table(g, [(3, 0)], always_policy(g, "right"), 2, EXACT, ("left", "right"))
+        scores = ranked_row(z[0], se[0], 2, EXACT, ("left", "right"))
         assert [a for a, _ in scores] == ["right", "left"]
         assert scores[0][1].value == pytest.approx(CORRIDOR_Z_RIGHT, abs=1e-9)
         assert scores[1][1].value == pytest.approx(-CORRIDOR_Z_RIGHT, abs=1e-9)

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zentropy import entropic_potential, mdp_sim, rl_agent
@@ -28,7 +28,6 @@ from zentropy.mdp_sim import (
     ACTIONS,
     GridWorld,
     GridWorldModel,
-    action_z_scores,
     always_policy,
     corridor_world,
     future_state_distribution,
@@ -43,6 +42,12 @@ from zentropy.mdp_sim import (
 from oracles import corridor_future, entropy_bits
 
 EXACT = EstimatorConfig(backend="exact")
+
+
+def ranked_at(g, cell, follow, k, estimator, actions=ACTIONS):
+    """The ranked_row of cell's row of z_table."""
+    z, se = z_table(g, [cell], follow, k, estimator, actions)
+    return ranked_row(z[0], se[0], k, estimator, actions)
 
 
 class TestGridWorld:
@@ -157,8 +162,7 @@ class TestPushForward:
         for use in (lambda: push_forward(g, start, pol),
                     lambda: future_state_distribution(g, start, "up", pol, 2),
                     lambda: GridWorldModel(g, (0, 0), pol),
-                    lambda: z_table(g, [(0, 0)], pol, 2),
-                    lambda: action_z_scores(g, (0, 0), pol, 2, EXACT)):
+                    lambda: z_table(g, [(0, 0)], pol, 2)):
             with pytest.raises(InvalidDistributionError, match=message):
                 use()
 
@@ -269,8 +273,8 @@ class TestSampleTrajectory:
 class TestActionZScores:
     def test_corridor_goldens(self):
         g = corridor_world(5, 0.2)
-        scores = dict(action_z_scores(g, (3, 0), always_policy(g, "right"), 2,
-                                      EXACT, actions=("left", "right")))
+        scores = dict(ranked_at(g, (3, 0), always_policy(g, "right"), 2,
+                                EXACT, actions=("left", "right")))
         # oracle: exact two-step enumeration of both branches
         right = entropy_bits(corridor_future(3, "right", 2).values())
         left = entropy_bits(corridor_future(3, "left", 2).values())
@@ -281,26 +285,26 @@ class TestActionZScores:
         g = corridor_world(5, 0.2)
         pol = always_policy(g, "right")
         for x in range(4):
-            scores = dict(action_z_scores(g, (x, 0), pol, 4, EXACT,
-                                          actions=("left", "right")))
+            scores = dict(ranked_at(g, (x, 0), pol, 4, EXACT,
+                                    actions=("left", "right")))
             assert scores["right"].value == pytest.approx(
                 -scores["left"].value, abs=1e-12)
 
     def test_slip_free_all_zero(self):
         g = corridor_world(4, 0.0)
-        scores = action_z_scores(g, (1, 0), always_policy(g, "right"), 2, EXACT)
+        scores = ranked_at(g, (1, 0), always_policy(g, "right"), 2, EXACT)
         assert [a for a, _ in scores] == ["down", "left", "right", "up"]
         assert all(z.value == 0.0 for _, z in scores)
 
     def test_goal_cell_all_zero(self):
         g = corridor_world(5, 0.2)
-        scores = action_z_scores(g, (4, 0), always_policy(g, "right"), 3, EXACT)
+        scores = ranked_at(g, (4, 0), always_policy(g, "right"), 3, EXACT)
         assert all(z.value == 0.0 for _, z in scores)
 
     def test_wall_cell_rejected(self):
         g = GridWorld(3, 3, goal=(2, 2), start=(0, 0), walls={(1, 1)})
         with pytest.raises(CellIsWallError):
-            action_z_scores(g, (1, 1), uniform_policy(g), 2, EXACT)
+            ranked_at(g, (1, 1), uniform_policy(g), 2, EXACT)
 
 
 @st.composite
@@ -318,6 +322,20 @@ def small_worlds(draw):
     policy = uniform_policy(g) if follow == "uniform" else always_policy(g, follow)
     actions = draw(st.sets(st.sampled_from(ACTIONS), min_size=2))
     return g, policy, tuple(sorted(actions)), draw(st.integers(1, 6))
+
+
+def near_normalised_world(seed):
+    """A walled 6x5 grid, all actions, k = 6 and a random follow policy
+    whose rows sum to 1 within 3e-10: inside NORMALIZATION_TOL, so the
+    policy check divides each row by its sum, which a second check would
+    change again."""
+    g = GridWorld(6, 5, goal=(5, 4), start=(0, 0), slip=0.2,
+                  walls={(0, 2), (2, 2), (4, 1), (4, 3)})
+    rng = np.random.default_rng(seed)
+    policy = rng.random((g.n_cells, 4)) + 0.05
+    policy /= policy.sum(axis=1, keepdims=True)
+    policy *= 1.0 + rng.uniform(-3e-10, 3e-10, (g.n_cells, 1))
+    return g, policy, ACTIONS, 6
 
 
 def z_by_counterfactual(g, cell, policy, k, actions) -> dict:
@@ -485,6 +503,7 @@ class TestZTable:
                 assert np.array_equal(got.probs, want.probs)
 
     @given(small_worlds())
+    @example(near_normalised_world(27))
     def test_equals_counterfactual_per_cell(self, world):
         g, policy, actions, k = world
         cells = g.free_cells()
@@ -654,9 +673,11 @@ class TestZTable:
         est = EstimatorConfig(backend="mc", n_samples=300, seed=11)
         model = GridWorldModel(g, (3, 0), uniform_policy(g))
         h, _ = entropic_potential._mc_branches(model, model.event_space(), Horizon(0, 6), est)
-        alone, _ = mc_entropy_of_branch(model, Event(ACTIONS[0]), Horizon(0, 6), 300,
-                                        entropic_potential._branch_seed(11, (0,)))
-        assert h[0] == alone.value
+        alone, _ = mc_entropy_of_branch(model, Event(ACTIONS[0]), Horizon(0, 6), 300, 11)
+        walk = model.walk(Event(ACTIONS[0]), Horizon(0, 6))
+        u = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(0,))).random((300, 6))
+        want, _ = entropic_potential._branch_surprisals(walk.states(u)[None], walk.last)
+        assert h[0] == alone.value == want[0]
 
     def test_chunked_equals_unchunked(self, monkeypatch):
         g = GridWorld(5, 4, goal=(4, 3), start=(0, 0), slip=0.2,
@@ -680,17 +701,16 @@ class TestZTable:
 
         for module, name in ((mdp_sim, "_step_tables"), (mdp_sim, "_first_rows"),
                              (mdp_sim, "_uniform_draw"), (mdp_sim, "_uniform_block"),
-                             (mdp_sim, "walk_outcomes"), (entropic_potential, "walk_outcomes")):
+                             (mdp_sim, "walk_outcomes"), (entropic_potential, "walk_outcomes"),
+                             (entropic_potential, "_uniform_block")):
             monkeypatch.setattr(module, name, no_table)
         est = EstimatorConfig(backend="mc", n_samples=MAX_SAMPLES)
         with pytest.raises(ValueError, match=r"n_samples \* horizon_k"):
             z_table(g, [(3, 0)], uniform_policy(g), steps, est)
         with pytest.raises(ValueError, match=r"n_samples \* horizon_k"):  # several cell chunks
             z_table(g, g.free_cells(), uniform_policy(g), steps, est)
-        rng = mock.create_autospec(np.random.Generator, instance=True)
-        rng.random.side_effect = no_table
         with pytest.raises(ValueError, match=r"n_samples \* horizon_k"):
-            mc_entropy_of_branch(model, None, Horizon(0, steps), MAX_SAMPLES, rng)
+            mc_entropy_of_branch(model, None, Horizon(0, steps), MAX_SAMPLES, 0)
 
     def test_one_chunk_mc_table_holds_no_uniform_block(self):
         # the grid-mc benchmark's shape: one cell, so each uniform is read
@@ -914,6 +934,25 @@ class TestGridWorldModel:
         with pytest.raises(error, match=message):
             GridWorldModel(g, start, uniform_policy(g))
 
+    @pytest.mark.parametrize("label, error, message", [
+        ((5, 0), ValueError, r"cell \(5, 0\) out of bounds"),
+        ((0, -1), ValueError, r"cell \(0, -1\) out of bounds"),
+        (7, InvalidDistributionError, r"label 7 is not an \(x, y\) cell"),
+        ((1, 0, 0), InvalidDistributionError, r"is not an \(x, y\) cell"),
+    ])
+    @pytest.mark.parametrize("mass", [1.0, 0.0])
+    def test_rejects_off_grid_start_labels(self, label, error, message, mass):
+        # on a 5x2 grid (5, 0) and (0, -1) have flat indices 5 and -5, which
+        # numpy would both take as cell (0, 1); a label off the grid is
+        # refused even with no mass on it
+        g = GridWorld(5, 2, goal=(4, 1), start=(0, 0))
+        start = Distribution([(0, 0), label], [1.0 - mass, mass])
+        for use in (lambda: GridWorldModel(g, start, uniform_policy(g)),
+                    lambda: future_state_distribution(g, start, None, uniform_policy(g), 2),
+                    lambda: push_forward(g, start, "up")):
+            with pytest.raises(error, match=message):
+                use()
+
     def test_sampling_tables_built_once(self):
         # the follow tables and one first step's tables per admissible action
         # are built with the model; walking or sampling branches builds none
@@ -925,7 +964,7 @@ class TestGridWorldModel:
             rng = np.random.default_rng(0)
             for event in (None, *m.event_space(), *m.event_space()):
                 m.sample_future_outcomes(event, Horizon(0, 3), 100, rng)
-                mc_entropy_of_branch(m, event, Horizon(0, 3), 100, rng)
+                mc_entropy_of_branch(m, event, Horizon(0, 3), 100, 0)
             assert build.call_count == 3
 
     def test_distribution_start(self):

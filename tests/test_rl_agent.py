@@ -12,7 +12,6 @@ from zentropy.mdp_sim import (
     ACTIONS,
     GridWorld,
     _checked_policy,
-    action_z_scores,
     always_policy,
     corridor_world,
     uniform_policy,
@@ -163,12 +162,9 @@ class TestTrain:
         g = corridor_world(5, 0.2)
         # premise: under the always-right follow-on, right is uncertainty-
         # reducing and left uncertainty-increasing at every non-goal cell
-        pol = always_policy(g, "right")
-        est = EstimatorConfig()
-        for x in range(4):
-            s = dict(action_z_scores(g, (x, 0), pol, 10, est,
-                                     actions=("left", "right")))
-            assert s["right"].value < 0 < s["left"].value
+        z, _ = z_table(g, [(x, 0) for x in range(4)], always_policy(g, "right"), 10,
+                       EstimatorConfig(), ("left", "right"))
+        assert (z[:, 1] < 0).all() and (z[:, 0] > 0).all()  # columns: left, right
         cfg = ShapingConfig(beta=0.5, horizon_k=10, recompute_every=100,
                             z_policy="fixed-uniform")
         res = train(g, cfg, episodes=1500, max_steps=100, epsilon=0.1,
