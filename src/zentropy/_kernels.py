@@ -45,7 +45,8 @@ def active_backend() -> str:
 # ---------------------------------------------------------------------------
 
 # Byte budget of one chunk of walks, charged per row of uniforms: its int64
-# bucket offset and, if the uniforms come from a Draw, the row as drawn; and
+# bucket offset, its float64 uniform of the current step as copied out of a
+# strided column and, if the uniforms come from a Draw, the row as drawn; and
 # per walk, its two int64 state arrays, its float64 probe and its bool hit.
 # All of these are allocated once per walk_outcomes call and reused by every
 # chunk.
@@ -217,10 +218,11 @@ def walk_outcomes(cum_start, first, n_first, rest, n_rest, u, starts=None) -> np
     table's row start s * g * p: a bucketed table's successors are stored
     scaled, and a row table's raw successors are scaled by the next step.
     A grid's follow table has g = 4 and p = 2, so a step is one add, take,
-    compare, add and take. The walks go through chunks of rows of u, and
-    each step reads its column of the chunk where it lies: contiguous in a
-    column-major u, strided in a row-major or drawn one (a transposed copy
-    would cost more than it saves). The working arrays (see
+    compare, add and take. The walks go through chunks of rows of u. A step
+    whose column of the chunk is strided (a row-major or drawn u holds it
+    `width` floats apart) first copies it into one contiguous buffer, so its
+    multiply and compares read the uniforms at stride 1; a column-major u's
+    columns are read where they lie. The working arrays (see
     WALK_CHUNK_BYTES) are allocated once per call.
     """
     width = 1 + n_first + n_rest
@@ -257,11 +259,12 @@ def walk_outcomes(cum_start, first, n_first, rest, n_rest, u, starts=None) -> np
         steps.append((thr, nxt, mul, _search_halves(p), g, p))
     walks = 1 if starts is None else len(starts)
     out = np.empty((walks, n), dtype=np.int64)
-    chunk = max(1, min(n, WALK_CHUNK_BYTES // (8 + 8 * width * drawn + 25 * walks)))
+    chunk = max(1, min(n, WALK_CHUNK_BYTES // (16 + 8 * width * drawn + 25 * walks)))
     state, spare = np.empty((2, walks * chunk), dtype=np.int64)
     probe = np.empty(walks * chunk)
     hit = np.empty(walks * chunk, dtype=np.bool_)
     offset = np.empty(chunk, dtype=np.int64)
+    column = np.empty(chunk)
     if drawn:
         parts = draw_rows(u.rng, n, width, chunk)
     else:
@@ -272,8 +275,11 @@ def walk_outcomes(cum_start, first, n_first, rest, n_rest, u, starts=None) -> np
         cur, other, found, le = (buf[:walks * size].reshape(walks, size)
                                  for buf in (state, spare, probe, hit))
         cur[...] = np.searchsorted(cum_start, ut[0], side="right") if starts is None else starts
-        off = offset[:size]
+        off, copy = offset[:size], column[:size]
         for x, (thr, nxt, mul, halves, g, p) in zip(ut[1:], steps):
+            if not x.flags.contiguous:
+                np.copyto(copy, x)
+                x = copy
             if mul > 1:
                 np.multiply(cur, mul, out=cur)
             if g > 1:  # bucket offset floor(u * g) * p; the cast truncates u * g >= 0

@@ -53,14 +53,70 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _round_floats(obj):
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x: float) -> str:
+    """x rounded to 9 significant digits, as JSON; a ValueError if the
+    rounded value is not finite (1.797693135e308 rounds to inf)."""
+    r = float(f"{x:.9g}")
+    if not math.isfinite(r):
+        raise ValueError(f"Out of range float values are not JSON compliant: {r!r}")
+    return float.__repr__(r)
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it: a str as it is, a float, bool,
+    None or int as its JSON text, quoted."""
+    if not isinstance(key, str):
+        if isinstance(key, float):
+            if not math.isfinite(key):
+                raise ValueError(f"Out of range float values are not JSON compliant: {key!r}")
+            key = float.__repr__(key)
+        elif isinstance(key, bool) or key is None:
+            key = "null" if key is None else "true" if key else "false"
+        elif isinstance(key, int):
+            key = int.__repr__(key)
+        else:
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+    return _json_str(key)
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    writes it at indentation `pad`, each float (float subclasses too, but
+    not a key) first rounded to 9 significant digits. One pass: the same
+    text, or the same exception type, that dumping a rounded copy of obj
+    gives, raised at the first bad value in the order json writes them.
+    Each container's items are joined once; a float item, the bulk of a
+    record, is formatted without a recursive call."""
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
-        return float(f"{obj:.9g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return _json_float(obj)
+    inner = pad + "  "
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        items = [_json_float(v) if type(v) is float else _json_text(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_json_key(k) + ": "
+                 + (_json_float(v) if type(v) is float else _json_text(v, inner))
+                 for k, v in sorted(obj.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _csv_quotes(char: str) -> bool:
@@ -100,7 +156,11 @@ def _lines(columns: list) -> str:
         elif dtype is not None and dtype.kind in "iu":
             spec, fields = "%d", column.tolist()
         else:
-            spec, fields = "%s", [_quoted(fmt(v)) for v in column]
+            # one search of the column's fields, joined by a character that
+            # is never quoted, decides whether any of them need quoting
+            spec, fields = "%s", list(map(fmt, column))
+            if _CSV_QUOTED.search("\x00".join(fields)) is not None:
+                fields = list(map(_quoted, fields))
             if m == 1:  # csv writes a lone empty field as "", not as a blank line
                 fields = [field or '""' for field in fields]
         specs.append(spec)
@@ -130,7 +190,7 @@ def write_json(path: Path, obj: dict, config_hash: str) -> None:
     obj = dict(obj)
     obj["config_hash"] = config_hash
     try:
-        text = json.dumps(_round_floats(obj), sort_keys=True, indent=2, allow_nan=False)
+        text = _json_text(obj)
     except ValueError as e:  # a non-finite float
         raise ZentropyError(f"non-finite number in {path.name}: {e}") from e
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -212,11 +212,16 @@ def _first_rows(g: GridWorld, starts: np.ndarray, actions) -> tuple:
     """(succ, probs), the first steps of the branches (cell, action) that
     z_table scores, as rows of two (len(starts) * m, 5) arrays: row i * m + j
     is action j's step from flat cell starts[i], its successors flat cells
-    and its probabilities those of the action's _step_probs."""
-    succ = np.repeat(g.successors[starts], len(actions), axis=0)
-    probs = np.stack([_step_probs(g, _action_matrix(a))[starts] for a in actions],
-                     axis=1).reshape(-1, 5)
-    return succ, probs
+    and its probabilities those of the action's _step_probs: 1 - slip on
+    the action's move and slip on "stay", or all of it on "stay" from the
+    goal or a wall."""
+    m = len(actions)
+    succ = np.repeat(g.successors[starts], m, axis=0)
+    probs = np.zeros((len(starts), m, 5))
+    probs[:, np.arange(m), [ACTIONS.index(a) for a in actions]] = 1.0 - g.slip
+    probs[:, :, 4] = g.slip
+    probs[g.wall_mask[starts] | (starts == g.index_of(g.goal))] = (0.0, 0.0, 0.0, 0.0, 1.0)
+    return succ, probs.reshape(-1, 5)
 
 
 def _branch_walk(cum_start, first: tuple, follow: tuple, k: int) -> Walk:
@@ -365,10 +370,15 @@ def _future_flat(g: GridWorld, flat: np.ndarray, first, follow: np.ndarray, k: i
     return _propagate(g, d, follow, k)[:, 0]
 
 
+def _point_flat(g: GridWorld, cell) -> np.ndarray:
+    """The flat law of a point mass at cell, checked by _checked_cell."""
+    return np.eye(1, g.n_cells, g.index_of(_checked_cell(g, cell)))[0]
+
+
 def transition_kernel(g: GridWorld, cell: Cell, action: str) -> Distribution:
     """One-step law of the next cell for a single (cell, action) pair."""
-    cell = _checked_cell(g, cell)
-    return push_forward(g, Distribution.point(cell, g.free_cells()), action)
+    flat = _point_flat(g, cell)
+    return _flat_to_dist(g, _future_flat(g, flat, None, _action_matrix(action), 1))
 
 
 def push_forward(g: GridWorld, d: Distribution, policy_or_action) -> Distribution:
@@ -403,13 +413,23 @@ class GridWorldModel(SystemModel):
         if isinstance(start, Distribution):
             self._start = _dist_to_flat(grid, start)
         else:
-            self._start = np.eye(1, grid.n_cells, grid.index_of(_checked_cell(grid, start)))[0]
+            self._start = _point_flat(grid, start)
         self.follow = _checked_policy(grid, follow)
         self.actions = _admissible_actions(actions)
-        self._cum_start = cumulative(self._start)
-        self._follow_tables = _step_tables(grid, self.follow)
-        self._first_tables = {a: _step_tables(grid, _action_matrix(a))
-                              for a in self.actions}
+
+    # the sampling tables, which only walk() reads, built on its first call
+
+    @cached_property
+    def _cum_start(self) -> np.ndarray:
+        return cumulative(self._start)
+
+    @cached_property
+    def _follow_tables(self) -> tuple:
+        return _step_tables(self.grid, self.follow)
+
+    @cached_property
+    def _first_tables(self) -> dict:
+        return {a: _step_tables(self.grid, _action_matrix(a)) for a in self.actions}
 
     def event_space(self) -> list[Event]:
         return [Event(a, f"take action {a} at t0") for a in self.actions]

@@ -16,7 +16,7 @@ from zentropy.entropic_potential import Horizon, ZEstimate
 from zentropy.errors import ZentropyError
 
 from oracles import (attribution_row, make_regime_shift_stream, ranked_rows,
-                     write_attribution_rows, write_csv_rows)
+                     write_attribution_rows, write_csv_rows, write_json_two_step)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -98,6 +98,11 @@ class TestCsvWriter:
     @example(table=(["z"], [np.array([-0.0, 0.0, -1.5])], [(-0.0,), (0.0,), (-1.5,)]))
     @example(table=([""], [["", "a\r", 'b"', "c,d\n"]], [("",), ("a\r",), ('b"',), ("c,d\n",)]))
     @example(table=_scores_like_table())
+    @example(table=(["t", "n"], [["a", "b,c", "d"], np.array([1, 2, 3])],
+                    [("a", 1), ("b,c", 2), ("d", 3)]))  # only a middle field is quoted
+    @example(table=(["t"], [["x\x00", "\x00,y", "\x00"]], [("x\x00",), ("\x00,y",), ("\x00",)]))
+    @example(table=(["t", "u"], [["\x00", "a\x00"], [",\x00", "\x00"]],
+                    [("\x00", ",\x00"), ("a\x00", "\x00")]))
     @settings(max_examples=200, deadline=None)
     def test_columns_write_what_the_row_writer_writes(self, tmp_path_factory, table):
         header, columns, rows = table
@@ -140,6 +145,46 @@ def attribution_tables(draw):
                      draw(st.text(st.sampled_from('ab ,"\n'), max_size=5)),
                      t0, t0 + draw(st.integers(1, 3)), z, se))
     return method, tol, rows
+
+
+# keys json writes: str, and int, float, bool or None, which sort among
+# themselves (None only alone); a dict mixing kinds that do not sort, or a
+# tuple key, is a TypeError on both sides
+JSON_TEXT = st.text(st.sampled_from('ab"\\/\x00\x01\x1f\u00e9\u2028\U0001f600 '), max_size=4)
+JSON_FLOATS = st.floats(allow_subnormal=True) | st.sampled_from([
+    -0.0, 5e-324, -5e-324, 1.797693135e308, 1.7976931348623157e308, 1e8, 1e-5, 123456789.5,
+    math.nan, math.inf, -math.inf])
+JSON_SCALARS = (st.none() | st.booleans() | JSON_TEXT | JSON_FLOATS
+                | JSON_FLOATS.map(np.float64) | st.integers()
+                | st.sampled_from([10**30, -2**70, 2**64]))
+JSON_KEYS = (JSON_TEXT | st.integers(-3, 3) | JSON_FLOATS | st.booleans() | st.none()
+             | st.just((1,)))
+
+
+def json_records(children):
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(JSON_TEXT, children, max_size=4)
+            | st.dictionaries(st.integers(-3, 3) | JSON_FLOATS | st.booleans(), children,
+                              max_size=3)
+            | st.dictionaries(JSON_KEYS, children, max_size=2))
+
+
+class TestJsonWriter:
+    @given(st.recursive(JSON_SCALARS, json_records, max_leaves=12))
+    @example(value={"a": [1.0, {"b": ()}], "c": {}, "d": [], "e": [[]]})
+    @example(value=[1.797693135e308])  # rounds to inf
+    @example(value={math.nan: 1})
+    @example(value={"x": object()})
+    def test_writes_what_the_two_step_encoder_writes(self, tmp_path_factory, value):
+        d = tmp_path_factory.mktemp("json")
+        results = []
+        for name, write in (("one.json", cli.write_json), ("two.json", write_json_two_step)):
+            try:
+                write(d / name, {"value": value, "n": 1}, "abc")
+                results.append((d / name).read_bytes())
+            except (TypeError, ValueError, ZentropyError) as e:
+                results.append(type(e))
+        assert results[0] == results[1]
 
 
 class TestAttributionWriter:

@@ -102,6 +102,26 @@ class TestTransitionKernel:
         with pytest.raises(ValueError):
             transition_kernel(g, (0, 0), "jump")
 
+    def test_cell_is_checked_before_action(self):
+        g = GridWorld(3, 3, goal=(2, 2), start=(0, 0), walls={(1, 1)})
+        with pytest.raises(CellIsWallError):
+            transition_kernel(g, (1, 1), "jump")
+        with pytest.raises(ValueError, match="out of bounds"):
+            transition_kernel(g, (3, 0), "jump")
+
+    @given(st.deferred(lambda: small_worlds()))  # defined below
+    def test_equals_push_forward_of_a_point_mass(self, world):
+        # every free cell and action of a walled grid: blocked moves and
+        # the absorbing goal among them
+        g = world[0]
+        free = g.free_cells()
+        for cell in free:
+            for a in ACTIONS:
+                got = transition_kernel(g, cell, a)
+                want = push_forward(g, Distribution.point(cell, free), a)
+                assert got.outcomes == want.outcomes
+                assert got.probs.tobytes() == want.probs.tobytes()
+
 
 class TestPushForward:
     def test_deterministic_point_mass(self):
@@ -694,6 +714,7 @@ class TestZTable:
         # MAX_SAMPLES walks of 16 steps would draw 128 MB of uniforms at once
         g = corridor_world(5, 0.2)
         model = GridWorldModel(g, (3, 0), uniform_policy(g))
+        model.walk(None, Horizon(0, 1))  # the model's own tables, built on its first walk
         steps = MAX_UNIFORMS // MAX_SAMPLES + 1
 
         def no_table(*args, **kwargs):
@@ -955,17 +976,28 @@ class TestGridWorldModel:
 
     def test_sampling_tables_built_once(self):
         # the follow tables and one first step's tables per admissible action
-        # are built with the model; walking or sampling branches builds none
+        # are built on the first walk, not with the model; later walks and
+        # samples build none
         g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.2, walls={(1, 1)})
         with mock.patch.object(mdp_sim, "_step_tables",
                                wraps=mdp_sim._step_tables) as build:
             m = GridWorldModel(g, (0, 0), uniform_policy(g), actions=("up", "left"))
-            assert build.call_count == 3
+            assert build.call_count == 0
             rng = np.random.default_rng(0)
             for event in (None, *m.event_space(), *m.event_space()):
                 m.sample_future_outcomes(event, Horizon(0, 3), 100, rng)
                 mc_entropy_of_branch(m, event, Horizon(0, 3), 100, 0)
             assert build.call_count == 3
+
+    def test_exact_ranking_builds_no_sampling_tables(self):
+        g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.2, walls={(1, 1)})
+        with mock.patch.object(mdp_sim, "_step_tables",
+                               wraps=mdp_sim._step_tables) as build, \
+                mock.patch.object(mdp_sim, "cumulative", wraps=cumulative) as cum:
+            m = GridWorldModel(g, (0, 0), uniform_policy(g))
+            ranked = rank_events(m, m.event_space(), "vs-rest", Horizon(0, 3), EXACT)
+        assert len(ranked) == len(ACTIONS)
+        assert build.call_count == cum.call_count == 0
 
     def test_distribution_start(self):
         g = corridor_world(4, 0.0)
