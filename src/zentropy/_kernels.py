@@ -15,9 +15,9 @@ Determinism notes:
   - stream_scores works on whole arrays but performs, for every event, the
     same float operations in the same order as a per-event loop would
     (math.log2 terms, additions in bin order and in window order), whether
-    a chunk sums its rolling windows as one gathered block or slice by
-    slice, so its outputs are bitwise independent of how a stream is split
-    into calls or chunks. A chunk of n events takes the entropy of each of
+    a batch sums its rolling windows in blocks or slice by slice, so its
+    outputs are bitwise independent of how a stream is split into calls or
+    chunks. A chunk of n events takes the entropy of each of
     the n + 1 windows it passes through once, from integer bin counts that
     are exact however they are formed; an event's score is the difference
     of its two windows' entropies, as the loop's is.
@@ -288,10 +288,10 @@ def walk_outcomes(cum_start, first, n_first, rest, n_rest, u, starts=None) -> np
                 np.add(cur, off, out=cur)
             for half in halves:
                 # thr[half - 1:] at cur is the row's (h + half - 1)th threshold
-                np.take(thr[half - 1:], cur, out=found, mode="clip")
+                thr[half - 1:].take(cur, out=found, mode="clip")
                 np.less_equal(found, x, out=le)
                 np.add(cur, le if half == 1 else le * half, out=cur)
-            np.take(nxt, cur, out=other, mode="clip")
+            nxt.take(cur, out=other, mode="clip")
             cur, other = other, cur
         out[:, a:a + size] = cur
     return out[0] if starts is None else out
@@ -316,24 +316,16 @@ def cumulative(probs) -> np.ndarray:
 # stream and replaying it in one call give bitwise equal results.
 # ---------------------------------------------------------------------------
 
-# Bytes charged per chunk of events, so a long stream's peak memory does not
-# grow with its length. A chunk is charged 8 bytes per event for each bin (its
-# bin counts) and for each past score it holds: a row of `window` in the
-# block form, 8 running columns in the slice form (see _stream_bounds).
-# This bounds only the charged arrays, not the working set. By tracemalloc
-# (numpy 2.4), a chunk holds at its peak 8 * (3 * bins + 3) bytes per event,
-# and at least 160: the (events + 1, bins) counts, the per-bin terms and
-# their running sums in _entropy_bits, or at few bins the rolling-stat
-# columns; a block-form chunk also holds its (events, window) block. The
-# charge is not raised to that: at bins 4 it would cut slice-form chunks
-# from 2730 to about 1640 events, each chunk adding its 5 * window rolling
-# calls, while the peak is already bounded and small. A 20k-event call
-# peaks at 1.15 MB at (window 64, bins 4) and 1.27 MB at (1024, 256),
-# its five output columns (0.66 MB) included.
+# Bytes charged per scoring chunk, so a long stream's peak memory does not
+# grow with its length. A chunk is charged what it holds at its peak by
+# tracemalloc (numpy 2.4), 8 * (3 * bins + 3) bytes per event: its
+# (events + 1, bins) counts and _entropy_bits's per-bin terms and their
+# running sums. A short batch's rolling stats fill (events, window) blocks
+# of at most this many bytes, 8 * window per event.
 STREAM_CHUNK_BYTES = 1 << 18
 
-# Chunks of at least this many events sum their rolling windows as slices,
-# shorter ones (an online ingest among them) as one gathered block. Both do
+# Batches of at least this many events sum their rolling windows as slices,
+# shorter ones (an online ingest among them) as blocks. Both do
 # O(events * window) float work; the slice form adds about 5 * window numpy
 # calls, which pays off from about 200 events on at every window from 16 to
 # 1024 (2-core x86-64, numpy 2.4).
@@ -376,18 +368,22 @@ def _entropy_bits(counts, first, cap, n_bins, alpha):
 
 
 def _rolling_block(zseq, first, n, cap):
-    """Rolling mean and std of n events from one gathered (n, cap) block:
-    row i holds zseq[first + i:first + i + cap], summed along the row by
-    cumsum. A few numpy calls and O(cap) bytes per event, for short chunks."""
-    cols = np.arange(cap)
-    z_end = np.arange(first, first + n)
-    block = zseq[z_end[:, None] + cols]
-    z_count = np.minimum(z_end, cap)
-    mean = block.cumsum(axis=1)[:, -1] / z_count
-    block -= mean[:, None]
-    block *= block
-    block[cols < (cap - z_count)[:, None]] = 0.0
-    return mean, np.sqrt(block.cumsum(axis=1)[:, -1] / z_count)
+    """Rolling mean and std of n events from an (n, cap) block whose row i
+    is zseq[first + i:first + i + cap], summed along the row by cumsum. The
+    block is a strided view of zseq, so the deviations and their running
+    sums fill one (n, cap) buffer: a few numpy calls and 8 * cap bytes per
+    event, for short batches."""
+    step = zseq.itemsize  # zseq is contiguous: row i starts one float after row i - 1
+    block = np.ndarray((n, cap), zseq.dtype, zseq, first * step, (step, step))
+    z_count = np.minimum(np.arange(first, first + n), cap)
+    acc = block.cumsum(axis=1)
+    mean = acc[:, -1] / z_count
+    np.subtract(block, mean[:, None], out=acc)
+    acc *= acc
+    if first < cap:  # the padding of rows whose window is not yet full
+        acc[np.arange(cap) < (cap - z_count)[:, None]] = 0.0
+    acc.cumsum(axis=1, out=acc)
+    return mean, np.sqrt(acc[:, -1] / z_count)
 
 
 def _rolling_slices(zseq, first, n, cap):
@@ -395,76 +391,50 @@ def _rolling_slices(zseq, first, n, cap):
     contiguous slice zseq[first + j:first + j + n], so adding the cap slices
     to a running total in order adds each row's entries as cumsum does.
     About 5 * cap numpy calls over a few columns of n floats, for long
-    chunks."""
-    z_count = np.minimum(np.arange(first, first + n), cap)
+    batches; the mean and std are formed in the two running sums."""
+    z_count = np.arange(first, first + n)
+    np.minimum(z_count, cap, out=z_count)
     total = zseq[first:first + n].copy()
     for j in range(first + 1, first + cap):
         total += zseq[j:j + n]
-    mean = total / z_count
+    total /= z_count  # the mean
     # 0.0 + the first square is that square, as a square is never -0.0
     sq = np.zeros(n)
     d = np.empty(n)
     for j in range(cap):
-        np.subtract(zseq[first + j:first + j + n], mean, out=d)
+        np.subtract(zseq[first + j:first + j + n], total, out=d)
         d *= d
         d[:max(cap - first - j, 0)] = 0.0  # the rows whose column j is padding
         sq += d
-    return mean, np.sqrt(sq / z_count)
+    sq /= z_count
+    return total, np.sqrt(sq, out=sq)
 
 
-def _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
-                  window, z_past, state):
+def _stream_chunk(bins, n_bins, alpha, window, n_seen, z):
+    """Write the scores of a chunk of binned events into z, and advance the
+    carried window (the last min(n_seen, cap) bins, oldest first) past
+    them.
+
+    Event i moves the window from W_i to W_{i + 1}, so the entropies of
+    W_0..W_n give every score. Row t of counts holds W_t's bin counts: the
+    carried window's, plus one for each of the first t new bins, minus one
+    for each symbol of seq (carried window, oldest first, then the new
+    bins) that has left. The first n_out symbols leave, one per row from
+    1 + n - n_out on."""
     cap = window.shape[0]
-    n_seen = int(state[0])
-    live = min(n_seen, cap)  # bins in the window, and scores in z_past
-    n = values.shape[0]
-    steps = np.arange(n)
-    bins = stream_bins(values, lo, width, n_bins)
-
-    # Event i moves the window from W_i to W_{i + 1}, so the entropies of
-    # W_0..W_n give every score. Row t of counts holds W_t's bin counts:
-    # the carried window's, plus one for each of the first t new bins,
-    # minus one for each symbol of seq (carried window, oldest first, then
-    # the new bins) that has left. The first n_out symbols leave, one per
-    # row from 1 + n - n_out on.
+    live = min(n_seen, cap)
+    n = bins.shape[0]
     seq = np.concatenate((window[:live], bins))
     n_out = max(live + n - cap, 0)
     counts = np.zeros((n + 1, n_bins), dtype=np.int64)
     counts[0] = np.bincount(window[:live], minlength=n_bins)
-    counts[steps + 1, bins] = 1
+    counts[np.arange(1, n + 1), bins] = 1
     counts[np.arange(1 + n - n_out, n + 1), seq[:n_out]] -= 1
     counts.cumsum(axis=0, out=counts)
     h = _entropy_bits(counts, live, cap, n_bins, alpha)
-    z = h[1:] - h[:-1]
-
-    # rolling stats over the last <= cap scores, current one included: event
-    # i's window is zseq[live + 1 + i:live + 1 + i + cap], oldest first, behind
-    # zeros while fewer than cap scores exist (zero squared deviations there
-    # too), so each sum adds 0.0 first and then the live scores in the loop's
-    # order
-    zseq = np.concatenate((np.zeros(cap), z_past[:live], z))
-    rolling = _rolling_slices if n >= STREAM_SLICES_FROM else _rolling_block
-    mean, std = rolling(zseq, live + 1, n, cap)
-    flag = (steps >= warmup - n_seen) & (z > mean + kappa * std)
-
-    # carried state: the last <= cap bins and scores, oldest first
+    np.subtract(h[1:], h[:-1], out=z)
     new_live = min(live + n, cap)
     window[:new_live] = seq[seq.shape[0] - new_live:]
-    z_past[:new_live] = zseq[zseq.shape[0] - new_live:]
-    state[0] = n_seen + n
-    return bins, z, mean, std, flag
-
-
-def _stream_bounds(n, cap, n_bins):
-    """Chunk boundaries [0, ..., n] of a batch of n events. The batch is
-    split into as few slice-form chunks as fit STREAM_CHUNK_BYTES, with
-    lengths differing by at most one. If those are too short for the slice
-    form, it is cut into block-form chunks instead, each as long as fits."""
-    if n >= STREAM_SLICES_FROM:
-        k = -(-n // max(1, STREAM_CHUNK_BYTES // (8 * (n_bins + 8))))
-        if n // k >= STREAM_SLICES_FROM:
-            return [i * n // k for i in range(k + 1)]
-    return [*range(0, n, max(1, STREAM_CHUNK_BYTES // (8 * (n_bins + cap)))), n]
 
 
 def stream_state(cap):
@@ -483,22 +453,52 @@ def stream_scores(values, lo, width, n_bins, alpha, kappa, warmup,
     (bin, z, rolling_mean, rolling_std, flagged) arrays and advances the
     state in place: state is int64 [n_seen]; window and z_past hold the
     last min(n_seen, cap) bins and scores, oldest first.
+
+    The batch is scored in chunks within STREAM_CHUNK_BYTES (_stream_chunk);
+    then the rolling stats of all its events are taken at once, as slices
+    from STREAM_SLICES_FROM events on and otherwise as blocks within
+    STREAM_CHUNK_BYTES.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("stream values must be a 1-D array")
     if not np.isfinite(values).all():
         raise ValueError("stream values must be finite")
+    cap = window.shape[0]
+    n_seen = int(state[0])
+    live = min(n_seen, cap)  # bins in the window, and scores in z_past
     n = values.shape[0]
-    bounds = _stream_bounds(n, window.shape[0], n_bins)
-    if len(bounds) == 2:  # one chunk, e.g. an online ingest: no output copies
-        return _stream_chunk(values, lo, width, n_bins, alpha, kappa, warmup,
-                             window, z_past, state)
-    outs = (np.empty(n, dtype=np.int64), np.empty(n), np.empty(n), np.empty(n),
-            np.empty(n, dtype=np.bool_))
-    for a, b in zip(bounds, bounds[1:]):
-        got = _stream_chunk(values[a:b], lo, width, n_bins, alpha, kappa,
-                            warmup, window, z_past, state)
-        for out, part in zip(outs, got):
-            out[a:b] = part
-    return outs
+    bins = stream_bins(values, lo, width, n_bins)
+
+    # zseq is cap zeros, the past scores, then the batch's: event i's
+    # rolling window, the last <= cap scores with its own, is
+    # zseq[live + 1 + i:live + 1 + i + cap], oldest first, behind zeros while
+    # fewer than cap scores exist (zero squared deviations there too), so
+    # each sum adds 0.0 first and then the live scores in the loop's order
+    zseq = np.zeros(cap + live + n)
+    zseq[cap:cap + live] = z_past[:live]
+    z = zseq[cap + live:]
+    size = max(1, STREAM_CHUNK_BYTES // (8 * (3 * n_bins + 3)))
+    for a in range(0, n, size):
+        _stream_chunk(bins[a:a + size], n_bins, alpha, window, n_seen + a, z[a:a + size])
+
+    if n >= STREAM_SLICES_FROM:
+        mean, std = _rolling_slices(zseq, live + 1, n, cap)
+    else:
+        rows = max(1, STREAM_CHUNK_BYTES // (8 * cap))
+        if n <= rows:  # e.g. an online ingest: one block, no output copies
+            mean, std = _rolling_block(zseq, live + 1, n, cap)
+        else:
+            mean, std = np.empty(n), np.empty(n)
+            for a in range(0, n, rows):
+                b = min(a + rows, n)
+                mean[a:b], std[a:b] = _rolling_block(zseq, live + 1 + a, b - a, cap)
+    flag = z > mean + kappa * std
+    if n_seen < warmup:
+        flag &= np.arange(n) >= warmup - n_seen
+
+    # carried scores: the last <= cap, oldest first
+    new_live = min(live + n, cap)
+    z_past[:new_live] = zseq[zseq.shape[0] - new_live:]
+    state[0] = n_seen + n
+    return bins, z, mean, std, flag

@@ -194,12 +194,11 @@ class Walk:
     def steps(self) -> int:
         return self.n_first + self.n_rest + 1
 
-    def states(self, u: np.ndarray, starts=None) -> np.ndarray:
+    def states(self, u: np.ndarray) -> np.ndarray:
         """States before the last step, from the (n, k) uniforms u: column 0
-        draws the start and each later column one step (see walk_outcomes,
-        which also says what starts does)."""
+        draws the start and each later column one step (see walk_outcomes)."""
         return walk_outcomes(self.cum_start, self.first, self.n_first, self.rest,
-                             self.n_rest, u, starts)
+                             self.n_rest, u)
 
 
 class SystemModel(ABC):

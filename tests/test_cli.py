@@ -1070,7 +1070,7 @@ class TestAnomaly:
 
     def test_long_stream_outputs_match_golden_hashes(self, tmp_path):
         # 20k events on [0, 2) and [2, 4), switching every 500, through the
-        # preset detector: many kernel chunks and about 20 CSV writer blocks
+        # preset detector: ten scoring chunks and about 20 CSV writer blocks
         rng = np.random.default_rng(2025)
         values = rng.random(20_000) * 2.0 + (np.arange(20_000) // 500) % 2 * 2.0
         stream = tmp_path / "stream.txt"

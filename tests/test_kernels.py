@@ -289,7 +289,7 @@ def test_stream_python_path_is_deterministic():
 
 # one piece per example: window - 1, window, window + 1 and >> window events,
 # then the last block-form length, the first slice-form one and one past it,
-# and a piece long enough for several slice-form chunks
+# and a piece long enough for several scoring chunks
 @example(window=8, bins=4, alpha=1.0, kappa=3.0, extra_warmup=0, seed=1, n=7, cuts=[])
 @example(window=8, bins=4, alpha=1.0, kappa=3.0, extra_warmup=0, seed=2, n=8, cuts=[])
 @example(window=8, bins=4, alpha=1.0, kappa=3.0, extra_warmup=0, seed=3, n=9, cuts=[])
@@ -325,24 +325,46 @@ def test_stream_kernel_matches_loop_bitwise(window, bins, alpha, kappa,
     assert_bitwise(got, want)
 
 
+def test_stream_warmup_masks_flags_however_the_stream_is_split():
+    # the flag rule already holds at events 4 to 7 (a constant run, then a
+    # new bin), so only the warm-up keeps them unflagged, in whichever batch
+    # they fall
+    values = np.r_[np.full(7, 0.5), 2.5, np.full(8, 0.5), 2.5]
+    kw = dict(window=8, bins=4, kappa=0.05, warmup=8)
+    want = reference_stream(values, **kw)
+    assert want[4].tolist() == [False] * 8 + [True] * 5 + [False] * 3 + [True]
+    for cut in range(1, 9):
+        assert_bitwise(kernel_stream(values, [cut], **kw), want)
+    assert_bitwise(kernel_stream(values, range(1, 17), **kw), want)
+
+
 def test_stream_chunks_equal_one_pass(monkeypatch):
     rng = np.random.default_rng(21)
     values = rng.random(3000) * 4.0
     values[1500:] = rng.integers(2, 4, 1500) + 0.5   # a regime shift
     kw = dict(window=64, bins=4, warmup=64)
+    sizes = []
+
+    def spy(bins, *args, real=_kernels._stream_chunk):
+        sizes.append(len(bins))
+        return real(bins, *args)
+
+    monkeypatch.setattr(_kernels, "_stream_chunk", spy)
     monkeypatch.setattr(_kernels, "STREAM_CHUNK_BYTES", 1 << 40)
     whole = kernel_stream(values, **kw)
-    # slice-form chunks are charged 8 * (bins + 8) bytes per event: at most
-    # 416 events, so 8 slice-form chunks of 375
+    assert sizes == [3000]
+    # scoring chunks are charged 8 * (3 * bins + 3) bytes per event: 333
+    # events in 40 kB, and 166 in 20 kB; the rolling stats take one slice
+    # pass over the whole batch either way
     monkeypatch.setattr(_kernels, "STREAM_CHUNK_BYTES", 40_000)
-    assert _kernels._stream_bounds(3000, 64, 4) == list(range(0, 3001, 375))
+    sizes.clear()
     chunked = kernel_stream(values, **kw)
+    assert sizes == [333] * 9 + [3]
     assert_bitwise(chunked, whole)
-    # 208-event slice-form chunks would be too short, so 36-event block-form
-    # chunks, at 8 * (bins + window) bytes per event
     monkeypatch.setattr(_kernels, "STREAM_CHUNK_BYTES", 20_000)
-    assert _kernels._stream_bounds(3000, 64, 4) == [*range(0, 3000, 36), 3000]
+    sizes.clear()
     assert_bitwise(kernel_stream(values, **kw), whole)
+    assert sizes == [166] * 18 + [12]
     assert_bitwise(whole, reference_stream(values, **kw))
     assert whole[4].any()
 
@@ -359,9 +381,11 @@ def wide_values(seed, n, regime):
     return values
 
 
-# wide detectors: block-form chunks of 25 events at (1024, 256) and of 102
-# at (64, 256); at (1024, 4), warm-up fills most of the first of two
-# 1500-event slice-form chunks, or all of a 299-event one after the first cut
+# wide detectors: scoring chunks of 42 events at 256 bins and of 2184 at 4
+# bins. A whole stream takes its rolling stats in one slice pass; after the
+# cuts, each batch of fewer than 256 events takes them as one block (32 rows
+# fit at window 1024). At (1024, 4), warm-up fills most of the whole
+# stream's slice pass, or all of the 299-event one after the first cut
 @pytest.mark.parametrize("window, bins, n", [(1024, 256, 2600), (64, 256, 900),
                                              (1024, 4, 3000)])
 def test_stream_kernel_matches_loop_at_wide_detectors(window, bins, n):
@@ -383,8 +407,8 @@ def test_stream_kernel_matches_loop_at_wide_detectors(window, bins, n):
 )
 def test_stream_kernel_matches_loop_under_any_chunk_budget(window, bins, budget, seed,
                                                            n, cuts):
-    # budgets from one-event block-form chunks to slice-form chunks of
-    # hundreds of events, with split points on top
+    # budgets from one-event scoring chunks and one-row block pieces to
+    # scoring chunks of hundreds of events, with split points on top
     values = wide_values(seed, n, window + 20)
     kw = dict(window=window, bins=bins, warmup=window, width=4.0 / bins)
     want = reference_stream(values, **kw)
@@ -438,8 +462,33 @@ def test_stream_sums_short_chunks_as_a_block_and_long_ones_as_slices(monkeypatch
     first = _kernels.STREAM_SLICES_FROM
     for n in (1, first - 1, first, 2000):
         stream_scores(np.ones(n), 0.0, 1.0, 4, 1.0, 3.0, 64, *state)
+    # a batch of many scoring chunks still takes one slice pass
+    n = 20_000
+    assert n * 8 * (3 * 256 + 3) > 100 * _kernels.STREAM_CHUNK_BYTES
+    stream_scores(wide_values(24, n, 300), 0.0, 4.0 / 256, 256, 1.0, 3.0, 64,
+                  *fresh_state(64))
     assert calls == [("_rolling_block", 1), ("_rolling_block", first - 1),
-                     ("_rolling_slices", first), ("_rolling_slices", 2000)]
+                     ("_rolling_slices", first), ("_rolling_slices", 2000),
+                     ("_rolling_slices", n)]
+
+
+def test_stream_block_pieces_fit_the_chunk_budget(monkeypatch):
+    # a 255-event batch at window 1024 takes its rolling stats in blocks of
+    # at most 32 rows (32 * 1024 floats are 256 KiB), both from a fresh
+    # state and behind full windows
+    pieces = []
+
+    def spy(zseq, first, n, cap, real=_kernels._rolling_block):
+        pieces.append(n)
+        return real(zseq, first, n, cap)
+
+    monkeypatch.setattr(_kernels, "_rolling_block", spy)
+    rows = _kernels.STREAM_CHUNK_BYTES // (8 * 1024)
+    values = wide_values(25, 1555, 400)
+    kw = dict(window=1024, bins=256, warmup=1024, width=4.0 / 256)
+    got = kernel_stream(values, [255, 1300], **kw)
+    assert pieces == ([rows] * 7 + [255 - 7 * rows]) * 2
+    assert_bitwise(got, reference_stream(values, **kw))
 
 
 def test_stream_reads_ring_state_left_by_the_loop():
