@@ -196,22 +196,19 @@ def _search_table(succ, cum) -> SearchTable:
 def walk_outcomes(cum_start, first, n_first, rest, n_rest, u, starts=None) -> np.ndarray:
     """Sample final states of n categorical walks from uniforms in [0, 1).
 
-    cum_start: (S,) cumulative initial distribution. first/rest: (succ, cum)
-    sampling tables, applied n_first then n_rest times, or their
-    _search_table, so that a table walked in several calls is built once.
-    u: (n, 1 + n_first + n_rest) uniforms in [0, 1), or a Draw of n rows
-    that the walk draws a chunk at a time as it reads them. Column 0 draws
-    the start, and each step picks the successor in column j, the count of
-    row entries <= u (searchsorted side='right').
+    cum_start: (S,) cumulative initial distribution. first/rest: the
+    SearchTables (_search_table) of two sampling tables, applied n_first
+    then n_rest times; a table applied 0 times is not read. u: (n, 1 +
+    n_first + n_rest) uniforms in [0, 1), or a Draw of n rows that the walk
+    draws a chunk at a time as it reads them. Column 0 draws the start, and
+    each step picks the successor in column j, the count of row entries
+    <= u (searchsorted side='right').
 
     starts, if given, is a (c,) array of start states: the start draw is
     skipped (cum_start and column 0 go unused) and each start walks every
     row of u, so the result is (c, n) instead of (n,).
 
-    Each table given as (succ, cum) is first made a bucketed search table
-    (_search_table), once per call; a first table taken once from given
-    starts is built over their rows alone, the only rows it is read at. A
-    step adds the bucket offset floor(u * g) * p to the walk's row start,
+    A step adds the bucket offset floor(u * g) * p to the walk's row start,
     runs a branchless binary search over that row's p - 1 thresholds, each
     round one take, one compare and one add over all walks, and takes the
     successor at the position found. The state is carried as the next
@@ -233,14 +230,8 @@ def walk_outcomes(cum_start, first, n_first, rest, n_rest, u, starts=None) -> np
             raise ValueError("uniform array width does not match walk length")
     n = len(u)
     if starts is not None:
-        starts = np.asarray(starts, dtype=np.int64)
-        if n_first == 1 and not isinstance(first, SearchTable):
-            # the first table is read at the start rows alone
-            first = tuple(np.asarray(a)[starts] for a in first)
-            starts = np.arange(len(starts))
-        starts = starts[:, None]
-    tables = [t if isinstance(t, SearchTable) or not used else _search_table(*t)
-              for t, used in ((first, n_first), (rest, n_rest))]
+        starts = np.asarray(starts, dtype=np.int64)[:, None]
+    tables = first, rest
     order = [0] * n_first + [1] * n_rest
     # A walk's state is the row start s * g * p of its next step's table, or
     # raw (stride 1) after a row table's step and at the end. Per step:
@@ -320,8 +311,9 @@ def cumulative(probs) -> np.ndarray:
 # grow with its length. A chunk is charged what it holds at its peak by
 # tracemalloc (numpy 2.4), 8 * (3 * bins + 3) bytes per event: its
 # (events + 1, bins) counts and _entropy_bits's per-bin terms and their
-# running sums. A short batch's rolling stats fill (events, window) blocks
-# of at most this many bytes, 8 * window per event.
+# running sums, and over a filling window its presence mask (stream_scores).
+# A short batch's rolling stats fill (events, window) blocks of at most this
+# many bytes, 8 * window per event.
 STREAM_CHUNK_BYTES = 1 << 18
 
 # Batches of at least this many events sum their rolling windows as slices,
@@ -356,6 +348,7 @@ def _entropy_bits(counts, first, cap, n_bins, alpha):
     seen = np.zeros((first + span) * span, dtype=np.bool_)
     seen[keys] = True
     uniq = np.flatnonzero(seen)
+    del seen  # freed before the per-bin terms, as stream_scores charges it
     extra = n_bins * alpha
     terms = np.empty(uniq.shape[0])
     for i, key in enumerate(uniq.tolist()):
@@ -454,7 +447,8 @@ def stream_scores(values, lo, width, n_bins, alpha, kappa, warmup,
     state in place: state is int64 [n_seen]; window and z_past hold the
     last min(n_seen, cap) bins and scores, oldest first.
 
-    The batch is scored in chunks within STREAM_CHUNK_BYTES (_stream_chunk);
+    The batch is scored in chunks within STREAM_CHUNK_BYTES (_stream_chunk),
+    a chunk over a filling window within it with its presence mask too;
     then the rolling stats of all its events are taken at once, as slices
     from STREAM_SLICES_FROM events on and otherwise as blocks within
     STREAM_CHUNK_BYTES.
@@ -479,8 +473,16 @@ def stream_scores(values, lo, width, n_bins, alpha, kappa, warmup,
     zseq[cap:cap + live] = z_past[:live]
     z = zseq[cap + live:]
     size = max(1, STREAM_CHUNK_BYTES // (8 * (3 * n_bins + 3)))
-    for a in range(0, n, size):
-        _stream_chunk(bins[a:a + size], n_bins, alpha, window, n_seen + a, z[a:a + size])
+    a = 0
+    while a < n:
+        b, first = min(a + size, n), min(n_seen + a, cap)
+        # halved until _entropy_bits's presence mask, (first + span) * span bools,
+        # fits the budget beside the counts and keys it is held with (16 * bins a row)
+        while b - a > 1 and ((span := min(b - a, cap - first) + 1) * (first + span)
+                             + 16 * n_bins * (b - a + 1) > STREAM_CHUNK_BYTES):
+            b = a + (b - a) // 2
+        _stream_chunk(bins[a:b], n_bins, alpha, window, n_seen + a, z[a:b])
+        a = b
 
     if n >= STREAM_SLICES_FROM:
         mean, std = _rolling_slices(zseq, live + 1, n, cap)

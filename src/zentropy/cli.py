@@ -175,7 +175,6 @@ def write_csv(path: Path, header: list, columns: list, config_hash: str) -> None
     if not header or len(columns) != len(header) or any(len(c) != n for c in columns):
         raise ZentropyError(f"{path.name}: {len(header)} header fields but columns "
                             f"{sorted({len(c) for c in columns})} long")
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(f"# config_hash={config_hash}\n")
         f.write(_lines([[name] for name in header]))
@@ -193,7 +192,6 @@ def write_json(path: Path, obj: dict, config_hash: str) -> None:
         text = _json_text(obj)
     except ValueError as e:  # a non-finite float
         raise ZentropyError(f"non-finite number in {path.name}: {e}") from e
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -345,6 +343,7 @@ def cmd_gridworld(config: dict, out: Path, chash: str, tol: float) -> None:
     x, y = np.repeat(np.array(cells, dtype=np.int64).reshape(-1, 2), len(actions), axis=0).T
     names = [actions[j] for j in order.ravel().tolist()]
     method = "exact" if est.backend == "exact" else "monte-carlo"
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "z_table.csv", ["cell_x", "cell_y", "action", "z_bits", "std_error", "method"],
               [x, y, names, z, se, [method] * len(z)], chash)
     keys = list(zip(names, x.tolist(), y.tolist()))
@@ -373,6 +372,7 @@ def cmd_train(config: dict, out: Path, chash: str, tol: float) -> None:
         gamma=_get(block, "gamma", "shaping", float, 0.95),
         seed=config["seed"],
     )
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "train_result.csv", ["episode", "return", "steps", "mean_intrinsic"],
               [np.arange(len(result.episode_returns)), np.array(result.episode_returns),
                np.array(result.steps_to_goal), np.array(result.mean_intrinsic)], chash)
@@ -444,6 +444,7 @@ def cmd_bayes(config: dict, out: Path, chash: str, tol: float) -> None:
     ranked = bayes_infer.rank_queries(posterior, queries) if queries else []
     mi = [float(bayes_infer.mutual_information(posterior, q)) for q, _ in ranked]
     potentials = bayes_infer.realized_potentials(posterior, data_model, data)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "queries.csv", ["query", "expected_z_bits", "mutual_information_bits", "rank"],
               [[q.id for q, _ in ranked], np.array([z.value for _, z in ranked]), np.array(mi),
                np.arange(1, len(ranked) + 1)], chash)
@@ -502,6 +503,7 @@ def cmd_anomaly(config: dict, out: Path, chash: str, tol: float,
     # bin, z, rolling_mean, rolling_std, flagged: one array per column
     cols = anomaly_detect.StreamDetector(cfg).score_columns(values)
     flagged = np.flatnonzero(cols[4])
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "scores.csv",
               ["index", "value", "bin", "z_bits", "rolling_mean", "rolling_std", "flagged"],
               [np.arange(len(values)), values, *cols], chash)
@@ -618,7 +620,7 @@ def main(argv=None) -> int:
         config_out = _get(config, "out", "", str, "")
         out_path = Path(os.environ.get("ZENTROPY_OUT") or args.out or config_out
                         or f"runs/{args.subcommand}")
-        # the writers make the directory; a file on its path fails now, before the run
+        # a subcommand makes it before its first write; a file on its path fails now
         if any(p.exists() and not p.is_dir() for p in (out_path, *out_path.parents)):
             raise ConfigError(f"output path {out_path} is a file or lies under one")
         chash = config_hash_of(config)

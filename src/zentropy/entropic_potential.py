@@ -28,7 +28,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import WALK_CHUNK_BYTES, Draw, cumulative, draw_rows, walk_outcomes
+from ._kernels import (WALK_CHUNK_BYTES, Draw, SearchTable, _search_table, cumulative,
+                       draw_rows, walk_outcomes)
 from .entropy_core import Distribution, EntropyBits, _entropy_of_probs
 from .errors import (
     EmptyBaselineError,
@@ -176,11 +177,14 @@ class Walk:
 
     A start state is drawn from cum_start, the (S,) cumulative start law;
     then come n_first steps of the first table and n_rest steps of the rest
-    table, (succ, cum) sampling tables as _kernels.walk_outcomes takes them,
-    so k = n_first + n_rest + 1; then the last step. Its table last is an
-    (outcomes, probs) pair of shape (S, K): row s lists the outcome indices
-    (in the outcome order of exact_future_distribution) that the last step
-    reaches from state s, and their probabilities.
+    table, so k = n_first + n_rest + 1; then the last step. Its table last
+    is an (outcomes, probs) pair of shape (S, K): row s lists the outcome
+    indices (in the outcome order of exact_future_distribution) that the
+    last step reaches from state s, and their probabilities.
+
+    first and rest are (succ, cum) sampling tables or their SearchTables.
+    When made, the Walk builds each pair a step reads (_search_table) and
+    keeps a SearchTable as it is, so walk_outcomes gets search tables only.
     """
 
     cum_start: np.ndarray
@@ -189,6 +193,12 @@ class Walk:
     rest: tuple
     n_rest: int
     last: tuple
+
+    def __post_init__(self) -> None:
+        for name, used in (("first", self.n_first), ("rest", self.n_rest)):
+            table = getattr(self, name)
+            if used and not isinstance(table, SearchTable):
+                object.__setattr__(self, name, _search_table(*table))
 
     @property
     def steps(self) -> int:
@@ -493,13 +503,8 @@ def _ranked(events: Sequence[Event], zs, baseline, horizon: Horizon,
     (lowest Z) first, ties broken on event id."""
     exact = estimator.backend == "exact"
     if baseline == "vs-rest":
-        # each event's Baseline.uniform(<the other events>).summary(), with
-        # that constructor's checks but no Baseline built per event
+        # each event's Baseline.uniform(<the others>).summary(), checked by _plans
         ids = [ev.id for ev in events]
-        if len(ids) < 2:
-            raise EmptyBaselineError("uniform baseline needs >= 1 alternative")
-        if len(set(ids)) != len(ids):
-            raise EmptyBaselineError("duplicate alternative event ids")
         labels = [f"uniform{{{','.join(ids[:i] + ids[i + 1:])}}}" for i in range(len(ids))]
     else:
         labels = [baseline.summary()] * len(events)

@@ -33,7 +33,7 @@ from .entropic_potential import (
     _z_from_branches,
 )
 from .entropy_core import Distribution, _row_entropies, normalized_probs
-from .errors import CellIsWallError, EmptyBaselineError, InvalidDistributionError
+from .errors import CellIsWallError, InvalidDistributionError
 
 ACTIONS = ("up", "down", "left", "right")
 _DELTAS = {"up": (0, -1), "down": (0, 1), "left": (-1, 0), "right": (1, 0)}
@@ -188,10 +188,9 @@ def _checked_policy(g: GridWorld, policy) -> np.ndarray:
 
 
 def _step_probs(g: GridWorld, pol: np.ndarray) -> np.ndarray:
-    """(n_cells, 5) probabilities of one step under pol, a (n_cells, 4)
-    policy matrix or a (1, 4) one-hot action, over the columns of
-    g.successors: the four move targets, then "stay" with the slip mass.
-    Goal and wall rows stay put."""
+    """(n_cells, 5) probabilities of one step under the (n_cells, 4) policy
+    matrix pol, over the columns of g.successors: the four move targets,
+    then "stay" with the slip mass. Goal and wall rows stay put."""
     probs = np.empty((g.n_cells, 5))
     probs[:, :4] = pol * (1.0 - g.slip)
     probs[:, 4] = g.slip
@@ -199,35 +198,32 @@ def _step_probs(g: GridWorld, pol: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _step_tables(g: GridWorld, pol: np.ndarray) -> tuple:
-    """The (walk, last) tables of one step under pol, as _step_probs takes
-    it: walk is its (succ, cum) sampling table over flat cells, last its
-    (outcomes, probs) table whose successors are free-cell positions, the
-    outcome order (see Walk). Row s is the step from flat cell s."""
-    probs = _step_probs(g, pol)
-    return (g.successors, cumulative(probs)), (g.successor_outcomes, probs)
+def _step_tables(g: GridWorld, rows: np.ndarray, probs: np.ndarray) -> tuple:
+    """The (walk, last) tables of the steps from the flat cells `rows` (an
+    index, np.s_[:] for all) with the probabilities `probs` over the columns
+    of g.successors: walk their (succ, cum) sampling table, last their
+    (outcomes, probs) table over free-cell positions, the outcome order."""
+    return (g.successors[rows], cumulative(probs)), (g.successor_outcomes[rows], probs)
 
 
 def _first_rows(g: GridWorld, starts: np.ndarray, actions) -> tuple:
-    """(succ, probs), the first steps of the branches (cell, action) that
-    z_table scores, as rows of two (len(starts) * m, 5) arrays: row i * m + j
-    is action j's step from flat cell starts[i], its successors flat cells
-    and its probabilities those of the action's _step_probs: 1 - slip on
-    the action's move and slip on "stay", or all of it on "stay" from the
-    goal or a wall."""
+    """(rows, probs), the first steps of the branches (cell, action) as
+    _step_tables takes them, m = len(actions) rows per cell: row i * m + j
+    is action j's step from flat cell starts[i], its probabilities 1 - slip
+    on the action's move and slip on "stay", or all of it on "stay" from
+    the goal or a wall."""
     m = len(actions)
-    succ = np.repeat(g.successors[starts], m, axis=0)
     probs = np.zeros((len(starts), m, 5))
     probs[:, np.arange(m), [ACTIONS.index(a) for a in actions]] = 1.0 - g.slip
     probs[:, :, 4] = g.slip
     probs[g.wall_mask[starts] | (starts == g.index_of(g.goal))] = (0.0, 0.0, 0.0, 0.0, 1.0)
-    return succ, probs.reshape(-1, 5)
+    return np.repeat(starts, m), probs.reshape(-1, 5)
 
 
 def _branch_walk(cum_start, first: tuple, follow: tuple, k: int) -> Walk:
     """Walk of a branch of k steps whose first step takes the `first` tables
     and every later step the follow tables, both (walk, last) pairs as
-    _step_tables gives them."""
+    _step_tables gives them or with walk built (see Walk)."""
     if k == 1:
         return Walk(cum_start, first[0], 0, follow[0], 0, first[1])
     return Walk(cum_start, first[0], 1, follow[0], k - 2, follow[1])
@@ -424,12 +420,14 @@ class GridWorldModel(SystemModel):
         return cumulative(self._start)
 
     @cached_property
-    def _follow_tables(self) -> tuple:
-        return _step_tables(self.grid, self.follow)
-
-    @cached_property
-    def _first_tables(self) -> dict:
-        return {a: _step_tables(self.grid, _action_matrix(a)) for a in self.actions}
+    def _tables(self) -> dict:
+        """The (walk, last) tables of each action's step, keyed by action,
+        and of the follow policy's, keyed None, from every flat cell, each
+        walk table built once as the SearchTable every Walk of the model takes."""
+        g, cells = self.grid, np.arange(self.grid.n_cells)
+        tables = {a: _step_tables(g, *_first_rows(g, cells, (a,))) for a in self.actions}
+        tables[None] = _step_tables(g, np.s_[:], _step_probs(g, self.follow))
+        return {key: (_search_table(*walk), last) for key, (walk, last) in tables.items()}
 
     def event_space(self) -> list[Event]:
         return [Event(a, f"take action {a} at t0") for a in self.actions]
@@ -446,8 +444,8 @@ class GridWorldModel(SystemModel):
 
     def walk(self, event, horizon: Horizon) -> Walk:
         """Walk over flat cells to the free-cell position of X_T."""
-        first = self._follow_tables if event is None else self._first_tables[event.id]
-        return _branch_walk(self._cum_start, first, self._follow_tables, horizon.steps)
+        first = self._tables[None if event is None else event.id]
+        return _branch_walk(self._cum_start, first, self._tables[None], horizon.steps)
 
 
 def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
@@ -470,29 +468,23 @@ def z_table(g: GridWorld, cells, follow: np.ndarray, k: int,
     if estimator.backend == "mc":
         _check_uniforms(estimator.n_samples, k, k)
     events = [Event(a) for a in _admissible_actions(actions)]
-    m = len(events)
-    # checked before any branch is pushed forward or sampled, as _plans checks
-    if m == 0:
-        raise ValueError("ranking needs at least one action")
-    if m == 1:
-        raise EmptyBaselineError(f"vs-rest baseline needs >= 2 actions, got {events[0].id!r}")
+    _, plans = _plans(events, "vs-rest")  # before any branch is pushed forward or sampled
     starts = np.array([g.index_of(_checked_cell(g, c)) for c in cells], dtype=np.int64)
     follow = _checked_policy(g, follow)
-    _, plans = _plans(events, "vs-rest")
     if estimator.backend == "mc":
         return _mc_table(g, starts, follow, k, estimator, events, plans)
     # branch (i, j) is row i * m + j: action j's first step from cell i
-    succ, probs = _first_rows(g, starts, [e.id for e in events])
+    rows, probs = _first_rows(g, starts, [e.id for e in events])
     chunk = max(1, TABLE_CHUNK_BYTES // (8 * g.n_cells))
-    h = np.empty(len(succ))
-    for lo in range(0, len(succ), chunk):
-        cols = np.arange(len(succ[lo:lo + chunk]))[:, None]
+    h = np.empty(len(rows))
+    for lo in range(0, len(rows), chunk):
+        cols = np.arange(len(rows[lo:lo + chunk]))[:, None]
         d = np.zeros((g.n_cells, len(cols)))
         # a blocked move adds 0 + (1 - slip) + slip, as _propagate's step does
-        np.add.at(d, (succ[lo:lo + chunk], cols), probs[lo:lo + chunk])
+        np.add.at(d, (g.successors[rows[lo:lo + chunk]], cols), probs[lo:lo + chunk])
         d = _propagate(g, d, follow, k - 1)
         h[lo:lo + chunk] = _row_entropies(d[g.free_index].T)
-    return _z_from_branches(h.reshape(len(starts), m), None, plans)
+    return _z_from_branches(h.reshape(len(starts), len(events)), None, plans)
 
 
 def _mc_table(g: GridWorld, starts: np.ndarray, follow: np.ndarray, k: int,
@@ -507,18 +499,14 @@ def _mc_table(g: GridWorld, starts: np.ndarray, follow: np.ndarray, k: int,
     through one _branch_surprisals call, and the chunk's Z and paired se
     come from one _z_from_branches call. A chunk holds whole cells, at most
     TABLE_CHUNK_BYTES of its (branches, n) states, and as many of
-    surprisals and of state counts. Both search tables are built once per
-    call. If the cells fit one chunk, each uniform is read once, and the
+    surprisals and of state counts. The Walk builds each search table once
+    per call. If the cells fit one chunk, each uniform is read once, and the
     walk draws them as it reads them (_uniform_draw); cells over several
     chunks each re-read one _uniform_block.
     """
     n, m = estimator.n_samples, len(events)
-    succ, probs = _first_rows(g, starts, [e.id for e in events])
-    first = ((succ, cumulative(probs)),
-             (np.repeat(g.successor_outcomes[starts], m, axis=0), probs))
-    walk = _branch_walk(None, first, _step_tables(g, follow), k)
-    tables = [_search_table(*t) if used else t
-              for t, used in ((walk.first, walk.n_first), (walk.rest, walk.n_rest))]
+    first = _step_tables(g, *_first_rows(g, starts, [e.id for e in events]))
+    walk = _branch_walk(None, first, _step_tables(g, np.s_[:], _step_probs(g, follow)), k)
     chunk = max(1, TABLE_CHUNK_BYTES // (8 * m * max(n, len(walk.last[1]))))
     if len(starts) <= chunk:
         u = _uniform_draw(estimator.seed, n)
@@ -527,7 +515,7 @@ def _mc_table(g: GridWorld, starts: np.ndarray, follow: np.ndarray, k: int,
     z, se = np.empty((2, len(starts), m))
     for lo in range(0, len(starts), chunk):
         rows = np.arange(lo * m, min(lo + chunk, len(starts)) * m)
-        states = walk_outcomes(None, tables[0], walk.n_first, tables[1], walk.n_rest, u, rows)
+        states = walk_outcomes(None, walk.first, walk.n_first, walk.rest, walk.n_rest, u, rows)
         h, surprisal = _branch_surprisals(states, walk.last)
         z[lo:lo + chunk], se[lo:lo + chunk] = _z_from_branches(
             h.reshape(-1, m), surprisal.reshape(-1, m, n), plans)
@@ -539,5 +527,6 @@ def ranked_row(z_row, se_row, k: int, estimator: EstimatorConfig = EstimatorConf
     """One row of z_table as (action, ZEstimate) pairs, most beneficial
     first, ties broken on action name."""
     events = [Event(a) for a in _admissible_actions(actions)]
+    _plans(events, "vs-rest")  # the checks z_table runs on the same actions
     zs = zip(z_row.tolist(), se_row.tolist())
     return [(ev.id, z) for ev, z in _ranked(events, zs, "vs-rest", Horizon(0, k), estimator)]

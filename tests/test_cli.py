@@ -199,6 +199,8 @@ class TestAttributionWriter:
         if as_arrays:
             t0, t, z, se = (np.array(c) for c in (t0, t, z, se))
         d = tmp_path_factory.mktemp("attribution")
+        for sub in ("columns", "rows"):
+            (d / sub).mkdir()
         cli._write_attribution(d / "columns", "abc", events, descriptions, t0, t, z, se,
                                method, tol)
         n_samples = 0 if method == "exact" else 100

@@ -38,7 +38,7 @@ from zentropy.errors import (
     UnsupportedBackendError,
 )
 from zentropy.markov import MarkovChainModel, random_chain_model, two_state_flip_chain
-from zentropy.mdp_sim import always_policy, corridor_world, ranked_row, z_table
+from zentropy.mdp_sim import ACTIONS, always_policy, corridor_world, ranked_row, z_table
 
 from oracles import chain_future, entropy_bits, label_of, last_step_estimate
 
@@ -574,12 +574,19 @@ class TestRankEvents:
         with pytest.raises(EmptyBaselineError):
             ranked_row(np.zeros(1), np.zeros(1), 2, EXACT, ("up",))
 
-    @pytest.mark.parametrize("ids", [["a", "a"], ["a", "b", "a"], ["a", "b", "b", "c"]])
-    def test_vs_rest_labels_refuse_duplicate_ids(self, ids):
-        # _ranked is reached without _z_values's duplicate check by ranked_row
-        with pytest.raises(EmptyBaselineError):
-            _ranked([Event(i) for i in ids], [(0.0, 0.0)] * len(ids), "vs-rest",
-                    Horizon(0, 1), EXACT)
+    @pytest.mark.parametrize("ids", [["up", "down", "up"], ["up", "down", "down", "left"],
+                                     ["right", "left", "right", "left"]])
+    def test_vs_rest_labels_name_duplicate_actions_once(self, ids):
+        # ranked_row takes each named action once, in ACTIONS order, so its
+        # labels are the other distinct actions'; rank_events refuses
+        # duplicate ids (test_duplicate_event_ids_rejected_before_any_branch)
+        distinct = [a for a in ACTIONS if a in ids]
+        z = np.arange(len(distinct), dtype=np.float64)
+        ranked = ranked_row(z, np.zeros(len(distinct)), 2, EXACT, ids)
+        assert [a for a, _ in ranked] == distinct
+        for a, est in ranked:
+            other = Baseline.uniform(Event(b) for b in distinct if b != a)
+            assert est.baseline == other.summary()
 
     def test_weighted_baseline_averages_branch_entropies(self):
         rng = np.random.default_rng(29)

@@ -5,6 +5,8 @@ each event's float operations in the loop's order, so both must agree with
 their references in tests/oracles.py bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -18,6 +20,7 @@ from zentropy.mdp_sim import (
     GridWorld,
     _action_matrix,
     _first_rows,
+    _step_probs,
     _step_tables,
     uniform_policy,
 )
@@ -38,8 +41,9 @@ def grid_tables(size):
     the uniform policy) and a start spread over its free cells."""
     g = GridWorld(size, size, goal=(0, size - 1), start=(0, 0), slip=0.2,
                   walls={(1, 0), (size // 2, size // 2)})
-    first = _step_tables(g, _action_matrix("right"))[0]
-    rest = _step_tables(g, uniform_policy(g))[0]
+    cells = np.arange(g.n_cells)
+    first = _step_tables(g, *_first_rows(g, cells, ("right",)))[0]
+    rest = _step_tables(g, cells, _step_probs(g, uniform_policy(g)))[0]
     start = np.zeros(g.n_cells)
     start[[g.index_of(c) for c in g.free_cells()]] = 1.0 / len(g.free_cells())
     return cumulative(start), first, rest
@@ -55,7 +59,9 @@ def test_walk_paths_agree_bitwise(size, n, k):
         u = rng.random((n, 1 + 1 + k))
         out_loop = np.empty(n, dtype=np.int64)
         walk_outcomes_loop(cum_start, first, 1, rest, k, u, out_loop)
-        assert np.array_equal(walk_outcomes(cum_start, first, 1, rest, k, u), out_loop)
+        got = walk_outcomes(cum_start, _kernels._search_table(*first), 1,
+                            _kernels._search_table(*rest), k, u)
+        assert np.array_equal(got, out_loop)
 
 
 def random_table(rng, n_states, k, zeros):
@@ -92,9 +98,8 @@ def test_walk_kernel_matches_loop_bitwise(seed, n_states, kind, zeros, n_first,
     K = 5 and dense K = S tables, searched by rows (a slot budget of 0) or
     by buckets, with ties at table entries, just below them, at 0.0 and at
     bucket edges b / G, walks from a drawn start law and from a batch of
-    start states, with tables given as (succ, cum) or as prebuilt search
-    tables, with uniforms given as an array or drawn as they are read, and
-    n split into several chunks."""
+    start states, with uniforms given as an array or drawn as they are
+    read, and n split into several chunks."""
     rng = np.random.default_rng(seed)
     k = {"point": 1, "grid": 5, "dense": n_states}[kind]
     first = random_table(rng, n_states, k, zeros)
@@ -109,11 +114,10 @@ def test_walk_kernel_matches_loop_bitwise(seed, n_states, kind, zeros, n_first,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "WALK_CHUNK_BYTES", chunk_bytes)
         mp.setattr(_kernels, "WALK_GUIDE_SLOTS", guide_slots)
-        got = walk_outcomes(cum_start, first, n_first, rest, n_rest, u)
-        batch = walk_outcomes(None, first, n_first, rest, n_rest, u, starts)
-        built = walk_outcomes(None, _kernels._search_table(*first), n_first,
-                              _kernels._search_table(*rest), n_rest, u, starts)
-        drawn = walk_outcomes(cum_start, first, n_first, rest, n_rest,
+        tables = _kernels._search_table(*first), _kernels._search_table(*rest)
+        got = walk_outcomes(cum_start, tables[0], n_first, tables[1], n_rest, u)
+        batch = walk_outcomes(None, tables[0], n_first, tables[1], n_rest, u, starts)
+        drawn = walk_outcomes(cum_start, tables[0], n_first, tables[1], n_rest,
                               _kernels.Draw(np.random.default_rng(seed), n))
     want = np.empty(n, dtype=np.int64)
     walk_outcomes_loop(cum_start, first, n_first, rest, n_rest,
@@ -121,7 +125,7 @@ def test_walk_kernel_matches_loop_bitwise(seed, n_states, kind, zeros, n_first,
     assert np.array_equal(drawn, want)
     walk_outcomes_loop(cum_start, first, n_first, rest, n_rest, u, want)
     assert np.array_equal(got, want)
-    assert batch.shape == (3, n) and np.array_equal(built, batch)
+    assert batch.shape == (3, n)
     for s, row in zip(starts, batch):
         walk_outcomes_loop(cumulative(np.eye(n_states)[s]), first, n_first, rest,
                            n_rest, u, want)
@@ -149,21 +153,22 @@ def test_grid_tables_take_one_threshold_per_bucket(slip):
     is a bucket edge, and a step takes no compare. Walks on them equal the
     loop, with every uniform a tie."""
     g = GridWorld(6, 5, goal=(5, 4), start=(0, 0), slip=slip, walls={(2, 2), (3, 1)})
-    succ, probs = _first_rows(g, np.arange(g.n_cells), ACTIONS)
-    first = succ, cumulative(probs)
+    cells = np.arange(g.n_cells)
+    first = _step_tables(g, *_first_rows(g, cells, ACTIONS))[0]
     found = {"first": _kernels._search_table(*first)}
     # follow policies: uniform, fixed, and one-hot greedy varying by cell
     pols = {"uniform": uniform_policy(g),
             "fixed": np.tile(_action_matrix("right"), (g.n_cells, 1)),
             "greedy": greedy_policy_from_q(np.random.default_rng(1).random((g.n_cells, 4)))}
     for name, pol in pols.items():
-        rest = _step_tables(g, pol)[0]
+        rest = _step_tables(g, cells, _step_probs(g, pol))[0]
         found[name] = _kernels._search_table(*rest)
         u = tie_values(first[1], rest[1], max_g=16)
         u = np.stack([np.random.default_rng(c).permutation(u) for c in range(4)], axis=1)
         starts = np.arange(len(first[1]))  # every (cell, action) row
         want = np.empty(len(u), dtype=np.int64)
-        for s, row in zip(starts, walk_outcomes(None, first, 1, rest, 2, u, starts)):
+        batch = walk_outcomes(None, found["first"], 1, found[name], 2, u, starts)
+        for s, row in zip(starts, batch):
             walk_outcomes_loop(cumulative(np.eye(len(starts))[s]), first, 1, rest, 2, u, want)
             assert np.array_equal(row, want)
     want_g = {name: 1 for name in found} | {"uniform": {0.0: 4, 0.2: 4, 0.5: 8}[slip]}
@@ -193,11 +198,12 @@ def test_walk_entry_past_one_stays_in_its_row():
     its row, and walks from every state equal the loop."""
     cum = np.array([[0.25, 0.75, 1.0], [0.5, 1.0, 1.0], [0.375, 1.0 + 2.0**-52, 1.0]])
     table = (np.broadcast_to(np.arange(3), (3, 3)), cum)
-    assert _kernels._search_table(*table)[2:] == (2, 2, True)
+    built = _kernels._search_table(*table)
+    assert built[2:] == (2, 2, True)
     u = tie_values(cum, max_g=4)
     u = np.stack([np.random.default_rng(c).permutation(u) for c in range(3)], axis=1)
     want = np.empty(len(u), dtype=np.int64)
-    for s, row in enumerate(walk_outcomes(None, table, 1, table, 1, u, np.arange(3))):
+    for s, row in enumerate(walk_outcomes(None, built, 1, built, 1, u, np.arange(3))):
         walk_outcomes_loop(np.eye(3)[s].cumsum(), table, 1, table, 1, u, want)
         assert np.array_equal(row, want)
 
@@ -221,30 +227,40 @@ def test_cumulative_pins_from_the_last_nonzero_probability():
     assert cumulative([0.0, 1.0, 0.0]).tolist() == [0.0, 1.0, 1.0]
 
 
-def test_zero_probability_outcome_never_sampled():
+def test_zero_probability_outcome_never_sampled(monkeypatch):
     # the cumsum of this validated row ends one ulp below 1.0 at its last
     # nonzero entry, so pinning only the last column let u = 1 - 2**-53
-    # draw state 3, which has probability 0
+    # draw state 3, which has probability 0; searched by rows (a slot
+    # budget of 0) and by buckets
     row = [0.364335, 0.5794683, 0.0561967, 0.0]
     model = MarkovChainModel([row] * 4, {}, row)
     assert model.start.probs.cumsum()[2] < 1.0
     assert model.transition[0].cumsum()[2] < 1.0
-    table = (np.broadcast_to(np.arange(4), (4, 4)), cumulative(model.transition))
     u = np.full((1, 2), np.nextafter(1.0, 0.0))
-    # start vector
-    assert walk_outcomes(cumulative(model.start.probs), table, 0, table, 0, u[:, :1])[0] == 2
-    # transition row, from a start pinned to state 0
-    assert walk_outcomes(cumulative([1.0, 0.0, 0.0, 0.0]), table, 0, table, 1, u)[0] == 2
+    for slots in (0, _kernels.WALK_GUIDE_SLOTS):
+        monkeypatch.setattr(_kernels, "WALK_GUIDE_SLOTS", slots)
+        table = _kernels._search_table(np.broadcast_to(np.arange(4), (4, 4)),
+                                       cumulative(model.transition))
+        assert table.built == bool(slots)
+        # start vector
+        assert walk_outcomes(cumulative(model.start.probs), table, 0, table, 0,
+                             u[:, :1])[0] == 2
+        # transition row, from a start pinned to state 0
+        assert walk_outcomes(cumulative([1.0, 0.0, 0.0, 0.0]), table, 0, table, 1, u)[0] == 2
 
 
-def test_leading_zero_probability_outcome_never_sampled():
+def test_leading_zero_probability_outcome_never_sampled(monkeypatch):
     # u = 0.0 ties with the cumulative 0.0 of a leading zero-probability
-    # entry; counting entries <= u moves past it
+    # entry; counting entries <= u moves past it, by rows and by buckets
     succ = np.broadcast_to(np.arange(3), (3, 3))
-    table = (succ, cumulative([[0.0, 0.0, 1.0]] * 3))
     u = np.zeros((1, 2))
-    assert walk_outcomes(cumulative([0.0, 0.5, 0.5]), table, 0, table, 0, u[:, :1])[0] == 1
-    assert walk_outcomes(cumulative([0.0, 0.5, 0.5]), table, 0, table, 1, u)[0] == 2
+    for slots in (0, _kernels.WALK_GUIDE_SLOTS):
+        monkeypatch.setattr(_kernels, "WALK_GUIDE_SLOTS", slots)
+        table = _kernels._search_table(succ, cumulative([[0.0, 0.0, 1.0]] * 3))
+        assert table.built == bool(slots)
+        assert walk_outcomes(cumulative([0.0, 0.5, 0.5]), table, 0, table, 0,
+                             u[:, :1])[0] == 1
+        assert walk_outcomes(cumulative([0.0, 0.5, 0.5]), table, 0, table, 1, u)[0] == 2
 
 
 def fresh_state(window):
@@ -367,6 +383,35 @@ def test_stream_chunks_equal_one_pass(monkeypatch):
     assert sizes == [166] * 18 + [12]
     assert_bitwise(whole, reference_stream(values, **kw))
     assert whole[4].any()
+
+
+def test_stream_warmup_chunks_fit_their_presence_mask(monkeypatch):
+    # a 2184-event chunk over an empty window of 1024 would key
+    # 1025 * 1025 (count, length) pairs; the chunks over the filling
+    # window are halved until the mask fits the budget, and a call then
+    # holds about what it holds at window 64, whose chunks are unchanged
+    values = wide_values(8, 20_000, 500)
+    sizes = []
+
+    def spy(bins, *args, real=_kernels._stream_chunk):
+        sizes.append(len(bins))
+        return real(bins, *args)
+
+    monkeypatch.setattr(_kernels, "_stream_chunk", spy)
+    peaks = {}
+    for window in (64, 1024):
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            got = kernel_stream(values, window=window, bins=4, warmup=window)
+            peaks[window] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes[:5] == {64: [2184] * 5, 1024: [273, 273, 273, 546, 2184]}[window]
+        with monkeypatch.context() as mp:
+            mp.setattr(_kernels, "STREAM_CHUNK_BYTES", 1 << 40)
+            assert_bitwise(got, kernel_stream(values, window=window, bins=4, warmup=window))
+    assert peaks[1024] < peaks[64] + 32_000
 
 
 def wide_values(seed, n, regime):

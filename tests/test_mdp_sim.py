@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from zentropy import entropic_potential, mdp_sim, rl_agent
+from zentropy import _kernels, entropic_potential, mdp_sim, rl_agent
 from zentropy._kernels import WALK_CHUNK_BYTES, cumulative
 from zentropy.entropic_potential import (
     MAX_SAMPLES,
@@ -582,6 +582,26 @@ class TestZTable:
             exact, _ = z_table(g, cells, follow, k, EXACT, actions)
             assert np.abs(z - exact).max() <= 1e-12
 
+    @given(world=small_worlds(), chunk_cells=st.sampled_from([None, 1, 2]),
+           seed=st.integers(0, 2**16))
+    def test_walk_mc_rows_equal_rank_events_on_small_worlds(self, world, chunk_cells, seed):
+        # the MC table's walks against each cell's own model's, bitwise, in
+        # one walk chunk or in chunks of chunk_cells cells
+        g, follow, actions, k = world
+        cells = g.free_cells()
+        est = EstimatorConfig(backend="mc", n_samples=100, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk_cells is not None:
+                mp.setattr(mdp_sim, "TABLE_CHUNK_BYTES", chunk_cells * 8 * len(actions) * 100)
+            z, se = z_table(g, cells, follow, k, est, actions)
+        order = [a for a in ACTIONS if a in actions]
+        for cell, z_row, se_row in zip(cells, z, se):
+            model = GridWorldModel(g, cell, follow, actions=actions)
+            want = {ev.id: w for ev, w in rank_events(model, model.event_space(), "vs-rest",
+                                                      Horizon(0, k), est)}
+            assert z_row.tolist() == [want[a].value for a in order]
+            assert se_row.tolist() == [want[a].std_error for a in order]
+
     def test_branch_at_one_step_is_exact(self):
         g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.3, walls={(1, 1)})
         model = GridWorldModel(g, (1, 0), uniform_policy(g))
@@ -856,11 +876,12 @@ class TestSamplingTable:
         laws = {a: lambda c, a=a: transition_kernel(g, c, a) for a in ACTIONS}
         laws["uniform"] = lambda c: push_forward(g, Distribution.point(c, free),
                                                  uniform_policy(g))
-        pols = {a: mdp_sim._action_matrix(a) for a in ACTIONS}
-        pols["uniform"] = uniform_policy(g)
+        cells = np.arange(g.n_cells)
+        steps = {a: mdp_sim._first_rows(g, cells, (a,)) for a in ACTIONS}
+        steps["uniform"] = cells, mdp_sim._step_probs(g, uniform_policy(g))
         position = {g.index_of(c): i for i, c in enumerate(free)}
         for name, law in laws.items():
-            (succ, cum), (outcomes, probs) = mdp_sim._step_tables(g, pols[name])
+            (succ, cum), (outcomes, probs) = mdp_sim._step_tables(g, *steps[name])
             assert succ.shape == cum.shape == outcomes.shape == probs.shape == (g.n_cells, 5)
             assert np.all(cum[:, -1] == 1.0)
             assert np.array_equal(cum, cumulative(probs))
@@ -988,6 +1009,29 @@ class TestGridWorldModel:
                 m.sample_future_outcomes(event, Horizon(0, 3), 100, rng)
                 mc_entropy_of_branch(m, event, Horizon(0, 3), 100, 0)
             assert build.call_count == 3
+
+    def test_search_tables_built_once_per_model(self, monkeypatch):
+        # the model's follow table and one table per action, built on its
+        # first walk and passed built to every Walk; an MC z_table builds
+        # its (cell, action) first steps' table and the follow table
+        g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.2, walls={(1, 1)})
+        built = []
+
+        def spy(succ, cum, real=_kernels._search_table):
+            built.append(len(cum))
+            return real(succ, cum)
+
+        for module in (_kernels, entropic_potential, mdp_sim):
+            monkeypatch.setattr(module, "_search_table", spy)
+        m = GridWorldModel(g, (0, 0), uniform_policy(g))
+        est = EstimatorConfig(backend="mc", n_samples=100)
+        for _ in range(2):
+            for baseline in ("vs-rest", Baseline.null()):
+                rank_events(m, m.event_space(), baseline, Horizon(0, 4), est)
+        assert built == [g.n_cells] * 5
+        built.clear()
+        z_table(g, g.free_cells(), uniform_policy(g), 4, est)
+        assert built == [len(g.free_cells()) * len(ACTIONS), g.n_cells]
 
     def test_exact_ranking_builds_no_sampling_tables(self):
         g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.2, walls={(1, 1)})
