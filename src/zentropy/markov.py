@@ -8,9 +8,11 @@ doubles as the brute-force oracle for the Monte Carlo path.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from ._kernels import cumulative
+from ._kernels import _search_table, cumulative
 from .entropic_potential import Event, Horizon, SystemModel, Walk
 from .entropy_core import Distribution, normalized_probs
 from .errors import InvalidDistributionError
@@ -46,8 +48,15 @@ class MarkovChainModel(SystemModel):
         self._succ = np.broadcast_to(np.arange(s), (s, s))
         self._cum_start = cumulative(self.start.probs)
         self._base_table = (self._succ, cumulative(self.transition))
-        self._event_tables = {key: (self._succ, cumulative(k))
-                              for key, k in self.event_kernels.items()}
+
+    @cached_property
+    def _tables(self) -> dict:
+        """The search tables of the base dynamics, keyed None, and of each
+        event kernel, keyed by event id, built on the first walk, once each,
+        as the SearchTables every Walk of the model takes."""
+        tables = {key: (self._succ, cumulative(k)) for key, k in self.event_kernels.items()}
+        tables[None] = self._base_table
+        return {key: _search_table(*table) for key, table in tables.items()}
 
     def event_space(self) -> list[Event]:
         return [Event(key) for key in sorted(self.event_kernels)]
@@ -64,9 +73,9 @@ class MarkovChainModel(SystemModel):
         """The event kernel (if any), then horizon.steps steps of the base
         dynamics, the last of them taken from the transition matrix; states
         are their own outcome indices (labels are self.labels[i])."""
-        first = self._base_table if event is None else self._event_tables[event.id]
+        first = self._tables[None if event is None else event.id]
         n_first = 0 if event is None else 1
-        return Walk(self._cum_start, first, n_first, self._base_table, horizon.steps - 1,
+        return Walk(self._cum_start, first, n_first, self._tables[None], horizon.steps - 1,
                     (self._succ, self.transition))
 
 

@@ -43,10 +43,11 @@ Cell = tuple  # (x, y)
 MAX_CELLS = 4096  # exact push-forward stays the universal oracle below this
 
 # Byte budget of one (n_cells, branches) float64 block when z_table pushes
-# its branches forward. _propagate holds five such blocks at once (the two
-# step buffers used in turn, w and then w * slip in one buffer,
-# w * (1 - slip), and the set-aside stay rows), so a table over every cell
-# of a MAX_CELLS grid never holds all of its dense laws.
+# its branches forward. _propagate holds four such blocks at once (the two
+# step buffers used in turn, w and then w * slip in one buffer, and
+# w * (1 - slip)); beside them it sets aside one border column, and its
+# only row gathers are of the cells whose move runs into a wall. So a table
+# over every cell of a MAX_CELLS grid never holds all of its dense laws.
 TABLE_CHUNK_BYTES = 1 << 20
 
 
@@ -128,6 +129,22 @@ class GridWorld:
             succ[:, a] = np.where(self.wall_mask | self.wall_mask[dest], idx, dest)
         succ.flags.writeable = False
         return succ
+
+    @cached_property
+    def blocked_by_walls(self) -> tuple:
+        """Per action in ACTIONS order, the flat indices of the free cells
+        other than the goal whose move runs into a wall (not off the grid):
+        the rows, off the action's border, whose mass the exact push-forward
+        keeps in place."""
+        idx = np.arange(self.n_cells)
+        x, y = idx % self.width, idx // self.width
+        live = ~self.wall_mask & (idx != self.index_of(self.goal))
+        edges = (y == 0, y == self.height - 1, x == 0, x == self.width - 1)
+        rows = tuple(np.flatnonzero(live & ~edge & (self.successors[:, a] == idx))
+                     for a, edge in enumerate(edges))
+        for r in rows:
+            r.flags.writeable = False
+        return rows
 
     @cached_property
     def successor_outcomes(self) -> np.ndarray:
@@ -240,8 +257,9 @@ def _repeated_columns(policy: np.ndarray) -> list:
 
 def _propagate(g: GridWorld, d: np.ndarray, policy: np.ndarray, k: int) -> np.ndarray:
     """k exact push-forward steps of the branches d, an (n_cells, m) block
-    whose column b is branch b's law; d may be overwritten. Returns the
-    (n_cells, m) block after k steps (d itself when k is 0).
+    whose column b is branch b's law and whose wall rows are +0.0; d may be
+    overwritten. Returns the (n_cells, m) block after k steps (d itself
+    when k is 0), its wall rows +0.0.
 
     policy, the policy of every step, is an (n_cells, 4) matrix or a (1, 4)
     one-hot action, shared by every branch.
@@ -257,56 +275,84 @@ def _propagate(g: GridWorld, d: np.ndarray, policy: np.ndarray, k: int) -> np.nd
     source-index order; the slip term w * slip comes last.
 
     A successful move by flat delta takes block row i to row i + delta, so
-    it is one shifted add over the flattened block. The stay rows are set
-    aside and c there set to -0.0 first, so the shift adds nothing from them
-    (x + -0.0 == x for every x); they are added back as whole rows.
+    it is one shifted add over the flattened block. The stay terms are
+    added to the rows whose move is blocked, in two parts:
+    - the border the move leaves, as a slice (a row of the grid for up and
+      down, a strided column for left and right). Up and down shift no
+      source off that row. Left and right would shift it into the next or
+      previous grid row, so c there is set aside and set to -0.0 first
+      (x + -0.0 == x for every x), and put back if the next action reuses c;
+    - the free cells other than the goal whose move runs into a wall
+      (GridWorld.blocked_by_walls), gathered by index. Their shifted c lands
+      on the wall, whose rows are reset to +0.0 at the end of the step.
+    Walls and the goal need no stay care of their own: their active mass
+    is +0.0 (a wall row of d, the goal's once copied out), so each term
+    they give is a signed zero. Such a term changes no row of out but the
+    goal's, the only one that can hold -0.0, and there at most its sign
+    within the step: the goal's slip terms include a +0.0 from each action
+    its policy row weights, so the goal ends the step as it would have.
 
-    The products w * (1 - slip) and w * slip depend on the action only
-    through its policy column, so an action whose column has the same bytes
-    as the previous action's (_repeated_columns) reuses them: all four
-    columns of a uniform policy, the three zero columns of a fixed one.
-    Before a reuse the stay rows the previous action zeroed in c are put
-    back. w and w * slip share one buffer, so the step holds five blocks:
-    d, out, that buffer, c and the stay rows.
+    Each action's products w * (1 - slip) and w * slip come from its policy
+    column. A column whose free rows all hold the same bytes (uniform and
+    fixed policies, one-hot actions) is applied as one Python float: its
+    products differ from the column's only on wall rows, where d is +0.0
+    and a signed zero is all they can give. Other columns (the current
+    greedy policy's one-hot ones) broadcast as (n_cells, 1). An action
+    whose column has the same bytes as the previous action's
+    (_repeated_columns) reuses the products: all four columns of a uniform
+    policy, the three zero columns of a fixed one. w and w * slip share one
+    buffer, so the step holds four blocks: d, out, that buffer and c.
     """
     d = np.ascontiguousarray(d)
     n, m = d.shape
+    h, wd = g.height, g.width
     gi = g.index_of(g.goal)
-    succ = g.successors
-    moves = []
-    for a, action in enumerate(ACTIONS):
-        dx, dy = _DELTAS[action]
-        moves.append(((dx + dy * g.width) * m, np.flatnonzero(succ[:, a] == succ[:, 4])))
-    # per action a column shared by every branch, (n_cells or 1, 1)
-    cols = np.ascontiguousarray(policy.T)[..., None]
+    walls = np.flatnonzero(g.wall_mask)
+    # per action: the flat shift of its move, the cells on the border the
+    # move would leave, as an index of an (h, wd, m) view, and whether the
+    # shift carries them into a neighbouring row (left, right)
+    moves = ((-wd * m, np.s_[:1], False), (wd * m, np.s_[-1:], False),
+             (-m, np.s_[:, :1], True), (m, np.s_[:, -1:], True))
+    # per action the factor shared by every branch: a float when the
+    # column's free rows hold one value, else its (n_cells, 1) column
+    free = policy if len(policy) == 1 else policy[g.free_index]
+    same = (free.view(np.int64) == free[:1].view(np.int64)).all(axis=0)
+    cols = [float(free[0, a]) if same[a] else np.ascontiguousarray(policy[:, a:a + 1])
+            for a in range(len(ACTIONS))]
     reuse = _repeated_columns(policy)
     # s holds w, then w * slip
     out, s, c = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))
-    saved = np.empty((max(len(stay) for _, stay in moves), m))
-    flat_c = c.reshape(-1)
+    flat_c, c3 = c.reshape(-1), c.reshape(h, wd, m)
+    kept = np.empty((h, 1, m))  # a border column of c, set aside
     for step in range(k):
-        flat_out = out.reshape(-1)
+        flat_out, out3 = out.reshape(-1), out.reshape(h, wd, m)
         out.fill(0.0)
         out[gi] = d[gi]  # absorbing, kept exact
         d[gi] = 0.0      # d is now the active mass
-        for (shift, stay), col, again in zip(moves, cols, reuse):
-            if again:
-                c[prev] = kept  # the rows the previous action set to -0.0
-            else:
+        zeroed = None
+        for (shift, edge, wraps), stay, col, again in zip(moves, g.blocked_by_walls, cols, reuse):
+            if not again:
                 np.multiply(d, col, out=s)
                 np.multiply(s, 1.0 - g.slip, out=c)
                 s *= g.slip
-            kept = saved[:len(stay)]
-            np.take(c, stay, axis=0, out=kept)
-            c[stay] = -0.0
+            elif zeroed is not None:
+                c3[zeroed] = kept
+            if wraps:
+                np.copyto(kept, c3[edge])
+                c3[edge] = -0.0
+                zeroed, edge_c = edge, kept
+            else:
+                zeroed, edge_c = None, c3[edge]
+            # the adds into a cell in the loop's source-index order
             if shift > 0:
                 flat_out[shift:] += flat_c[:-shift]
-                out[stay] += kept
-            else:
-                out[stay] += kept
+            at = out3[edge]
+            np.add(at, edge_c, out=at)
+            out[stay] += c[stay]
+            if shift < 0:
                 flat_out[:shift] += flat_c[-shift:]
             out += s
-            prev = stay
+        out[walls] = 0.0  # wipes what moved into a wall
         d, out = out, d
     return d
 

@@ -381,6 +381,45 @@ class TestGridworld:
         labels = {r["classification"] for r in read_csv_rows(out / "attribution.csv")}
         assert {"uncertain", "neutral"} <= labels
 
+    @pytest.mark.parametrize("follow, k, golden", [
+        ("uniform", 2, {
+            "z_table.csv": "46fb17dea6e5c5c47ed4cd112c41311ec07e9202cb569505237618efcfa3e3c4",
+            "attribution.csv": "b1f9c195708d43e93f1d28dfa116d01b8e152436b72eb7254c6e25c7c142730d",
+        }),
+        ("fixed", 2, {
+            "z_table.csv": "240f79c7a5c6b1469b11580b5aec66d3c07fafceb620bc628bc3067266b99af7",
+            "attribution.csv": "2f83479117d516295f32981958f5ea01f977d821c51818a0510a12e9871f1236",
+        }),
+        ("greedy", 15, {
+            "z_table.csv": "89b4599d14b221ee9e20a11a03f03bc6be875098167b0f04817b86e2939280c7",
+            "attribution.csv": "b145439bdf6cfa86bfdc5439f7115ba1d0889667c5218a66ae85b2e15a18cab9",
+        }),
+        ("greedy", 2, {
+            "z_table.csv": "6ef82ca4b8adc799d8e1fcaff3a7ce55a841d3468f62238bfb77c5e4c4dac7cf",
+            "attribution.csv": "179d54d89b761ab8f8a9c44ff801f1ddb87f23743ca4a793100ae262ef349d36",
+        }),
+    ])
+    def test_walled20_exact_tables_match_golden_hashes(self, tmp_path, monkeypatch,
+                                                       follow, k, golden):
+        # WALLED20 (goal beside a wall) under each kind of policy column the
+        # exact stepper meets, at k = 15 (the walled20 goldens above pin the
+        # uniform and fixed tables there) and at k = 2 (one push-forward
+        # step): four equal columns (uniform), one constant one-hot action
+        # (fixed right), and a one-hot action varying by cell, as the
+        # current-greedy Z refresh gives, which no config names, so it
+        # stands in for the parsed policy
+        cfg = copy.deepcopy(self.WALLED20)
+        cfg["grid"]["horizon_k"] = k
+        if follow == "uniform":
+            cfg["grid"]["follow_policy"] = {"kind": "uniform"}
+        elif follow == "greedy":
+            monkeypatch.setattr(cli, "_parse_policy",
+                                lambda g, block: np.eye(4)[np.arange(g.n_cells) * 3 // 2 % 4])
+        out = tmp_path / "run"
+        assert run(["gridworld", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
     @pytest.mark.parametrize("value", [200, 50, 0, 1, 10_001, "x", None, 2.5])
     def test_retired_bootstrap_key_is_ignored(self, tmp_path, value):
         # configs written for the multinomial bootstrap still run: the key is

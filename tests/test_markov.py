@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from zentropy.entropic_potential import Event, Horizon
+from zentropy import _kernels, entropic_potential, markov
+from zentropy._kernels import cumulative
+from zentropy.entropic_potential import (Baseline, EstimatorConfig, Event, Horizon, Walk,
+                                         rank_events)
 from zentropy.errors import InvalidDistributionError
 from zentropy.markov import MarkovChainModel, random_chain_model, two_state_flip_chain
 
@@ -94,3 +97,45 @@ class TestSampling:
                                            np.random.default_rng(1))
         got = {model.labels[i] for i in idx}
         assert got == {"calm", "storm"}  # 0.9 / 0.1 after the clamp
+
+
+class PairWalks(MarkovChainModel):
+    """Walks that take the chain's tables as (succ, cum) pairs, so each Walk
+    builds the search tables it reads."""
+
+    def walk(self, event, horizon):
+        base = (self._succ, cumulative(self.transition))
+        first = base if event is None else (self._succ, cumulative(self.event_kernels[event.id]))
+        return Walk(self._cum_start, first, 0 if event is None else 1, base,
+                    horizon.steps - 1, (self._succ, self.transition))
+
+
+class TestSearchTables:
+    def test_built_once_per_model(self, monkeypatch):
+        # the base table and one table per event kernel, built on the first
+        # walk and passed built to every Walk: a 4-event vs-rest ranking
+        # builds 5 tables (8 if each Walk built its own), later rankings
+        # build none, and every ranking keeps its bits
+        base = random_chain_model(7, 4, np.random.default_rng(5))
+        model = MarkovChainModel(base.transition, base.event_kernels, base.start.probs)
+        pairs = PairWalks(base.transition, base.event_kernels, base.start.probs)
+        est = EstimatorConfig(backend="mc", n_samples=10_000, seed=3)
+        built = []
+
+        def spy(succ, cum, real=_kernels._search_table):
+            built.append(len(cum))
+            return real(succ, cum)
+
+        def bits(ranked):
+            return [(ev.id, np.float64(z.value).tobytes(), np.float64(z.std_error).tobytes())
+                    for ev, z in ranked]
+
+        want = [bits(rank_events(pairs, pairs.event_space(), baseline, Horizon(0, 5), est))
+                for baseline in ("vs-rest", Baseline.null())]
+        for module in (_kernels, entropic_potential, markov):
+            monkeypatch.setattr(module, "_search_table", spy)
+        for _ in range(2):
+            got = [bits(rank_events(model, model.event_space(), baseline, Horizon(0, 5), est))
+                   for baseline in ("vs-rest", Baseline.null())]
+            assert got == want
+        assert built == [7] * 5

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 
 from zentropy import _kernels, entropic_potential, mdp_sim, rl_agent
@@ -833,6 +833,66 @@ def table_law(g, succ, cum, s):
     return law
 
 
+@st.composite
+def walled_grids(draw):
+    """A walled 12x12 or 20x20 grid, a checked follow policy, an (n_cells, m)
+    block of branch laws (signed zeros among them, -0.0 on the goal in
+    some) and k in {0, 1, 2, 15}. The goal is on the border, or inside with
+    walls beside it; the other walls are anywhere but the goal. The policy
+    is uniform, one fixed action (as a matrix or as a (1, 4) one-hot
+    action), one-hot per cell as a greedy one is, one fixed action with a
+    neighbouring column -0.0 on every free row, or mixed weights."""
+    size = draw(st.sampled_from([12, 20]))
+    cells = [(x, y) for y in range(size) for x in range(size)]
+    if draw(st.booleans()):
+        goal = draw(st.sampled_from([c for c in cells if min(c) == 0 or max(c) == size - 1]))
+        beside = set()
+    else:
+        goal = (draw(st.integers(1, size - 2)), draw(st.integers(1, size - 2)))
+        near = [(goal[0] + dx, goal[1] + dy) for dx, dy in mdp_sim._DELTAS.values()]
+        beside = set(draw(st.lists(st.sampled_from(near), min_size=1, max_size=3)))
+    walls = beside | set(draw(st.lists(st.sampled_from(cells), max_size=size * size // 8)))
+    walls.discard(goal)
+    g = GridWorld(size, size, goal=goal, start=goal,
+                  slip=draw(st.sampled_from([0.0, 0.1, 0.2, 0.37])), walls=walls)
+    n = g.n_cells
+    kind = draw(st.sampled_from(("uniform", "fixed", "action", "greedy", "signed-zero",
+                                 "weights")))
+    a = draw(st.integers(0, 3))
+    if kind == "uniform":
+        policy = uniform_policy(g)
+    elif kind in ("fixed", "signed-zero"):
+        policy = always_policy(g, ACTIONS[a])
+        if kind == "signed-zero":
+            policy[:, (a + 1) % 4] = -0.0
+    elif kind == "action":
+        policy = mdp_sim._action_matrix(ACTIONS[a])
+    elif kind == "greedy":
+        policy = np.eye(4)[np.random.default_rng(draw(st.integers(0, 99))).integers(0, 4, n)]
+    else:
+        w = np.random.default_rng(draw(st.integers(0, 99))).random((n, 4))
+        policy = w / w.sum(axis=1, keepdims=True)
+    if kind != "action":
+        policy = mdp_sim._checked_policy(g, policy)
+    m = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 99)))
+    d = np.zeros((n, m))
+    d[g.free_index] = rng.choice([0.0, -0.0, 0.3, 1.0, 7.0], (len(g.free_index), m))
+    if draw(st.booleans()):
+        d[g.index_of(goal)] = -0.0
+    return g, policy, d, draw(st.sampled_from([0, 1, 2, 15]))
+
+
+def assert_propagate_is_the_loop(g, policy, d, k):
+    """_propagate of the block d equals loop_future of each branch bitwise,
+    and every wall row of its result is +0.0."""
+    loop_policy = np.broadcast_to(policy, (g.n_cells, 4))
+    got = mdp_sim._propagate(g, d.copy(), policy, k)
+    for b in range(d.shape[1]):
+        assert same_bits(got[:, b], loop_future(g, d[:, b], None, loop_policy, k))
+    assert same_bits(got[g.wall_mask], np.zeros((len(g.walls), d.shape[1])))
+
+
 class TestPropagate:
     def test_only_byte_equal_columns_repeat(self):
         repeated = mdp_sim._repeated_columns
@@ -843,6 +903,27 @@ class TestPropagate:
         # columns 2 and 3 are == but differ in the sign of a zero
         assert repeated(np.array([[0.5, 0.5, 0.0, -0.0],
                                   [0.0, 0.5, 0.25, 0.25]])) == [False, False, False, False]
+
+    @given(walled_grids())
+    def test_large_walled_grids_equal_the_loop(self, world):
+        g, policy, d, k = world
+        event(f"{g.width}x{g.height}, k = {k}")
+        assert_propagate_is_the_loop(g, policy, d, k)
+
+    @pytest.mark.parametrize("width, height, goal, action", [
+        (1, 1, (0, 0), None),   # the goal alone: no cell keeps mass in place
+        (6, 1, (5, 0), "up"),   # every move blocked, all of it on the border
+        (1, 6, (0, 0), "up"),   # the goal alone blocked
+        (6, 1, (5, 0), "right"),
+    ])
+    def test_no_cell_blocked_by_a_wall(self, width, height, goal, action):
+        g = GridWorld(width, height, goal=goal, start=goal, slip=0.2)
+        assert [len(rows) for rows in g.blocked_by_walls] == [0, 0, 0, 0]
+        policy = uniform_policy(g) if action is None else always_policy(g, action)
+        d = np.eye(g.n_cells)[:, ::-1].copy()
+        d[g.index_of(goal)] *= -0.0
+        for k in (0, 1, 2, 15):
+            assert_propagate_is_the_loop(g, mdp_sim._checked_policy(g, policy), d, k)
 
     @pytest.mark.parametrize("policy", ["uniform", "fixed", "greedy", "pairs"])
     def test_step_holds_no_more_blocks(self, policy):
@@ -912,10 +993,16 @@ class TestSuccessorTable:
             assert g.successors[i].tolist() == want + [i]
         assert g.free_index.tolist() == [i for i in range(g.n_cells)
                                          if g.cell_of(i) not in g.walls]
+        for a, action in enumerate(ACTIONS):
+            dx, dy = mdp_sim._DELTAS[action]
+            assert g.blocked_by_walls[a].tolist() == [
+                g.index_of(c) for c in g.free_cells()
+                if c != g.goal and (c[0] + dx, c[1] + dy) in g.walls]
 
     def test_tables_are_read_only(self):
         g = GridWorld(3, 3, goal=(2, 2), start=(0, 0), walls={(1, 1)})
-        for table in (g.successors, g.wall_mask, g.free_index, g.successor_outcomes):
+        for table in (g.successors, g.wall_mask, g.free_index, g.successor_outcomes,
+                      *g.blocked_by_walls):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
 
@@ -924,7 +1011,8 @@ class TestSuccessorTable:
         # grid build each of the grid's tables once between them
         g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.2, walls={(1, 1)})
         props = {name: vars(GridWorld)[name]
-                 for name in ("wall_mask", "free_index", "successors", "successor_outcomes")}
+                 for name in ("wall_mask", "free_index", "successors", "successor_outcomes",
+                              "blocked_by_walls")}
         with contextlib.ExitStack() as stack:
             builds = {name: stack.enter_context(mock.patch.object(prop, "func", wraps=prop.func))
                       for name, prop in props.items()}
