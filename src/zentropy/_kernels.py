@@ -149,7 +149,7 @@ def _search_table(succ, cum) -> SearchTable:
     WALK_GUIDE_SLOTS, the table is its own search table: thr and nxt are
     cum and succ, flattened, with g = 1 and p = K. The first row's gap
     bounds the table's from above, so a dense table is turned down from
-    its first row, with nothing built.
+    its first row, with nothing built; so is a table of no rows.
 
     The build is O(S * (K + g)): the entries <= b / g of each row are
     counted by a bincount and cumsum of ceil(cum * g), exact for a power of
@@ -159,8 +159,8 @@ def _search_table(succ, cum) -> SearchTable:
     succ = np.ascontiguousarray(succ, dtype=np.int64)
     cum = np.ascontiguousarray(cum, dtype=np.float64)
     rows, k = cum.shape
-    cap = WALK_GUIDE_SLOTS // (rows * min(k, 3))
-    g = _bucket_count(_min_gap(cum[0]), cap)
+    cap = WALK_GUIDE_SLOTS // (rows * min(k, 3)) if rows else 0
+    g = _bucket_count(_min_gap(cum[:1].ravel()), cap)
     cum, succ = cum.ravel(), succ.ravel()
     if g:
         g = _bucket_count(_min_gap(cum), cap)

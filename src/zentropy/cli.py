@@ -10,8 +10,8 @@ significant digits, and no timestamps are written: identical config + seed
 gives identical bytes.
 
 Exit codes: 0 success, 1 runtime invariant violation, 2 config/input error.
-Each subcommand parses its whole block and computes before it writes, and
-the writers create the output directory, so a config error writes nothing.
+Each subcommand parses its whole block and computes before it creates the
+output directory, so a config error writes nothing.
 """
 
 from __future__ import annotations
@@ -53,70 +53,16 @@ def fmt(x) -> str:
     return str(x)
 
 
-_json_str = json.encoder.encode_basestring_ascii
-
-
-def _json_float(x: float) -> str:
-    """x rounded to 9 significant digits, as JSON; a ValueError if the
-    rounded value is not finite (1.797693135e308 rounds to inf)."""
-    r = float(f"{x:.9g}")
-    if not math.isfinite(r):
-        raise ValueError(f"Out of range float values are not JSON compliant: {r!r}")
-    return float.__repr__(r)
-
-
-def _json_key(key) -> str:
-    """A dict key as json.dumps writes it: a str as it is, a float, bool,
-    None or int as its JSON text, quoted."""
-    if not isinstance(key, str):
-        if isinstance(key, float):
-            if not math.isfinite(key):
-                raise ValueError(f"Out of range float values are not JSON compliant: {key!r}")
-            key = float.__repr__(key)
-        elif isinstance(key, bool) or key is None:
-            key = "null" if key is None else "true" if key else "false"
-        elif isinstance(key, int):
-            key = int.__repr__(key)
-        else:
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {key.__class__.__name__}")
-    return _json_str(key)
-
-
-def _json_text(obj, pad: str = "") -> str:
-    """obj as json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    writes it at indentation `pad`, each float (float subclasses too, but
-    not a key) first rounded to 9 significant digits. One pass: the same
-    text, or the same exception type, that dumping a rounded copy of obj
-    gives, raised at the first bad value in the order json writes them.
-    Each container's items are joined once; a float item, the bulk of a
-    record, is formatted without a recursive call."""
-    if isinstance(obj, str):
-        return _json_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
+def _rounded(obj):
+    """obj with every float (subclasses too, keys not) rounded to 9
+    significant digits, every tuple a list."""
     if isinstance(obj, float):
-        return _json_float(obj)
-    inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_json_float(v) if type(v) is float else _json_text(v, inner) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        return float(f"{obj:.9g}")
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_json_key(k) + ": "
-                 + (_json_float(v) if type(v) is float else _json_text(v, inner))
-                 for k, v in sorted(obj.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    return obj
 
 
 def _csv_quotes(char: str) -> bool:
@@ -189,7 +135,7 @@ def write_json(path: Path, obj: dict, config_hash: str) -> None:
     obj = dict(obj)
     obj["config_hash"] = config_hash
     try:
-        text = _json_text(obj)
+        text = json.dumps(_rounded(obj), sort_keys=True, indent=2, allow_nan=False)
     except ValueError as e:  # a non-finite float
         raise ZentropyError(f"non-finite number in {path.name}: {e}") from e
     path.write_text(text + "\n", encoding="utf-8")

@@ -147,6 +147,8 @@ class EstimatorConfig:
             raise ValueError(f"backend must be 'exact' or 'mc', got {self.backend!r}")
         if not 100 <= self.n_samples <= MAX_SAMPLES:
             raise ValueError(f"n_samples must be in 100..{MAX_SAMPLES}, got {self.n_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -571,8 +571,12 @@ def _mc_table(g: GridWorld, starts: np.ndarray, follow: np.ndarray, k: int,
 def ranked_row(z_row, se_row, k: int, estimator: EstimatorConfig = EstimatorConfig(),
                actions: tuple = ACTIONS) -> list[tuple[str, ZEstimate]]:
     """One row of z_table as (action, ZEstimate) pairs, most beneficial
-    first, ties broken on action name."""
+    first, ties broken on action name. Each row holds one value per
+    admissible action."""
     events = [Event(a) for a in _admissible_actions(actions)]
     _plans(events, "vs-rest")  # the checks z_table runs on the same actions
+    if len(z_row) != len(events) or len(se_row) != len(events):
+        raise ValueError(f"z_row and se_row hold {len(z_row)} and {len(se_row)} values, "
+                         f"not one for each of the {len(events)} admissible actions")
     zs = zip(z_row.tolist(), se_row.tolist())
     return [(ev.id, z) for ev, z in _ranked(events, zs, "vs-rest", Horizon(0, k), estimator)]

@@ -6,12 +6,10 @@ independent.
 """
 
 import csv
-import json
 import math
 from collections import deque
 
 from zentropy.cli import ATTRIBUTION_HEADER, fmt, write_csv
-from zentropy.errors import ZentropyError
 
 
 def entropy_bits(probs) -> float:
@@ -588,34 +586,6 @@ def write_csv_rows(path, header, rows, config_hash) -> None:
         w.writerow(header)
         for row in rows:
             w.writerow([fmt(v) for v in row])
-
-
-# -- JSON output ------------------------------------------------------------------
-
-def _round_floats(obj):
-    """obj with every float (subclasses too, keys not) rounded to 9
-    significant digits, every tuple a list."""
-    if isinstance(obj, float):
-        return float(f"{obj:.9g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
-def write_json_two_step(path, obj, config_hash) -> None:
-    """The CLI's JSON written in two steps, rounding a copy of the record
-    and then dumping it with json's indenting encoder: the reference for the
-    one-pass cli.write_json."""
-    obj = dict(obj)
-    obj["config_hash"] = config_hash
-    try:
-        text = json.dumps(_round_floats(obj), sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as e:  # a non-finite float
-        raise ZentropyError(f"non-finite number in {path.name}: {e}") from e
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n", encoding="utf-8")
 
 
 # -- attribution rows -------------------------------------------------------------

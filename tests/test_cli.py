@@ -16,7 +16,7 @@ from zentropy.entropic_potential import Horizon, ZEstimate
 from zentropy.errors import ZentropyError
 
 from oracles import (attribution_row, make_regime_shift_stream, ranked_rows,
-                     write_attribution_rows, write_csv_rows, write_json_two_step)
+                     write_attribution_rows, write_csv_rows)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -147,44 +147,26 @@ def attribution_tables(draw):
     return method, tol, rows
 
 
-# keys json writes: str, and int, float, bool or None, which sort among
-# themselves (None only alone); a dict mixing kinds that do not sort, or a
-# tuple key, is a TypeError on both sides
-JSON_TEXT = st.text(st.sampled_from('ab"\\/\x00\x01\x1f\u00e9\u2028\U0001f600 '), max_size=4)
-JSON_FLOATS = st.floats(allow_subnormal=True) | st.sampled_from([
-    -0.0, 5e-324, -5e-324, 1.797693135e308, 1.7976931348623157e308, 1e8, 1e-5, 123456789.5,
-    math.nan, math.inf, -math.inf])
-JSON_SCALARS = (st.none() | st.booleans() | JSON_TEXT | JSON_FLOATS
-                | JSON_FLOATS.map(np.float64) | st.integers()
-                | st.sampled_from([10**30, -2**70, 2**64]))
-JSON_KEYS = (JSON_TEXT | st.integers(-3, 3) | JSON_FLOATS | st.booleans() | st.none()
-             | st.just((1,)))
-
-
-def json_records(children):
-    return (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
-            | st.dictionaries(JSON_TEXT, children, max_size=4)
-            | st.dictionaries(st.integers(-3, 3) | JSON_FLOATS | st.booleans(), children,
-                              max_size=3)
-            | st.dictionaries(JSON_KEYS, children, max_size=2))
-
-
 class TestJsonWriter:
-    @given(st.recursive(JSON_SCALARS, json_records, max_leaves=12))
-    @example(value={"a": [1.0, {"b": ()}], "c": {}, "d": [], "e": [[]]})
-    @example(value=[1.797693135e308])  # rounds to inf
-    @example(value={math.nan: 1})
-    @example(value={"x": object()})
-    def test_writes_what_the_two_step_encoder_writes(self, tmp_path_factory, value):
-        d = tmp_path_factory.mktemp("json")
-        results = []
-        for name, write in (("one.json", cli.write_json), ("two.json", write_json_two_step)):
-            try:
-                write(d / name, {"value": value, "n": 1}, "abc")
-                results.append((d / name).read_bytes())
-            except (TypeError, ValueError, ZentropyError) as e:
-                results.append(type(e))
-        assert results[0] == results[1]
+    @pytest.mark.parametrize("value, expected", [
+        ({"a": [1.0, {"b": ()}], "c": {}, "d": [], "e": [[]]},
+         '{\n  "config_hash": "abc",\n  "n": 1,\n  "value": {\n    "a": [\n      1.0,\n'
+         '      {\n        "b": []\n      }\n    ],\n    "c": {},\n    "d": [],\n'
+         '    "e": [\n      []\n    ]\n  }\n}\n'),
+        ([1.797693135e308], ZentropyError),  # rounds to inf
+        ({math.nan: 1}, ZentropyError),
+        ({"x": object()}, TypeError),
+    ])
+    def test_writes_exact_bytes_or_raises_and_leaves_no_file(self, tmp_path, value, expected):
+        path = tmp_path / "x.json"
+        record = {"value": value, "n": 1}
+        if isinstance(expected, str):
+            cli.write_json(path, record, "abc")
+            assert path.read_bytes() == expected.encode("utf-8")
+        else:
+            with pytest.raises(expected):
+                cli.write_json(path, record, "abc")
+            assert not path.exists()
 
 
 class TestAttributionWriter:
@@ -246,6 +228,17 @@ class TestGridworld:
                     "--out", out]) == 0
         for line in read(out / "z_table.csv").splitlines()[2:]:
             assert line.split(",")[3] == "0"
+
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    @pytest.mark.parametrize("k", [1, 2, 15])
+    def test_no_cells_write_header_only_tables(self, tmp_path, backend, k):
+        cfg = edited("corridor.json", (("grid", "cells"), []), (("grid", "horizon_k"), k),
+                     (("estimator",), {"backend": backend, "n_samples": 100}))
+        out = tmp_path / "run"
+        assert run(["gridworld", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
+        for name, header in (("z_table.csv", "cell_x,cell_y,action,z_bits,std_error,method"),
+                             ("attribution.csv", ",".join(cli.ATTRIBUTION_HEADER))):
+            assert read(out / name).splitlines()[1:] == [header]
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -602,6 +595,10 @@ class TestConfigParsing:
         ("bayes11.json", [(("bayes", "data"), "heads")], "data"),
         ("bayes11.json", [(("bayes", "queries"), [5])], "queries"),
         ("corridor.json", [(("seed",), -3)], "seed"),
+        # the exact back-end never reads the estimator seed, but it is refused
+        ("corridor.json", [(("estimator", "seed"), -1)], "seed"),
+        ("corridor.json", [(("estimator",), {"backend": "mc", "n_samples": 100, "seed": -1})],
+         "seed"),
         ("corridor.json", [(("out",), 5)], "out"),
         ("anomaly.json", [(("anomaly", "bins"), 257)], "bins"),
         ("anomaly.json", [(("anomaly", "window"), 1025), (("anomaly", "warmup"), 1025)],

@@ -118,6 +118,12 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError):
             EstimatorConfig(**{"backend": "mc", **kw})
 
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    def test_negative_seed_rejected_naming_it(self, backend):
+        with pytest.raises(ValueError, match="seed"):
+            EstimatorConfig(backend, 100, -1)
+        assert EstimatorConfig(backend, 100, 0).seed == 0
+
     def test_largest_valid_settings_accepted(self):
         EstimatorConfig(backend="mc", n_samples=MAX_SAMPLES)
 

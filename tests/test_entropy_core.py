@@ -140,6 +140,11 @@ class TestCountEstimators:
         assert plugin_entropy(SampleCounts({"a": 3, "b": 1})).value == pytest.approx(
             0.8112781244591328, abs=1e-12)
 
+    def test_from_samples_counts_each_label(self):
+        sc = SampleCounts.from_samples(["b", "a", "b", 3, "b", 3])
+        assert sc.counts == {"b": 3, "a": 1, 3: 2} and sc.total == 6
+        assert plugin_entropy(sc).value == plugin_entropy(SampleCounts({"a": 1, "b": 3, 3: 2})).value
+
     def test_empty_counts_error(self):
         with pytest.raises(EmptyCountsError):
             plugin_entropy(SampleCounts({}))

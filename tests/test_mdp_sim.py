@@ -794,6 +794,26 @@ class TestZTable:
         z, se = z_table(g, [(3, 0)], uniform_policy(g), 2 * MAX_UNIFORMS // MAX_SAMPLES, est)
         assert np.isfinite(z).all() and not se.any()
 
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    @pytest.mark.parametrize("k", [1, 2, 15])
+    def test_no_cells_give_empty_tables(self, backend, k):
+        # the MC first-step table then has no rows
+        g = GridWorld(4, 3, goal=(3, 2), start=(0, 0), slip=0.2, walls={(1, 1)})
+        est = EstimatorConfig(backend=backend, n_samples=100)
+        z, se = z_table(g, [], uniform_policy(g), k, est, ("up", "left", "right"))
+        assert z.shape == se.shape == (0, 3)
+
+    def test_ranked_row_refuses_a_row_of_another_width(self):
+        g = corridor_world()
+        z, se = z_table(g, [(2, 0)], uniform_policy(g), 3)
+        assert z.shape == (1, 4)
+        for z_row, se_row in ((z[0], se[0]), (z[0, :1], se[0, :1]), (z[0, :2], se[0])):
+            with pytest.raises(ValueError, match=f"{len(z_row)} and {len(se_row)} values.* 2 "):
+                ranked_row(z_row, se_row, 3, EXACT, ("left", "right"))
+        z, se = z_table(g, [(2, 0)], uniform_policy(g), 3, EXACT, ("left", "right"))
+        ranked = dict(ranked_row(z[0], se[0], 3, EXACT, ("left", "right")))
+        assert [ranked[a].value for a in ("left", "right")] == z[0].tolist()
+
     def test_rejects_bad_cells_and_actions(self):
         g = GridWorld(3, 3, goal=(2, 2), start=(0, 0), walls={(1, 1)})
         pol = uniform_policy(g)
